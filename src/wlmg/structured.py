@@ -46,10 +46,6 @@ def first_nonzero_angle(kind: AlgebraKind, n: int) -> float:
     raise ValueError("tau operators are nonsingular; no Strang frequency")
 
 
-def _band(coeffs: np.ndarray, s: int) -> float:
-    return coeffs[s] if 0 <= s < len(coeffs) else 0.0
-
-
 def apply_banded(kind: AlgebraKind, f: CosineSymbol, x: np.ndarray) -> np.ndarray:
     """Apply the n-by-n algebra matrix of ``f`` along axis 0 of ``x``."""
     t = f.coeffs
@@ -131,30 +127,28 @@ def sparse_matrix(kind: AlgebraKind, f: CosineSymbol, n: int) -> sp.csr_array:
     m = len(t) - 1
     if 2 * m >= n:
         raise ValueError(f"band {m} too wide for sparse form at size {n}")
+    band = np.concatenate([t, np.zeros(2 * n + 2)])   # band[s] = t_s, 0 past m
     rows, cols, vals = [], [], []
-
-    def add(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-
-    for i in range(n):
-        for j in range(max(0, i - m), min(n, i + m + 1)):
-            v = t[abs(i - j)]
-            if kind is AlgebraKind.TAU:
-                v -= _band(t, i + j + 2) + _band(t, 2 * n - i - j)
-            elif kind is AlgebraKind.DCT3:
-                v += _band(t, i + j + 1) + _band(t, 2 * n - 1 - i - j)
-            if v != 0.0:
-                add(i, j, v)
-        if kind is AlgebraKind.CIRCULANT:
-            for k in range(1, m + 1):
-                jm = (i - (n - k)) % n
-                jp = (i + (n - k)) % n
-                if abs(i - jm) > m:
-                    add(i, jm, t[k])
-                if abs(i - jp) > m:
-                    add(i, jp, t[k])
+    for k in range(-m, m + 1):       # one diagonal, j = i + k, at a time
+        i = np.arange(max(0, -k), n - max(0, k))
+        j = i + k
+        v = np.full(i.size, t[abs(k)])
+        if kind is AlgebraKind.TAU:
+            v -= band[i + j + 2] + band[2 * n - i - j]
+        elif kind is AlgebraKind.DCT3:
+            v += band[i + j + 1] + band[2 * n - 1 - i - j]
+        keep = v != 0.0
+        rows.append(i[keep])
+        cols.append(j[keep])
+        vals.append(v[keep])
+    if kind is AlgebraKind.CIRCULANT:
+        # wrap-around entries t_k at column distance n - k
+        for k in range(1, m + 1):
+            i = np.arange(n - k, n)
+            rows += [i, i - (n - k)]
+            cols += [i - (n - k), i]
+            vals += [np.full(k, t[k])] * 2
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
     A = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
     A.sort_indices()
     return A

@@ -163,10 +163,24 @@ class TensorSymbol:
             out += np.outer(g1.eval(grids[0]), g2.eval(grids[1]))
         return out
 
-    def sup_norm(self, npoints: int = 1025) -> float:
-        """Max of the absolute value over a dense tensor angle grid."""
+    def sup_norm(self, npoints: int = 1025, block: int = 64) -> float:
+        """Max of the absolute value over a dense tensor angle grid.
+
+        In 2-D the grid is summed ``block`` rows at a time, each entry by the
+        same operations as ``eval_grid``, so the value is the same without
+        the full ``npoints^2`` grid in memory.
+        """
         t = np.linspace(0.0, np.pi, npoints)
-        return float(np.max(np.abs(self.eval_grid([t] * self.dim))))
+        if self.dim == 1:
+            return float(np.max(np.abs(self.eval(t))))
+        factors = [(g1.eval(t), g2.eval(t)) for g1, g2 in self.terms]
+        peaks = []
+        for lo in range(0, npoints, block):
+            out = np.zeros((min(block, npoints - lo), npoints))
+            for u, v in factors:
+                out += np.multiply.outer(u[lo:lo + block], v)
+            peaks += [out.max(), -out.min()]
+        return float(np.max(peaks))
 
     def scaled(self, alpha: float) -> "TensorSymbol":
         terms = [(term[0].scaled(alpha),) + term[1:] for term in self.terms]

@@ -1,15 +1,55 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from wlmg.discretize import BoundaryCondition, GridSpec, assemble, split
 from wlmg.mgm import SolverConfig, build_hierarchy
-from wlmg.smoothers import (cg_steps, compute_omegas, gauss_seidel, richardson,
-                            splitting_diagonal)
+from wlmg.smoothers import cg_steps, compute_omegas, richardson, splitting_diagonal
+
+GS = SolverConfig(method="mgm", pre="gauss-seidel", post="richardson")
+RANK_ONE = (BoundaryCondition.PERIODIC, BoundaryCondition.REFLECTIVE)
 
 
 def dense_mv(A):
     return lambda x: A @ x
+
+
+def gauss_seidel(A: sp.csr_array, x: np.ndarray, b: np.ndarray,
+                 rank_one: float = 0.0) -> np.ndarray:
+    """Reference oracle: one forward Gauss-Seidel sweep on
+    ``A + rank_one * e e^T / N``, row by row.
+
+    The uniform rank-one term is handled with a running sum of the
+    already-updated and not-yet-updated entries.
+    """
+    indptr, indices, data = A.indptr, A.indices, A.data
+    n = A.shape[0]
+    x = np.array(x, dtype=float)
+    rho = rank_one / n if rank_one else 0.0
+    total = float(x.sum())  # mixed sum: updated entries below i, old above
+    for i in range(n):
+        lo, hi = indptr[i], indptr[i + 1]
+        diag = 0.0
+        acc = b[i]
+        for c, v in zip(indices[lo:hi], data[lo:hi]):
+            if c == i:
+                diag = v
+            else:
+                acc -= v * x[c]
+        acc -= rho * (total - x[i])
+        diag += rho
+        if diag == 0.0:
+            raise ZeroDivisionError(f"zero diagonal entry in row {i}")
+        old = x[i]
+        x[i] = acc / diag
+        total += x[i] - old
+    return x
+
+
+def gs_hierarchy(bc, sizes, coeff):
+    grid = GridSpec(sizes, bc)
+    return build_hierarchy(split(assemble(grid, coeff), grid, coeff), GS)
 
 
 def test_richardson_fixed_point_and_scalar():
@@ -112,6 +152,83 @@ def test_engine_gs_matches_reference_sweep():
     assert np.allclose(fast, ref, rtol=1e-12, atol=1e-13)
 
 
+def jump_1d(x):
+    return np.where(x < 0.5, 1.0, 1000.0)
+
+
+@pytest.mark.parametrize("bc", RANK_ONE, ids=lambda bc: bc.value)
+@pytest.mark.parametrize("sizes,coeff", [((64,), "a2"), ((64,), "a3"), ((64,), jump_1d),
+                                         ((32, 32), "a2"), ((32, 32), "a7"),
+                                         ((32, 32), "a8")],
+                         ids=["1d-a2", "1d-a3", "1d-jump1000", "2d-a2", "2d-a7", "2d-a8"])
+def test_rank_one_gs_step_matches_sweep(bc, sizes, coeff):
+    """The factored step is the sweep on A + (gamma/N) e e^T on every level
+    that smooths, also across coefficient jumps of 1000."""
+    H = gs_hierarchy(bc, sizes, coeff)
+    rng = np.random.default_rng(12)
+    for lev in H.levels[:-1]:
+        assert lev.gamma is not None
+        for shift in (0.0, 5.0):   # a random iterate, and one with a large mean
+            x = rng.standard_normal(lev.n) + shift
+            b = rng.standard_normal(lev.n)
+            ref = gauss_seidel(lev.combined, x, b, rank_one=lev.gamma)
+            got = lev.gauss_seidel_step(x, b)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("bc", RANK_ONE, ids=lambda bc: bc.value)
+@pytest.mark.parametrize("sizes", [(64,), (16, 16)], ids=["1d", "2d"])
+def test_rank_one_gs_energy_norm_monotone(bc, sizes):
+    H = gs_hierarchy(bc, sizes, "a7" if len(sizes) == 2 else "a3")
+    rng = np.random.default_rng(13)
+    for lev in H.levels[:-1]:
+        A = lev.dense_operator()
+        b = rng.standard_normal(lev.n)
+        xstar = np.linalg.solve(A, b)
+        for _ in range(10):
+            x = rng.standard_normal(lev.n)
+            e1, e2 = x - xstar, lev.gauss_seidel_step(x, b) - xstar
+            assert e2 @ A @ e2 <= e1 @ A @ e1 * (1 + 1e-12)
+
+
+def test_dirichlet_gs_step_is_one_lower_triangular_solve():
+    """Without a rank-one term the step is exactly the SuperLU solve with
+    tril(A) of b - triu(A, 1) x, bit for bit."""
+    H = gs_hierarchy(BoundaryCondition.DIRICHLET, (31, 31), "a7")
+    rng = np.random.default_rng(14)
+    for lev in H.levels[:-1]:
+        lower = sp.csc_array(sp.tril(lev.combined, format="csc"))
+        lu = spla.splu(lower, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        x = rng.standard_normal(lev.n)
+        b = rng.standard_normal(lev.n)
+        want = lu.solve(b - sp.triu(lev.combined, k=1, format="csr") @ x)
+        assert np.array_equal(lev.gauss_seidel_step(x, b), want)
+
+
+@pytest.mark.parametrize("bc,n", [(BoundaryCondition.DIRICHLET, 63),
+                                  (BoundaryCondition.PERIODIC, 64),
+                                  (BoundaryCondition.REFLECTIVE, 64)])
+def test_every_gs_level_is_triangular(bc, n):
+    for sizes in ((n,), (n, n)):
+        H = gs_hierarchy(bc, sizes, "a2")
+        assert H.n_levels > 2
+        assert all(lev._gs[0] == "triangular" for lev in H.levels[:-1])
+
+
+@pytest.mark.parametrize("bc,n", [(BoundaryCondition.DIRICHLET, 15),
+                                  (BoundaryCondition.REFLECTIVE, 16)])
+def test_gs_zero_pivot_raises(bc, n):
+    """A zero pivot of A + (gamma/N) e e^T fails with a named row, not in SuperLU."""
+    lev = gs_hierarchy(bc, (n,), "a2").levels[0]
+    rho = 0.0 if lev.gamma is None else lev.gamma / lev.n
+    A = lev.combined.tolil()
+    A[3, 3] = -rho
+    lev.combined = sp.csr_array(A)
+    lev._gs = None
+    with pytest.raises(ZeroDivisionError, match="row 3"):
+        lev.gauss_seidel_step(np.zeros(n), np.ones(n))
+
+
 def test_gs_anorm_monotone():
     grid = GridSpec((15,), BoundaryCondition.DIRICHLET)
     prob = split(assemble(grid, "a3"), grid, "a3")
@@ -166,20 +283,24 @@ def test_cg_diagonal_preconditioned_step():
 
 
 def test_smoother_purity():
-    grid = GridSpec((15,), BoundaryCondition.DIRICHLET)
-    prob = split(assemble(grid, "a2"), grid, "a2")
-    H = build_hierarchy(prob, SolverConfig(method="tgm", pre="gauss-seidel",
-                                           post="richardson"))
-    lev = H.levels[0]
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal(15)
-    b = rng.standard_normal(15)
-    for fn in (lambda: lev.gauss_seidel_step(x, b),
-               lambda: richardson(lambda v: lev.matvec(v), x, b, lev.omega_post),
-               lambda: cg_steps(lambda v: lev.matvec(v), x, b, 1)):
-        r1, r2 = fn(), fn()
-        assert np.array_equal(r1, r2)
-    assert np.array_equal(x, x)  # inputs untouched
+    """Smoothing steps leave x and b untouched, on all three boundary conditions."""
+    for bc, n in ((BoundaryCondition.DIRICHLET, 15), (BoundaryCondition.PERIODIC, 16),
+                  (BoundaryCondition.REFLECTIVE, 16)):
+        grid = GridSpec((n,), bc)
+        prob = split(assemble(grid, "a2"), grid, "a2")
+        H = build_hierarchy(prob, SolverConfig(method="tgm", pre="gauss-seidel",
+                                               post="richardson"))
+        lev = H.levels[0]
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(n)
+        b = rng.standard_normal(n)
+        x0, b0 = x.copy(), b.copy()
+        for fn in (lambda: lev.gauss_seidel_step(x, b),
+                   lambda: richardson(lambda v: lev.matvec(v), x, b, lev.omega_post),
+                   lambda: cg_steps(lambda v: lev.matvec(v), x, b, 1)):
+            r1, r2 = fn(), fn()
+            assert np.array_equal(r1, r2)
+            assert np.array_equal(x, x0) and np.array_equal(b, b0)
 
 
 def test_post_smoother_spectrum_in_unit_interval():

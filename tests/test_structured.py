@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from wlmg.symbols import CosineSymbol, TensorSymbol
 from wlmg.structured import (AlgebraKind, StructuredOperator, algebra_grid,
-                             dct3_basis, dense_matrix)
+                             dct3_basis, dense_matrix, sparse_matrix)
 
 LAPLACE = CosineSymbol([2.0, -1.0])
 KINDS = [AlgebraKind.TAU, AlgebraKind.CIRCULANT, AlgebraKind.DCT3]
@@ -74,6 +75,51 @@ def test_sparse_matches_dense(kind):
         sym = CosineSymbol(rng.standard_normal(3))
         op = make_op(kind, n, sym)
         assert np.allclose(op.to_sparse().toarray(), op.materialize_dense(), atol=1e-13)
+
+
+def reference_sparse_matrix(kind, f, n):
+    """Reference oracle: the banded algebra matrix entry by entry, row by row."""
+    t = f.coeffs
+    m = len(t) - 1
+
+    def band(s):
+        return t[s] if 0 <= s < len(t) else 0.0
+
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        for j in range(max(0, i - m), min(n, i + m + 1)):
+            v = t[abs(i - j)]
+            if kind is AlgebraKind.TAU:
+                v -= band(i + j + 2) + band(2 * n - i - j)
+            elif kind is AlgebraKind.DCT3:
+                v += band(i + j + 1) + band(2 * n - 1 - i - j)
+            if v != 0.0:
+                rows.append(i), cols.append(j), vals.append(v)
+        if kind is AlgebraKind.CIRCULANT:
+            for k in range(1, m + 1):
+                for j in ((i - (n - k)) % n, (i + (n - k)) % n):
+                    if abs(i - j) > m:
+                        rows.append(i), cols.append(j), vals.append(t[k])
+    A = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
+    A.sort_indices()
+    return A
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sparse_matrix_equals_row_loop(kind):
+    rng = np.random.default_rng(10)
+    for n in (3, 4, 5, 8, 16, 31, 64):
+        for m in range(0, 5):
+            if 2 * m >= n:
+                continue
+            gapped = np.zeros(m + 1)     # zero inner band coefficients
+            gapped[[0, m]] = 1.0
+            for coeffs in (rng.standard_normal(m + 1), gapped):
+                sym = CosineSymbol(coeffs)
+                got, want = sparse_matrix(kind, sym, n), reference_sparse_matrix(kind, sym, n)
+                for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                             (got.data, want.data)):
+                    assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -98,6 +98,22 @@ def test_supnorm_values():
     assert CosineSymbol([0.0]).sup_norm() == 0.0
 
 
+@pytest.mark.parametrize("bc,n", [("dirichlet", 63), ("periodic", 64), ("reflective", 64)])
+def test_blocked_supnorm_equals_full_grid_on_every_level(bc, n):
+    from wlmg.discretize import BoundaryCondition, GridSpec, assemble, split
+    from wlmg.mgm import build_hierarchy
+
+    grid = GridSpec((n, n), BoundaryCondition(bc))
+    H = build_hierarchy(split(assemble(grid, "a7"), grid, "a7"))
+    t, short = np.linspace(0.0, np.pi, 1025), np.linspace(0.0, np.pi, 100)
+    for lev in H.levels:
+        sym = lev.structured.symbol
+        assert sym.sup_norm() == float(np.max(np.abs(sym.eval_grid([t, t]))))
+        # a last block shorter than the others
+        assert sym.sup_norm(npoints=100, block=7) == float(
+            np.max(np.abs(sym.eval_grid([short, short]))))
+
+
 def test_tensor_eval_matches_sum():
     ts = TensorSymbol.separable_sum([LAPLACE, SMOOTH])
     rng = np.random.default_rng(2)
