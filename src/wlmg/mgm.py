@@ -169,20 +169,19 @@ class _Level:
         refinement step of ``gauss_seidel_step``.
         """
         if self._gs is None:
-            rho = 0.0 if self.gamma is None else self.gamma / self.n
             lower = sp.csc_array(sp.tril(self.combined, format="csc"))
             tril_a = None
-            if rho:
+            if self.gamma is not None:
                 tril_a = sp.csr_array(lower)
-                diff = sp.eye_array(self.n, format="csr") - sp.eye_array(self.n, k=-1, format="csr")
-                lower = sp.csc_array(diff @ lower + rho * sp.eye_array(self.n))
+                diff = sp.eye(self.n, format="csr") - sp.eye(self.n, k=-1, format="csr")
+                lower = sp.csc_array(diff @ lower + self.gamma / self.n * sp.identity(self.n))
             zero = np.flatnonzero(lower.diagonal() == 0.0)
             if zero.size:
                 raise ZeroDivisionError(
                     f"Gauss-Seidel pivot of row {zero[0]} is zero (diagonal of A + rho e e^T)")
             lu = spla.splu(lower, permc_spec="NATURAL", diag_pivot_thresh=0.0)
             upper = sp.csr_array(sp.triu(self.combined, k=1, format="csr"))
-            self._gs = ("triangular", lu, upper, lu.L.nnz + lu.U.nnz, rho, tril_a)
+            self._gs = ("triangular", lu, upper, lu.L.nnz + lu.U.nnz, tril_a)
         return self._gs
 
     def gauss_seidel_step(self, x, b, ops=None):
@@ -197,12 +196,13 @@ class _Level:
         level: for ``a8`` on a reflective 64^2 grid, from a relative 6e-11
         off the sweep to 2e-16.
         """
-        _, lu, upper, factor_nnz, rho, tril_a = self._ensure_gs()
+        _, lu, upper, factor_nnz, tril_a = self._ensure_gs()
         rhs = b - upper @ x
-        if not rho:
+        if tril_a is None:
             if ops is not None:
                 ops.add(2 * upper.nnz + 2 * factor_nnz + self.n)
             return lu.solve(rhs)
+        rho = self.gamma / self.n
         rhs -= rho * (x.sum() - np.cumsum(x))
         y = lu.solve(np.diff(rhs, prepend=0.0))
         rhs -= tril_a @ y + rho * np.cumsum(y)

@@ -18,6 +18,9 @@ import numpy as np
 
 __all__ = ["CosineSymbol", "TensorSymbol", "fold", "fold_pairsum"]
 
+# rows of the 2-D angle grid that TensorSymbol.sup_norm holds at a time
+_SUP_BLOCK = 64
+
 
 class CosineSymbol:
     """Even cosine polynomial given by its band coefficients."""
@@ -163,22 +166,22 @@ class TensorSymbol:
             out += np.outer(g1.eval(grids[0]), g2.eval(grids[1]))
         return out
 
-    def sup_norm(self, npoints: int = 1025, block: int = 64) -> float:
+    def sup_norm(self, npoints: int = 1025) -> float:
         """Max of the absolute value over a dense tensor angle grid.
 
-        In 2-D the grid is summed ``block`` rows at a time, each entry by the
-        same operations as ``eval_grid``, so the value is the same without
+        In 2-D the grid is summed ``_SUP_BLOCK`` rows at a time, each entry by
+        the same operations as ``eval_grid``, so the value is the same without
         the full ``npoints^2`` grid in memory.
         """
         t = np.linspace(0.0, np.pi, npoints)
         if self.dim == 1:
-            return float(np.max(np.abs(self.eval(t))))
+            return float(np.max(np.abs(self.eval_grid([t]))))
         factors = [(g1.eval(t), g2.eval(t)) for g1, g2 in self.terms]
         peaks = []
-        for lo in range(0, npoints, block):
-            out = np.zeros((min(block, npoints - lo), npoints))
+        for lo in range(0, npoints, _SUP_BLOCK):
+            out = np.zeros((min(_SUP_BLOCK, npoints - lo), npoints))
             for u, v in factors:
-                out += np.multiply.outer(u[lo:lo + block], v)
+                out += np.multiply.outer(u[lo:lo + _SUP_BLOCK], v)
             peaks += [out.max(), -out.min()]
         return float(np.max(peaks))
 
