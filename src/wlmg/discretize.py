@@ -229,9 +229,10 @@ def coefficient_samples(grid: GridSpec, coeff) -> np.ndarray:
 class AssembledProblem:
     """Structured-plus-correction splitting of an assembled operator.
 
-    The full (solved) operator is ``x -> a_min * structured.apply(x) + R x``;
-    for periodic/reflective grids ``structured`` carries the Strang rank-one
-    term, so the full operator is symmetric positive definite.
+    The full (solved) operator is ``a_min * S + R``, ``S`` the matrix of
+    ``structured``; for periodic/reflective grids ``structured`` carries the
+    Strang rank-one term, so the full operator is symmetric positive
+    definite.
     """
 
     grid: GridSpec
@@ -240,12 +241,6 @@ class AssembledProblem:
     correction: sp.csr_array
     rhs: np.ndarray | None = None
     coefficient: DiffusionCoefficient | None = None
-
-    def full_apply(self, x: np.ndarray, ops=None) -> np.ndarray:
-        y = self.a_min * self.structured.apply(x, ops=ops) + self.correction @ x
-        if ops is not None:
-            ops.add(2 * self.correction.nnz + self.grid.n_total)
-        return y
 
     def full_dense(self) -> np.ndarray:
         return self.a_min * self.structured.materialize_dense() + self.correction.toarray()

@@ -3,9 +3,11 @@
 ``build_hierarchy`` runs the pre-computing phase once: per-level structured
 symbols (by folding), sparse corrections (by sparse triple products),
 smoothing parameters, Gauss-Seidel triangular factors, and the coarsest
-direct solver.  Hierarchies are immutable afterwards; every solve owns its
-iterate, residual history, and arithmetic-operation counter, so concurrent
-solves against one hierarchy are safe.
+direct solver.  Hierarchies are immutable afterwards, apart from the
+``p^T`` each projector caches on its first ``restrict`` (concurrent first
+solves may each build it; they build the same matrix).  Every solve owns
+its iterate, residual history, and arithmetic-operation counter, so
+concurrent solves against one hierarchy are safe.
 
 Forward Gauss-Seidel is one cached sparse triangular factor per level on
 all three boundary conditions.  Without a rank-one term it is the SuperLU
@@ -14,10 +16,12 @@ reflective levels, ``A + (gamma/N) e e^T``, it is the factor of the
 first-differenced triangle ``(I - S) tril(A) + (gamma/N) I``, followed by
 one refinement step; there is no per-row loop.
 
-The coarsest level uses a sparse direct factorization (a banded/2-D sparse
-LU keeps the per-iteration cost linear in N); when a rank-one correction is
-present the coarse matrix is dense-factorized instead, since the rank-one
-term is dense.
+Every product on the solve path is a CSR product or a SuperLU solve: the
+level operator and the grid transfers are cached sparse matrices.  The
+coarsest level is one sparse LU; with a rank-one term it factors the
+bordered matrix ``[[A, u], [u^T, -1]]``, ``u = sqrt(gamma/N) e``, whose
+solve with ``[b; 0]`` solves ``(A + u u^T) x = b`` without forming the
+dense term.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -214,25 +217,21 @@ class _Level:
     # -- coarsest direct solve --------------------------------------------
     def _ensure_direct(self):
         if self._direct is None:
-            if self.gamma is None:
-                lu = spla.splu(sp.csc_matrix(self.combined))
-                self._direct = ("sparse", lu, lu.L.nnz + lu.U.nnz)
-            else:
-                if self.n > 4096:
-                    raise ValueError(
-                        "direct solve with a rank-one term is dense and capped at "
-                        f"N <= 4096 (got {self.n}); use a deeper hierarchy")
-                lu, piv = la.lu_factor(self.dense_operator())
-                self._direct = ("dense", (lu, piv), 2 * self.n * self.n)
+            A = sp.csc_matrix(self.combined)
+            if self.gamma is not None:
+                u = sp.csr_matrix(np.full((self.n, 1), np.sqrt(self.gamma / self.n)))
+                A = sp.bmat([[A, u], [u.T, sp.csr_matrix([[-1.0]])]], format="csc")
+            lu = spla.splu(A)
+            self._direct = ("sparse", lu, lu.L.nnz + lu.U.nnz)
         return self._direct
 
     def direct_solve(self, b, ops=None):
-        kind, factor, cost = self._ensure_direct()
+        _, lu, cost = self._ensure_direct()
         if ops is not None:
             ops.add(cost)
-        if kind == "sparse":
-            return factor.solve(b)
-        return la.lu_solve(factor, b)
+        if self.gamma is None:
+            return lu.solve(b)
+        return lu.solve(np.append(b, 0.0))[:self.n]
 
 
 class LevelHierarchy:
@@ -249,9 +248,6 @@ class LevelHierarchy:
     @property
     def depth(self) -> int:
         return len(self.levels) - 1
-
-    def matvec(self, s: int, x: np.ndarray, ops=None) -> np.ndarray:
-        return self.levels[s].matvec(x, ops)
 
     def dense_operator(self, s: int) -> np.ndarray:
         return self.levels[s].dense_operator()

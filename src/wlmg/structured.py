@@ -1,13 +1,15 @@
-"""Matrix-free operators in the tau (DST-I), circulant, and DCT-III algebras.
+"""Operators in the tau (DST-I), circulant, and DCT-III algebras.
 
 Each algebra is the set of matrices diagonalized by a fixed trigonometric
 basis; an operator is stored as its generating symbol plus an optional
 rank-one correction ``gamma * e e^T / N`` (``e`` the all-ones vector) that
 renders the singular circulant/DCT-III Laplacians positive definite.
 
-Matrix-vector products use the banded entry formulas, which cost
-``O(N * bandwidth)``; the symbols arising here keep O(1) bandwidth at every
-grid level, so the structured part is never formed.
+The symbol is kept for the Galerkin coarse symbols (folds of it), the
+smoother damping (``sup|symbol|``) and the dense oracles.  Every product on
+the solve path uses the assembled sparse matrix of ``to_sparse``; the
+symbols arising here keep O(1) bandwidth at every grid level, so it has
+``O(N)`` entries.
 """
 
 from __future__ import annotations
@@ -44,41 +46,6 @@ def first_nonzero_angle(kind: AlgebraKind, n: int) -> float:
     if kind is AlgebraKind.DCT3:
         return np.pi / n
     raise ValueError("tau operators are nonsingular; no Strang frequency")
-
-
-def apply_banded(kind: AlgebraKind, f: CosineSymbol, x: np.ndarray) -> np.ndarray:
-    """Apply the n-by-n algebra matrix of ``f`` along axis 0 of ``x``."""
-    t = f.coeffs
-    m = len(t) - 1
-    n = x.shape[0]
-    if 2 * m >= n:
-        # band too wide for the corner formulas: reconstruct densely
-        D = dense_matrix(kind, f, n)
-        return (D @ x.reshape(n, -1)).reshape(x.shape)
-    y = t[0] * x
-    if kind is AlgebraKind.CIRCULANT:
-        for k in range(1, m + 1):
-            y = y + t[k] * (np.roll(x, k, axis=0) + np.roll(x, -k, axis=0))
-        return y
-    for k in range(1, m + 1):
-        y[k:] += t[k] * x[:-k]
-        y[:-k] += t[k] * x[k:]
-    if kind is AlgebraKind.TAU:
-        # corners: subtract t_{i+j+2} (top-left) and t_{2n-i-j} (bottom-right)
-        for i in range(max(m - 1, 0)):
-            for k in range(i + 2, m + 1):
-                y[i] -= t[k] * x[k - 2 - i]
-        for i in range(max(n - m + 1, 0), n):
-            for k in range(max(2, n + 1 - i), m + 1):
-                y[i] -= t[k] * x[2 * n - i - k]
-    else:  # DCT3: add t_{i+j+1} and t_{2n-1-i-j}
-        for i in range(m):
-            for k in range(i + 1, m + 1):
-                y[i] += t[k] * x[k - 1 - i]
-        for i in range(max(n - m, 0), n):
-            for k in range(max(1, n - i), m + 1):
-                y[i] += t[k] * x[2 * n - 1 - i - k]
-    return y
 
 
 def dense_matrix(kind: AlgebraKind, f: CosineSymbol, n: int) -> np.ndarray:
@@ -125,7 +92,10 @@ def sparse_matrix(kind: AlgebraKind, f: CosineSymbol, n: int) -> sp.csr_array:
     """Sparse banded algebra matrix (includes the algebra's corner entries)."""
     t = f.coeffs
     m = len(t) - 1
-    if 2 * m >= n:
+    # the entry formulas are exact while m < n (circulant), m <= n (DCT-III)
+    # and m <= n + 2 (tau); past that the band folds over more than once
+    limit = {AlgebraKind.TAU: n + 2, AlgebraKind.DCT3: n, AlgebraKind.CIRCULANT: n - 1}[kind]
+    if m > limit:
         raise ValueError(f"band {m} too wide for sparse form at size {n}")
     band = np.concatenate([t, np.zeros(2 * n + 2)])   # band[s] = t_s, 0 past m
     rows, cols, vals = [], [], []
@@ -184,32 +154,6 @@ class StructuredOperator:
         grids = [algebra_grid(self.kind, n) for n in self.sizes]
         return self.symbol.eval_grid(grids).ravel()
 
-    def apply(self, v: np.ndarray, ops=None) -> np.ndarray:
-        """Matrix-vector product, ``O(N * bandwidth)``."""
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.n_total,):
-            raise ValueError(f"expected vector of length {self.n_total}")
-        if self.dim == 1:
-            y = np.zeros_like(v)
-            for (g,) in self.symbol.terms:
-                y += apply_banded(self.kind, g, v)
-        else:
-            X = v.reshape(self.sizes)
-            Y = np.zeros_like(X)
-            for g1, g2 in self.symbol.terms:
-                Y += apply_banded(self.kind, g2, apply_banded(self.kind, g1, X).T).T
-            y = Y.ravel()
-        nflops = 0
-        for term in self.symbol.terms:
-            bw = max(g.degree for g in term)
-            nflops += (4 * bw + 2) * self.n_total
-        if self.rank_one is not None:
-            y = y + (self.rank_one * v.sum() / self.n_total)
-            nflops += 3 * self.n_total
-        if ops is not None:
-            ops.add(nflops)
-        return y
-
     def strang_correct(self) -> "StructuredOperator":
         """Rank-one shift by the symbol value at the first nonzero frequency."""
         if self.kind is AlgebraKind.TAU:
@@ -253,9 +197,6 @@ class StructuredOperator:
         out = sp.csr_array(out)
         out.sort_indices()
         return out
-
-    def with_symbol(self, symbol: TensorSymbol, rank_one=None) -> "StructuredOperator":
-        return StructuredOperator(self.kind, self.sizes, symbol, rank_one)
 
     def __repr__(self):
         return (f"StructuredOperator({self.kind.value}, sizes={self.sizes}, "

@@ -9,6 +9,7 @@ maps, 1-based as usual in the multigrid literature:
 * periodic (circulant): n0 = 2 n1,     T[i, j] = 1 at i = 2j - 1
 * reflective (DCT-III): n0 = 2 n1,     T[i, j] = 1 at i in {2j-1, 2j}
 
+Both transfers are products with the cached sparse ``p`` and ``p^T``.
 Galerkin coarsening of the structured part never forms matrices: the coarse
 symbol is the algebra-specific fold of ``s^2 p(t)^2 g(t)``.  The sparse
 correction is coarsened by an explicit sparse triple product.
@@ -19,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .structured import AlgebraKind, StructuredOperator, apply_banded
+from .structured import AlgebraKind, StructuredOperator, sparse_matrix
 from .symbols import CosineSymbol, TensorSymbol, fold, fold_pairsum
 
 __all__ = ["Projector", "coarse_size", "cutting_matrix",
@@ -56,28 +57,6 @@ def cutting_matrix(kind: AlgebraKind, n0: int) -> sp.csr_array:
     return sp.coo_array((vals, (rows, cols)), shape=(n0, n1)).tocsr()
 
 
-def _insert(kind: AlgebraKind, y: np.ndarray, n0: int) -> np.ndarray:
-    """Apply T along axis 0: place coarse values at the cut fine indices."""
-    z = np.zeros((n0,) + y.shape[1:])
-    if kind is AlgebraKind.TAU:
-        z[1::2] = y
-    elif kind is AlgebraKind.CIRCULANT:
-        z[0::2] = y
-    else:
-        z[0::2] = y
-        z[1::2] = y
-    return z
-
-
-def _extract(kind: AlgebraKind, w: np.ndarray) -> np.ndarray:
-    """Apply T^T along axis 0."""
-    if kind is AlgebraKind.TAU:
-        return w[1::2]
-    if kind is AlgebraKind.CIRCULANT:
-        return w[0::2]
-    return w[0::2] + w[1::2]
-
-
 class Projector:
     """Tensor-product projector between two grid levels."""
 
@@ -87,10 +66,7 @@ class Projector:
         self.coarse_sizes = tuple(coarse_size(kind, n) for n in self.fine_sizes)
         self.scalar = (1.0 / np.sqrt(2.0)) if kind is AlgebraKind.TAU else 1.0
         self._sparse = None
-
-    @property
-    def dim(self) -> int:
-        return len(self.fine_sizes)
+        self._sparse_t = None
 
     @property
     def n_fine(self) -> int:
@@ -100,46 +76,29 @@ class Projector:
     def n_coarse(self) -> int:
         return int(np.prod(self.coarse_sizes))
 
-    def _prolong_axis(self, y, n0):
-        return self.scalar * apply_banded(self.kind, P_SYMBOL, _insert(self.kind, y, n0))
-
-    def _restrict_axis(self, r):
-        return self.scalar * _extract(self.kind, apply_banded(self.kind, P_SYMBOL, r))
-
     def prolong(self, y: np.ndarray, ops=None) -> np.ndarray:
         """Coarse-to-fine map ``p y``."""
         y = np.asarray(y, dtype=float)
         if y.shape != (self.n_coarse,):
             raise ValueError(f"expected coarse vector of length {self.n_coarse}")
-        if self.dim == 1:
-            out = self._prolong_axis(y, self.fine_sizes[0])
-        else:
-            Y = y.reshape(self.coarse_sizes)
-            Z = self._prolong_axis(Y, self.fine_sizes[0])
-            out = self._prolong_axis(Z.T, self.fine_sizes[1]).T.ravel()
         if ops is not None:
             ops.add(8 * self.n_fine)
-        return out.ravel() if out.ndim > 1 else out
+        return self.to_sparse() @ y
 
     def restrict(self, r: np.ndarray, ops=None) -> np.ndarray:
         """Fine-to-coarse map ``p^T r`` (exact adjoint of ``prolong``)."""
         r = np.asarray(r, dtype=float)
         if r.shape != (self.n_fine,):
             raise ValueError(f"expected fine vector of length {self.n_fine}")
-        if self.dim == 1:
-            out = self._restrict_axis(r)
-        else:
-            X = r.reshape(self.fine_sizes)
-            Z = self._restrict_axis(X)
-            out = self._restrict_axis(Z.T).T.ravel()
+        if self._sparse_t is None:
+            self._sparse_t = sp.csr_array(self.to_sparse().T)
         if ops is not None:
             ops.add(8 * self.n_fine)
-        return out.ravel() if out.ndim > 1 else out
+        return self._sparse_t @ r
 
     def to_sparse(self) -> sp.csr_array:
-        """Explicit sparse p (cached); used for triple products and oracles."""
+        """Sparse p (cached): the transfers, the triple products, the oracles."""
         if self._sparse is None:
-            from .structured import sparse_matrix
             factors = []
             for n0 in self.fine_sizes:
                 P = sparse_matrix(self.kind, P_SYMBOL, n0)
@@ -180,13 +139,15 @@ def galerkin_sparse(R: sp.csr_array, projector: Projector) -> sp.csr_array:
 def project_rank_one(gamma: float, projector: Projector) -> float:
     """Coarse coefficient of ``gamma e e^T / N`` under the Galerkin projection.
 
-    ``p^T e`` is a constant vector for the circulant and DCT-III projectors,
-    so the projected term is again ``gamma' e e^T / N_coarse``.
+    ``p^T e``, the column sums of ``p``, is a constant vector for the
+    circulant and DCT-III projectors, so the projected term is again
+    ``gamma' e e^T / N_coarse``.  Summing ``p`` leaves the ``p^T`` of
+    ``restrict`` to the first solve.
     """
-    u = projector.restrict(np.ones(projector.n_fine))
+    u = np.asarray(projector.to_sparse().sum(axis=0)).ravel()
     c = float(u[0])
     if not np.allclose(u, c, rtol=1e-12, atol=1e-12):
-        raise ValueError("rank-one projection needs a constant restricted ones vector")
+        raise ValueError("rank-one projection needs constant column sums of p")
     return gamma * c * c * projector.n_coarse / projector.n_fine
 
 

@@ -263,3 +263,66 @@ def test_infeasible_tgm_chain():
     prob = make_problem(16, "a2", D)  # even size cannot cut under Dirichlet
     with pytest.raises(ValueError):
         build_hierarchy(prob, SolverConfig(method="tgm"))
+
+
+SMALL_GRIDS = [(D, (3,)), (D, (5,)), (D, (3, 3)), (D, (5, 5)),
+               (BoundaryCondition.PERIODIC, (4,)), (BoundaryCondition.PERIODIC, (4, 4)),
+               (BoundaryCondition.REFLECTIVE, (4,)), (BoundaryCondition.REFLECTIVE, (6,)),
+               (BoundaryCondition.REFLECTIVE, (8,)), (BoundaryCondition.REFLECTIVE, (4, 4))]
+
+
+@pytest.mark.parametrize("bc, sizes", SMALL_GRIDS)
+def test_tgm_on_small_grids(bc, sizes):
+    """Coarse bands as wide as the coarse grid still give the Galerkin
+    operator ``p^T A p``, rank-one term included."""
+    H = build_hierarchy(make_problem(sizes, "a2", bc), SolverConfig(method="tgm"))
+    p = H.levels[0].projector.to_sparse().toarray()
+    want = p.T @ H.dense_operator(0) @ p
+    got = H.dense_operator(1)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    b = np.random.default_rng(0).standard_normal(H.levels[0].n)
+    assert solve(H, b, max_iter=100)[1].converged
+
+
+def test_rank_one_coarse_solve_has_no_size_cap():
+    # periodic 130^2 stops at 65^2 = 4225 unknowns, past the old dense cap
+    prob = make_problem((130, 130), "a1", BoundaryCondition.PERIODIC)
+    H = build_hierarchy(prob, SolverConfig(method="mgm"))
+    assert H.levels[-1].n == 4225
+    _, rep = solve(H, prob.rhs)
+    assert rep.converged
+
+
+@pytest.mark.parametrize("bc, coeff", [(BoundaryCondition.PERIODIC, "a1"),
+                                       (BoundaryCondition.REFLECTIVE, "a8")])
+def test_bordered_coarse_solve_matches_dense(bc, coeff):
+    H = build_hierarchy(make_problem((32, 32), coeff, bc), SolverConfig(method="mgm"))
+    lev = H.levels[-1]
+    assert lev.gamma is not None and lev._direct[0] == "sparse"
+    M = lev.dense_operator()
+    b = np.random.default_rng(1).standard_normal(lev.n)
+    want = np.linalg.solve(M, b)
+    got = lev.direct_solve(b)
+    assert got.shape == (lev.n,)
+    # normwise backward error, as small as the dense LU's (2e-16 for both)
+    eta = np.linalg.norm(b - M @ got) / (
+        np.linalg.norm(M, 2) * np.linalg.norm(got) + np.linalg.norm(b))
+    assert eta <= 1e-15
+    # two backward-stable solves differ by up to about cond(M) * eps: 2e-15
+    # for a1 (cond 26), about 1e-12 for a8 (cond 2.6e4, contrast 1000)
+    bound = max(1e-12, 10 * np.finfo(float).eps * np.linalg.cond(M))
+    assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
+
+
+def test_builds_with_scipy_1_10_constructors(monkeypatch):
+    """The library keeps to constructors that SciPy 1.10 has."""
+    import scipy.sparse
+
+    for name in ("eye_array", "diags_array", "block_array", "random_array"):
+        monkeypatch.delattr(scipy.sparse, name)
+    for bc, sizes in ((D, (15, 15)), (BoundaryCondition.PERIODIC, (16, 16)),
+                      (BoundaryCondition.REFLECTIVE, (16, 16))):
+        prob = make_problem(sizes, "a2", bc)
+        H = build_hierarchy(prob, SolverConfig(method="tgm", pre="gauss-seidel",
+                                               post="gauss-seidel"))
+        assert solve(H, prob.rhs)[1].converged

@@ -60,6 +60,17 @@ def test_matrix_free_matches_sparse(kind):
             assert np.allclose(P.restrict(r), M.T @ r, atol=1e-13)
 
 
+def test_length_mismatch():
+    for sizes in ((7,), (7, 15)):
+        P = Projector(AlgebraKind.TAU, sizes)
+        with pytest.raises(ValueError, match="coarse vector"):
+            P.prolong(np.ones(P.n_coarse + 1))
+        with pytest.raises(ValueError, match="fine vector"):
+            P.restrict(np.ones(P.n_fine - 1))
+        with pytest.raises(ValueError, match="fine vector"):
+            P.restrict(np.ones((P.n_fine, 1)))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_adjoint_identity(kind):
     rng = np.random.default_rng(3)
@@ -117,9 +128,9 @@ def test_galerkin_structured_matches_dense_triple_product(kind):
 
 def test_galerkin_sparse_examples():
     P = Projector(AlgebraKind.TAU, (7,))
-    Z = sp.csr_array(sp.eye_array(7) * 0.0)
+    Z = sp.csr_array(sp.identity(7) * 0.0)
     assert galerkin_sparse(Z, P).nnz == 0
-    I = sp.csr_array(sp.eye_array(7))
+    I = sp.csr_array(sp.identity(7))
     got = galerkin_sparse(I, P).toarray()
     p = P.to_sparse().toarray()
     assert np.allclose(got, p.T @ p, atol=1e-13)
