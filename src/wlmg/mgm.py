@@ -3,11 +3,23 @@
 ``build_hierarchy`` runs the pre-computing phase once: per-level structured
 symbols (by folding), sparse corrections (by sparse triple products),
 smoothing parameters, Gauss-Seidel triangular factors, and the coarsest
-direct solver.  Hierarchies are immutable afterwards, apart from the
-``p^T`` each projector caches on its first ``restrict`` (concurrent first
-solves may each build it; they build the same matrix).  Every solve owns
-its iterate, residual history, and arithmetic-operation counter, so
-concurrent solves against one hierarchy are safe.
+direct solver.  ``LevelHierarchy`` then resolves, once per level, which
+smoother each slot runs with which step count, damping and diagonal.
+Hierarchies are immutable afterwards, apart from the ``p^T`` each projector
+caches on its first ``restrict`` (concurrent first solves may each build
+it; they build the same matrix).  Every solve owns its iterate, residual
+history, arithmetic-operation counter and work vectors, so concurrent
+solves against one hierarchy are safe.
+
+Every level product on the solve path is a product with the level operator
+stored by diagonals (``sp.dia_array``): the residual, the smoothers, and
+the two triangles of Gauss-Seidel, which are slices of those diagonals.
+The grid transfers are CSR products, and the coarsest level is one SuperLU
+factor; with a rank-one term it factors the bordered matrix
+``[[A, u], [u^T, -1]]``, ``u = sqrt(gamma/N) e``, whose solve with
+``[b; 0]`` solves ``(A + u u^T) x = b`` without forming the dense term.
+The CSR form of each level operator stays for that factor, the dense
+oracles, and the nominal operation counts, which count its stored entries.
 
 Forward Gauss-Seidel is one cached sparse triangular factor per level on
 all three boundary conditions.  Without a rank-one term it is the SuperLU
@@ -15,18 +27,12 @@ factor of ``tril(A)``.  With the uniform rank-one term of the periodic and
 reflective levels, ``A + (gamma/N) e e^T``, it is the factor of the
 first-differenced triangle ``(I - S) tril(A) + (gamma/N) I``, followed by
 one refinement step; there is no per-row loop.
-
-Every product on the solve path is a CSR product or a SuperLU solve: the
-level operator and the grid transfers are cached sparse matrices.  The
-coarsest level is one sparse LU; with a rank-one term it factors the
-bordered matrix ``[[A, u], [u^T, -1]]``, ``u = sqrt(gamma/N) e``, whose
-solve with ``[b; 0]`` solves ``(A + u u^T) x = b`` without forming the
-dense term.
 """
 
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +123,29 @@ class SolveReport:
         return self.residuals[-1] if self.residuals else np.inf
 
 
+def _by_diagonals(A: sp.csr_array) -> tuple:
+    """``A`` stored by diagonals, offsets ascending, and its count of stored
+    entries above the diagonal.
+
+    Ascending offsets keep each row's products in the column order of the
+    sorted CSR, so the two products agree bit for bit.  The diagonals are
+    read one at a time; the only nnz-sized temporary is one int array.
+    """
+    n = A.shape[0]
+    offset = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
+    np.subtract(A.indices, offset, out=offset)      # column minus row
+    n_upper = int(np.count_nonzero(offset > 0))
+    seen = np.zeros(2 * n - 1, dtype=bool)
+    seen[offset + (n - 1)] = True
+    del offset
+    offsets = np.flatnonzero(seen) - (n - 1)
+    data = np.zeros((offsets.size, n))
+    for row, k in zip(data, offsets):
+        diag = A.diagonal(k)
+        row[max(k, 0):max(k, 0) + diag.size] = diag
+    return sp.dia_array((data, offsets), shape=A.shape), n_upper
+
+
 class _Level:
     """Per-level data produced in the pre-computing phase."""
 
@@ -126,15 +155,19 @@ class _Level:
         self.sizes = structured.sizes
         self.n = structured.n_total
         self.gamma = structured.rank_one
-        combined = sp.csr_array(structured.to_sparse() + correction)
-        combined.sort_indices()
-        self.combined = combined
         # A <= diag(d) row by row: the global step damps by the largest row,
         # the diagonal one by each row's own, so lambda_max(D^{-1} A) <= 1
         d = splitting_diagonal(structured.symbol.sup_norm(), correction)
         self.omega_pre, self.omega_post = compute_omegas(float(d.max()), 0.0)
         self.dinv = 1.0 / d
         self.omega_pre_scaled, self.omega_post_scaled = compute_omegas(1.0, 0.0)
+        combined = sp.csr_array(structured.to_sparse() + correction)
+        combined.sort_indices()
+        self.combined = combined
+        self.operator, self._n_upper = _by_diagonals(combined)
+        # nominal costs count the stored entries of the CSR form; the
+        # diagonals also store the zeros that pad them
+        self._matvec_ops = 2 * combined.nnz + (3 * self.n if self.gamma is not None else 0)
         # the diagonal of A itself preconditions the CG step
         diag = combined.diagonal()
         if self.gamma is not None:
@@ -146,11 +179,11 @@ class _Level:
 
     # -- operator ---------------------------------------------------------
     def matvec(self, x: np.ndarray, ops: OpCounter | None = None) -> np.ndarray:
-        y = self.combined @ x
+        y = self.operator @ x
         if self.gamma is not None:
-            y = y + (self.gamma * x.sum() / self.n)
+            y += self.gamma * x.sum() / self.n
         if ops is not None:
-            ops.add(2 * self.combined.nnz + (3 * self.n if self.gamma is not None else 0))
+            ops.add(self._matvec_ops)
         return y
 
     def dense_operator(self) -> np.ndarray:
@@ -160,6 +193,14 @@ class _Level:
         return M
 
     # -- Gauss-Seidel -----------------------------------------------------
+    def _triangles(self) -> tuple:
+        """``tril(A)`` and ``triu(A, 1)`` as views of the level's diagonals."""
+        A = self.operator
+        split = int(np.searchsorted(A.offsets, 0, side="right"))
+        lower = sp.dia_array((A.data[:split], A.offsets[:split]), shape=A.shape)
+        upper = sp.dia_array((A.data[split:], A.offsets[split:]), shape=A.shape)
+        return lower, upper
+
     def _ensure_gs(self):
         """Factor the forward Gauss-Seidel triangle once, on every level kind.
 
@@ -172,10 +213,11 @@ class _Level:
         refinement step of ``gauss_seidel_step``.
         """
         if self._gs is None:
-            lower = sp.csc_array(sp.tril(self.combined, format="csc"))
-            tril_a = None
-            if self.gamma is not None:
-                tril_a = sp.csr_array(lower)
+            tril_a, upper = self._triangles()
+            lower = sp.csc_array(tril_a)
+            if self.gamma is None:
+                tril_a = None
+            else:
                 diff = sp.eye(self.n, format="csr") - sp.eye(self.n, k=-1, format="csr")
                 lower = sp.csc_array(diff @ lower + self.gamma / self.n * sp.identity(self.n))
             zero = np.flatnonzero(lower.diagonal() == 0.0)
@@ -183,8 +225,15 @@ class _Level:
                 raise ZeroDivisionError(
                     f"Gauss-Seidel pivot of row {zero[0]} is zero (diagonal of A + rho e e^T)")
             lu = spla.splu(lower, permc_spec="NATURAL", diag_pivot_thresh=0.0)
-            upper = sp.csr_array(sp.triu(self.combined, k=1, format="csr"))
-            self._gs = ("triangular", lu, upper, lu.L.nnz + lu.U.nnz, tril_a)
+            factor_nnz = lu.L.nnz + lu.U.nnz
+            # nominal cost from the stored entries of the CSR form
+            n_upper = self._n_upper
+            if tril_a is None:
+                cost = 2 * n_upper + 2 * factor_nnz + self.n
+            else:
+                n_lower = self.combined.nnz - n_upper
+                cost = 2 * n_upper + 2 * n_lower + 4 * factor_nnz + 12 * self.n
+            self._gs = ("triangular", lu, upper, factor_nnz, tril_a, cost)
         return self._gs
 
     def gauss_seidel_step(self, x, b, ops=None):
@@ -199,19 +248,18 @@ class _Level:
         level: for ``a8`` on a reflective 64^2 grid, from a relative 6e-11
         off the sweep to 2e-16.
         """
-        _, lu, upper, factor_nnz, tril_a = self._ensure_gs()
-        rhs = b - upper @ x
+        _, lu, upper, _, tril_a, cost = self._ensure_gs()
+        if ops is not None:
+            ops.add(cost)
+        rhs = upper @ x
+        np.subtract(b, rhs, out=rhs)
         if tril_a is None:
-            if ops is not None:
-                ops.add(2 * upper.nnz + 2 * factor_nnz + self.n)
             return lu.solve(rhs)
         rho = self.gamma / self.n
         rhs -= rho * (x.sum() - np.cumsum(x))
         y = lu.solve(np.diff(rhs, prepend=0.0))
         rhs -= tril_a @ y + rho * np.cumsum(y)
         y += lu.solve(np.diff(rhs, prepend=0.0))
-        if ops is not None:
-            ops.add(2 * upper.nnz + 2 * tril_a.nnz + 4 * factor_nnz + 12 * self.n)
         return y
 
     # -- coarsest direct solve --------------------------------------------
@@ -235,11 +283,17 @@ class _Level:
 
 
 class LevelHierarchy:
-    """Immutable ladder of levels plus the solver configuration."""
+    """Immutable ladder of levels plus the solver configuration.
+
+    ``smoothers[s]`` holds the pre- and post-smoothing of level ``s``,
+    resolved once from the configuration.
+    """
 
     def __init__(self, levels, config: SolverConfig):
         self.levels = levels
         self.config = config
+        self.smoothers = [(_smoother(lev, config, True), _smoother(lev, config, False))
+                          for lev in levels[:-1]]
 
     @property
     def n_levels(self) -> int:
@@ -251,6 +305,40 @@ class LevelHierarchy:
 
     def dense_operator(self, s: int) -> np.ndarray:
         return self.levels[s].dense_operator()
+
+
+def _smoother(lev: _Level, cfg: SolverConfig, pre: bool):
+    """The pre- (or post-) smoothing of ``lev`` as ``smooth(x, b, ops)``.
+
+    Kind, step count, damping and diagonal are fixed here; the smoothing
+    functions and ``lev.matvec`` are looked up by name on every call.
+    """
+    name, nu = (cfg.pre, cfg.nu_pre) if pre else (cfg.post, cfg.nu_post)
+    if name == "gauss-seidel":
+        def step(x, b, ops):
+            return lev.gauss_seidel_step(x, b, ops)
+    elif name == "richardson":
+        if cfg.richardson_scaling == "diagonal":
+            omega = lev.omega_pre_scaled if pre else lev.omega_post_scaled
+            dinv = lev.dinv
+        else:
+            omega = lev.omega_pre if pre else lev.omega_post
+            dinv = None
+
+        def step(x, b, ops):
+            return richardson(lambda v: lev.matvec(v, ops), x, b, omega, dinv=dinv, ops=ops)
+    else:
+        steps = cfg.cg_smooth_steps
+        dinv = lev.jacobi_inv if cfg.cg_preconditioner == "diagonal" else None
+
+        def step(x, b, ops):
+            return cg_steps(lambda v: lev.matvec(v, ops), x, b, steps, dinv=dinv, ops=ops)
+
+    def smooth(x, b, ops):
+        for _ in range(nu):
+            x = step(x, b, ops)
+        return x
+    return smooth
 
 
 def _size_chain(kind: AlgebraKind, sizes, method: str):
@@ -265,14 +353,24 @@ def _size_chain(kind: AlgebraKind, sizes, method: str):
     while all(n > target for n in chain[-1]):
         try:
             chain.append(tuple(coarse_size(kind, n) for n in chain[-1]))
-        except ValueError:
+        except ValueError as exc:
+            if len(chain) == 1:
+                warnings.warn(
+                    f"grid {chain[0]} cannot be coarsened ({exc}); method='mgm' "
+                    "is one sparse direct solve, not a V-cycle",
+                    RuntimeWarning, stacklevel=3)
             break
     return chain
 
 
 def build_hierarchy(problem: AssembledProblem, config: SolverConfig | None = None
                     ) -> LevelHierarchy:
-    """Pre-computing phase: all level data, computed once."""
+    """Pre-computing phase: all level data, computed once.
+
+    With ``method="mgm"`` a grid above the coarsest size (15 Dirichlet, 16
+    otherwise) that cannot be halved once warns with a ``RuntimeWarning``:
+    its hierarchy has one level, solved directly.
+    """
     config = config or SolverConfig()
     base = problem.structured
     chain = _size_chain(base.kind, base.sizes, config.method)
@@ -296,42 +394,23 @@ def build_hierarchy(problem: AssembledProblem, config: SolverConfig | None = Non
     return hierarchy
 
 
-def _smooth(H: LevelHierarchy, s: int, x, b, which: str, ops=None):
-    lev = H.levels[s]
-    cfg = H.config
-    name = cfg.pre if which == "pre" else cfg.post
-    nu = cfg.nu_pre if which == "pre" else cfg.nu_post
-    diagonal = cfg.richardson_scaling == "diagonal"
-    if diagonal:
-        omega = lev.omega_pre_scaled if which == "pre" else lev.omega_post_scaled
-    else:
-        omega = lev.omega_pre if which == "pre" else lev.omega_post
-    mv = lambda v: lev.matvec(v, ops)
-    for _ in range(nu):
-        if name == "richardson":
-            x = richardson(mv, x, b, omega, dinv=lev.dinv if diagonal else None, ops=ops)
-        elif name == "gauss-seidel":
-            x = lev.gauss_seidel_step(x, b, ops)
-        else:
-            cg_dinv = lev.jacobi_inv if cfg.cg_preconditioner == "diagonal" else None
-            x = cg_steps(mv, x, b, cfg.cg_smooth_steps, dinv=cg_dinv, ops=ops)
-    return x
-
-
 def vcycle(H: LevelHierarchy, s: int, x: np.ndarray, b: np.ndarray,
            ops: OpCounter | None = None) -> np.ndarray:
     """One cycle of the recursive scheme starting at level ``s``."""
-    if s == H.depth:
-        return H.levels[s].direct_solve(b, ops)
     lev = H.levels[s]
-    x = _smooth(H, s, x, b, "pre", ops)
-    r = b - lev.matvec(x, ops)
+    if s == H.depth:
+        return lev.direct_solve(b, ops)
+    pre, post = H.smoothers[s]
+    x = pre(x, b, ops)
+    r = lev.matvec(x, ops)
+    np.subtract(b, r, out=r)
     r_coarse = lev.projector.restrict(r, ops)
     y_coarse = vcycle(H, s + 1, np.zeros(H.levels[s + 1].n), r_coarse, ops)
-    x = x + lev.projector.prolong(y_coarse, ops)
+    e = lev.projector.prolong(y_coarse, ops)
+    e += x
     if ops is not None:
         ops.add(2 * lev.n)
-    return _smooth(H, s, x, b, "post", ops)
+    return post(e, b, ops)
 
 
 def tgm_iterate(H: LevelHierarchy, x: np.ndarray, b: np.ndarray,
@@ -345,26 +424,39 @@ def tgm_iterate(H: LevelHierarchy, x: np.ndarray, b: np.ndarray,
 def solve(H: LevelHierarchy, b: np.ndarray, tol: float = 1e-7,
           max_iter: int | None = None, x0: np.ndarray | None = None):
     """Outer iteration from the zero initial guess until the relative
-    Euclidean residual drops below ``tol``; returns ``(x, SolveReport)``."""
+    Euclidean residual drops below ``tol``; returns ``(x, SolveReport)``.
+
+    Raises ``ValueError`` before the first cycle if ``b`` or ``x0`` holds a
+    NaN or an infinity.
+    """
     if max_iter is None:
         max_iter = H.levels[0].n
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     b = np.asarray(b, dtype=float)
-    x = np.zeros(H.levels[0].n) if x0 is None else np.array(x0, dtype=float)
+    if x0 is None:
+        x = np.zeros(H.levels[0].n)
+    else:
+        x = np.array(x0, dtype=float)
+        if not np.isfinite(x).all():
+            raise ValueError("x0 holds a NaN or inf")
     ops = OpCounter()
     t0 = time.perf_counter()
     bnorm = float(np.linalg.norm(b))
+    if not np.isfinite(bnorm):
+        raise ValueError(f"b holds a NaN or inf, or its norm overflows (norm {bnorm})")
     if bnorm == 0.0:
         return x, SolveReport(0, [], True, 0, time.perf_counter() - t0)
+    finest = H.levels[0]
     residuals = []
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
         x = vcycle(H, 0, x, b, ops)
-        r = b - H.levels[0].matvec(x, ops)
+        r = finest.matvec(x, ops)
+        np.subtract(b, r, out=r)
         relres = float(np.linalg.norm(r)) / bnorm
-        ops.add(2 * H.levels[0].n)
+        ops.add(2 * finest.n)
         residuals.append(relres)
         if relres < tol:
             converged = True

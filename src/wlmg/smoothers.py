@@ -20,6 +20,10 @@ keeps the damped spectrum at most ``c`` level-wise.
 
 All smoothing calls are pure: they return a new iterate and never mutate
 their inputs, so repeated calls with identical inputs are bit-identical.
+Inside a call, arrays the call allocated itself are updated in place, in
+the same order of operations as the textbook formulas.  ``matvec`` is any
+product with ``A``; on the solve path it is the level operator stored by
+diagonals.
 """
 
 from __future__ import annotations
@@ -64,10 +68,12 @@ def richardson(matvec, x: np.ndarray, b: np.ndarray, omega: float,
         raise ValueError("omega must be positive")
     r = b - matvec(x)
     if dinv is not None:
-        r = dinv * r
+        r *= dinv
     if ops is not None:
         ops.add((3 if dinv is None else 4) * len(x))
-    return x + omega * r
+    r *= omega
+    r += x
+    return r
 
 
 def cg_steps(matvec, x: np.ndarray, b: np.ndarray, steps: int = 1,
@@ -89,20 +95,24 @@ def cg_steps(matvec, x: np.ndarray, b: np.ndarray, steps: int = 1,
     if rz == 0.0:
         return x
     p = z.copy()
-    for _ in range(steps):
+    for k in range(steps):
         Ap = matvec(p)
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             break
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        z = r if dinv is None else dinv * r
+        step = alpha * p
+        x += step
+        np.multiply(alpha, Ap, out=step)
+        r -= step
+        if dinv is not None:
+            np.multiply(dinv, r, out=z)
         rz_new = float(r @ z)
         if ops is not None:
             ops.add((10 if dinv is None else 12) * len(x))
-        if rz_new == 0.0:
+        if rz_new == 0.0 or k == steps - 1:
             break
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     return x

@@ -6,10 +6,10 @@ rank-one correction ``gamma * e e^T / N`` (``e`` the all-ones vector) that
 renders the singular circulant/DCT-III Laplacians positive definite.
 
 The symbol is kept for the Galerkin coarse symbols (folds of it), the
-smoother damping (``sup|symbol|``) and the dense oracles.  Every product on
-the solve path uses the assembled sparse matrix of ``to_sparse``; the
-symbols arising here keep O(1) bandwidth at every grid level, so it has
-``O(N)`` entries.
+smoother damping (``sup|symbol|``) and the dense oracles.  Every level
+matrix on the solve path is assembled from ``to_sparse`` (``mgm`` stores it
+by diagonals for its products); the symbols arising here keep O(1)
+bandwidth at every grid level, so it has ``O(N)`` entries.
 """
 
 from __future__ import annotations
@@ -48,8 +48,24 @@ def first_nonzero_angle(kind: AlgebraKind, n: int) -> float:
     raise ValueError("tau operators are nonsingular; no Strang frequency")
 
 
+# the entry formulas are exact while the band m is at most n + slack: m < n
+# (circulant), m <= n (DCT-III) and m <= n + 2 (tau); past that the band
+# folds over more than once
+_FOLD_SLACK = {AlgebraKind.TAU: 2, AlgebraKind.DCT3: 0, AlgebraKind.CIRCULANT: -1}
+
+
+def _check_band(kind: AlgebraKind, f: CosineSymbol, n: int) -> int:
+    """The band of ``f``; raises past the fold limit of size ``n``."""
+    m = len(f.coeffs) - 1
+    if m > n + _FOLD_SLACK[kind]:
+        raise ValueError(f"band {m} too wide for the {kind.value} entry formulas "
+                         f"at size {n}")
+    return m
+
+
 def dense_matrix(kind: AlgebraKind, f: CosineSymbol, n: int) -> np.ndarray:
     """Dense n-by-n algebra matrix of a 1-D symbol."""
+    m = _check_band(kind, f, n)
     t = f.coeffs
     i = np.arange(n)
     I, J = np.meshgrid(i, i, indexing="ij")
@@ -71,7 +87,6 @@ def dense_matrix(kind: AlgebraKind, f: CosineSymbol, n: int) -> np.ndarray:
         return M
     # DCT-III: banded entry formula (exact) when the band is narrow, else
     # eigen-reconstruction with the orthonormal basis
-    m = len(t) - 1
     if 2 * m < n:
         return tt(np.abs(I - J)) + tt(I + J + 1) + tt(2 * n - 1 - I - J)
     Q = dct3_basis(n)
@@ -90,13 +105,8 @@ def dct3_basis(n: int) -> np.ndarray:
 
 def sparse_matrix(kind: AlgebraKind, f: CosineSymbol, n: int) -> sp.csr_array:
     """Sparse banded algebra matrix (includes the algebra's corner entries)."""
+    m = _check_band(kind, f, n)
     t = f.coeffs
-    m = len(t) - 1
-    # the entry formulas are exact while m < n (circulant), m <= n (DCT-III)
-    # and m <= n + 2 (tau); past that the band folds over more than once
-    limit = {AlgebraKind.TAU: n + 2, AlgebraKind.DCT3: n, AlgebraKind.CIRCULANT: n - 1}[kind]
-    if m > limit:
-        raise ValueError(f"band {m} too wide for sparse form at size {n}")
     band = np.concatenate([t, np.zeros(2 * n + 2)])   # band[s] = t_s, 0 past m
     rows, cols, vals = [], [], []
     for k in range(-m, m + 1):       # one diagonal, j = i + k, at a time

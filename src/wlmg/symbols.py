@@ -19,7 +19,7 @@ import numpy as np
 __all__ = ["CosineSymbol", "TensorSymbol", "fold", "fold_pairsum"]
 
 # rows of the 2-D angle grid that TensorSymbol.sup_norm holds at a time
-_SUP_BLOCK = 64
+_SUP_BLOCK = 16
 
 
 class CosineSymbol:
@@ -169,19 +169,24 @@ class TensorSymbol:
     def sup_norm(self, npoints: int = 1025) -> float:
         """Max of the absolute value over a dense tensor angle grid.
 
-        In 2-D the grid is summed ``_SUP_BLOCK`` rows at a time, each entry by
-        the same operations as ``eval_grid``, so the value is the same without
-        the full ``npoints^2`` grid in memory.
+        In 2-D the grid is summed ``_SUP_BLOCK`` rows at a time into two
+        reused buffers, each entry by the sums of ``eval_grid`` without its
+        leading ``0 +`` (which changes at most the sign of a zero), so the
+        value is the same without the full ``npoints^2`` grid in memory.
         """
         t = np.linspace(0.0, np.pi, npoints)
         if self.dim == 1:
             return float(np.max(np.abs(self.eval_grid([t]))))
-        factors = [(g1.eval(t), g2.eval(t)) for g1, g2 in self.terms]
+        (u0, v0), *rest = [(g1.eval(t), g2.eval(t)) for g1, g2 in self.terms]
+        block, term = np.empty((2, min(_SUP_BLOCK, npoints), npoints))
         peaks = []
         for lo in range(0, npoints, _SUP_BLOCK):
-            out = np.zeros((min(_SUP_BLOCK, npoints - lo), npoints))
-            for u, v in factors:
-                out += np.multiply.outer(u[lo:lo + _SUP_BLOCK], v)
+            m = min(_SUP_BLOCK, npoints - lo)
+            out, tmp = block[:m], term[:m]
+            np.multiply.outer(u0[lo:lo + m], v0, out=out)
+            for u, v in rest:
+                np.multiply.outer(u[lo:lo + m], v, out=tmp)
+                out += tmp
             peaks += [out.max(), -out.min()]
         return float(np.max(peaks))
 

@@ -9,7 +9,9 @@ maps, 1-based as usual in the multigrid literature:
 * periodic (circulant): n0 = 2 n1,     T[i, j] = 1 at i = 2j - 1
 * reflective (DCT-III): n0 = 2 n1,     T[i, j] = 1 at i in {2j-1, 2j}
 
-Both transfers are products with the cached sparse ``p`` and ``p^T``.
+Both transfers are CSR products with the cached sparse ``p`` and ``p^T``
+(``p`` is rectangular, so it is not stored by diagonals like the square
+level operators of ``mgm``).
 Galerkin coarsening of the structured part never forms matrices: the coarse
 symbol is the algebra-specific fold of ``s^2 p(t)^2 g(t)``.  The sparse
 correction is coarsened by an explicit sparse triple product.
@@ -65,16 +67,10 @@ class Projector:
         self.fine_sizes = tuple(int(n) for n in fine_sizes)
         self.coarse_sizes = tuple(coarse_size(kind, n) for n in self.fine_sizes)
         self.scalar = (1.0 / np.sqrt(2.0)) if kind is AlgebraKind.TAU else 1.0
+        self.n_fine = int(np.prod(self.fine_sizes))
+        self.n_coarse = int(np.prod(self.coarse_sizes))
         self._sparse = None
         self._sparse_t = None
-
-    @property
-    def n_fine(self) -> int:
-        return int(np.prod(self.fine_sizes))
-
-    @property
-    def n_coarse(self) -> int:
-        return int(np.prod(self.coarse_sizes))
 
     def prolong(self, y: np.ndarray, ops=None) -> np.ndarray:
         """Coarse-to-fine map ``p y``."""

@@ -1,5 +1,12 @@
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+
+import wlmg.mgm
 
 from wlmg.discretize import (BoundaryCondition, GridSpec, assemble, build_rhs,
                              split)
@@ -192,22 +199,6 @@ def test_every_level_spd():
             assert lam.min() > 0, (bc, lev.sizes)
 
 
-def test_concurrent_solves_share_one_hierarchy():
-    from concurrent.futures import ThreadPoolExecutor
-
-    prob = make_problem(63, "a2")
-    H = build_hierarchy(prob, SolverConfig(method="mgm", pre="gauss-seidel",
-                                           post="richardson"))
-    rng = np.random.default_rng(5)
-    rhs = [rng.standard_normal(63) for _ in range(8)]
-    serial = [solve(H, b) for b in rhs]
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        parallel = list(pool.map(lambda b: solve(H, b), rhs))
-    for (xs, rs), (xp, rp) in zip(serial, parallel):
-        assert np.array_equal(xs, xp)
-        assert rs.iterations == rp.iterations
-
-
 def test_reference_spot_checks_1d():
     """Benchmark-configuration counts against the bundled reference cells.
 
@@ -326,3 +317,194 @@ def test_builds_with_scipy_1_10_constructors(monkeypatch):
         H = build_hierarchy(prob, SolverConfig(method="tgm", pre="gauss-seidel",
                                                post="gauss-seidel"))
         assert solve(H, prob.rhs)[1].converged
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+BCS = [D, BoundaryCondition.PERIODIC, BoundaryCondition.REFLECTIVE]
+
+
+@pytest.mark.parametrize("bc", BCS, ids=lambda bc: bc.value)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_level_products_by_diagonals_match_csr(bc, dim):
+    """On every level the product with the diagonals is the CSR product bit
+    for bit, and the Gauss-Seidel triangles are ``tril(A)`` and
+    ``triu(A, 1)``, stored entries and products alike."""
+    n = 63 if bc is D else 64
+    prob = make_problem((n,) * dim, "a2" if dim == 1 else "a7", bc)
+    H = build_hierarchy(prob, SolverConfig(method="mgm", pre="gauss-seidel"))
+    rng = np.random.default_rng(21)
+    assert H.n_levels >= 3
+    for lev in H.levels:
+        A = lev.combined
+        x = rng.standard_normal(lev.n) + 3.0
+        assert isinstance(lev.operator, sp.dia_array)
+        assert same_bits(lev.operator @ x, A @ x)
+        want = A @ x
+        if lev.gamma is not None:
+            want = want + lev.gamma * x.sum() / lev.n
+        assert same_bits(lev.matvec(x), want)
+        lower, upper = lev._triangles()
+        for got, ref in ((lower, sp.tril(A, format="csr")),
+                         (upper, sp.triu(A, k=1, format="csr"))):
+            assert same_bits(got @ x, ref @ x)
+            got = sp.csr_array(got)
+            got.sort_indices()
+            for a, b in ((got.indptr, ref.indptr), (got.indices, ref.indices),
+                         (got.data, ref.data)):
+                assert np.array_equal(a, b)
+
+
+# (bc, sizes, coefficient, smoothers) -> (iterations, operations), recorded
+# with the CSR level products; the diagonals' own nnz counts their padding
+PINNED_COUNTS = [
+    (D, (63, 63), "a7", dict(pre="gauss-seidel", post="richardson"), 15, 5076150),
+    (BoundaryCondition.PERIODIC, (64, 64), "a7",
+     dict(pre="gauss-seidel", post="richardson"), 45, 26352630),
+    (BoundaryCondition.REFLECTIVE, (64, 64), "a2", dict(pre="richardson", post="cg"),
+     72, 44757216),
+    (BoundaryCondition.PERIODIC, (64,), "a3",
+     dict(pre="richardson", post="richardson", richardson_scaling="diagonal"), 6, 36156),
+]
+
+
+@pytest.mark.parametrize("bc, sizes, coeff, smoothers, iterations, operations",
+                         PINNED_COUNTS, ids=["dirichlet-gs", "periodic-gs",
+                                             "reflective-rcg", "periodic-1d-diagonal"])
+def test_operation_counts_pinned(bc, sizes, coeff, smoothers, iterations, operations):
+    grid = GridSpec(sizes, bc)
+    prob = split(assemble(grid, coeff), grid, coeff)
+    H = build_hierarchy(prob, SolverConfig(method="mgm", **smoothers))
+    _, rep = solve(H, build_rhs(grid, "random", seed=0))
+    assert rep.converged
+    assert (rep.iterations, rep.operations) == (iterations, operations)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_rejects_non_finite_rhs(bad, monkeypatch):
+    prob = make_problem((15, 15), "a2")
+    H = build_hierarchy(prob, SolverConfig(method="tgm"))
+    b = prob.rhs.copy()
+    b[7] = bad
+    monkeypatch.setattr(wlmg.mgm, "vcycle", None)   # no cycle may start
+    with pytest.raises(ValueError, match="^b holds a NaN or inf"):
+        solve(H, b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_rejects_non_finite_initial_guess(bad, monkeypatch):
+    prob = make_problem((16, 16), "a2", BoundaryCondition.REFLECTIVE)
+    H = build_hierarchy(prob, SolverConfig(method="tgm"))
+    x0 = np.zeros(H.levels[0].n)
+    x0[3] = bad
+    monkeypatch.setattr(wlmg.mgm, "vcycle", None)
+    with pytest.raises(ValueError, match="^x0 holds a NaN or inf"):
+        solve(H, prob.rhs, x0=x0)
+
+
+@pytest.mark.parametrize("bc, sizes", [(D, (96, 96)), (D, (96,)),
+                                       (BoundaryCondition.PERIODIC, (17,)),
+                                       (BoundaryCondition.REFLECTIVE, (33, 33))])
+def test_uncoarsenable_grid_warns(bc, sizes):
+    """A grid above the coarsest size that cannot be halved is no V-cycle."""
+    prob = make_problem(sizes, "a2", bc)
+    with pytest.warns(RuntimeWarning, match="cannot be coarsened"):
+        H = build_hierarchy(prob, SolverConfig(method="mgm"))
+    assert H.n_levels == 1
+
+
+@pytest.mark.parametrize("bc, sizes", [(D, (15, 15)), (D, (7,)), (D, (63, 63)),
+                                       (BoundaryCondition.PERIODIC, (16,)),
+                                       (BoundaryCondition.REFLECTIVE, (16, 16)),
+                                       (BoundaryCondition.REFLECTIVE, (64, 64))])
+def test_coarsest_or_coarsenable_grid_does_not_warn(bc, sizes):
+    prob = make_problem(sizes, "a2", bc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        H = build_hierarchy(prob, SolverConfig(method="mgm"))
+    assert H.n_levels == (1 if max(sizes) <= 16 else 3)
+
+
+def test_concurrent_solves_share_one_hierarchy():
+    """Two threads solving different right-hand sides on one hierarchy get
+    the iterates and residual histories of sequential solves, bit for bit:
+    no work buffer is shared between solves."""
+    cases = [(D, (63,), "a2", dict(pre="gauss-seidel", post="richardson")),
+             (D, (31, 31), "a7", dict(pre="richardson", post="cg",
+                                      cg_preconditioner="diagonal")),
+             (BoundaryCondition.REFLECTIVE, (32, 32), "a2",
+              dict(pre="gauss-seidel", post="richardson", richardson_scaling="diagonal"))]
+    for bc, sizes, coeff, smoothers in cases:
+        H = build_hierarchy(make_problem(sizes, coeff, bc),
+                            SolverConfig(method="mgm", **smoothers))
+        rng = np.random.default_rng(8)
+        rhs = [rng.standard_normal(H.levels[0].n) for _ in range(2)]
+        sequential = [solve(H, b, max_iter=30) for b in rhs]
+        start = threading.Barrier(2, timeout=60)
+        results = [[], []]
+
+        def work(k):
+            start.wait()
+            for _ in range(3):
+                results[k].append(solve(H, rhs[k], max_iter=30))
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # switch threads often, inside every phase
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for (xs, rs), runs in zip(sequential, results):
+            assert len(runs) == 3
+            for xp, rp in runs:
+                assert same_bits(xp, xs)
+                assert same_bits(rp.residuals, rs.residuals)
+                assert rp.operations == rs.operations
+
+
+def held_arrays(H) -> dict:
+    """Bytes of every array the levels and projectors of ``H`` hold."""
+    out = {}
+
+    def visit(key, value):
+        if isinstance(value, np.ndarray):
+            out[key] = value.tobytes()
+        elif sp.issparse(value):
+            for name in ("data", "indices", "indptr", "offsets"):
+                if hasattr(value, name):
+                    visit(f"{key}.{name}", getattr(value, name))
+        elif isinstance(value, tuple):
+            for i, item in enumerate(value):
+                visit(f"{key}[{i}]", item)
+
+    for s, lev in enumerate(H.levels):
+        for owner in (lev, lev.projector):
+            for name, value in (vars(owner) if owner is not None else {}).items():
+                visit(f"L{s}.{type(owner).__name__}.{name}", value)
+    return out
+
+
+@pytest.mark.parametrize("bc, smoothers", [
+    (D, dict(pre="richardson", post="cg", cg_preconditioner="diagonal")),
+    (BoundaryCondition.PERIODIC, dict(pre="gauss-seidel", post="richardson",
+                                      richardson_scaling="diagonal")),
+], ids=["dirichlet-rcg", "periodic-gs"])
+def test_solves_leave_hierarchy_arrays_untouched(bc, smoothers):
+    """A solve writes into no array of the hierarchy, so no work buffer is
+    shared between solves."""
+    prob = make_problem((31, 31) if bc is D else (32, 32), "a7", bc)
+    H = build_hierarchy(prob, SolverConfig(method="mgm", **smoothers))
+    rng = np.random.default_rng(9)
+    solve(H, rng.standard_normal(H.levels[0].n), max_iter=5)
+    before = held_arrays(H)
+    assert any(".operator.data" in key for key in before)
+    solve(H, rng.standard_normal(H.levels[0].n), max_iter=5)
+    assert held_arrays(H) == before

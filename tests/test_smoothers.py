@@ -4,8 +4,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from wlmg.discretize import BoundaryCondition, GridSpec, assemble, split
-from wlmg.mgm import SolverConfig, build_hierarchy
+from wlmg.mgm import SolverConfig, _Level, build_hierarchy
 from wlmg.smoothers import cg_steps, compute_omegas, richardson, splitting_diagonal
+from wlmg.structured import StructuredOperator
+from wlmg.symbols import CosineSymbol, TensorSymbol
 
 GS = SolverConfig(method="mgm", pre="gauss-seidel", post="richardson")
 RANK_ONE = (BoundaryCondition.PERIODIC, BoundaryCondition.REFLECTIVE)
@@ -223,10 +225,14 @@ def test_gs_zero_pivot_raises(bc, n):
     rho = 0.0 if lev.gamma is None else lev.gamma / lev.n
     A = lev.combined.tolil()
     A[3, 3] = -rho
-    lev.combined = sp.csr_array(A)
-    lev._gs = None
+    # all of the broken operator is correction over a zero symbol, so the
+    # level stores it exactly
+    zero = StructuredOperator(lev.structured.kind, lev.sizes,
+                              TensorSymbol(1, [(CosineSymbol([0.0]),)]), rank_one=lev.gamma)
+    with np.errstate(divide="ignore"):     # its Jacobi diagonal is zero too
+        broken = _Level(zero, sp.csr_array(A))
     with pytest.raises(ZeroDivisionError, match="row 3"):
-        lev.gauss_seidel_step(np.zeros(n), np.ones(n))
+        broken.gauss_seidel_step(np.zeros(n), np.ones(n))
 
 
 def test_gs_anorm_monotone():

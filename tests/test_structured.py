@@ -124,6 +124,31 @@ def test_sparse_matrix_equals_row_loop(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_dense_matrix_matches_or_raises(kind):
+    """Every band up to 2n + 2 at n <= 8: the dense matrix equals the
+    eigen-reconstruction, or it raises, exactly where the sparse one does."""
+    rng = np.random.default_rng(12)
+    for n in range(1, 9):
+        raised = 0
+        for m in range(0, 2 * n + 3):
+            coeffs = rng.standard_normal(m + 1)
+            coeffs[-1] = 1.0 + abs(coeffs[-1])       # the band is exactly m
+            sym = CosineSymbol(coeffs)
+            try:
+                M = dense_matrix(kind, sym, n)
+            except ValueError as exc:
+                assert "too wide" in str(exc)
+                with pytest.raises(ValueError, match="too wide"):
+                    sparse_matrix(kind, sym, n)
+                raised += 1
+                continue
+            want = eig_reconstruction(kind, sym, n)
+            assert np.abs(M - want).max() <= 1e-12
+            assert np.abs(sparse_matrix(kind, sym, n).toarray() - want).max() <= 1e-12
+        assert raised > 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_sparse_matrix_wide_band(kind):
     """Bands as wide as the grid (coarse levels of small grids) keep the
     exact entry formulas; past the fold-over limit the size is refused."""
