@@ -12,8 +12,8 @@ from .discretize import (AssembledProblem, BoundaryCondition, DiffusionCoefficie
                          GridSpec, assemble, build_rhs, make_coefficient, split)
 from .transfer import Projector, galerkin_sparse, galerkin_structured
 from .smoothers import cg_steps, richardson
-from .mgm import (LevelHierarchy, OpCounter, SolveReport, SolverConfig,
-                  build_hierarchy, solve, tgm_iterate, vcycle)
+from .mgm import (LevelHierarchy, SolveReport, SolverConfig, build_hierarchy,
+                  solve, tgm_iterate, vcycle)
 from .verify import (TheoryReport, approximation_constant, smoothing_constant,
                      spectral_equivalence, tgm_contraction, theory_report)
 
@@ -24,7 +24,7 @@ __all__ = [
     "GridSpec", "assemble", "build_rhs", "make_coefficient", "split",
     "Projector", "galerkin_sparse", "galerkin_structured",
     "cg_steps", "richardson",
-    "LevelHierarchy", "OpCounter", "SolveReport", "SolverConfig",
+    "LevelHierarchy", "SolveReport", "SolverConfig",
     "build_hierarchy", "solve", "tgm_iterate", "vcycle",
     "TheoryReport", "approximation_constant", "smoothing_constant",
     "spectral_equivalence", "tgm_contraction", "theory_report",

@@ -145,6 +145,18 @@ def make_coefficient(spec, dim: int) -> DiffusionCoefficient:
     raise ValueError(f"unknown coefficient preset {name!r}")
 
 
+def _sample(coeff: DiffusionCoefficient, *coords) -> np.ndarray:
+    """``coeff`` at the points ``coords``; raises unless it gives one finite
+    value per point."""
+    c = coeff(*coords)
+    if c.shape != coords[0].shape:
+        raise ValueError(f"coefficient {coeff.name!r} returned shape {c.shape} "
+                         f"for sample points of shape {coords[0].shape}")
+    if not np.isfinite(c).all():
+        raise ValueError(f"coefficient {coeff.name!r} is NaN or inf at a sample point")
+    return c
+
+
 def _edge_groups(grid: GridSpec, coeff: DiffusionCoefficient):
     """Conservative-stencil edges per sweep direction.
 
@@ -173,13 +185,13 @@ def _edge_groups(grid: GridSpec, coeff: DiffusionCoefficient):
             right = np.arange(1, n)
 
         if grid.dim == 1:
-            groups.append((left, right, coeff(mids)))
+            groups.append((left, right, _sample(coeff, mids)))
             continue
 
         other = 1 - r
         y = nodes[other]
         E, O = np.meshgrid(mids, y, indexing="ij")   # (n_edges, n_other)
-        c = coeff(E, O) if r == 0 else coeff(O, E)
+        c = _sample(coeff, E, O) if r == 0 else _sample(coeff, O, E)
 
         def endpoints(idx):
             g = np.take(flat, np.maximum(idx, 0), axis=r)
@@ -194,7 +206,11 @@ def _edge_groups(grid: GridSpec, coeff: DiffusionCoefficient):
 
 
 def assemble(grid: GridSpec, coeff) -> sp.csr_array:
-    """Assemble the h^2-scaled stiffness matrix of -div(a grad u)."""
+    """Assemble the h^2-scaled stiffness matrix of -div(a grad u).
+
+    Raises ``ValueError`` naming the coefficient if a sample is NaN, inf or
+    not positive, or if a callable returns a shape other than its points'.
+    """
     coeff = make_coefficient(coeff, grid.dim)
     groups = _edge_groups(grid, coeff)
     if any(np.any(c <= 0.0) for _, _, c in groups):

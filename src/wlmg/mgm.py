@@ -4,12 +4,13 @@
 symbols (by folding), sparse corrections (by sparse triple products),
 smoothing parameters, Gauss-Seidel triangular factors, and the coarsest
 direct solver.  ``LevelHierarchy`` then resolves, once per level, which
-smoother each slot runs with which step count, damping and diagonal.
+smoother each slot runs with which damping and diagonal, and the nominal
+operation count of each phase of a cycle (``costs``, ``cycle_cost``).
 Hierarchies are immutable afterwards, apart from the ``p^T`` each projector
 caches on its first ``restrict`` (concurrent first solves may each build
 it; they build the same matrix).  Every solve owns its iterate, residual
-history, arithmetic-operation counter and work vectors, so concurrent
-solves against one hierarchy are safe.
+history and work vectors, so concurrent solves against one hierarchy are
+safe.
 
 Every level product on the solve path is a product with the level operator
 stored by diagonals (``sp.dia_array``): the residual, the smoothers, and
@@ -44,28 +45,16 @@ from .smoothers import cg_steps, compute_omegas, richardson, splitting_diagonal
 from .structured import AlgebraKind, StructuredOperator
 from .transfer import Projector, coarse_size, coarsen_structured, galerkin_sparse
 
-__all__ = ["OpCounter", "SolverConfig", "SolveReport", "LevelHierarchy",
+__all__ = ["SolverConfig", "SolveReport", "LevelHierarchy",
            "build_hierarchy", "tgm_iterate", "vcycle", "solve",
            "dense_iteration_matrix"]
 
 SMOOTHERS = ("richardson", "gauss-seidel", "cg")
 
 
-class OpCounter:
-    """Additive counter of (nominal) floating-point operations."""
-
-    __slots__ = ("total",)
-
-    def __init__(self):
-        self.total = 0
-
-    def add(self, n: int):
-        self.total += int(n)
-
-
 @dataclass(frozen=True)
 class SolverConfig:
-    """Cycle type, smoother slots, and Richardson damping convention.
+    """Cycle type, smoother slots (one step each), Richardson damping.
 
     ``richardson_scaling`` selects how the Richardson step is damped:
 
@@ -84,9 +73,6 @@ class SolverConfig:
     method: str = "mgm"            # "tgm" (two levels) or "mgm" (V-cycle)
     pre: str = "richardson"
     post: str = "richardson"
-    nu_pre: int = 1
-    nu_post: int = 1
-    cg_smooth_steps: int = 1
     cg_preconditioner: str = "none"
     richardson_scaling: str = "global"
 
@@ -100,8 +86,6 @@ class SolverConfig:
             raise ValueError(f"unknown scaling {self.richardson_scaling!r}")
         if self.cg_preconditioner not in ("none", "diagonal"):
             raise ValueError(f"unknown CG preconditioner {self.cg_preconditioner!r}")
-        if min(self.nu_pre, self.nu_post, self.cg_smooth_steps) < 1:
-            raise ValueError("smoothing step counts must be >= 1")
 
     @property
     def is_linear(self) -> bool:
@@ -110,7 +94,7 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Outcome of one outer iteration run."""
+    """Outcome of one outer run; ``operations = iterations * H.cycle_cost``."""
 
     iterations: int
     residuals: list
@@ -158,16 +142,13 @@ class _Level:
         # A <= diag(d) row by row: the global step damps by the largest row,
         # the diagonal one by each row's own, so lambda_max(D^{-1} A) <= 1
         d = splitting_diagonal(structured.symbol.sup_norm(), correction)
-        self.omega_pre, self.omega_post = compute_omegas(float(d.max()), 0.0)
+        self.omega_pre, self.omega_post = compute_omegas(float(d.max()))
         self.dinv = 1.0 / d
-        self.omega_pre_scaled, self.omega_post_scaled = compute_omegas(1.0, 0.0)
+        self.omega_pre_scaled, self.omega_post_scaled = compute_omegas(1.0)
         combined = sp.csr_array(structured.to_sparse() + correction)
         combined.sort_indices()
         self.combined = combined
         self.operator, self._n_upper = _by_diagonals(combined)
-        # nominal costs count the stored entries of the CSR form; the
-        # diagonals also store the zeros that pad them
-        self._matvec_ops = 2 * combined.nnz + (3 * self.n if self.gamma is not None else 0)
         # the diagonal of A itself preconditions the CG step
         diag = combined.diagonal()
         if self.gamma is not None:
@@ -178,12 +159,10 @@ class _Level:
         self._direct = None
 
     # -- operator ---------------------------------------------------------
-    def matvec(self, x: np.ndarray, ops: OpCounter | None = None) -> np.ndarray:
+    def matvec(self, x: np.ndarray) -> np.ndarray:
         y = self.operator @ x
         if self.gamma is not None:
             y += self.gamma * x.sum() / self.n
-        if ops is not None:
-            ops.add(self._matvec_ops)
         return y
 
     def dense_operator(self) -> np.ndarray:
@@ -225,18 +204,10 @@ class _Level:
                 raise ZeroDivisionError(
                     f"Gauss-Seidel pivot of row {zero[0]} is zero (diagonal of A + rho e e^T)")
             lu = spla.splu(lower, permc_spec="NATURAL", diag_pivot_thresh=0.0)
-            factor_nnz = lu.L.nnz + lu.U.nnz
-            # nominal cost from the stored entries of the CSR form
-            n_upper = self._n_upper
-            if tril_a is None:
-                cost = 2 * n_upper + 2 * factor_nnz + self.n
-            else:
-                n_lower = self.combined.nnz - n_upper
-                cost = 2 * n_upper + 2 * n_lower + 4 * factor_nnz + 12 * self.n
-            self._gs = ("triangular", lu, upper, factor_nnz, tril_a, cost)
+            self._gs = ("triangular", lu, upper, lu.L.nnz + lu.U.nnz, tril_a)
         return self._gs
 
-    def gauss_seidel_step(self, x, b, ops=None):
+    def gauss_seidel_step(self, x, b):
         """One forward Gauss-Seidel sweep on ``A + rho e e^T``.
 
         The sweep solves ``(tril(A) + rho C) x+ = r`` with
@@ -248,9 +219,7 @@ class _Level:
         level: for ``a8`` on a reflective 64^2 grid, from a relative 6e-11
         off the sweep to 2e-16.
         """
-        _, lu, upper, _, tril_a, cost = self._ensure_gs()
-        if ops is not None:
-            ops.add(cost)
+        _, lu, upper, _, tril_a = self._ensure_gs()
         rhs = upper @ x
         np.subtract(b, rhs, out=rhs)
         if tril_a is None:
@@ -273,10 +242,8 @@ class _Level:
             self._direct = ("sparse", lu, lu.L.nnz + lu.U.nnz)
         return self._direct
 
-    def direct_solve(self, b, ops=None):
-        _, lu, cost = self._ensure_direct()
-        if ops is not None:
-            ops.add(cost)
+    def direct_solve(self, b):
+        _, lu, _ = self._ensure_direct()
         if self.gamma is None:
             return lu.solve(b)
         return lu.solve(np.append(b, 0.0))[:self.n]
@@ -285,8 +252,11 @@ class _Level:
 class LevelHierarchy:
     """Immutable ladder of levels plus the solver configuration.
 
-    ``smoothers[s]`` holds the pre- and post-smoothing of level ``s``,
-    resolved once from the configuration.
+    ``smoothers[s]`` holds the pre- and post-smoothing of level ``s`` and
+    ``costs[s]`` the nominal operation count of each phase of a cycle on
+    it, both resolved once from the configuration.  ``cycle_cost`` is one
+    cycle plus the outer residual.  Costing the cycle factors the coarsest
+    level and, where a slot runs Gauss-Seidel, the triangles above it.
     """
 
     def __init__(self, levels, config: SolverConfig):
@@ -294,6 +264,8 @@ class LevelHierarchy:
         self.config = config
         self.smoothers = [(_smoother(lev, config, True), _smoother(lev, config, False))
                           for lev in levels[:-1]]
+        self.costs = [_level_costs(lev, config, s == 0) for s, lev in enumerate(levels)]
+        self.cycle_cost = sum(sum(c.values()) for c in self.costs)
 
     @property
     def n_levels(self) -> int:
@@ -308,37 +280,52 @@ class LevelHierarchy:
 
 
 def _smoother(lev: _Level, cfg: SolverConfig, pre: bool):
-    """The pre- (or post-) smoothing of ``lev`` as ``smooth(x, b, ops)``.
+    """The pre- (or post-) smoothing step of ``lev`` as ``step(x, b)``.
 
-    Kind, step count, damping and diagonal are fixed here; the smoothing
-    functions and ``lev.matvec`` are looked up by name on every call.
+    Kind, damping and diagonal are fixed here; the smoothing functions and
+    ``lev.matvec`` are looked up by name on every call.
     """
-    name, nu = (cfg.pre, cfg.nu_pre) if pre else (cfg.post, cfg.nu_post)
+    name = cfg.pre if pre else cfg.post
     if name == "gauss-seidel":
-        def step(x, b, ops):
-            return lev.gauss_seidel_step(x, b, ops)
-    elif name == "richardson":
-        if cfg.richardson_scaling == "diagonal":
-            omega = lev.omega_pre_scaled if pre else lev.omega_post_scaled
-            dinv = lev.dinv
-        else:
-            omega = lev.omega_pre if pre else lev.omega_post
-            dinv = None
-
-        def step(x, b, ops):
-            return richardson(lambda v: lev.matvec(v, ops), x, b, omega, dinv=dinv, ops=ops)
-    else:
-        steps = cfg.cg_smooth_steps
+        return lambda x, b: lev.gauss_seidel_step(x, b)
+    if name == "cg":
         dinv = lev.jacobi_inv if cfg.cg_preconditioner == "diagonal" else None
+        return lambda x, b: cg_steps(lev.matvec, x, b, dinv=dinv)
+    if cfg.richardson_scaling == "diagonal":
+        omega, dinv = (lev.omega_pre_scaled if pre else lev.omega_post_scaled), lev.dinv
+    else:
+        omega, dinv = (lev.omega_pre if pre else lev.omega_post), None
+    return lambda x, b: richardson(lev.matvec, x, b, omega, dinv=dinv)
 
-        def step(x, b, ops):
-            return cg_steps(lambda v: lev.matvec(v, ops), x, b, steps, dinv=dinv, ops=ops)
 
-    def smooth(x, b, ops):
-        for _ in range(nu):
-            x = step(x, b, ops)
-        return x
-    return smooth
+def _level_costs(lev: _Level, cfg: SolverConfig, finest: bool) -> dict:
+    """Nominal operation count of each phase of a cycle on ``lev``; on the
+    finest level ``outer`` is the outer iteration's residual and its norm.
+
+    A level product counts two per stored entry of the CSR form (not the
+    padding of the diagonals), plus 3N for a rank-one term; the factored
+    solves count their factor entries, and a transfer 8 per fine unknown.
+    """
+    n = lev.n
+    matvec = 2 * lev.combined.nnz + (3 * n if lev.gamma is not None else 0)
+    costs = {"outer": matvec + 2 * n} if finest else {}
+    if lev.projector is None:
+        costs["coarse"] = lev._ensure_direct()[2]
+        return costs
+
+    def smoothing(name):
+        if name == "richardson":
+            return matvec + (4 if cfg.richardson_scaling == "diagonal" else 3) * n
+        if name == "cg":
+            return 2 * matvec + (12 if cfg.cg_preconditioner == "diagonal" else 10) * n
+        factor_nnz = lev._ensure_gs()[3]
+        if lev.gamma is None:
+            return 2 * lev._n_upper + 2 * factor_nnz + n
+        return 2 * lev.combined.nnz + 4 * factor_nnz + 12 * n
+
+    costs.update(pre=smoothing(cfg.pre), residual=matvec, restrict=8 * n,
+                 prolong=8 * n + 2 * n, post=smoothing(cfg.post))
+    return costs
 
 
 def _size_chain(kind: AlgebraKind, sizes, method: str):
@@ -355,10 +342,14 @@ def _size_chain(kind: AlgebraKind, sizes, method: str):
             chain.append(tuple(coarse_size(kind, n) for n in chain[-1]))
         except ValueError as exc:
             if len(chain) == 1:
-                warnings.warn(
-                    f"grid {chain[0]} cannot be coarsened ({exc}); method='mgm' "
-                    "is one sparse direct solve, not a V-cycle",
-                    RuntimeWarning, stacklevel=3)
+                outcome = "method='mgm' is one sparse direct solve, not a V-cycle"
+            else:
+                outcome = (f"the coarsest level, {chain[-1]}, is a sparse direct "
+                           f"solve of {int(np.prod(chain[-1]))} unknowns")
+            warnings.warn(
+                f"grid {chain[-1]} cannot be coarsened ({exc}), so the chain "
+                f"{' -> '.join(map(str, chain))} stops above the coarsest size "
+                f"{target}: {outcome}", RuntimeWarning, stacklevel=3)
             break
     return chain
 
@@ -367,9 +358,10 @@ def build_hierarchy(problem: AssembledProblem, config: SolverConfig | None = Non
                     ) -> LevelHierarchy:
     """Pre-computing phase: all level data, computed once.
 
-    With ``method="mgm"`` a grid above the coarsest size (15 Dirichlet, 16
-    otherwise) that cannot be halved once warns with a ``RuntimeWarning``:
-    its hierarchy has one level, solved directly.
+    With ``method="mgm"`` a chain that stops above the coarsest size (15
+    Dirichlet, 16 otherwise) because a grid cannot be halved warns with a
+    ``RuntimeWarning`` naming the coarsest sizes reached.  A grid that
+    cannot be halved once gives one level, solved directly.
     """
     config = config or SolverConfig()
     base = problem.structured
@@ -385,40 +377,40 @@ def build_hierarchy(problem: AssembledProblem, config: SolverConfig | None = Non
         coarse_struct = coarsen_structured(levels[-1].structured, proj)
         coarse_R = galerkin_sparse(levels[-1].correction, proj)
         levels.append(_Level(coarse_struct, coarse_R))
-
-    hierarchy = LevelHierarchy(levels, config)
-    levels[-1]._ensure_direct()
-    if "gauss-seidel" in (config.pre, config.post):
-        for lev in levels[:-1]:
-            lev._ensure_gs()
-    return hierarchy
+    return LevelHierarchy(levels, config)
 
 
-def vcycle(H: LevelHierarchy, s: int, x: np.ndarray, b: np.ndarray,
-           ops: OpCounter | None = None) -> np.ndarray:
+def vcycle(H: LevelHierarchy, s: int, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """One cycle of the recursive scheme starting at level ``s``."""
     lev = H.levels[s]
     if s == H.depth:
-        return lev.direct_solve(b, ops)
+        return lev.direct_solve(b)
     pre, post = H.smoothers[s]
-    x = pre(x, b, ops)
-    r = lev.matvec(x, ops)
+    x = pre(x, b)
+    r = lev.matvec(x)
     np.subtract(b, r, out=r)
-    r_coarse = lev.projector.restrict(r, ops)
-    y_coarse = vcycle(H, s + 1, np.zeros(H.levels[s + 1].n), r_coarse, ops)
-    e = lev.projector.prolong(y_coarse, ops)
+    r_coarse = lev.projector.restrict(r)
+    y_coarse = vcycle(H, s + 1, np.zeros(H.levels[s + 1].n), r_coarse)
+    e = lev.projector.prolong(y_coarse)
     e += x
-    if ops is not None:
-        ops.add(2 * lev.n)
-    return post(e, b, ops)
+    return post(e, b)
 
 
-def tgm_iterate(H: LevelHierarchy, x: np.ndarray, b: np.ndarray,
-                ops: OpCounter | None = None) -> np.ndarray:
+def tgm_iterate(H: LevelHierarchy, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """One two-grid iteration (exact coarse solve on a two-level hierarchy)."""
     if H.n_levels != 2:
         raise ValueError("tgm_iterate needs a two-level hierarchy (method='tgm')")
-    return vcycle(H, 0, x, b, ops)
+    return vcycle(H, 0, x, b)
+
+
+def _real_vector(v, n: int, name: str) -> np.ndarray:
+    """``v`` as a float vector of length ``n``, or a ``ValueError`` naming it."""
+    v = np.asarray(v)
+    if v.shape != (n,):
+        raise ValueError(f"{name} must be a vector of length {n}, got shape {v.shape}")
+    if v.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be real, got dtype {v.dtype}")
+    return np.asarray(v, dtype=float)
 
 
 def solve(H: LevelHierarchy, b: np.ndarray, tol: float = 1e-7,
@@ -426,21 +418,24 @@ def solve(H: LevelHierarchy, b: np.ndarray, tol: float = 1e-7,
     """Outer iteration from the zero initial guess until the relative
     Euclidean residual drops below ``tol``; returns ``(x, SolveReport)``.
 
-    Raises ``ValueError`` before the first cycle if ``b`` or ``x0`` holds a
-    NaN or an infinity.
+    Raises ``ValueError`` before the first cycle if ``b`` or ``x0`` is not a
+    real vector of the finest level's length or holds a NaN or an infinity,
+    if ``tol`` is not positive, or if ``max_iter`` is below 1.
     """
+    n = H.levels[0].n
     if max_iter is None:
-        max_iter = H.levels[0].n
+        max_iter = n
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    b = np.asarray(b, dtype=float)
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    b = _real_vector(b, n, "b")
     if x0 is None:
-        x = np.zeros(H.levels[0].n)
+        x = np.zeros(n)
     else:
-        x = np.array(x0, dtype=float)
+        x = np.array(_real_vector(x0, n, "x0"))
         if not np.isfinite(x).all():
             raise ValueError("x0 holds a NaN or inf")
-    ops = OpCounter()
     t0 = time.perf_counter()
     bnorm = float(np.linalg.norm(b))
     if not np.isfinite(bnorm):
@@ -452,16 +447,15 @@ def solve(H: LevelHierarchy, b: np.ndarray, tol: float = 1e-7,
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        x = vcycle(H, 0, x, b, ops)
-        r = finest.matvec(x, ops)
+        x = vcycle(H, 0, x, b)
+        r = finest.matvec(x)
         np.subtract(b, r, out=r)
         relres = float(np.linalg.norm(r)) / bnorm
-        ops.add(2 * finest.n)
         residuals.append(relres)
         if relres < tol:
             converged = True
             break
-    return x, SolveReport(it, residuals, converged, ops.total,
+    return x, SolveReport(it, residuals, converged, it * H.cycle_cost,
                           time.perf_counter() - t0)
 
 

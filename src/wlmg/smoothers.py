@@ -50,15 +50,15 @@ def splitting_diagonal(symbol_sup: float, R: sp.csr_array) -> np.ndarray:
     return d
 
 
-def compute_omegas(symbol_sup: float, r_inf: float) -> tuple:
-    denom = symbol_sup + r_inf
-    if denom <= 0:
+def compute_omegas(bound: float) -> tuple:
+    """Pre- and post-smoothing factors ``2 / bound`` and ``1 / bound``."""
+    if bound <= 0:
         raise ValueError("smoothing denominator must be positive")
-    return 2.0 / denom, 1.0 / denom
+    return 2.0 / bound, 1.0 / bound
 
 
 def richardson(matvec, x: np.ndarray, b: np.ndarray, omega: float,
-               dinv: np.ndarray | None = None, ops=None) -> np.ndarray:
+               dinv: np.ndarray | None = None) -> np.ndarray:
     """One damped Richardson step ``x + omega (b - A x)``.
 
     With ``dinv`` the residual is scaled entrywise first (relaxed-Jacobi
@@ -69,50 +69,30 @@ def richardson(matvec, x: np.ndarray, b: np.ndarray, omega: float,
     r = b - matvec(x)
     if dinv is not None:
         r *= dinv
-    if ops is not None:
-        ops.add((3 if dinv is None else 4) * len(x))
     r *= omega
     r += x
     return r
 
 
-def cg_steps(matvec, x: np.ndarray, b: np.ndarray, steps: int = 1,
-             dinv: np.ndarray | None = None, ops=None) -> np.ndarray:
-    """``steps`` conjugate-gradient iterations restarted from ``x``.
+def cg_steps(matvec, x: np.ndarray, b: np.ndarray,
+             dinv: np.ndarray | None = None) -> np.ndarray:
+    """One conjugate-gradient step from ``x``: ``x + (r.z / z.Az) z`` with
+    ``r = b - A x`` and ``z = r``.
 
-    ``dinv`` switches to the diagonally preconditioned recursion (search
-    directions built from ``D^{-1} r``), which keeps the step locally scaled
-    for strongly varying coefficients.  Returns the current iterate
-    unchanged on a zero residual; a breakdown (non-positive curvature) also
-    returns the iterate reached so far.
+    ``dinv`` switches to the diagonally preconditioned step, ``z = D^{-1} r``,
+    which keeps the step locally scaled for strongly varying coefficients.
+    Returns the iterate unchanged on a zero residual or a breakdown
+    (non-positive curvature).
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     x = np.array(x, dtype=float)
     r = b - matvec(x)
     z = r if dinv is None else dinv * r
     rz = float(r @ z)
     if rz == 0.0:
         return x
-    p = z.copy()
-    for k in range(steps):
-        Ap = matvec(p)
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            break
-        alpha = rz / pAp
-        step = alpha * p
-        x += step
-        np.multiply(alpha, Ap, out=step)
-        r -= step
-        if dinv is not None:
-            np.multiply(dinv, r, out=z)
-        rz_new = float(r @ z)
-        if ops is not None:
-            ops.add((10 if dinv is None else 12) * len(x))
-        if rz_new == 0.0 or k == steps - 1:
-            break
-        p *= rz_new / rz
-        p += z
-        rz = rz_new
+    zAz = float(z @ matvec(z))
+    if zAz <= 0.0:
+        return x
+    z *= rz / zAz
+    x += z
     return x

@@ -72,24 +72,20 @@ class Projector:
         self._sparse = None
         self._sparse_t = None
 
-    def prolong(self, y: np.ndarray, ops=None) -> np.ndarray:
+    def prolong(self, y: np.ndarray) -> np.ndarray:
         """Coarse-to-fine map ``p y``."""
         y = np.asarray(y, dtype=float)
         if y.shape != (self.n_coarse,):
             raise ValueError(f"expected coarse vector of length {self.n_coarse}")
-        if ops is not None:
-            ops.add(8 * self.n_fine)
         return self.to_sparse() @ y
 
-    def restrict(self, r: np.ndarray, ops=None) -> np.ndarray:
+    def restrict(self, r: np.ndarray) -> np.ndarray:
         """Fine-to-coarse map ``p^T r`` (exact adjoint of ``prolong``)."""
         r = np.asarray(r, dtype=float)
         if r.shape != (self.n_fine,):
             raise ValueError(f"expected fine vector of length {self.n_fine}")
         if self._sparse_t is None:
             self._sparse_t = sp.csr_array(self.to_sparse().T)
-        if ops is not None:
-            ops.add(8 * self.n_fine)
         return self._sparse_t @ r
 
     def to_sparse(self) -> sp.csr_array:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,20 @@ def test_bench_determinism(tmp_path):
     rows1 = run_bench_table(t1, sizes=(31,), seed=3)
     rows2 = run_bench_table(t1, sizes=(31,), seed=3)
     assert bench_rows_csv(rows1) == bench_rows_csv(rows2)
+
+
+# bench CSVs recorded under tests/data: tables 1-3 at every size, tables 4-6
+# at n = 15 and 31 where the table has them; the ops_per_iter column pins
+# the nominal cost of one cycle
+BENCH_DATA = Path(__file__).parent / "data"
+BENCH_DATA_SIZES = {1: None, 2: None, 3: None, 4: (31,), 5: (15, 31), 6: (15, 31)}
+
+
+@pytest.mark.parametrize("tid", sorted(BENCH_DATA_SIZES))
+def test_bench_csv_matches_recorded_bytes(tid):
+    rows = run_bench_table(TABLES[tid], sizes=BENCH_DATA_SIZES[tid])
+    text = "\n".join(bench_rows_csv(rows)) + "\n"
+    assert text.encode("utf-8") == (BENCH_DATA / f"bench_table{tid}.csv").read_bytes()
 
 
 def test_bench_gate_evaluation_logic():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from wlmg.discretize import (BoundaryCondition, GridSpec, algebra_for_bc,
-                             assemble, build_rhs, make_coefficient, split)
+from wlmg.discretize import (BoundaryCondition, DiffusionCoefficient, GridSpec,
+                             algebra_for_bc, assemble, build_rhs, make_coefficient,
+                             split)
 from wlmg.structured import StructuredOperator
 from wlmg.symbols import CosineSymbol, TensorSymbol
 
@@ -143,6 +144,21 @@ def test_coefficient_errors():
         make_coefficient("a4", 1)           # square-only preset
     with pytest.raises(ValueError):
         make_coefficient("a2k:x", 1)
+
+
+@pytest.mark.parametrize("sizes, func, match", [
+    ((7,), lambda x: np.where(x > 0.5, np.nan, 1.0), "NaN or inf"),
+    ((7,), lambda x: np.full_like(x, np.inf), "NaN or inf"),
+    ((5, 5), lambda x, y: np.where(y < 0.5, 1.0, -np.inf), "NaN or inf"),
+    ((7,), lambda x: np.ones(x.size + 1), r"shape \(9,\)"),
+    ((7,), lambda x: 2.0, r"shape \(\)"),
+    ((5, 5), lambda x, y: np.ones(x.shape[0]), r"shape \(6,\)"),
+], ids=["nan", "inf", "2d-inf", "long", "scalar", "2d-flat"])
+def test_assemble_rejects_non_finite_or_misshaped_samples(sizes, func, match):
+    grid = GridSpec(sizes, BoundaryCondition.DIRICHLET)
+    coeff = DiffusionCoefficient(func, name="spike")
+    with pytest.raises(ValueError, match=f"^coefficient 'spike' .*{match}"):
+        assemble(grid, coeff)
 
 
 def test_piecewise_tie_break():

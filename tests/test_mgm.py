@@ -278,7 +278,8 @@ def test_tgm_on_small_grids(bc, sizes):
 def test_rank_one_coarse_solve_has_no_size_cap():
     # periodic 130^2 stops at 65^2 = 4225 unknowns, past the old dense cap
     prob = make_problem((130, 130), "a1", BoundaryCondition.PERIODIC)
-    H = build_hierarchy(prob, SolverConfig(method="mgm"))
+    with pytest.warns(RuntimeWarning, match="sparse direct solve of 4225 unknowns"):
+        H = build_hierarchy(prob, SolverConfig(method="mgm"))
     assert H.levels[-1].n == 4225
     _, rep = solve(H, prob.rhs)
     assert rep.converged
@@ -383,6 +384,43 @@ def test_operation_counts_pinned(bc, sizes, coeff, smoothers, iterations, operat
     assert (rep.iterations, rep.operations) == (iterations, operations)
 
 
+# branches PINNED_COUNTS leaves out, recorded with the per-call operation
+# counter that the per-level cost table replaced:
+# (bc, sizes, coefficient, config) -> (levels, iterations, operations)
+PINNED_BRANCH_COUNTS = [
+    (D, (31, 31), "a7",
+     dict(method="mgm", pre="gauss-seidel", post="cg", cg_preconditioner="diagonal"),
+     2, 10, 861670),
+    (D, (31, 31), "a2", dict(method="tgm", pre="gauss-seidel", post="richardson"),
+     2, 14, 954184),
+    (BoundaryCondition.REFLECTIVE, (64,), "a2",
+     dict(method="mgm", pre="richardson", post="gauss-seidel"), 3, 11, 91465),
+    (D, (15, 15), "a2", dict(method="mgm"), 1, 1, 7246),
+]
+
+
+@pytest.mark.parametrize("bc, sizes, coeff, config, n_levels, iterations, operations",
+                         PINNED_BRANCH_COUNTS, ids=["dirichlet-gs-pcg", "dirichlet-tgm",
+                                                    "reflective-gs-post", "one-level"])
+def test_operation_counts_pinned_branches(bc, sizes, coeff, config, n_levels,
+                                          iterations, operations):
+    grid = GridSpec(sizes, bc)
+    prob = split(assemble(grid, coeff), grid, coeff)
+    H = build_hierarchy(prob, SolverConfig(**config))
+    assert H.n_levels == n_levels
+    _, rep = solve(H, build_rhs(grid, "random", seed=0))
+    assert rep.converged
+    assert (rep.iterations, rep.operations) == (iterations, operations)
+
+
+def test_zero_rhs_costs_nothing():
+    prob = make_problem((15, 15), "a2")
+    H = build_hierarchy(prob, SolverConfig(method="tgm"))
+    x, rep = solve(H, np.zeros(H.levels[0].n))
+    assert (rep.iterations, rep.operations, rep.converged) == (0, 0, True)
+    assert H.cycle_cost > 0 and not x.any()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_solve_rejects_non_finite_rhs(bad, monkeypatch):
     prob = make_problem((15, 15), "a2")
@@ -416,6 +454,20 @@ def test_uncoarsenable_grid_warns(bc, sizes):
     assert H.n_levels == 1
 
 
+@pytest.mark.parametrize("bc, sizes, coarsest", [(D, (195, 195), (48, 48)),
+                                                 (D, (99, 99), (24, 24)),
+                                                 (BoundaryCondition.REFLECTIVE, (34, 34),
+                                                  (17, 17))])
+def test_chain_stopping_above_target_warns(bc, sizes, coarsest):
+    """A V-cycle chain that halves, then meets a grid above the coarsest size
+    that cannot be halved, warns and names the coarsest sizes reached."""
+    prob = make_problem(sizes, "a2", bc)
+    with pytest.warns(RuntimeWarning, match="cannot be coarsened") as record:
+        H = build_hierarchy(prob, SolverConfig(method="mgm"))
+    assert H.levels[-1].sizes == coarsest and H.n_levels > 1
+    assert len(record) == 1 and str(coarsest) in str(record[0].message)
+
+
 @pytest.mark.parametrize("bc, sizes", [(D, (15, 15)), (D, (7,)), (D, (63, 63)),
                                        (BoundaryCondition.PERIODIC, (16,)),
                                        (BoundaryCondition.REFLECTIVE, (16, 16)),
@@ -426,6 +478,27 @@ def test_coarsest_or_coarsenable_grid_does_not_warn(bc, sizes):
         warnings.simplefilter("error")
         H = build_hierarchy(prob, SolverConfig(method="mgm"))
     assert H.n_levels == (1 if max(sizes) <= 16 else 3)
+
+
+@pytest.mark.parametrize("argument, value, message", [
+    ("b", np.ones(224), r"^b must be a vector of length 225, got shape \(224,\)"),
+    ("b", np.ones((225, 1)), r"^b must be a vector of length 225, got shape \(225, 1\)"),
+    ("b", np.ones(225) + 1j, r"^b must be real, got dtype complex128"),
+    ("x0", np.zeros(226), r"^x0 must be a vector of length 225, got shape \(226,\)"),
+    ("x0", np.zeros((15, 15)), r"^x0 must be a vector of length 225"),
+    ("x0", np.zeros(225, dtype=complex), r"^x0 must be real, got dtype complex128"),
+    ("tol", 0.0, r"^tol must be positive, got 0.0"),
+    ("tol", -1e-7, r"^tol must be positive"),
+    ("tol", np.nan, r"^tol must be positive, got nan"),
+], ids=["b-short", "b-column", "b-complex", "x0-long", "x0-square", "x0-complex",
+        "tol-zero", "tol-negative", "tol-nan"])
+def test_solve_rejects_bad_arguments(argument, value, message, monkeypatch):
+    prob = make_problem((15, 15), "a2")
+    H = build_hierarchy(prob, SolverConfig(method="mgm"))
+    kwargs = {"b": prob.rhs, argument: value}
+    monkeypatch.setattr(wlmg.mgm, "vcycle", None)   # no cycle may start
+    with pytest.raises(ValueError, match=message):
+        solve(H, **kwargs)
 
 
 def test_concurrent_solves_share_one_hierarchy():
