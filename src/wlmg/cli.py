@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from ._tables import DAGGER, PAIR_SMOOTHERS, TABLES
-from .discretize import (BoundaryCondition, GridSpec, assemble, build_rhs,
-                         make_coefficient, split)
+from .discretize import (BoundaryCondition, DiffusionCoefficient, GridSpec,
+                         assemble, build_rhs, make_coefficient, split)
 from .mgm import SolverConfig, build_hierarchy, solve
 from .verify import theory_report
 
@@ -51,43 +51,10 @@ def coefficient_from_spec(spec: str, dim: int):
         scope = {"x": coords[0]}
         if dim == 2:
             scope["y"] = coords[1]
-        return np.broadcast_to(np.asarray(eval(code, {"__builtins__": {}},
-                                               {**_EXPR_NAMES, **scope}),
-                                          dtype=float), np.shape(coords[0])).copy()
+        value = eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, **scope})
+        return np.broadcast_to(value, np.shape(coords[0])).copy()
 
-    return make_coefficient(func, dim)
-
-
-@dataclass
-class RunConfig:
-    """Flattened CLI options for one run."""
-
-    command: str
-    bc: str = "dirichlet"
-    dim: int = 1
-    coeff: str = "a1"
-    method: str = "mgm"
-    pre: str = "richardson"
-    post: str = "richardson"
-    richardson_scaling: str | None = None
-    cg_preconditioner: str = "none"
-    sizes: tuple = ()
-    tol: float = 1e-7
-    max_iter: int | None = None
-    rhs: str = "ones"
-    seed: int = 0
-    fmt: str = "csv"
-    output: str | None = None
-    tables: tuple = ()
-    coeffs: tuple = ()
-
-    def solver_config(self) -> SolverConfig:
-        scaling = self.richardson_scaling
-        if scaling is None:
-            scaling = "global"
-        return SolverConfig(method=self.method, pre=self.pre, post=self.post,
-                            richardson_scaling=scaling,
-                            cg_preconditioner=self.cg_preconditioner)
+    return DiffusionCoefficient(func, name=spec)
 
 
 def _build_problem(bc: str, dim: int, coeff_spec: str, n: int):
@@ -97,44 +64,40 @@ def _build_problem(bc: str, dim: int, coeff_spec: str, n: int):
     return grid, split(A, grid, coeff)
 
 
-def _make_rhs(grid: GridSpec, mode: str, seed: int) -> np.ndarray:
-    if mode == "random":
-        return build_rhs(grid, "random", seed=seed)
-    return build_rhs(grid, mode)
-
-
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
 
-def run_solve(cfg: RunConfig) -> int:
-    n = cfg.sizes[0]
-    grid, prob = _build_problem(cfg.bc, cfg.dim, cfg.coeff, n)
-    H = build_hierarchy(prob, cfg.solver_config())
-    b = _make_rhs(grid, cfg.rhs, cfg.seed)
-    x, rep = solve(H, b, tol=cfg.tol, max_iter=cfg.max_iter)
+def run_solve(args: argparse.Namespace) -> int:
+    grid, prob = _build_problem(args.bc, args.dim, args.coeff, args.n)
+    H = build_hierarchy(prob, SolverConfig(
+        method=args.method, pre=args.pre, post=args.post,
+        richardson_scaling=args.richardson_scaling,
+        cg_preconditioner=args.cg_preconditioner))
+    b = build_rhs(grid, args.rhs, seed=args.seed)
+    x, rep = solve(H, b, tol=args.tol, max_iter=args.max_iter)
 
-    print(f"bc={cfg.bc} dim={cfg.dim} coeff={cfg.coeff} method={cfg.method} "
-          f"pre={cfg.pre} post={cfg.post} n={n}")
+    print(f"bc={args.bc} dim={args.dim} coeff={args.coeff} method={args.method} "
+          f"pre={args.pre} post={args.post} n={args.n}")
     print(f"iterations={rep.iterations} converged={rep.converged} "
           f"final_residual={rep.final_residual:.3e} operations={rep.operations} "
           f"wall_time={rep.wall_time:.3f}s")
 
-    if cfg.output:
-        lines = _solve_report_lines(cfg, rep)
-        Path(cfg.output).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        print(f"wrote {cfg.output}")
+    if args.output:
+        lines = _solve_report_lines(args, rep)
+        Path(args.output).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        print(f"wrote {args.output}")
     return 0 if rep.converged else 1
 
 
-def _solve_report_lines(cfg: RunConfig, rep) -> list:
-    if cfg.fmt == "csv":
+def _solve_report_lines(args: argparse.Namespace, rep) -> list:
+    if args.format == "csv":
         lines = ["iteration,relative_residual"]
         lines += [f"{i},{r:.16e}" for i, r in enumerate(rep.residuals, start=1)]
         lines.append(f"# iterations={rep.iterations} converged={rep.converged} "
                      f"operations={rep.operations}")
         return lines
-    lines = [f"## Solve report: {cfg.coeff}, n={cfg.sizes[0]}, {cfg.method}",
+    lines = [f"## Solve report: {args.coeff}, n={args.n}, {args.method}",
              "",
              f"- iterations: {rep.iterations}",
              f"- converged: {rep.converged}",
@@ -249,16 +212,17 @@ def evaluate_gates(table, rows) -> list:
                 if v2 > v1 * (1.0 + gate[1] / 100.0):
                     ok = False
             results.append((ok, f"{label} counts {detail}: >= 60 and growth <= {gate[1]}%"))
-        elif kind == "gt":
+        elif kind in ("gt", "dagger"):
             checked = [r for r in col if r.n >= 63]
-            ok = bool(checked) and all(
-                (r.iterations_run if r.result == DAGGER else r.result) > gate[1]
-                for r in checked)
-            results.append((ok, f"{label} needs > {gate[1]} iterations at n >= 63"))
-        elif kind == "dagger":
-            checked = [r for r in col if r.n >= 63]
-            ok = bool(checked) and all(r.result == DAGGER for r in checked)
-            results.append((ok, f"{label} must not converge within N(n) at n >= 63"))
+            if not checked:             # the run has no size the gate applies to
+                continue
+            if kind == "gt":
+                ok = all((r.iterations_run if r.result == DAGGER else r.result) > gate[1]
+                         for r in checked)
+                results.append((ok, f"{label} needs > {gate[1]} iterations at n >= 63"))
+            else:
+                ok = all(r.result == DAGGER for r in checked)
+                results.append((ok, f"{label} must not converge within N(n) at n >= 63"))
     return results
 
 
@@ -304,22 +268,21 @@ def bench_rows_markdown(table, rows) -> list:
     return lines
 
 
-def run_bench(cfg: RunConfig) -> int:
-    table_ids = cfg.tables or tuple(TABLES)
-    outdir = Path(cfg.output) if cfg.output else None
+def run_bench(args: argparse.Namespace) -> int:
+    outdir = Path(args.output_dir) if args.output_dir else None
     if outdir:
         outdir.mkdir(parents=True, exist_ok=True)
     failures = 0
-    for tid in table_ids:
+    for tid in args.table:
         table = TABLES[tid]
-        sizes = [n for n in cfg.sizes if n in table.sizes] if cfg.sizes else None
-        if cfg.sizes and not sizes:
+        sizes = [n for n in args.sizes if n in table.sizes] if args.sizes else None
+        if args.sizes and not sizes:
             print(f"table {tid}: none of the requested sizes apply, skipping")
             continue
-        rows = run_bench_table(table, sizes=sizes, seed=cfg.seed,
+        rows = run_bench_table(table, sizes=sizes, seed=args.seed,
                                progress=lambda msg: print(msg, file=sys.stderr))
         gates = evaluate_gates(table, rows)
-        if cfg.fmt == "csv":
+        if args.format == "csv":
             lines = bench_rows_csv(rows)
             suffix = "csv"
         else:
@@ -342,14 +305,12 @@ def run_bench(cfg: RunConfig) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def run_verify(cfg: RunConfig) -> int:
-    coeffs = cfg.coeffs or ("a1", "a2", "a3")
-    sizes = cfg.sizes or (7, 15, 31)
+def run_verify(args: argparse.Namespace) -> int:
     rows = []
     ok = True
-    for coeff in coeffs:
-        for n in sizes:
-            rep = theory_report(cfg.bc, coeff, n)
+    for coeff in args.coeffs.split(","):
+        for n in args.sizes or (7, 15, 31):
+            rep = theory_report(args.bc, coeff, n)
             rows.append(rep)
             if not rep.chain_holds:
                 ok = False
@@ -363,9 +324,9 @@ def run_verify(cfg: RunConfig) -> int:
                      f"{r.bound:.12e},{r.measured_contraction:.12e},"
                      f"{r.theta1:.12e},{r.theta2:.12e}")
     text = "\n".join(lines) + "\n"
-    if cfg.output:
-        Path(cfg.output).write_text(text, encoding="utf-8")
-        print(f"wrote {cfg.output}")
+    if args.output:
+        Path(args.output).write_text(text, encoding="utf-8")
+        print(f"wrote {args.output}")
     else:
         print(text, end="")
     print("theory suite: " + ("all chains hold" if ok else "violations found"))
@@ -378,6 +339,17 @@ def run_verify(cfg: RunConfig) -> int:
 
 def _int_list(text: str):
     return tuple(int(v) for v in text.split(",") if v)
+
+
+def _table_ids(text: str):
+    """``all`` or comma-separated table ids, as a tuple of known ids."""
+    if text == "all":
+        return tuple(TABLES)
+    ids = tuple(int(t) for t in text.split(","))
+    for t in ids:
+        if t not in TABLES:
+            raise argparse.ArgumentTypeError(f"unknown table id {t}")
+    return ids
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--output", default=None)
 
     bn = sub.add_parser("bench", help="reproduce the bundled iteration tables")
-    bn.add_argument("--table", default="all",
+    bn.add_argument("--table", type=_table_ids, default="all",
                     help="table id 1-6 or 'all' (default)")
     bn.add_argument("--sizes", type=_int_list, default=(),
                     help="restrict to these sizes, e.g. 31,63")
@@ -435,41 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args) -> RunConfig:
-    if args.command == "solve":
-        return RunConfig(command="solve", bc=args.bc, dim=args.dim,
-                         coeff=args.coeff, method=args.method, pre=args.pre,
-                         post=args.post,
-                         richardson_scaling=args.richardson_scaling,
-                         cg_preconditioner=args.cg_preconditioner,
-                         sizes=(args.n,), tol=args.tol, max_iter=args.max_iter,
-                         rhs=args.rhs, seed=args.seed, fmt=args.format,
-                         output=args.output)
-    if args.command == "bench":
-        if args.table == "all":
-            tables = tuple(TABLES)
-        else:
-            tables = tuple(int(t) for t in str(args.table).split(","))
-            for t in tables:
-                if t not in TABLES:
-                    raise ValueError(f"unknown table id {t}")
-        return RunConfig(command="bench", tables=tables, sizes=args.sizes,
-                         seed=args.seed, fmt=args.format, output=args.output_dir)
-    return RunConfig(command="verify", bc=args.bc,
-                     coeffs=tuple(args.coeffs.split(",")),
-                     sizes=args.sizes, output=args.output)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    run = {"solve": run_solve, "bench": run_bench, "verify": run_verify}[args.command]
     try:
-        cfg = config_from_args(args)
-        if cfg.command == "solve":
-            return run_solve(cfg)
-        if cfg.command == "bench":
-            return run_bench(cfg)
-        return run_verify(cfg)
+        return run(args)
     except ValueError as exc:
         parser.error(str(exc))
         return 2

@@ -90,14 +90,17 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class DiffusionCoefficient:
-    """Point-evaluable diffusion coefficient with a positive lower bound."""
+    """Point-evaluable real diffusion coefficient."""
 
     func: object
     name: str = "custom"
-    lower_bound: float = 0.0
 
     def __call__(self, *coords):
-        return np.asarray(self.func(*coords), dtype=float)
+        c = np.asarray(self.func(*coords))
+        if c.dtype.kind == "c":
+            raise ValueError(f"coefficient {self.name!r} is complex (dtype {c.dtype}); "
+                             f"it must be real")
+        return np.asarray(c, dtype=float)
 
 
 def _piecewise(delta):
@@ -107,15 +110,15 @@ def _piecewise(delta):
 
 
 _PRESETS = {
-    "a1": (lambda d: (lambda *xs: np.ones_like(np.asarray(xs[0], dtype=float))), 1.0),
-    "a2": (lambda d: (lambda *xs: np.exp(sum(xs))), 1.0),
-    "a3": (lambda d: ((lambda x: np.exp(x) + 1.0) if d == 1
-                      else (lambda x, y: np.exp(x + y) + 2.0)), 2.0),
-    "a4": (lambda d: (lambda x, y: np.exp(x + np.abs(y - 0.5) ** 1.5)), 1.0),
-    "a5": (lambda d: (lambda x, y: np.exp(x + np.abs(y - 0.5))), 1.0),
-    "a6": (lambda d: _piecewise(10.0), 1.0),
-    "a7": (lambda d: _piecewise(100.0), 1.0),
-    "a8": (lambda d: _piecewise(1000.0), 1.0),
+    "a1": lambda d: (lambda *xs: np.ones_like(np.asarray(xs[0], dtype=float))),
+    "a2": lambda d: (lambda *xs: np.exp(sum(xs))),
+    "a3": lambda d: ((lambda x: np.exp(x) + 1.0) if d == 1
+                     else (lambda x, y: np.exp(x + y) + 2.0)),
+    "a4": lambda d: (lambda x, y: np.exp(x + np.abs(y - 0.5) ** 1.5)),
+    "a5": lambda d: (lambda x, y: np.exp(x + np.abs(y - 0.5))),
+    "a6": lambda d: _piecewise(10.0),
+    "a7": lambda d: _piecewise(100.0),
+    "a8": lambda d: _piecewise(1000.0),
 }
 
 TWO_D_ONLY_PRESETS = ("a4", "a5", "a6", "a7", "a8")
@@ -135,13 +138,11 @@ def make_coefficient(spec, dim: int) -> DiffusionCoefficient:
         except (IndexError, ValueError):
             raise ValueError(f"malformed preset {name!r}; use a2k:<k>") from None
         shift = 10.0 ** k
-        return DiffusionCoefficient(lambda *xs: np.exp(sum(xs)) + shift,
-                                    name=f"a2k:{k}", lower_bound=shift)
+        return DiffusionCoefficient(lambda *xs: np.exp(sum(xs)) + shift, name=f"a2k:{k}")
     if name in _PRESETS:
         if name in TWO_D_ONLY_PRESETS and dim != 2:
             raise ValueError(f"preset {name} is defined on the unit square only")
-        factory, a0 = _PRESETS[name]
-        return DiffusionCoefficient(factory(dim), name=name, lower_bound=a0)
+        return DiffusionCoefficient(_PRESETS[name](dim), name=name)
     raise ValueError(f"unknown coefficient preset {name!r}")
 
 

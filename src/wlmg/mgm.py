@@ -32,6 +32,7 @@ one refinement step; there is no per-row loop.
 
 from __future__ import annotations
 
+import numbers
 import time
 import warnings
 from dataclasses import dataclass
@@ -254,17 +255,31 @@ class LevelHierarchy:
 
     ``smoothers[s]`` holds the pre- and post-smoothing of level ``s`` and
     ``costs[s]`` the nominal operation count of each phase of a cycle on
-    it, both resolved once from the configuration.  ``cycle_cost`` is one
-    cycle plus the outer residual.  Costing the cycle factors the coarsest
-    level and, where a slot runs Gauss-Seidel, the triangles above it.
+    it (on the finest level ``outer`` is the outer residual and its norm),
+    both resolved once from the configuration.  ``cycle_cost`` is one cycle
+    plus the outer residual.  A level product counts two per stored entry
+    of the CSR form (not the padding of the diagonals), plus 3N for a
+    rank-one term; the factored solves count their factor entries, which
+    factors them here, and a transfer 8 per fine unknown.
     """
 
     def __init__(self, levels, config: SolverConfig):
         self.levels = levels
         self.config = config
-        self.smoothers = [(_smoother(lev, config, True), _smoother(lev, config, False))
-                          for lev in levels[:-1]]
-        self.costs = [_level_costs(lev, config, s == 0) for s, lev in enumerate(levels)]
+        self.smoothers, self.costs = [], []
+        for s, lev in enumerate(levels):
+            n = lev.n
+            matvec = 2 * lev.combined.nnz + (3 * n if lev.gamma is not None else 0)
+            costs = {"outer": matvec + 2 * n} if s == 0 else {}
+            if lev.projector is None:
+                costs["coarse"] = lev._ensure_direct()[2]
+            else:
+                pre, pre_cost = _smoothing(lev, config, True, matvec)
+                post, post_cost = _smoothing(lev, config, False, matvec)
+                costs.update(pre=pre_cost, residual=matvec, restrict=8 * n,
+                             prolong=8 * n + 2 * n, post=post_cost)
+                self.smoothers.append((pre, post))
+            self.costs.append(costs)
         self.cycle_cost = sum(sum(c.values()) for c in self.costs)
 
     @property
@@ -279,53 +294,29 @@ class LevelHierarchy:
         return self.levels[s].dense_operator()
 
 
-def _smoother(lev: _Level, cfg: SolverConfig, pre: bool):
-    """The pre- (or post-) smoothing step of ``lev`` as ``step(x, b)``.
+def _smoothing(lev: _Level, cfg: SolverConfig, pre: bool, matvec: int):
+    """The pre- (or post-) smoothing step of ``lev`` as ``step(x, b)``, and
+    its nominal cost given that of one level product, ``matvec``.
 
     Kind, damping and diagonal are fixed here; the smoothing functions and
     ``lev.matvec`` are looked up by name on every call.
     """
-    name = cfg.pre if pre else cfg.post
+    name, n = (cfg.pre if pre else cfg.post), lev.n
     if name == "gauss-seidel":
-        return lambda x, b: lev.gauss_seidel_step(x, b)
+        factor_nnz = lev._ensure_gs()[3]
+        cost = (2 * lev._n_upper + 2 * factor_nnz + n if lev.gamma is None
+                else 2 * lev.combined.nnz + 4 * factor_nnz + 12 * n)
+        return (lambda x, b: lev.gauss_seidel_step(x, b)), cost
     if name == "cg":
         dinv = lev.jacobi_inv if cfg.cg_preconditioner == "diagonal" else None
-        return lambda x, b: cg_steps(lev.matvec, x, b, dinv=dinv)
+        cost = 2 * matvec + (10 if dinv is None else 12) * n
+        return (lambda x, b: cg_steps(lev.matvec, x, b, dinv=dinv)), cost
     if cfg.richardson_scaling == "diagonal":
         omega, dinv = (lev.omega_pre_scaled if pre else lev.omega_post_scaled), lev.dinv
     else:
         omega, dinv = (lev.omega_pre if pre else lev.omega_post), None
-    return lambda x, b: richardson(lev.matvec, x, b, omega, dinv=dinv)
-
-
-def _level_costs(lev: _Level, cfg: SolverConfig, finest: bool) -> dict:
-    """Nominal operation count of each phase of a cycle on ``lev``; on the
-    finest level ``outer`` is the outer iteration's residual and its norm.
-
-    A level product counts two per stored entry of the CSR form (not the
-    padding of the diagonals), plus 3N for a rank-one term; the factored
-    solves count their factor entries, and a transfer 8 per fine unknown.
-    """
-    n = lev.n
-    matvec = 2 * lev.combined.nnz + (3 * n if lev.gamma is not None else 0)
-    costs = {"outer": matvec + 2 * n} if finest else {}
-    if lev.projector is None:
-        costs["coarse"] = lev._ensure_direct()[2]
-        return costs
-
-    def smoothing(name):
-        if name == "richardson":
-            return matvec + (4 if cfg.richardson_scaling == "diagonal" else 3) * n
-        if name == "cg":
-            return 2 * matvec + (12 if cfg.cg_preconditioner == "diagonal" else 10) * n
-        factor_nnz = lev._ensure_gs()[3]
-        if lev.gamma is None:
-            return 2 * lev._n_upper + 2 * factor_nnz + n
-        return 2 * lev.combined.nnz + 4 * factor_nnz + 12 * n
-
-    costs.update(pre=smoothing(cfg.pre), residual=matvec, restrict=8 * n,
-                 prolong=8 * n + 2 * n, post=smoothing(cfg.post))
-    return costs
+    cost = matvec + (3 if dinv is None else 4) * n
+    return (lambda x, b: richardson(lev.matvec, x, b, omega, dinv=dinv)), cost
 
 
 def _size_chain(kind: AlgebraKind, sizes, method: str):
@@ -420,11 +411,13 @@ def solve(H: LevelHierarchy, b: np.ndarray, tol: float = 1e-7,
 
     Raises ``ValueError`` before the first cycle if ``b`` or ``x0`` is not a
     real vector of the finest level's length or holds a NaN or an infinity,
-    if ``tol`` is not positive, or if ``max_iter`` is below 1.
+    if ``tol`` is not positive, or if ``max_iter`` is not an integer >= 1.
     """
     n = H.levels[0].n
     if max_iter is None:
         max_iter = n
+    if not isinstance(max_iter, numbers.Integral):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if not tol > 0:

@@ -1,11 +1,12 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wlmg import cli
-from wlmg._tables import PAIR_SMOOTHERS, TABLES
-from wlmg.cli import (bench_cell, bench_rows_csv, coefficient_from_spec,
+from wlmg._tables import DAGGER, PAIR_SMOOTHERS, TABLES
+from wlmg.cli import (BenchRow, bench_cell, bench_rows_csv, coefficient_from_spec,
                       evaluate_gates, run_bench_table)
 
 
@@ -52,6 +53,14 @@ def test_expression_coefficient():
         coefficient_from_spec("x + y", 1)
 
 
+def test_expression_coefficient_rejects_complex_values():
+    coeff = coefficient_from_spec("exp(x)+1j", 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        with pytest.raises(ValueError, match=r"^coefficient 'exp\(x\)\+1j' is complex"):
+            coeff(np.array([0.0, 0.5]))
+
+
 def test_bench_cell_matches_reference_spot():
     t1 = TABLES[1]
     result, rep = bench_cell(t1, "richardson+gauss-seidel", "a1", 31)
@@ -78,6 +87,42 @@ def test_bench_csv_matches_recorded_bytes(tid):
     rows = run_bench_table(TABLES[tid], sizes=BENCH_DATA_SIZES[tid])
     text = "\n".join(bench_rows_csv(rows)) + "\n"
     assert text.encode("utf-8") == (BENCH_DATA / f"bench_table{tid}.csv").read_bytes()
+
+
+def test_solve_markdown_report_matches_recorded_bytes(tmp_path):
+    out = tmp_path / "report.md"
+    cli.main(["solve", "--dim", "2", "--coeff", "a7", "--n", "15", "--pre",
+              "gauss-seidel", "--post", "cg", "--cg-preconditioner", "diagonal",
+              "--rhs", "random", "--format", "markdown", "--output", str(out)])
+    assert out.read_bytes() == (BENCH_DATA / "solve_report_a7_n15.md").read_bytes()
+
+
+def test_bench_markdown_stdout_matches_recorded_bytes(capsys):
+    rc = cli.main(["bench", "--table", "5", "--sizes", "15,31", "--format", "markdown"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (BENCH_DATA / "bench_table5_n15_31.md").read_bytes()
+
+
+def test_column_gates_skip_runs_without_their_sizes():
+    t6 = TABLES[6]
+    pair = "richardson+cg"
+
+    def row(coeff, n, result, iterations_run):
+        return BenchRow(6, pair, coeff, n, result, t6.reference[(pair, coeff, n)],
+                        iterations_run, 0)
+
+    small = [row("a7", 15, 1, 1), row("a8", 15, 1, 1),
+             row("a7", 31, 1500, 1500), row("a8", 31, DAGGER, 961)]
+    messages = [msg for _, msg in evaluate_gates(t6, small)]
+    assert messages and not any("column" in msg for msg in messages)
+
+    with_63 = small + [row("a7", 63, DAGGER, 3969), row("a8", 63, 3000, 3000)]
+    columns = {msg: ok for ok, msg in evaluate_gates(t6, with_63) if "column" in msg}
+    assert columns == {
+        f"table 6 column [{pair} / a7] needs > 1000 iterations at n >= 63": True,
+        f"table 6 column [{pair} / a8] must not converge within N(n) at n >= 63": False,
+    }
 
 
 def test_bench_gate_evaluation_logic():
@@ -121,6 +166,13 @@ def test_bench_unknown_table():
     with pytest.raises(SystemExit) as exc:
         cli.main(["bench", "--table", "9"])
     assert exc.value.code == 2
+
+
+def test_bench_unknown_table_names_the_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--table", "9"])
+    assert exc.value.code == 2
+    assert "argument --table: unknown table id 9" in capsys.readouterr().err
 
 
 def test_verify_cli(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,19 @@ def test_assemble_rejects_non_finite_or_misshaped_samples(sizes, func, match):
     coeff = DiffusionCoefficient(func, name="spike")
     with pytest.raises(ValueError, match=f"^coefficient 'spike' .*{match}"):
         assemble(grid, coeff)
+
+
+@pytest.mark.parametrize("sizes, func", [
+    ((7,), lambda x: np.exp(x) + 1j),
+    ((5, 5), lambda x, y: (1.0 + 0j) * np.ones_like(x)),
+], ids=["1d", "2d-zero-imaginary"])
+def test_assemble_rejects_complex_coefficient(sizes, func):
+    grid = GridSpec(sizes, BoundaryCondition.PERIODIC)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        with pytest.raises(ValueError,
+                           match=r"^coefficient 'custom' is complex \(dtype complex128\)"):
+            assemble(grid, func)
 
 
 def test_piecewise_tie_break():

@@ -490,8 +490,10 @@ def test_coarsest_or_coarsenable_grid_does_not_warn(bc, sizes):
     ("tol", 0.0, r"^tol must be positive, got 0.0"),
     ("tol", -1e-7, r"^tol must be positive"),
     ("tol", np.nan, r"^tol must be positive, got nan"),
+    ("max_iter", 2.5, r"^max_iter must be an integer, got 2.5"),
+    ("max_iter", np.float64(3.0), r"^max_iter must be an integer"),
 ], ids=["b-short", "b-column", "b-complex", "x0-long", "x0-square", "x0-complex",
-        "tol-zero", "tol-negative", "tol-nan"])
+        "tol-zero", "tol-negative", "tol-nan", "max_iter-float", "max_iter-numpy-float"])
 def test_solve_rejects_bad_arguments(argument, value, message, monkeypatch):
     prob = make_problem((15, 15), "a2")
     H = build_hierarchy(prob, SolverConfig(method="mgm"))
@@ -499,6 +501,16 @@ def test_solve_rejects_bad_arguments(argument, value, message, monkeypatch):
     monkeypatch.setattr(wlmg.mgm, "vcycle", None)   # no cycle may start
     with pytest.raises(ValueError, match=message):
         solve(H, **kwargs)
+
+
+@pytest.mark.parametrize("max_iter", [np.int64(2), np.int32(2), np.uint8(2)])
+def test_solve_accepts_numpy_integer_max_iter(max_iter):
+    prob = make_problem((31, 31), "a2")
+    H = build_hierarchy(prob, SolverConfig(method="mgm"))
+    _, rep = solve(H, prob.rhs, tol=1e-14, max_iter=max_iter)
+    _, ref = solve(H, prob.rhs, tol=1e-14, max_iter=2)
+    assert (rep.iterations, rep.converged) == (2, False)
+    assert rep.residuals == ref.residuals
 
 
 def test_concurrent_solves_share_one_hierarchy():
