@@ -1,0 +1,102 @@
+"""Parent-versus-change comparison of the benchmark's end-to-end metrics.
+
+Runs ``perfbench/run.py --trace 0`` of two checkouts on every workload, one
+seed at a time, alternating which checkout goes first, and writes one JSON
+file with, per workload and metric, the median and quartiles of each side
+over the seeds, the per-seed values, the change's median over the parent's,
+and the share of seed pairs in which the change was better.  The
+environment record of the machine is stored beside them.
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --seeds 10 --seconds 20 --out BENCH_8.json
+
+Each run is a separate process, so the set-up memory figure is always a
+first set-up.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+WORKLOADS = ("dirichlet-a7-511-gs", "dirichlet-a7-63-rcg", "reflective-a2-128-gs")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.rstrip("\n").split("\n")[-1])
+
+
+def summary(values: list) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
+
+
+def environment(checkout: Path) -> dict:
+    """The benchmark's environment record, with the BLAS thread count that
+    ``run.py`` sets."""
+    code = ("import json, sys; sys.path.insert(0, 'perfbench'); "
+            "from environment import environment; print(json.dumps(environment()))")
+    out = subprocess.run([sys.executable, "-c", code], cwd=checkout,
+                         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--seeds", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--workloads", default=",".join(WORKLOADS))
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    results = {}
+    for name in args.workloads.split(","):
+        runs = {"parent": [], "change": []}
+        for seed in range(1, args.seeds + 1):
+            order = ("parent", "change") if seed % 2 else ("change", "parent")
+            for side in order:
+                runs[side].append(run_once(sides[side], name, seed, args.seconds))
+                print(f"{name} seed {seed} {side} done", file=sys.stderr)
+        metrics = {}
+        for metric, entry in runs["parent"][0]["metrics"].items():
+            values = {side: [r["metrics"][metric]["value"] for r in runs[side]]
+                      for side in runs}
+            better = sum(c < p for p, c in zip(values["parent"], values["change"]))
+            metrics[metric] = {
+                "unit": entry["unit"],
+                "parent": summary(values["parent"]),
+                "change": summary(values["change"]),
+                "ratio_of_medians": (statistics.median(values["change"])
+                                     / statistics.median(values["parent"])),
+                "pairs_change_lower": f"{better} of {len(values['parent'])}",
+            }
+        results[name] = {
+            "failed": {side: sum(r["failed"] for r in runs[side]) for side in runs},
+            "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in runs},
+            "metrics": metrics,
+        }
+    record = {
+        "command": "perfbench/run.py --workload <w> --seed <s> --seconds "
+                   f"{args.seconds:g} --trace 0",
+        "seeds": list(range(1, args.seeds + 1)),
+        "order": "odd seeds run the parent first, even seeds the change first",
+        "environment": environment(sides["change"]),
+        "workloads": results,
+    }
+    args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()

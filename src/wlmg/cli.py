@@ -273,12 +273,14 @@ def run_bench(args: argparse.Namespace) -> int:
     if outdir:
         outdir.mkdir(parents=True, exist_ok=True)
     failures = 0
+    ran = False
     for tid in args.table:
         table = TABLES[tid]
         sizes = [n for n in args.sizes if n in table.sizes] if args.sizes else None
         if args.sizes and not sizes:
             print(f"table {tid}: none of the requested sizes apply, skipping")
             continue
+        ran = True
         rows = run_bench_table(table, sizes=sizes, seed=args.seed,
                                progress=lambda msg: print(msg, file=sys.stderr))
         gates = evaluate_gates(table, rows)
@@ -298,6 +300,13 @@ def run_bench(args: argparse.Namespace) -> int:
         for ok, msg in gates:
             print(("PASS " if ok else "FAIL ") + msg)
             failures += 0 if ok else 1
+    if not ran:
+        def join(values):
+            return ",".join(map(str, values))
+        sizes = sorted({n for tid in args.table for n in TABLES[tid].sizes})
+        tables = "table" if len(args.table) == 1 else "tables"
+        raise ValueError(f"argument --sizes: {join(args.sizes)} selects no cell of "
+                         f"{tables} {join(args.table)}, whose sizes are {join(sizes)}")
     return 0 if failures == 0 else 1
 
 

@@ -158,88 +158,104 @@ def _sample(coeff: DiffusionCoefficient, *coords) -> np.ndarray:
     return c
 
 
-def _edge_groups(grid: GridSpec, coeff: DiffusionCoefficient):
-    """Conservative-stencil edges per sweep direction.
+def _edge_samples(grid: GridSpec, coeff: DiffusionCoefficient) -> list:
+    """Midpoint coefficient samples of the conservative-stencil edges.
 
-    Returns a list of ``(u, v, c)`` arrays of flat endpoint indices and the
-    midpoint coefficient sample of each edge; ``-1`` marks a Dirichlet
-    boundary endpoint (the edge then contributes to the diagonal only).
+    One array per sweep direction ``r``, edges along axis 0 (then the nodes
+    of the other direction in 2-D).  Along ``r`` a Dirichlet grid has
+    ``n + 1`` edges, edge ``k`` joining nodes ``k - 1`` and ``k``, the first
+    and the last one a node and the boundary; a periodic grid has ``n``,
+    edge ``k`` joining nodes ``k`` and ``k + 1 mod n``; a reflective grid has
+    ``n - 1``, edge ``k`` joining nodes ``k`` and ``k + 1`` (no flux through
+    the boundary).
     """
     nodes = [grid.nodes(r) for r in range(grid.dim)]
-    flat = np.arange(grid.n_total).reshape(grid.sizes)
-    groups = []
+    samples = []
     for r in range(grid.dim):
-        n = grid.sizes[r]
-        h = grid.spacing(r)
-        x = nodes[r]
+        h, x = grid.spacing(r), nodes[r]
         if grid.bc is BoundaryCondition.DIRICHLET:
             mids = np.concatenate([[x[0] - h / 2], x + h / 2])
-            left = np.arange(-1, n)
-            right = np.concatenate([np.arange(n), [-1]])
         elif grid.bc is BoundaryCondition.PERIODIC:
             mids = x + h / 2
-            left = np.arange(n)
-            right = (np.arange(n) + 1) % n
-        else:  # reflective: zero flux through the boundary, no boundary edges
+        else:
             mids = x[:-1] + h / 2
-            left = np.arange(n - 1)
-            right = np.arange(1, n)
-
         if grid.dim == 1:
-            groups.append((left, right, _sample(coeff, mids)))
+            samples.append(_sample(coeff, mids))
             continue
+        E, O = np.meshgrid(mids, nodes[1 - r], indexing="ij")   # (n_edges, n_other)
+        samples.append(_sample(coeff, E, O) if r == 0 else _sample(coeff, O, E))
+    return samples
 
-        other = 1 - r
-        y = nodes[other]
-        E, O = np.meshgrid(mids, y, indexing="ij")   # (n_edges, n_other)
-        c = _sample(coeff, E, O) if r == 0 else _sample(coeff, O, E)
 
-        def endpoints(idx):
-            g = np.take(flat, np.maximum(idx, 0), axis=r)
-            if r == 1:
-                g = g.T
-            g = np.ascontiguousarray(g)
-            g[idx < 0, :] = -1
-            return g.ravel()
-
-        groups.append((endpoints(left), endpoints(right), c.ravel()))
-    return groups
+def _stencil_bands(grid: GridSpec, samples: list) -> dict:
+    """The conservative stencil by diagonals: ``{o: band}`` with ``band``
+    holding ``A[i, i + o]`` at each node ``i``, 0 where the stencil has no
+    entry."""
+    dirichlet = grid.bc is BoundaryCondition.DIRICHLET
+    periodic = grid.bc is BoundaryCondition.PERIODIC
+    diag = np.zeros(grid.sizes)
+    bands = {0: diag}
+    for r, c in enumerate(samples):
+        n, stride = grid.sizes[r], math.prod(grid.sizes[r + 1:])
+        # each node's edge to its right and from its left neighbour along r,
+        # 0 where it has none; R, L, D view the arrays with r as axis 0
+        right, left = np.zeros(grid.sizes), np.zeros(grid.sizes)
+        R, L, D = (np.moveaxis(a, r, 0) for a in (right, left, diag))
+        if dirichlet:
+            R[:-1], L[1:] = c[1:-1], c[1:-1]
+        elif periodic:
+            R[:], L[1:], L[0] = c, c[:-1], c[-1]
+        else:
+            R[:-1], L[1:] = c, c
+        # a node's diagonal adds its right edge, its left edge, then its
+        # Dirichlet boundary edge: the order in which the COO oracle's
+        # triples sum, so that the 2-D sums round alike, bit for bit
+        D += R
+        D += L
+        if dirichlet:
+            D[0] += c[0]
+            D[-1] += c[-1]
+        for offset, band, end in ((stride, right, -1), (-stride, left, 0)):
+            np.negative(band, out=band)
+            if periodic:    # the last node's right and the first node's left edge wrap
+                wrap = np.zeros(grid.sizes)
+                np.moveaxis(wrap, r, 0)[end] = np.moveaxis(band, r, 0)[end]
+                np.moveaxis(band, r, 0)[end] = 0.0
+                bands[-offset * (n - 1)] = wrap
+            bands[offset] = band
+    return bands
 
 
 def assemble(grid: GridSpec, coeff) -> sp.csr_array:
     """Assemble the h^2-scaled stiffness matrix of -div(a grad u).
 
-    Raises ``ValueError`` naming the coefficient if a sample is NaN, inf or
-    not positive, or if a callable returns a shape other than its points'.
+    The (2d+1)-point stencil is built band by band, and the CSR arrays are
+    read off the bands in ascending offset order.  Raises ``ValueError``
+    naming the coefficient if a sample is NaN, inf or not positive, or if a
+    callable returns a shape other than its points'.
     """
     coeff = make_coefficient(coeff, grid.dim)
-    groups = _edge_groups(grid, coeff)
-    if any(np.any(c <= 0.0) for _, _, c in groups):
+    samples = _edge_samples(grid, coeff)
+    if any(np.any(c <= 0.0) for c in samples):
         raise ValueError("diffusion coefficient must be positive at all sample points")
-    rows, cols, vals = [], [], []
-    for u, v, c in groups:
-        both = (u >= 0) & (v >= 0)
-        ub, vb, cb = u[both], v[both], c[both]
-        rows += [ub, vb, ub, vb]
-        cols += [ub, vb, vb, ub]
-        vals += [cb, cb, -cb, -cb]
-        bd = (u >= 0) & (v < 0)
-        rows.append(u[bd]); cols.append(u[bd]); vals.append(c[bd])
-        bd = (v >= 0) & (u < 0)
-        rows.append(v[bd]); cols.append(v[bd]); vals.append(c[bd])
+    bands = _stencil_bands(grid, samples)
     N = grid.n_total
-    A = sp.coo_array((np.concatenate(vals),
-                      (np.concatenate(rows), np.concatenate(cols))),
-                     shape=(N, N)).tocsr()
-    A.sum_duplicates()
-    A.sort_indices()
-    return A
+    offsets = sorted(bands)
+    index = np.int32 if N * len(offsets) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(N + 1, dtype=index)
+    np.cumsum(sum(band.ravel() != 0.0 for band in bands.values()), out=indptr[1:])
+    values = np.stack([bands.pop(o).ravel() for o in offsets], axis=1)    # (N, bands)
+    stored = values != 0.0      # every sample is positive: exactly the stencil's entries
+    data = values[stored]
+    del values
+    indices = (np.arange(N, dtype=index)[:, None] + np.asarray(offsets, dtype=index))[stored]
+    return sp.csr_array((data, indices, indptr), shape=(N, N))
 
 
 def coefficient_samples(grid: GridSpec, coeff) -> np.ndarray:
     """All midpoint coefficient samples used by ``assemble``."""
     coeff = make_coefficient(coeff, grid.dim)
-    return np.concatenate([c for _, _, c in _edge_groups(grid, coeff)])
+    return np.concatenate([c.ravel() for c in _edge_samples(grid, coeff)])
 
 
 @dataclass
@@ -249,13 +265,17 @@ class AssembledProblem:
     The full (solved) operator is ``a_min * S + R``, ``S`` the matrix of
     ``structured``; for periodic/reflective grids ``structured`` carries the
     Strang rank-one term, so the full operator is symmetric positive
-    definite.
+    definite.  ``matrix`` is the assembled ``A`` itself, which equals
+    ``a_min * S + R`` without the rank-one term up to the rounding of ``R``;
+    the finest level of a hierarchy multiplies by it.  ``split`` builds
+    every instance.
     """
 
     grid: GridSpec
     a_min: float
     structured: StructuredOperator
     correction: sp.csr_array
+    matrix: sp.csr_array
     rhs: np.ndarray | None = None
     coefficient: DiffusionCoefficient | None = None
 
@@ -268,8 +288,15 @@ def laplace_symbol(dim: int) -> TensorSymbol:
 
 
 def split(A: sp.csr_array, grid: GridSpec, coeff) -> AssembledProblem:
-    """Split ``A = a_min * M(2-2cos per dim) + R`` with ``R`` sparse and PSD."""
+    """Split ``A = a_min * M(2-2cos per dim) + R`` with ``R`` sparse and PSD.
+
+    The problem keeps ``A`` itself (as a canonical CSR array; ``assemble``
+    returns one) rather than a copy.
+    """
     coeff = make_coefficient(coeff, grid.dim)
+    if not isinstance(A, sp.csr_array) or not A.has_canonical_format:
+        A = sp.csr_array(A, copy=True)
+        A.sum_duplicates()
     a_min = float(coefficient_samples(grid, coeff).min())
     kind = algebra_for_bc(grid.bc)
     base = StructuredOperator(kind, grid.sizes, laplace_symbol(grid.dim))
@@ -277,7 +304,7 @@ def split(A: sp.csr_array, grid: GridSpec, coeff) -> AssembledProblem:
     R.sort_indices()
     structured = base if kind is AlgebraKind.TAU else base.strang_correct()
     return AssembledProblem(grid=grid, a_min=a_min, structured=structured,
-                            correction=R, coefficient=coeff)
+                            correction=R, matrix=A, coefficient=coeff)
 
 
 def build_rhs(grid: GridSpec, mode="ones", seed: int | None = None,

@@ -1,11 +1,13 @@
 """Two-grid and V-cycle engines over the structured-plus-correction splitting.
 
 ``build_hierarchy`` runs the pre-computing phase once: per-level structured
-symbols (by folding), sparse corrections (by sparse triple products),
-smoothing parameters, Gauss-Seidel triangular factors, and the coarsest
-direct solver.  ``LevelHierarchy`` then resolves, once per level, which
-smoother each slot runs with which damping and diagonal, and the nominal
-operation count of each phase of a cycle (``costs``, ``cycle_cost``).
+symbols (by folding), sparse corrections (by sparse triple products, each
+dropped once the next level's exists), smoothing parameters, Gauss-Seidel
+triangular factors, and the coarsest direct solver.  The finest level
+multiplies by the assembled matrix that ``split`` kept.  ``LevelHierarchy``
+then resolves, once per level, which smoother each slot runs with which
+damping and diagonal, and the nominal operation count of each phase of a
+cycle (``costs``, ``cycle_cost``).
 Hierarchies are immutable afterwards, apart from the ``p^T`` each projector
 caches on its first ``restrict`` (concurrent first solves may each build
 it; they build the same matrix).  Every solve owns its iterate, residual
@@ -132,11 +134,17 @@ def _by_diagonals(A: sp.csr_array) -> tuple:
 
 
 class _Level:
-    """Per-level data produced in the pre-computing phase."""
+    """Per-level data produced in the pre-computing phase.
 
-    def __init__(self, structured: StructuredOperator, correction: sp.csr_array):
+    ``correction`` is read here only.  ``combined``, the level matrix
+    without its rank-one term, is summed from the structured part and the
+    correction unless the caller has it: the finest level is given the
+    assembled ``A``.
+    """
+
+    def __init__(self, structured: StructuredOperator, correction: sp.csr_array,
+                 combined: sp.csr_array | None = None):
         self.structured = structured
-        self.correction = correction
         self.sizes = structured.sizes
         self.n = structured.n_total
         self.gamma = structured.rank_one
@@ -146,8 +154,10 @@ class _Level:
         self.omega_pre, self.omega_post = compute_omegas(float(d.max()))
         self.dinv = 1.0 / d
         self.omega_pre_scaled, self.omega_post_scaled = compute_omegas(1.0)
-        combined = sp.csr_array(structured.to_sparse() + correction)
-        combined.sort_indices()
+        if combined is None:
+            # the copy drops the sum's buffers, sized for both patterns
+            combined = sp.csr_array(structured.to_sparse() + correction).copy()
+            combined.sort_indices()
         self.combined = combined
         self.operator, self._n_upper = _by_diagonals(combined)
         # the diagonal of A itself preconditions the CG step
@@ -204,7 +214,10 @@ class _Level:
             if zero.size:
                 raise ZeroDivisionError(
                     f"Gauss-Seidel pivot of row {zero[0]} is zero (diagonal of A + rho e e^T)")
-            lu = spla.splu(lower, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+            # a triangle in its own order has no fill; relaxed supernodes and
+            # panels would only pad the factor with zeros
+            lu = spla.splu(lower, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                           relax=1, panel_size=1)
             self._gs = ("triangular", lu, upper, lu.L.nnz + lu.U.nnz, tril_a)
         return self._gs
 
@@ -361,13 +374,14 @@ def build_hierarchy(problem: AssembledProblem, config: SolverConfig | None = Non
     scaled = StructuredOperator(
         base.kind, base.sizes, base.symbol.scaled(problem.a_min),
         rank_one=None if base.rank_one is None else problem.a_min * base.rank_one)
-    levels = [_Level(scaled, sp.csr_array(problem.correction))]
+    correction = problem.correction
+    levels = [_Level(scaled, correction, combined=problem.matrix)]
     for fine_sizes in chain[:-1]:
         proj = Projector(base.kind, fine_sizes)
         levels[-1].projector = proj
         coarse_struct = coarsen_structured(levels[-1].structured, proj)
-        coarse_R = galerkin_sparse(levels[-1].correction, proj)
-        levels.append(_Level(coarse_struct, coarse_R))
+        correction = galerkin_sparse(correction, proj)
+        levels.append(_Level(coarse_struct, correction))
     return LevelHierarchy(levels, config)
 
 

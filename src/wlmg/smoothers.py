@@ -31,15 +31,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["richardson", "cg_steps", "compute_omegas", "infinity_norm",
-           "splitting_diagonal"]
-
-
-def infinity_norm(A: sp.csr_array) -> float:
-    """Max absolute row sum of a sparse matrix."""
-    if A.nnz == 0:
-        return 0.0
-    return float(abs(A).sum(axis=1).max())
+__all__ = ["richardson", "cg_steps", "compute_omegas", "splitting_diagonal"]
 
 
 def splitting_diagonal(symbol_sup: float, R: sp.csr_array) -> np.ndarray:

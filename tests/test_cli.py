@@ -175,6 +175,24 @@ def test_bench_unknown_table_names_the_option(capsys):
     assert "argument --table: unknown table id 9" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tables, sizes, message", [
+    ("1", "30", "argument --sizes: 30 selects no cell of table 1, "
+                "whose sizes are 31,63,127,255,511"),
+    ("4,5", "1,2", "argument --sizes: 1,2 selects no cell of tables 4,5, whose sizes are "),
+], ids=["one-table", "two-tables"])
+def test_bench_sizes_selecting_no_cell_is_an_error(tables, sizes, message, capsys):
+    """A size list that matches no size of any requested table fails (exit 2)
+    naming --sizes, after the per-table skip lines."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--table", tables, "--sizes", sizes])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    skipped = [f"table {t}: none of the requested sizes apply, skipping"
+               for t in tables.split(",")]
+    assert captured.out.splitlines() == skipped
+
+
 def test_verify_cli(tmp_path):
     out = tmp_path / "theory.csv"
     rc = cli.main(["verify", "--coeffs", "a1,a2", "--sizes", "7,15",

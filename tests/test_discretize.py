@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from wlmg.discretize import (BoundaryCondition, DiffusionCoefficient, GridSpec,
                              algebra_for_bc, assemble, build_rhs, make_coefficient,
@@ -9,15 +10,15 @@ from wlmg.discretize import (BoundaryCondition, DiffusionCoefficient, GridSpec,
 from wlmg.structured import StructuredOperator
 from wlmg.symbols import CosineSymbol, TensorSymbol
 
+from oracles import edge_groups, infinity_norm
+
 BCS = list(BoundaryCondition)
 
 
 def quadratic_form_oracle(grid, coeff, u):
     """Independent energy: sum of a_mid (u_i - u_j)^2 over stencil edges."""
-    from wlmg.discretize import _edge_groups
-    coeff = make_coefficient(coeff, grid.dim)
     total = 0.0
-    for a, b, c in _edge_groups(grid, coeff):
+    for a, b, c in edge_groups(grid, coeff):
         for ai, bi, ci in zip(a, b, c):
             ua = u[ai] if ai >= 0 else 0.0
             ub = u[bi] if bi >= 0 else 0.0
@@ -95,6 +96,20 @@ def test_split_reconstruction_exact():
         assert np.abs(recon - A.toarray()).max() <= 1e-13
 
 
+def test_split_keeps_a_canonical_csr_array():
+    """``split`` keeps an assembled ``A`` itself; any other sparse form is
+    copied to a canonical CSR array with the same splitting."""
+    grid = GridSpec((7, 7), BoundaryCondition.DIRICHLET)
+    A = assemble(grid, "a7")
+    prob = split(A, grid, "a7")
+    assert prob.matrix is A
+    for other in (sp.csr_matrix(A), sp.coo_array(A)):
+        got = split(other, grid, "a7")
+        assert isinstance(got.matrix, sp.csr_array) and got.matrix.has_canonical_format
+        assert np.array_equal(got.matrix.toarray(), A.toarray())
+        assert np.array_equal(got.correction.toarray(), prob.correction.toarray())
+
+
 def test_split_full_operator_spd():
     for bc in BCS:
         sizes = (16,) if bc is not BoundaryCondition.DIRICHLET else (15,)
@@ -121,7 +136,6 @@ def test_infnorm_oracle_a7():
     prob = split(assemble(grid, "a7"), grid, "a7")
     R = prob.correction
     want = np.abs(R.toarray()).sum(axis=1).max()
-    from wlmg.smoothers import infinity_norm
     assert infinity_norm(R) == pytest.approx(want)
 
 

@@ -555,6 +555,24 @@ def test_concurrent_solves_share_one_hierarchy():
                 assert rp.operations == rs.operations
 
 
+@pytest.mark.parametrize("bc, sizes", [(D, (31, 31)), (BoundaryCondition.PERIODIC, (32,)),
+                                      (BoundaryCondition.REFLECTIVE, (32, 32))],
+                         ids=["dirichlet", "periodic", "reflective"])
+def test_hierarchy_shares_a_and_keeps_no_correction(bc, sizes):
+    """Level 0 multiplies by the assembled matrix that ``split`` received, and
+    no level holds a sparse correction once the hierarchy is built."""
+    grid = GridSpec(sizes, bc)
+    A = assemble(grid, "a7" if len(sizes) == 2 else "a3")
+    prob = split(A, grid, "a7" if len(sizes) == 2 else "a3")
+    assert prob.matrix is A
+    H = build_hierarchy(prob, SolverConfig(method="mgm", pre="gauss-seidel"))
+    assert H.n_levels >= 2
+    assert H.levels[0].combined is A
+    for lev in H.levels:
+        assert getattr(lev, "correction", None) is None
+        assert not any(value is prob.correction for value in vars(lev).values())
+
+
 def held_arrays(H) -> dict:
     """Bytes of every array the levels and projectors of ``H`` hold."""
     out = {}

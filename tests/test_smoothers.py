@@ -178,6 +178,25 @@ def test_rank_one_gs_step_matches_sweep(bc, sizes, coeff):
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("sizes,coeff", [((63,), "a2"), ((63,), jump_1d), ((31, 31), "a2"),
+                                         ((31, 31), "a7"), ((31, 31), "a8")],
+                         ids=["1d-a2", "1d-jump1000", "2d-a2", "2d-a7", "2d-a8"])
+def test_dirichlet_gs_step_matches_sweep(sizes, coeff):
+    """Without a rank-one term the factored step is the sweep on A on every
+    level that smooths, within the tolerance of the rank-one levels."""
+    H = gs_hierarchy(BoundaryCondition.DIRICHLET, sizes, coeff)
+    rng = np.random.default_rng(15)
+    assert H.n_levels >= 2
+    for lev in H.levels[:-1]:
+        assert lev.gamma is None
+        for shift in (0.0, 5.0):
+            x = rng.standard_normal(lev.n) + shift
+            b = rng.standard_normal(lev.n)
+            ref = gauss_seidel(lev.combined, x, b)
+            got = lev.gauss_seidel_step(x, b)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 @pytest.mark.parametrize("bc", RANK_ONE, ids=lambda bc: bc.value)
 @pytest.mark.parametrize("sizes", [(64,), (16, 16)], ids=["1d", "2d"])
 def test_rank_one_gs_energy_norm_monotone(bc, sizes):
