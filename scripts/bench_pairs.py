@@ -8,7 +8,11 @@ and the share of seed pairs in which the change was better.  The
 environment record of the machine is stored beside them.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --seeds 10 --seconds 20 --out BENCH_8.json
+        --seeds 10 --first-seed 11 --seconds 20 --out BENCH_9.json
+
+``--first-seed`` (default 1) starts the seed range, so a comparison can
+run on seeds that were not used while the change was written; the file
+records the range.
 
 Each run is a separate process, so the set-up memory figure is always a
 first set-up.
@@ -55,17 +59,19 @@ def main(argv=None):
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--seeds", type=int, default=10)
+    parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    seeds = range(args.first_seed, args.first_seed + args.seeds)
     results = {}
     for name in args.workloads.split(","):
         runs = {"parent": [], "change": []}
-        for seed in range(1, args.seeds + 1):
-            order = ("parent", "change") if seed % 2 else ("change", "parent")
+        for k, seed in enumerate(seeds):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
                 runs[side].append(run_once(sides[side], name, seed, args.seconds))
                 print(f"{name} seed {seed} {side} done", file=sys.stderr)
@@ -90,8 +96,10 @@ def main(argv=None):
     record = {
         "command": "perfbench/run.py --workload <w> --seed <s> --seconds "
                    f"{args.seconds:g} --trace 0",
-        "seeds": list(range(1, args.seeds + 1)),
-        "order": "odd seeds run the parent first, even seeds the change first",
+        "seeds": list(seeds),
+        "seed_range": [seeds[0], seeds[-1]],
+        "order": "the first, third, ... seed runs the parent first, the others "
+                 "the change first",
         "environment": environment(sides["change"]),
         "workloads": results,
     }

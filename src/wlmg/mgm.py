@@ -30,6 +30,13 @@ factor of ``tril(A)``.  With the uniform rank-one term of the periodic and
 reflective levels, ``A + (gamma/N) e e^T``, it is the factor of the
 first-differenced triangle ``(I - S) tril(A) + (gamma/N) I``, followed by
 one refinement step; there is no per-row loop.
+
+The cycle makes no level product whose result it already knows.  Coarse
+levels start from the zero iterate, passed as ``x=None``, so the first
+smoothing step takes ``b`` as its residual; the outer iteration hands its
+stop-test residual ``r = b - A x`` to the next cycle, whose Richardson or
+CG pre-smoother consumes it.  Both leave every result bit-identical to the
+cycle that recomputes them.  The nominal costs still count these products.
 """
 
 from __future__ import annotations
@@ -218,11 +225,14 @@ class _Level:
             # panels would only pad the factor with zeros
             lu = spla.splu(lower, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                            relax=1, panel_size=1)
-            self._gs = ("triangular", lu, upper, lu.L.nnz + lu.U.nnz, tril_a)
+            # L is the triangle scaled to a unit diagonal and U its diagonal,
+            # so the factor holds nnz + n entries; lu.L and lu.U would copy it
+            self._gs = ("triangular", lu, upper, lower.nnz + self.n, tril_a)
         return self._gs
 
     def gauss_seidel_step(self, x, b):
-        """One forward Gauss-Seidel sweep on ``A + rho e e^T``.
+        """One forward Gauss-Seidel sweep on ``A + rho e e^T``; ``x=None`` is
+        the zero iterate, whose right-hand side is ``b`` itself.
 
         The sweep solves ``(tril(A) + rho C) x+ = r`` with
         ``r = b - triu(A, 1) x - rho s`` and ``s_i = sum_{j > i} x_j``.  On a
@@ -234,12 +244,16 @@ class _Level:
         off the sweep to 2e-16.
         """
         _, lu, upper, _, tril_a = self._ensure_gs()
-        rhs = upper @ x
-        np.subtract(b, rhs, out=rhs)
+        if x is None:
+            rhs = b.copy()
+        else:
+            rhs = upper @ x
+            np.subtract(b, rhs, out=rhs)
         if tril_a is None:
             return lu.solve(rhs)
         rho = self.gamma / self.n
-        rhs -= rho * (x.sum() - np.cumsum(x))
+        if x is not None:
+            rhs -= rho * (x.sum() - np.cumsum(x))
         y = lu.solve(np.diff(rhs, prepend=0.0))
         rhs -= tril_a @ y + rho * np.cumsum(y)
         y += lu.solve(np.diff(rhs, prepend=0.0))
@@ -273,7 +287,9 @@ class LevelHierarchy:
     plus the outer residual.  A level product counts two per stored entry
     of the CSR form (not the padding of the diagonals), plus 3N for a
     rank-one term; the factored solves count their factor entries, which
-    factors them here, and a transfer 8 per fine unknown.
+    factors them here, and a transfer 8 per fine unknown.  The table is
+    nominal: it counts every step's products, also those the cycle skips
+    on a zero iterate or a residual it already has.
     """
 
     def __init__(self, levels, config: SolverConfig):
@@ -308,28 +324,32 @@ class LevelHierarchy:
 
 
 def _smoothing(lev: _Level, cfg: SolverConfig, pre: bool, matvec: int):
-    """The pre- (or post-) smoothing step of ``lev`` as ``step(x, b)``, and
-    its nominal cost given that of one level product, ``matvec``.
+    """The pre- (or post-) smoothing step of ``lev`` as ``step(x, b, r)``,
+    and its nominal cost given that of one level product, ``matvec``.
 
-    Kind, damping and diagonal are fixed here; the smoothing functions and
-    ``lev.matvec`` are looked up by name on every call.
+    ``x=None`` is the zero iterate and ``r``, if not None, is ``b - A x``,
+    which Richardson and CG consume instead of recomputing it; Gauss-Seidel
+    needs ``b - triu(A, 1) x`` and ignores it.  The cost still counts the
+    products these skip: it is a nominal figure per step.  Kind, damping
+    and diagonal are fixed here; the smoothing functions and ``lev.matvec``
+    are looked up by name on every call.
     """
     name, n = (cfg.pre if pre else cfg.post), lev.n
     if name == "gauss-seidel":
         factor_nnz = lev._ensure_gs()[3]
         cost = (2 * lev._n_upper + 2 * factor_nnz + n if lev.gamma is None
                 else 2 * lev.combined.nnz + 4 * factor_nnz + 12 * n)
-        return (lambda x, b: lev.gauss_seidel_step(x, b)), cost
+        return (lambda x, b, r: lev.gauss_seidel_step(x, b)), cost
     if name == "cg":
         dinv = lev.jacobi_inv if cfg.cg_preconditioner == "diagonal" else None
         cost = 2 * matvec + (10 if dinv is None else 12) * n
-        return (lambda x, b: cg_steps(lev.matvec, x, b, dinv=dinv)), cost
+        return (lambda x, b, r: cg_steps(lev.matvec, x, b, dinv=dinv, r=r)), cost
     if cfg.richardson_scaling == "diagonal":
         omega, dinv = (lev.omega_pre_scaled if pre else lev.omega_post_scaled), lev.dinv
     else:
         omega, dinv = (lev.omega_pre if pre else lev.omega_post), None
     cost = matvec + (3 if dinv is None else 4) * n
-    return (lambda x, b: richardson(lev.matvec, x, b, omega, dinv=dinv)), cost
+    return (lambda x, b, r: richardson(lev.matvec, x, b, omega, dinv=dinv, r=r)), cost
 
 
 def _size_chain(kind: AlgebraKind, sizes, method: str):
@@ -385,20 +405,28 @@ def build_hierarchy(problem: AssembledProblem, config: SolverConfig | None = Non
     return LevelHierarchy(levels, config)
 
 
-def vcycle(H: LevelHierarchy, s: int, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One cycle of the recursive scheme starting at level ``s``."""
+def vcycle(H: LevelHierarchy, s: int, x: np.ndarray | None, b: np.ndarray,
+           r: np.ndarray | None = None) -> np.ndarray:
+    """One cycle of the recursive scheme starting at level ``s``.
+
+    ``x=None`` is the zero iterate, with which every coarse level starts.
+    ``r``, if given, is ``b - A x`` (the outer iteration's stop-test
+    residual); the pre-smoother consumes it.  Either saves the
+    pre-smoother's product with ``A``, and the result is the same bit for
+    bit.  ``x`` and ``b`` are not modified.
+    """
     lev = H.levels[s]
     if s == H.depth:
         return lev.direct_solve(b)
     pre, post = H.smoothers[s]
-    x = pre(x, b)
+    x = pre(x, b, r)
     r = lev.matvec(x)
     np.subtract(b, r, out=r)
     r_coarse = lev.projector.restrict(r)
-    y_coarse = vcycle(H, s + 1, np.zeros(H.levels[s + 1].n), r_coarse)
+    y_coarse = vcycle(H, s + 1, None, r_coarse)
     e = lev.projector.prolong(y_coarse)
     e += x
-    return post(e, b)
+    return post(e, b, None)
 
 
 def tgm_iterate(H: LevelHierarchy, x: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -420,10 +448,12 @@ def _real_vector(v, n: int, name: str) -> np.ndarray:
 
 def solve(H: LevelHierarchy, b: np.ndarray, tol: float = 1e-7,
           max_iter: int | None = None, x0: np.ndarray | None = None):
-    """Outer iteration from the zero initial guess until the relative
+    """Outer iteration from ``x0`` (default zero) until the relative
     Euclidean residual drops below ``tol``; returns ``(x, SolveReport)``.
 
-    Raises ``ValueError`` before the first cycle if ``b`` or ``x0`` is not a
+    The residual of the stop test seeds the next cycle's pre-smoother.  A
+    non-finite relative residual ends the run at once, with
+    ``converged=False`` and that residual last in the history.  Raises ``ValueError`` before the first cycle if ``b`` or ``x0`` is not a
     real vector of the finest level's length or holds a NaN or an infinity,
     if ``tol`` is not positive, or if ``max_iter`` is not an integer >= 1.
     """
@@ -437,9 +467,8 @@ def solve(H: LevelHierarchy, b: np.ndarray, tol: float = 1e-7,
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     b = _real_vector(b, n, "b")
-    if x0 is None:
-        x = np.zeros(n)
-    else:
+    x = None
+    if x0 is not None:
         x = np.array(_real_vector(x0, n, "x0"))
         if not np.isfinite(x).all():
             raise ValueError("x0 holds a NaN or inf")
@@ -448,19 +477,23 @@ def solve(H: LevelHierarchy, b: np.ndarray, tol: float = 1e-7,
     if not np.isfinite(bnorm):
         raise ValueError(f"b holds a NaN or inf, or its norm overflows (norm {bnorm})")
     if bnorm == 0.0:
-        return x, SolveReport(0, [], True, 0, time.perf_counter() - t0)
+        return (np.zeros(n) if x is None else x), SolveReport(
+            0, [], True, 0, time.perf_counter() - t0)
     finest = H.levels[0]
     residuals = []
     converged = False
     it = 0
+    r = None
     for it in range(1, max_iter + 1):
-        x = vcycle(H, 0, x, b)
+        x = vcycle(H, 0, x, b, r)
         r = finest.matvec(x)
         np.subtract(b, r, out=r)
         relres = float(np.linalg.norm(r)) / bnorm
         residuals.append(relres)
         if relres < tol:
             converged = True
+            break
+        if not np.isfinite(relres):
             break
     return x, SolveReport(it, residuals, converged, it * H.cycle_cost,
                           time.perf_counter() - t0)

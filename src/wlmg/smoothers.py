@@ -18,12 +18,21 @@ with the same c = 2 (pre) and c = 1 (post).  Both are computed per level
 from that level's (scaled) structured symbol and sparse correction, which
 keeps the damped spectrum at most ``c`` level-wise.
 
-All smoothing calls are pure: they return a new iterate and never mutate
-their inputs, so repeated calls with identical inputs are bit-identical.
-Inside a call, arrays the call allocated itself are updated in place, in
-the same order of operations as the textbook formulas.  ``matvec`` is any
-product with ``A``; on the solve path it is the level operator stored by
-diagonals.
+Both steps skip the level products whose results the caller already
+knows.  ``x=None`` stands for the zero iterate, whose residual is ``b``
+itself: it is the start of every coarse level of a V-cycle.  ``r``, when
+given, is ``b - A x``, as the outer iteration has it from its stop test;
+the step then consumes it (updates it in place and may return it) instead
+of recomputing it.  The result equals the one from ``x = 0`` or from
+``r = None`` bit for bit: ``b - A 0`` is ``b`` exactly, and a given ``r``
+is the same product the step would make.
+
+Apart from a given ``r``, smoothing calls are pure: they return a new
+iterate and never mutate ``x`` or ``b``, so repeated calls with identical
+inputs are bit-identical.  Inside a call, arrays the call allocated itself
+are updated in place, in the same order of operations as the textbook
+formulas.  ``matvec`` is any product with ``A``; on the solve path it is
+the level operator stored by diagonals.
 """
 
 from __future__ import annotations
@@ -49,35 +58,44 @@ def compute_omegas(bound: float) -> tuple:
     return 2.0 / bound, 1.0 / bound
 
 
-def richardson(matvec, x: np.ndarray, b: np.ndarray, omega: float,
-               dinv: np.ndarray | None = None) -> np.ndarray:
+def richardson(matvec, x: np.ndarray | None, b: np.ndarray, omega: float,
+               dinv: np.ndarray | None = None, r: np.ndarray | None = None
+               ) -> np.ndarray:
     """One damped Richardson step ``x + omega (b - A x)``.
 
     With ``dinv`` the residual is scaled entrywise first (relaxed-Jacobi
-    form ``x + omega D^{-1} (b - A x)``).
+    form ``x + omega D^{-1} (b - A x)``).  ``x=None`` is the zero iterate
+    and a given ``r = b - A x`` is consumed (see the module docstring); each
+    saves the product with ``A``.
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
-    r = b - matvec(x)
+    if r is None:
+        r = b.copy() if x is None else b - matvec(x)
     if dinv is not None:
         r *= dinv
     r *= omega
-    r += x
+    if x is not None:
+        r += x
     return r
 
 
-def cg_steps(matvec, x: np.ndarray, b: np.ndarray,
-             dinv: np.ndarray | None = None) -> np.ndarray:
+def cg_steps(matvec, x: np.ndarray | None, b: np.ndarray,
+             dinv: np.ndarray | None = None, r: np.ndarray | None = None
+             ) -> np.ndarray:
     """One conjugate-gradient step from ``x``: ``x + (r.z / z.Az) z`` with
     ``r = b - A x`` and ``z = r``.
 
     ``dinv`` switches to the diagonally preconditioned step, ``z = D^{-1} r``,
     which keeps the step locally scaled for strongly varying coefficients.
-    Returns the iterate unchanged on a zero residual or a breakdown
-    (non-positive curvature).
+    Returns the iterate unchanged (a new array) on a zero residual or a
+    breakdown (non-positive curvature).  ``x=None`` is the zero iterate and
+    a given ``r = b - A x`` is consumed (see the module docstring); each
+    saves one of the two products with ``A``.
     """
-    x = np.array(x, dtype=float)
-    r = b - matvec(x)
+    if r is None:
+        r = b.copy() if x is None else b - matvec(x)
+    x = np.zeros(b.shape) if x is None else np.array(x, dtype=float)
     z = r if dinv is None else dinv * r
     rz = float(r @ z)
     if rz == 0.0:

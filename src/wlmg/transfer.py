@@ -89,7 +89,11 @@ class Projector:
         return self._sparse_t @ r
 
     def to_sparse(self) -> sp.csr_array:
-        """Sparse p (cached): the transfers, the triple products, the oracles."""
+        """Sparse p (cached): the transfers, the triple products, the oracles.
+
+        Its index arrays are int32 where they fit (``sp.kron`` gives int64);
+        the index type changes no value of any product with ``p``.
+        """
         if self._sparse is None:
             factors = []
             for n0 in self.fine_sizes:
@@ -100,6 +104,9 @@ class Projector:
                 M = sp.kron(M, F, format="csr")
             M = sp.csr_array(M)
             M.sort_indices()
+            if max(M.nnz, *M.shape) <= np.iinfo(np.int32).max:
+                M = sp.csr_array((M.data, M.indices.astype(np.int32, copy=False),
+                                  M.indptr.astype(np.int32, copy=False)), shape=M.shape)
             self._sparse = M
         return self._sparse
 

@@ -85,3 +85,33 @@ def infinity_norm(A: sp.csr_array) -> float:
     if A.nnz == 0:
         return 0.0
     return float(abs(A).sum(axis=1).max())
+
+
+def vcycle_full(H, s, x, b):
+    """The V-cycle that makes every product: each coarse level starts from
+    an explicit zero vector and each pre-smoother recomputes ``b - A x``."""
+    lev = H.levels[s]
+    if s == H.depth:
+        return lev.direct_solve(b)
+    pre, post = H.smoothers[s]
+    x = pre(x, b, None)
+    r = b - lev.matvec(x)
+    y_coarse = vcycle_full(H, s + 1, np.zeros(H.levels[s + 1].n), lev.projector.restrict(r))
+    e = lev.projector.prolong(y_coarse)
+    e += x
+    return post(e, b, None)
+
+
+def solve_full(H, b, tol=1e-7, max_iter=None, x0=None):
+    """The outer iteration over ``vcycle_full``; the stop test's residual is
+    not reused.  Returns the iterate and the residual history."""
+    n = H.levels[0].n
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    bnorm = float(np.linalg.norm(b))
+    residuals = []
+    for _ in range(n if max_iter is None else max_iter):
+        x = vcycle_full(H, 0, x, b)
+        residuals.append(float(np.linalg.norm(b - H.levels[0].matvec(x))) / bnorm)
+        if residuals[-1] < tol:
+            break
+    return x, residuals

@@ -13,6 +13,8 @@ from wlmg.discretize import (BoundaryCondition, GridSpec, assemble, build_rhs,
 from wlmg.mgm import (SolverConfig, build_hierarchy, dense_iteration_matrix,
                       solve, tgm_iterate, vcycle)
 
+from oracles import solve_full
+
 D = BoundaryCondition.DIRICHLET
 
 
@@ -611,3 +613,86 @@ def test_solves_leave_hierarchy_arrays_untouched(bc, smoothers):
     assert any(".operator.data" in key for key in before)
     solve(H, rng.standard_normal(H.levels[0].n), max_iter=5)
     assert held_arrays(H) == before
+
+
+PAIRS = [(pre, post) for pre in wlmg.mgm.SMOOTHERS for post in wlmg.mgm.SMOOTHERS]
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("options", [{}, dict(richardson_scaling="diagonal",
+                                              cg_preconditioner="diagonal")],
+                         ids=["global", "diagonal"])
+def test_solve_matches_the_full_product_cycle(bc, dim, options):
+    """Starting coarse levels from ``None`` and seeding the pre-smoother with
+    the stop test's residual changes no bit of the iterate or the history."""
+    n = 63 if bc is D else 64
+    prob = make_problem((n,) * dim, "a2" if dim == 1 else "a7", bc)
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal(prob.grid.n_total)
+    x_random = rng.standard_normal(prob.grid.n_total)
+    for pre, post in PAIRS:
+        H = build_hierarchy(prob, SolverConfig(method="mgm", pre=pre, post=post, **options))
+        assert H.n_levels >= 3
+        for x0 in (None, x_random):
+            x, rep = solve(H, b, max_iter=12, x0=x0)
+            x_want, res_want = solve_full(H, b, max_iter=12, x0=x0)
+            assert x.tobytes() == x_want.tobytes(), (pre, post)
+            assert rep.residuals == res_want, (pre, post)
+
+
+@pytest.mark.parametrize("x0", ["zero", "random"])
+def test_cycle_products_per_level(x0, monkeypatch):
+    """Dirichlet 63^2 ``richardson+cg``: past the first cycle level 0 makes 4
+    products (residual, two CG, the stop test) and level 1 makes 3; the
+    Richardson pre-smoothers make none.  A given ``x0`` costs one more
+    product in the first cycle."""
+    prob = make_problem((63, 63), "a7")
+    H = build_hierarchy(prob, SolverConfig(method="mgm", pre="richardson", post="cg"))
+    assert H.n_levels == 3
+    level_of = {id(lev): s for s, lev in enumerate(H.levels)}
+    counts = [0] * H.n_levels
+    matvec = wlmg.mgm._Level.matvec
+
+    def counted(lev, x):
+        counts[level_of[id(lev)]] += 1
+        return matvec(lev, x)
+
+    monkeypatch.setattr(wlmg.mgm._Level, "matvec", counted)
+    start = None if x0 == "zero" else np.random.default_rng(1).standard_normal(H.levels[0].n)
+    per_cycle = []
+    for cycles in (1, 2, 5):
+        counts[:] = [0] * H.n_levels
+        _, rep = solve(H, prob.rhs, max_iter=cycles, x0=start)
+        assert rep.iterations == cycles
+        per_cycle.append(list(counts))
+    first = [4 if x0 == "zero" else 5, 3, 0]
+    assert per_cycle[0] == first
+    assert per_cycle[1] == [first[0] + 4, 6, 0]
+    assert per_cycle[2] == [first[0] + 16, 15, 0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_stops_at_a_non_finite_residual(bad, monkeypatch):
+    """A cycle that returns a non-finite iterate ends the run at once; the
+    next cycle is never given a non-finite residual."""
+    prob = make_problem((15, 15), "a2")
+    H = build_hierarchy(prob, SolverConfig(method="tgm"))
+    cycle = wlmg.mgm.vcycle
+    calls = []
+
+    def breaking(H, s, x, b, r=None):
+        if s == 0:
+            calls.append(None if r is None else bool(np.isfinite(r).all()))
+        out = cycle(H, s, x, b, r)
+        if s == 0 and len(calls) == 3:
+            out[4] = bad
+        return out
+
+    monkeypatch.setattr(wlmg.mgm, "vcycle", breaking)
+    x, rep = solve(H, prob.rhs, max_iter=50)
+    assert len(calls) == 3 and rep.iterations == 3 and not rep.converged
+    assert calls == [None, True, True]
+    assert not np.isfinite(rep.residuals[-1]) and np.isfinite(rep.residuals[:-1]).all()
+    assert rep.operations == 3 * H.cycle_cost
+    assert not np.isfinite(x).all()

@@ -5,9 +5,14 @@
 * ``mgm._by_diagonals`` stores a CSR matrix by diagonals; products with it
   equal the CSR products bit for bit.
 * ``Projector.restrict`` is the exact adjoint of ``Projector.prolong``.
+* Smoothing steps never modify ``x`` or ``b``; ``x=None`` steps as from
+  zero and a given residual ``r = b - A x`` steps as without it, bit for
+  bit (the given ``r`` is consumed).
 
 Examples are derandomized, so every run checks the same cases.
 """
+
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -15,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wlmg.discretize import (TWO_D_ONLY_PRESETS, BoundaryCondition, DiffusionCoefficient,
-                             GridSpec, assemble)
-from wlmg.mgm import _by_diagonals
+                             GridSpec, assemble, split)
+from wlmg.mgm import SMOOTHERS, LevelHierarchy, SolverConfig, _by_diagonals, build_hierarchy
 from wlmg.structured import AlgebraKind
 from wlmg.transfer import Projector
 
@@ -102,3 +107,36 @@ def test_restrict_is_the_exact_adjoint_of_prolong(proj):
     prolong = np.column_stack([proj.prolong(e) for e in np.eye(proj.n_coarse)])
     restrict = np.column_stack([proj.restrict(e) for e in np.eye(proj.n_fine)])
     assert same_bits(restrict, np.ascontiguousarray(prolong.T))
+
+
+@lru_cache(maxsize=None)
+def smoothing_levels(bc, dim):
+    n = (63 if dim == 1 else 31) + (bc is not BoundaryCondition.DIRICHLET)
+    grid = GridSpec((n,) * dim, bc)
+    coeff = "a2" if dim == 1 else "a7"
+    return build_hierarchy(split(assemble(grid, coeff), grid, coeff)).levels
+
+
+@checked
+@given(bc=st.sampled_from(list(BoundaryCondition)), dim=st.sampled_from([1, 2]),
+       smoother=st.sampled_from(SMOOTHERS), pre=st.booleans(), diagonal=st.booleans(),
+       zero_x=st.booleans(), give_r=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_smoothers_never_modify_their_inputs(bc, dim, smoother, pre, diagonal, zero_x,
+                                             give_r, seed):
+    levels = smoothing_levels(bc, dim)
+    config = SolverConfig(pre=smoother, post=smoother,
+                          richardson_scaling="diagonal" if diagonal else "global",
+                          cg_preconditioner="diagonal" if diagonal else "none")
+    H = LevelHierarchy(levels, config)
+    rng = np.random.default_rng(seed)
+    s = int(rng.integers(len(H.smoothers)))
+    lev, step = levels[s], H.smoothers[s][0 if pre else 1]
+    b = rng.standard_normal(lev.n)
+    x_full = np.zeros(lev.n) if zero_x else rng.standard_normal(lev.n)
+    x = None if zero_x else x_full.copy()
+    r = b - lev.matvec(x_full) if give_r else None
+    b_before, x_before = b.copy(), x_full.copy()
+    got = step(x, b, r)
+    assert same_bits(got, step(x_full, b, None))
+    assert same_bits(b, b_before) and same_bits(x_full, x_before)
+    assert zero_x or same_bits(x, x_before)

@@ -381,3 +381,18 @@ def test_splitting_diagonal_rows_and_guard():
     assert np.array_equal(splitting_diagonal(4.0, R), [7.0, 10.0, 8.0])
     with pytest.raises(ValueError):
         splitting_diagonal(0.0, sp.csr_array((3, 3)))
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gs_factor_count_is_triangle_nnz_plus_n(bc, dim):
+    """The counted factor entries, ``nnz`` of the factored triangle plus
+    ``n``, equal SuperLU's own ``L.nnz + U.nnz`` on every smoothing level."""
+    n = 63 if bc is BoundaryCondition.DIRICHLET else 64
+    for coeff in (("a2", "a2k:3") if dim == 1 else ("a7", "a8")):
+        grid = GridSpec((n,) * dim, bc)
+        H = build_hierarchy(split(assemble(grid, coeff), grid, coeff), GS)
+        assert H.n_levels >= 3
+        for lev in H.levels[:-1]:
+            lu, counted = lev._gs[1], lev._gs[3]
+            assert counted == lu.L.nnz + lu.U.nnz

@@ -192,3 +192,29 @@ def test_rank_one_projection_constant():
         gamma = project_rank_one(1.0, P)
         factor = 8.0 if kind is AlgebraKind.CIRCULANT else 32.0
         assert gamma == pytest.approx(factor)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_projector_has_int32_indices_and_int64_products(kind, dim):
+    """``p`` keeps int32 index arrays; its products and Galerkin triple
+    products equal those of the same ``p`` with int64 indices bit for bit."""
+    proj = Projector(kind, (fine_size(kind, 12),) * dim)
+    p = proj.to_sparse()
+    assert p.indices.dtype == np.int32 and p.indptr.dtype == np.int32
+    wide = sp.csr_array((p.data, p.indices.astype(np.int64), p.indptr.astype(np.int64)),
+                        shape=p.shape)
+    assert wide.indices.dtype == np.int64
+    rng = np.random.default_rng(2)
+    y, r = rng.standard_normal(proj.n_coarse), rng.standard_normal(proj.n_fine)
+    assert proj.prolong(y).tobytes() == (wide @ y).tobytes()
+    assert proj.restrict(r).tobytes() == (sp.csr_array(wide.T) @ r).tobytes()
+    R = sp.random_array((proj.n_fine, proj.n_fine), density=0.05, rng=rng, format="csr")
+    R = sp.csr_array(R + R.T)
+    G = galerkin_sparse(R, proj)
+    G_wide = sp.csr_array(wide.T @ (R @ wide))
+    G_wide = sp.csr_array((G_wide + G_wide.T) * 0.5)
+    G_wide.sort_indices()
+    assert np.array_equal(G.indptr, G_wide.indptr)
+    assert np.array_equal(G.indices, G_wide.indices)
+    assert G.data.tobytes() == G_wide.data.tobytes()
