@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .structured import AlgebraKind, StructuredOperator
+from .structured import AlgebraKind, StructuredOperator, csr_from_bands
 from .symbols import CosineSymbol, TensorSymbol
 
 __all__ = [
@@ -229,8 +229,8 @@ def _stencil_bands(grid: GridSpec, samples: list) -> dict:
 def assemble(grid: GridSpec, coeff) -> sp.csr_array:
     """Assemble the h^2-scaled stiffness matrix of -div(a grad u).
 
-    The (2d+1)-point stencil is built band by band, and the CSR arrays are
-    read off the bands in ascending offset order.  Raises ``ValueError``
+    The (2d+1)-point stencil is built band by band, and ``csr_from_bands``
+    reads the CSR arrays off the bands.  Raises ``ValueError``
     naming the coefficient if a sample is NaN, inf or not positive, or if a
     callable returns a shape other than its points'.
     """
@@ -238,18 +238,10 @@ def assemble(grid: GridSpec, coeff) -> sp.csr_array:
     samples = _edge_samples(grid, coeff)
     if any(np.any(c <= 0.0) for c in samples):
         raise ValueError("diffusion coefficient must be positive at all sample points")
-    bands = _stencil_bands(grid, samples)
-    N = grid.n_total
-    offsets = sorted(bands)
-    index = np.int32 if N * len(offsets) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(N + 1, dtype=index)
-    np.cumsum(sum(band.ravel() != 0.0 for band in bands.values()), out=indptr[1:])
-    values = np.stack([bands.pop(o).ravel() for o in offsets], axis=1)    # (N, bands)
-    stored = values != 0.0      # every sample is positive: exactly the stencil's entries
-    data = values[stored]
-    del values
-    indices = (np.arange(N, dtype=index)[:, None] + np.asarray(offsets, dtype=index))[stored]
-    return sp.csr_array((data, indices, indptr), shape=(N, N))
+    # every sample is positive, so the nonzero entries are exactly the stencil's;
+    # no name keeps the bands, so csr_from_bands can free them
+    return csr_from_bands(
+        {o: band.ravel() for o, band in _stencil_bands(grid, samples).items()}, grid.n_total)
 
 
 def coefficient_samples(grid: GridSpec, coeff) -> np.ndarray:

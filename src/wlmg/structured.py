@@ -10,6 +10,13 @@ smoother damping (``sup|symbol|``) and the dense oracles.  Every level
 matrix on the solve path is assembled from ``to_sparse`` (``mgm`` stores it
 by diagonals for its products); the symbols arising here keep O(1)
 bandwidth at every grid level, so it has ``O(N)`` entries.
+
+Sparse matrices are built band by band: the entry formulas give each 1-D
+diagonal as one array, a 2-D term's diagonals are outer products of its
+factors' diagonals, the terms are summed diagonal by diagonal, and
+``csr_from_bands`` reads the CSR arrays off the result.  No COO triples are
+formed and no duplicates summed (the COO and Kronecker construction
+survives as the test oracle, and the two agree bit for bit).
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import scipy.sparse as sp
 
 from .symbols import CosineSymbol, TensorSymbol
 
-__all__ = ["AlgebraKind", "StructuredOperator", "algebra_grid"]
+__all__ = ["AlgebraKind", "StructuredOperator", "algebra_grid", "csr_from_bands"]
 
 
 class AlgebraKind(enum.Enum):
@@ -103,35 +110,67 @@ def dct3_basis(n: int) -> np.ndarray:
     return Q
 
 
-def sparse_matrix(kind: AlgebraKind, f: CosineSymbol, n: int) -> sp.csr_array:
-    """Sparse banded algebra matrix (includes the algebra's corner entries)."""
+def csr_from_bands(bands: dict, n: int, stored: dict | None = None) -> sp.csr_array:
+    """The n-by-n CSR matrix of ``{offset: band}``, ``band[i] = A[i, i + offset]``.
+
+    It stores the entries that ``stored`` (boolean bands under the same
+    offsets) marks, or the nonzero ones when it is None.  The offsets are
+    read in ascending order, so each row's columns come out sorted; indices
+    are int32 where they fit.  ``bands`` is emptied, so each band can be
+    freed once the CSR arrays hold it.
+    """
+    offsets = sorted(bands)
+    index = np.int32 if n * len(offsets) <= np.iinfo(np.int32).max else np.int64
+    mask = np.stack([bands[o] != 0.0 if stored is None else stored[o] for o in offsets],
+                    axis=1)                                                  # (n, bands)
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(mask.sum(axis=1), out=indptr[1:])
+    values = np.stack([bands.pop(o) for o in offsets], axis=1)
+    data = values[mask]
+    del values
+    indices = (np.arange(n, dtype=index)[:, None] + np.asarray(offsets, dtype=index))[mask]
+    return sp.csr_array((data, indices, indptr), shape=(n, n))
+
+
+def _diagonals(kind: AlgebraKind, f: CosineSymbol, n: int) -> tuple:
+    """The algebra matrix of a 1-D symbol by diagonals, ``({k: band},
+    {k: stored})`` with ``band[i] = M[i, i + k]``, 0 off the matrix.
+
+    A band-formula entry is stored where it is nonzero; the circulant
+    wrap-around entries ``t_k`` at column distance ``n - k`` are always
+    stored, zero or not, and add to a band entry that shares their position
+    (when ``2m >= n``).
+    """
     m = _check_band(kind, f, n)
     t = f.coeffs
-    band = np.concatenate([t, np.zeros(2 * n + 2)])   # band[s] = t_s, 0 past m
-    rows, cols, vals = [], [], []
-    for k in range(-m, m + 1):       # one diagonal, j = i + k, at a time
-        i = np.arange(max(0, -k), n - max(0, k))
+    ext = np.concatenate([t, np.zeros(2 * n + 2)])   # ext[s] = t_s, 0 past m
+    bands, stored = {}, {}
+    for k in range(-min(m, n - 1), min(m, n - 1) + 1):    # j = i + k
+        lo, hi = max(0, -k), n - max(0, k)
+        i = np.arange(lo, hi)
         j = i + k
-        v = np.full(i.size, t[abs(k)])
+        band = np.zeros(n)
+        v = band[lo:hi]
+        v[:] = t[abs(k)]
         if kind is AlgebraKind.TAU:
-            v -= band[i + j + 2] + band[2 * n - i - j]
+            v -= ext[i + j + 2] + ext[2 * n - i - j]
         elif kind is AlgebraKind.DCT3:
-            v += band[i + j + 1] + band[2 * n - 1 - i - j]
-        keep = v != 0.0
-        rows.append(i[keep])
-        cols.append(j[keep])
-        vals.append(v[keep])
+            v += ext[i + j + 1] + ext[2 * n - 1 - i - j]
+        bands[k], stored[k] = band, band != 0.0
     if kind is AlgebraKind.CIRCULANT:
-        # wrap-around entries t_k at column distance n - k
         for k in range(1, m + 1):
-            i = np.arange(n - k, n)
-            rows += [i, i - (n - k)]
-            cols += [i - (n - k), i]
-            vals += [np.full(k, t[k])] * 2
-    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-    A = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
-    A.sort_indices()
-    return A
+            for offset, rows in ((k - n, slice(n - k, n)), (n - k, slice(0, k))):
+                band = bands.setdefault(offset, np.zeros(n))
+                mask = stored.setdefault(offset, np.zeros(n, dtype=bool))
+                band[rows] = np.where(mask[rows], band[rows] + t[k], t[k])
+                mask[rows] = True
+    return bands, stored
+
+
+def sparse_matrix(kind: AlgebraKind, f: CosineSymbol, n: int) -> sp.csr_array:
+    """Sparse banded algebra matrix (includes the algebra's corner entries)."""
+    bands, stored = _diagonals(kind, f, n)
+    return csr_from_bands(bands, n, stored)
 
 
 class StructuredOperator:
@@ -192,21 +231,52 @@ class StructuredOperator:
             M = M + self.rank_one / self.n_total
         return M
 
+    def _term_bands(self, term) -> tuple:
+        """One separable term's matrix by diagonals, ``({offset: band},
+        {offset: stored})`` over the flattened grid.
+
+        A 2-D diagonal ``(k1, k2)`` is the outer product of the factors'
+        diagonals at offset ``k1 n2 + k2``.  Pairs that share an offset
+        hold entries in disjoint rows (the 0 of one factor's band off its
+        matrix), so each copies in only the entries it stores.
+        """
+        if self.dim == 1:
+            return _diagonals(self.kind, term[0], self.sizes[0])
+        (b1s, s1s), (b2s, s2s) = (_diagonals(self.kind, g, n)
+                                  for g, n in zip(term, self.sizes))
+        n2 = self.sizes[1]
+        bands, stored = {}, {}
+        for k1, b1 in b1s.items():
+            for k2, b2 in b2s.items():
+                offset = k1 * n2 + k2
+                band = np.multiply.outer(b1, b2).ravel()
+                mask = np.logical_and.outer(s1s[k1], s2s[k2]).ravel()
+                if offset in bands:
+                    np.copyto(bands[offset], band, where=mask)
+                    stored[offset] |= mask
+                else:
+                    bands[offset], stored[offset] = band, mask
+        return bands, stored
+
     def to_sparse(self) -> sp.csr_array:
-        """Sparse banded matrix of the symbol part (rank-one term excluded)."""
-        mats = []
-        for term in self.symbol.terms:
-            parts = [sparse_matrix(self.kind, g, n) for g, n in zip(term, self.sizes)]
-            M = parts[0]
-            for P in parts[1:]:
-                M = sp.kron(M, P, format="csr")
-            mats.append(M)
-        out = mats[0]
-        for M in mats[1:]:
-            out = out + M
-        out = sp.csr_array(out)
-        out.sort_indices()
-        return out
+        """Sparse banded matrix of the symbol part (rank-one term excluded).
+
+        A single term stores each entry its factors store, zero or not.  The
+        terms are summed band by band in order and the sum stores the
+        nonzero entries: those of the CSR sum of the terms' matrices, with
+        the same values.
+        """
+        first, *rest = self.symbol.terms
+        bands, stored = self._term_bands(first)
+        if rest:
+            stored = None
+        for term in rest:
+            for offset, band in self._term_bands(term)[0].items():
+                if offset in bands:
+                    bands[offset] += band
+                else:
+                    bands[offset] = band
+        return csr_from_bands(bands, self.n_total, stored)
 
     def __repr__(self):
         return (f"StructuredOperator({self.kind.value}, sizes={self.sizes}, "

@@ -18,8 +18,16 @@ import numpy as np
 
 __all__ = ["CosineSymbol", "TensorSymbol", "fold", "fold_pairsum"]
 
-# rows of the 2-D angle grid that TensorSymbol.sup_norm holds at a time
+# TensorSymbol.sup_norm bounds the 2-D angle grid in square blocks of this
+# side, and evaluates at most _SUP_CHUNK blocks at a time in three buffers
+# (96 KiB, under the 256 KiB of two 16-row strips of the 1025-point grid)
 _SUP_BLOCK = 16
+_SUP_CHUNK = 16
+# relative margin of a block bound over the rounding of the bound and of the
+# evaluated sums: (1 + u)^(2K + 1) - 1 <= 1e-12 for K < 4000 terms, u the
+# unit roundoff (Higham, Accuracy and Stability of Numerical Algorithms,
+# 2nd ed., sections 2-3)
+_SUP_MARGIN = 1e-12
 
 
 class CosineSymbol:
@@ -169,26 +177,60 @@ class TensorSymbol:
     def sup_norm(self, npoints: int = 1025) -> float:
         """Max of the absolute value over a dense tensor angle grid.
 
-        In 2-D the grid is summed ``_SUP_BLOCK`` rows at a time into two
-        reused buffers, each entry by the sums of ``eval_grid`` without its
-        leading ``0 +`` (which changes at most the sign of a zero), so the
-        value is the same without the full ``npoints^2`` grid in memory.
+        In 2-D the value is exactly that max over the ``npoints^2`` grid,
+        each entry by the sums of ``eval_grid`` without its leading ``0 +``
+        (which changes at most the sign of a zero), but most of the grid is
+        never evaluated.  The grid is cut into ``_SUP_BLOCK``-square blocks,
+        each bounded by ``sum_k max|u_k| max|v_k|`` over its rows and
+        columns, widened by ``_SUP_MARGIN`` to cover rounding.  The block of
+        the largest bound is evaluated first, then, ``_SUP_CHUNK`` at a time,
+        every block whose bound exceeds the largest value found so far; the
+        blocks left cannot hold a larger one.  Blocks of a NaN or infinite
+        bound are evaluated too, and a NaN found is returned, as the full
+        grid's max would return it.
         """
         t = np.linspace(0.0, np.pi, npoints)
         if self.dim == 1:
             return float(np.max(np.abs(self.eval_grid([t]))))
-        (u0, v0), *rest = [(g1.eval(t), g2.eval(t)) for g1, g2 in self.terms]
-        block, term = np.empty((2, min(_SUP_BLOCK, npoints), npoints))
-        peaks = []
-        for lo in range(0, npoints, _SUP_BLOCK):
-            m = min(_SUP_BLOCK, npoints - lo)
-            out, tmp = block[:m], term[:m]
-            np.multiply.outer(u0[lo:lo + m], v0, out=out)
-            for u, v in rest:
-                np.multiply.outer(u[lo:lo + m], v, out=tmp)
-                out += tmp
-            peaks += [out.max(), -out.min()]
-        return float(np.max(peaks))
+        nb = -(-npoints // _SUP_BLOCK)
+        # factors on the grid padded with zeros to whole blocks: (term, block, row)
+        u, v = np.zeros((2, len(self.terms), nb * _SUP_BLOCK))
+        for k, (g1, g2) in enumerate(self.terms):
+            u[k, :npoints], v[k, :npoints] = g1.eval(t), g2.eval(t)
+        del t
+        u, v = (a.reshape(len(self.terms), nb, _SUP_BLOCK) for a in (u, v))
+        # block bounds sum_k max|u_k| max|v_k|, (row block, column block) flattened
+        umax, vmax = (np.abs(a).max(axis=2) for a in (u, v))
+        bound = np.multiply.outer(umax[0], vmax[0]).ravel()
+        for uk, vk in zip(umax[1:], vmax[1:]):
+            bound += np.multiply.outer(uk, vk).ravel()
+        bound *= 1.0 + _SUP_MARGIN
+        # ufuncs buffer broadcast operands, so factors are copied out in full
+        # before they are multiplied
+        block, left, right = np.empty((3, _SUP_CHUNK, _SUP_BLOCK, _SUP_BLOCK))
+        # the block of the largest bound first (a NaN bound, whose block holds
+        # a NaN, is the argmax), then every block whose bound exceeds the
+        # largest value found so far
+        peak, todo = 0.0, np.array([bound.argmax()])
+        while todo.size:
+            todo = todo[:_SUP_CHUNK]
+            r, c = todo // nb, todo % nb
+            out, a, b = block[:todo.size], left[:todo.size], right[:todo.size]
+            for k, (uk, vk) in enumerate(zip(u, v)):
+                np.copyto(a, uk[r, :, None])
+                np.copyto(b, vk[c, None, :])
+                np.multiply(a, b, out=a if k else out)
+                if k:
+                    out += a
+            hi, lo = float(out.max()), float(out.min())
+            if np.isnan(hi):
+                return hi    # as the max over the full grid would
+            peak = max(peak, hi, -lo)
+            bound[todo] = -1.0
+            # once the peak is infinite, blocks of an infinite bound may still
+            # hide a NaN (inf - inf)
+            todo = np.flatnonzero(bound > peak if peak < np.inf else bound == np.inf)
+        return peak
 
     def scaled(self, alpha: float) -> "TensorSymbol":
         terms = [(term[0].scaled(alpha),) + term[1:] for term in self.terms]

@@ -6,6 +6,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from wlmg.discretize import BoundaryCondition, GridSpec, _sample, make_coefficient
+from wlmg.structured import AlgebraKind, _check_band
 
 
 def edge_groups(grid: GridSpec, coeff):
@@ -78,6 +79,57 @@ def assemble_coo(grid: GridSpec, coeff) -> sp.csr_array:
     A.sum_duplicates()
     A.sort_indices()
     return A
+
+
+def sparse_matrix_coo(kind: AlgebraKind, f, n: int) -> sp.csr_array:
+    """The banded algebra matrix of a 1-D symbol from COO triples, one
+    diagonal at a time: band-formula entries where nonzero, circulant
+    wrap-around entries always, duplicates summed by the CSR conversion."""
+    m = _check_band(kind, f, n)
+    t = f.coeffs
+    band = np.concatenate([t, np.zeros(2 * n + 2)])   # band[s] = t_s, 0 past m
+    rows, cols, vals = [], [], []
+    for k in range(-m, m + 1):       # one diagonal, j = i + k, at a time
+        i = np.arange(max(0, -k), n - max(0, k))
+        j = i + k
+        v = np.full(i.size, t[abs(k)])
+        if kind is AlgebraKind.TAU:
+            v -= band[i + j + 2] + band[2 * n - i - j]
+        elif kind is AlgebraKind.DCT3:
+            v += band[i + j + 1] + band[2 * n - 1 - i - j]
+        keep = v != 0.0
+        rows.append(i[keep])
+        cols.append(j[keep])
+        vals.append(v[keep])
+    if kind is AlgebraKind.CIRCULANT:
+        # wrap-around entries t_k at column distance n - k
+        for k in range(1, m + 1):
+            i = np.arange(n - k, n)
+            rows += [i, i - (n - k)]
+            cols += [i - (n - k), i]
+            vals += [np.full(k, t[k])] * 2
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    A = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
+    A.sort_indices()
+    return A
+
+
+def to_sparse_kron(op) -> sp.csr_array:
+    """A ``StructuredOperator``'s symbol part as the CSR sum of its terms,
+    each the Kronecker product of its factors' ``sparse_matrix_coo``."""
+    mats = []
+    for term in op.symbol.terms:
+        parts = [sparse_matrix_coo(op.kind, g, n) for g, n in zip(term, op.sizes)]
+        M = parts[0]
+        for P in parts[1:]:
+            M = sp.kron(M, P, format="csr")
+        mats.append(M)
+    out = mats[0]
+    for M in mats[1:]:
+        out = out + M
+    out = sp.csr_array(out)
+    out.sort_indices()
+    return out
 
 
 def infinity_norm(A: sp.csr_array) -> float:

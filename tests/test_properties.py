@@ -8,6 +8,14 @@
 * Smoothing steps never modify ``x`` or ``b``; ``x=None`` steps as from
   zero and a given residual ``r = b - A x`` steps as without it, bit for
   bit (the given ``r`` is consumed).
+* ``sparse_matrix`` and ``StructuredOperator.to_sparse`` build band by
+  band; they equal the COO and Kronecker construction of
+  ``oracles.sparse_matrix_coo`` and ``oracles.to_sparse_kron`` bit for bit,
+  explicit zeros included.
+* ``TensorSymbol.sup_norm`` skips blocks of the angle grid; it equals the
+  max over the full grid exactly.
+* The Galerkin symbol fold agrees with the triple product ``p^T M p``, and
+  every Galerkin coarse level is symmetric positive definite.
 
 Examples are derandomized, so every run checks the same cases.
 """
@@ -17,16 +25,17 @@ from functools import lru_cache
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wlmg.discretize import (TWO_D_ONLY_PRESETS, BoundaryCondition, DiffusionCoefficient,
-                             GridSpec, assemble, split)
+                             GridSpec, algebra_for_bc, assemble, split)
 from wlmg.mgm import SMOOTHERS, LevelHierarchy, SolverConfig, _by_diagonals, build_hierarchy
-from wlmg.structured import AlgebraKind
-from wlmg.transfer import Projector
+from wlmg.structured import AlgebraKind, StructuredOperator, sparse_matrix
+from wlmg.symbols import CosineSymbol, TensorSymbol
+from wlmg.transfer import Projector, coarsen_structured
 
-from oracles import assemble_coo
+from oracles import assemble_coo, sparse_matrix_coo, to_sparse_kron
 
 checked = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -74,6 +83,69 @@ def test_band_assembly_equals_coo_oracle(case):
     assert same_bits(got.data, want.data)
 
 
+def same_csr(got, want) -> bool:
+    """Equal pattern and values, bit for bit; index types may differ."""
+    return (got.shape == want.shape and np.array_equal(got.indptr, want.indptr)
+            and np.array_equal(got.indices, want.indices) and same_bits(got.data, want.data))
+
+
+@st.composite
+def cosine_symbols(draw, max_degree):
+    """Signed coefficients, about a third of them zero (of either sign);
+    half the bands are the widest allowed."""
+    m = draw(st.one_of(st.integers(0, max(max_degree, 0)), st.just(max(max_degree, 0))))
+    value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0))
+    return CosineSymbol(draw(st.lists(value, min_size=m + 1, max_size=m + 1)))
+
+
+# the widest band each algebra's entry formulas take at size n is n + slack
+BAND_SLACK = {AlgebraKind.TAU: 2, AlgebraKind.DCT3: 0, AlgebraKind.CIRCULANT: -1}
+
+
+@st.composite
+def structured_operators(draw):
+    """1-3 terms of factors with bands up to the widest the size takes."""
+    kind = draw(st.sampled_from(list(AlgebraKind)))
+    dim = draw(st.sampled_from([1, 2]))
+    sizes = draw(st.lists(st.integers(1, 14 if dim == 1 else 8), min_size=dim, max_size=dim))
+    terms = [tuple(draw(cosine_symbols(n + BAND_SLACK[kind])) for n in sizes)
+             for _ in range(draw(st.integers(1, 3)))]
+    return StructuredOperator(kind, sizes, TensorSymbol(dim, terms))
+
+
+@settings(checked, max_examples=100)
+@given(structured_operators())
+def test_band_matrices_equal_kron_oracle(op):
+    assert same_csr(op.to_sparse(), to_sparse_kron(op))
+    for term in op.symbol.terms:
+        for g, n in zip(term, op.sizes):
+            assert same_csr(sparse_matrix(op.kind, g, n), sparse_matrix_coo(op.kind, g, n))
+
+
+@st.composite
+def tensor_symbols(draw):
+    terms = [(draw(cosine_symbols(4)), draw(cosine_symbols(4)))
+             for _ in range(draw(st.integers(1, 3)))]
+    return TensorSymbol(2, terms)
+
+
+@settings(checked, max_examples=40)
+@given(tensor_symbols(), st.sampled_from([17, 100, 1025]))
+@example(TensorSymbol(2, [(CosineSymbol([0.0]), CosineSymbol([1.0]))]), 1025)
+@example(TensorSymbol(2, [(CosineSymbol([np.nan]), CosineSymbol([1.0]))]), 1025)
+@example(TensorSymbol(2, [(CosineSymbol([1.0, 0.5]), CosineSymbol([2.0])),
+                          (CosineSymbol([0.0]), CosineSymbol([np.nan]))]), 100)
+@example(TensorSymbol(2, [(CosineSymbol([np.inf]), CosineSymbol([0.0]))]), 17)
+# inf on the blocks with t2 < pi/2, NaN (inf - inf) past them
+@example(TensorSymbol(2, [(CosineSymbol([np.inf]), CosineSymbol([1.0])),
+                          (CosineSymbol([np.inf]), CosineSymbol([0.0, 0.5]))]), 1025)
+def test_sup_norm_equals_the_full_grid_max(sym, npoints):
+    t = np.linspace(0.0, np.pi, npoints)
+    with np.errstate(invalid="ignore"):     # the inf * 0 and inf - inf examples
+        expected = np.max(np.abs(sym.eval_grid([t, t])))
+        assert np.array_equal(sym.sup_norm(npoints), expected, equal_nan=True)
+
+
 @checked
 @given(n=st.integers(1, 40), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
 def test_products_by_diagonals_equal_csr_products(n, density, seed):
@@ -108,6 +180,58 @@ def test_restrict_is_the_exact_adjoint_of_prolong(proj):
     prolong = np.column_stack([proj.prolong(e) for e in np.eye(proj.n_coarse)])
     restrict = np.column_stack([proj.restrict(e) for e in np.eye(proj.n_fine)])
     assert same_bits(restrict, np.ascontiguousarray(prolong.T))
+
+
+# sizes whose coarse grid takes the folded symbols of degree <= 2 below
+COARSENABLE_SIZES = {AlgebraKind.TAU: st.integers(1, 10).map(lambda k: 2 * k + 1),
+                     AlgebraKind.CIRCULANT: st.integers(4, 10).map(lambda k: 2 * k),
+                     AlgebraKind.DCT3: st.integers(4, 10).map(lambda k: 2 * k)}
+
+
+@st.composite
+def coarsenable_operators(draw):
+    kind = draw(st.sampled_from(list(AlgebraKind)))
+    dim = draw(st.sampled_from([1, 2]))
+    sizes = draw(st.lists(COARSENABLE_SIZES[kind], min_size=dim, max_size=dim))
+    terms = [tuple(draw(cosine_symbols(2)) for _ in range(dim))
+             for _ in range(draw(st.integers(1, 2)))]
+    return StructuredOperator(kind, sizes, TensorSymbol(dim, terms))
+
+
+@checked
+@given(coarsenable_operators())
+def test_symbol_fold_agrees_with_the_triple_product(op):
+    proj = Projector(op.kind, op.sizes)
+    p = proj.to_sparse()
+    want = (p.T @ (op.to_sparse() @ p)).toarray()
+    got = coarsen_structured(op, proj).to_sparse().toarray()
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@st.composite
+def coarsenable_problems(draw):
+    """Grids with at least one Galerkin coarse level."""
+    bc = draw(st.sampled_from(list(BoundaryCondition)))
+    dim = draw(st.sampled_from([1, 2]))
+    odd = algebra_for_bc(bc) is AlgebraKind.TAU
+    size = (st.integers(8, 40).map(lambda k: 2 * k + odd) if dim == 1
+            else st.sampled_from([31, 63] if odd else [32, 64]))
+    grid = GridSpec(tuple(draw(size) for _ in range(dim)), bc)
+    presets = [p for p in PRESETS if dim == 2 or p not in TWO_D_ONLY_PRESETS]
+    return grid, draw(st.one_of(st.sampled_from(presets), random_coefficients(dim)))
+
+
+@pytest.mark.filterwarnings("ignore:grid .* cannot be coarsened:RuntimeWarning")
+@settings(checked, max_examples=30)
+@given(coarsenable_problems())
+def test_galerkin_coarse_levels_are_symmetric_positive_definite(case):
+    grid, coeff = case
+    H = build_hierarchy(split(assemble(grid, coeff), grid, coeff))
+    assume(H.n_levels > 1)
+    for lev in H.levels[1:]:
+        M = lev.dense_operator()
+        assert np.array_equal(M, M.T)
+        np.linalg.cholesky(M)       # raises unless positive definite
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from wlmg.discretize import BoundaryCondition, GridSpec, assemble, split
+from wlmg.mgm import build_hierarchy
 from wlmg.symbols import CosineSymbol, TensorSymbol, fold, fold_pairsum
 
 LAPLACE = CosineSymbol([2.0, -1.0])
@@ -98,20 +102,41 @@ def test_supnorm_values():
     assert CosineSymbol([0.0]).sup_norm() == 0.0
 
 
+def level_symbols(bc, n, preset):
+    grid = GridSpec((n, n), BoundaryCondition(bc))
+    H = build_hierarchy(split(assemble(grid, preset), grid, preset))
+    return [lev.structured.symbol for lev in H.levels]
+
+
+TWO_D_PRESETS = ("a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8")
+
+
 @pytest.mark.parametrize("bc,n", [("dirichlet", 63), ("periodic", 64), ("reflective", 64)])
 def test_blocked_supnorm_equals_full_grid_on_every_level(bc, n):
-    from wlmg.discretize import BoundaryCondition, GridSpec, assemble, split
-    from wlmg.mgm import build_hierarchy
-
-    grid = GridSpec((n, n), BoundaryCondition(bc))
-    H = build_hierarchy(split(assemble(grid, "a7"), grid, "a7"))
+    """Every level of every 2-D preset."""
     t, short = np.linspace(0.0, np.pi, 1025), np.linspace(0.0, np.pi, 100)
-    for lev in H.levels:
-        sym = lev.structured.symbol
-        assert sym.sup_norm() == float(np.max(np.abs(sym.eval_grid([t, t]))))
-        # 100 rows leave a last block of 36
-        assert sym.sup_norm(npoints=100) == float(
-            np.max(np.abs(sym.eval_grid([short, short]))))
+    for preset in TWO_D_PRESETS:
+        for sym in level_symbols(bc, n, preset):
+            assert sym.sup_norm() == float(np.max(np.abs(sym.eval_grid([t, t]))))
+            # 100 points leave a last block of 4
+            assert sym.sup_norm(npoints=100) == float(
+                np.max(np.abs(sym.eval_grid([short, short]))))
+
+
+@pytest.mark.parametrize("bc,n", [("dirichlet", 63), ("periodic", 64), ("reflective", 64)])
+def test_supnorm_peak_memory_under_two_grid_strips(bc, n):
+    """``sup_norm`` holds less than two 16-row strips of the 1025-point
+    grid (262400 bytes), allocations of every kind counted."""
+    three_terms = TensorSymbol(2, [(LAPLACE, SMOOTH), (SMOOTH, LAPLACE), (SMOOTH, SMOOTH)])
+    for sym in level_symbols(bc, n, "a7") + [three_terms]:
+        sym.sup_norm()
+        tracemalloc.start()
+        try:
+            sym.sup_norm()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 16 * 1025 * 8
 
 
 def test_tensor_eval_matches_sum():
