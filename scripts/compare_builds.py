@@ -8,13 +8,19 @@ process with that checkout's ``src`` on the import path, and compares:
   and ``structured.to_sparse()`` arrays, the diagonals, ``dinv``,
   ``jacobi_inv``, the four damping factors, ``sup|symbol|``, the projector,
   and the nnz of the Gauss-Seidel and coarse factors;
-* iterates, residual histories, iteration counts and ``operations`` of every
-  solve by bytes.
+* iterates, residual histories, iteration counts, ``converged`` and
+  ``operations`` of every solve by bytes.
 
 Each array is reduced to a SHA-256 digest of its canonical bytes (int64 or
 float64, ``-0.0`` read as ``0.0`` for the by-value arrays), so the two
-sides exchange digests, not arrays.  Prints the first mismatches and exits
-1 if there is any.
+sides exchange digests, not arrays.  If any digest differs, the
+configurations that hold a mismatch run again in each checkout, which
+writes just the mismatching arrays to a temporary directory, and the
+report says by how much they moved: per level value, the configurations
+and entries that differ and the largest relative difference; per solve,
+whether ``iterations``, ``converged`` or ``operations`` moved, or only the
+rounding of the iterate and the residual history.  It prints the first
+mismatches and that report, and exits 1 if there is any mismatch.
 
     python3 scripts/compare_builds.py --parent ../parent --change .
 """
@@ -27,7 +33,9 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -63,68 +71,155 @@ def problems():
                 yield bc, shape, coeff
 
 
-def digest(a, by_value: bool) -> str:
+def canonical(a, by_value: bool) -> np.ndarray:
     a = np.asarray(a)
     if by_value:
         a = a.astype(np.int64 if a.dtype.kind in "biu" else np.float64) + 0
+    return a
+
+
+def digest(a: np.ndarray) -> str:
     return hashlib.sha256(str(a.shape).encode() + a.tobytes()).hexdigest()
 
 
-def csr_digests(out: dict, key: str, M) -> None:
-    for name in ("indptr", "indices", "data"):
-        out[f"{key}.{name}"] = digest(getattr(M, name), True)
-
-
-def dump() -> dict:
-    """Digests of every configuration, keyed by configuration and array."""
+def arrays(bc: str, shape: tuple, coeff: str):
+    """``(key, array)`` of one configuration, canonical as compared."""
     # imported here, in the child whose import path holds one checkout's src
     from wlmg.discretize import BoundaryCondition, GridSpec, assemble, build_rhs, split
     from wlmg.mgm import LevelHierarchy, SolverConfig, build_hierarchy, solve
 
+    def csr(key, M):
+        for name in ("indptr", "indices", "data"):
+            yield f"{key}.{name}", canonical(getattr(M, name), True)
+
+    grid = GridSpec(shape, BoundaryCondition(bc))
+    tag = f"{bc}/{'x'.join(map(str, shape))}/{coeff}"
+    problem = split(assemble(grid, coeff), grid, coeff)
+    yield f"{tag}/a_min", canonical(problem.a_min, True)
+    yield from csr(f"{tag}/correction", problem.correction)
+    b = build_rhs(grid, "random", seed=0)
+    for method in ("mgm", "tgm"):
+        H = build_hierarchy(problem, SolverConfig(method=method))
+        for s, lev in enumerate(H.levels):
+            key = f"{tag}/{method}/L{s}"
+            yield from csr(f"{key}/combined", lev.combined)
+            yield from csr(f"{key}/to_sparse", lev.structured.to_sparse())
+            yield f"{key}/offsets", canonical(lev.operator.offsets, True)
+            yield f"{key}/diagonals", canonical(lev.operator.data, True)
+            for name in ("dinv", "jacobi_inv", "omega_pre", "omega_post",
+                         "omega_pre_scaled", "omega_post_scaled"):
+                yield f"{key}/{name}", canonical(getattr(lev, name), True)
+            yield f"{key}/sup_norm", canonical(lev.structured.symbol.sup_norm(), True)
+            if lev.projector is None:
+                yield f"{key}/direct_nnz", canonical(lev._ensure_direct()[2], True)
+            else:
+                yield from csr(f"{key}/projector", lev.projector.to_sparse())
+                yield f"{key}/gs_nnz", canonical(lev._ensure_gs()[3], True)
+        for k, kwargs in enumerate(SOLVERS):
+            key = f"{tag}/{method}/solver{k}"
+            config = SolverConfig(method=method, **kwargs)
+            x, rep = solve(LevelHierarchy(H.levels, config), b, max_iter=MAX_ITER)
+            yield f"{key}/x", x
+            yield f"{key}/residuals", np.array(rep.residuals)
+            yield f"{key}/iterations", np.int64(rep.iterations)
+            yield f"{key}/converged", np.bool_(rep.converged)
+            yield f"{key}/operations", np.int64(rep.operations)
+
+
+def config_tag(key: str) -> str:
+    return "/".join(key.split("/")[:3])
+
+
+def dump(request: dict | None) -> dict | None:
+    """Without a request, the digests of every configuration.  A request
+    ``{"keys": [...], "dir": ...}`` writes the named arrays instead, one
+    ``.npz`` per configuration in ``dir`` (entry ``k<i>`` is the i-th of
+    that configuration's keys, sorted)."""
     warnings.simplefilter("ignore")
+    wanted = defaultdict(list)
+    for key in (request or {}).get("keys", []):
+        wanted[config_tag(key)].append(key)
     out = {}
     for bc, shape, coeff in problems():
-        grid = GridSpec(shape, BoundaryCondition(bc))
         tag = f"{bc}/{'x'.join(map(str, shape))}/{coeff}"
-        problem = split(assemble(grid, coeff), grid, coeff)
-        out[f"{tag}/a_min"] = digest(problem.a_min, True)
-        csr_digests(out, f"{tag}/correction", problem.correction)
-        b = build_rhs(grid, "random", seed=0)
-        for method in ("mgm", "tgm"):
-            H = build_hierarchy(problem, SolverConfig(method=method))
-            for s, lev in enumerate(H.levels):
-                key = f"{tag}/{method}/L{s}"
-                csr_digests(out, f"{key}/combined", lev.combined)
-                csr_digests(out, f"{key}/to_sparse", lev.structured.to_sparse())
-                out[f"{key}/offsets"] = digest(lev.operator.offsets, True)
-                out[f"{key}/diagonals"] = digest(lev.operator.data, True)
-                for name in ("dinv", "jacobi_inv", "omega_pre", "omega_post",
-                             "omega_pre_scaled", "omega_post_scaled"):
-                    out[f"{key}/{name}"] = digest(getattr(lev, name), True)
-                out[f"{key}/sup_norm"] = digest(lev.structured.symbol.sup_norm(), True)
-                if lev.projector is None:
-                    out[f"{key}/direct_nnz"] = digest(lev._ensure_direct()[2], True)
-                else:
-                    csr_digests(out, f"{key}/projector", lev.projector.to_sparse())
-                    out[f"{key}/gs_nnz"] = digest(lev._ensure_gs()[3], True)
-            for k, kwargs in enumerate(SOLVERS):
-                key = f"{tag}/{method}/solver{k}"
-                config = SolverConfig(method=method, **kwargs)
-                x, rep = solve(LevelHierarchy(H.levels, config), b, max_iter=MAX_ITER)
-                out[f"{key}/x"] = digest(x, False)
-                out[f"{key}/residuals"] = digest(np.array(rep.residuals), False)
-                out[f"{key}/iterations"] = digest(np.int64(rep.iterations), False)
-                out[f"{key}/operations"] = digest(np.int64(rep.operations), False)
+        if request is None:
+            out.update((key, digest(a)) for key, a in arrays(bc, shape, coeff))
+        elif tag in wanted:
+            keys = sorted(wanted[tag])
+            found = dict((key, a) for key, a in arrays(bc, shape, coeff) if key in keys)
+            np.savez(Path(request["dir"]) / f"{tag.replace('/', '_')}.npz",
+                     **{f"k{i}": found[key] for i, key in enumerate(keys) if key in found})
         print(f"{tag} done", file=sys.stderr)
-    return out
+    return out if request is None else None
 
 
-def run(checkout: Path) -> dict:
+def run(checkout: Path, request: dict | None = None) -> dict:
     env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "OPENBLAS_NUM_THREADS": "1"}
     cmd = [sys.executable, str(Path(__file__).resolve()), "--dump"]
-    res = subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.PIPE, text=True,
-                         check=True)
+    res = subprocess.run(cmd, cwd=checkout, env=env, input=json.dumps(request),
+                         stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(res.stdout)
+
+
+def moved(old: np.ndarray, new: np.ndarray) -> tuple:
+    """Entries that differ and their largest relative difference
+    (``inf`` where a zero became nonzero); None if the shapes differ."""
+    if old.shape != new.shape:
+        return None
+    old, new = old.astype(float).ravel(), new.astype(float).ravel()
+    differ = (old != new) & ~(np.isnan(old) & np.isnan(new))
+    if not differ.any():
+        return 0, 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.abs(new[differ] - old[differ]) / np.abs(old[differ])
+    return int(differ.sum()), float(np.nanmax(rel)) if np.isfinite(rel).any() else np.inf
+
+
+def report(bad: list, parent_dir: Path, change_dir: Path) -> None:
+    """How far each mismatching array moved, level values by name and
+    solves by what moved in them."""
+    by_tag = defaultdict(list)
+    for key in bad:
+        by_tag[config_tag(key)].append(key)
+    values = defaultdict(lambda: [0, 0, 0.0, ""])   # configs, entries, largest rel, where
+    solves = defaultdict(dict)
+    for tag, keys in by_tag.items():
+        keys = sorted(keys)
+        name = f"{tag.replace('/', '_')}.npz"
+        with np.load(parent_dir / name) as old, np.load(change_dir / name) as new:
+            for i, key in enumerate(keys):
+                a, b = old.get(f"k{i}"), new.get(f"k{i}")
+                change = None if a is None or b is None else moved(a, b)
+                if "/solver" in key:
+                    solve, field = key.rsplit("/", 1)
+                    solves[solve][field] = change
+                    continue
+                what = key[len(tag) + 1:]
+                v = values[what]
+                v[0] += 1
+                if change is None:
+                    v[2], v[3] = np.inf, f"{tag} (shape)"
+                    continue
+                v[1] += change[0]
+                if change[1] > v[2] or not v[3]:
+                    v[2], v[3] = change[1], tag
+    for what, (n, entries, rel, where) in sorted(values.items()):
+        print(f"MOVED {what}: {n} configurations, {entries} entries, "
+              f"largest relative difference {rel:.3g} ({where})")
+    kinds = defaultdict(list)
+    largest = {"x": 0.0, "residuals": 0.0}      # over the solves that moved by rounding
+    for solve, fields in sorted(solves.items()):
+        counts = [f for f in ("iterations", "converged", "operations") if f in fields]
+        kinds[", ".join(counts) if counts else "rounding only"].append(solve)
+        for f in largest:
+            if not counts and f in fields:
+                largest[f] = max(largest[f], np.inf if fields[f] is None else fields[f][1])
+    for kind, names in sorted(kinds.items()):
+        listed = "" if kind == "rounding only" else f" ({', '.join(names[:5])}" + (
+            ", ...)" if len(names) > 5 else ")")
+        print(f"SOLVES {kind}: {len(names)}{listed}")
+    print(f"largest relative difference of an iterate {largest['x']:.3g}, "
+          f"of a residual history {largest['residuals']:.3g} (solves moved by rounding)")
 
 
 def main(argv=None):
@@ -132,20 +227,30 @@ def main(argv=None):
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--change", type=Path)
     parser.add_argument("--dump", action="store_true",
-                        help="print this interpreter's digests as JSON and exit")
+                        help="print this interpreter's digests as JSON and exit "
+                             "(or write the arrays a request on stdin names)")
     args = parser.parse_args(argv)
     if args.dump:
-        json.dump(dump(), sys.stdout)
+        request = "" if sys.stdin.isatty() else sys.stdin.read().strip()
+        json.dump(dump(json.loads(request) if request else None), sys.stdout)
         return 0
     if args.parent is None or args.change is None:
         parser.error("--parent and --change are required")
-    parent, change = (run(p.resolve()) for p in (args.parent, args.change))
+    sides = [p.resolve() for p in (args.parent, args.change)]
+    parent, change = (run(p) for p in sides)
     keys = sorted(set(parent) | set(change))
     bad = [k for k in keys if parent.get(k) != change.get(k)]
     n_configs = sum(k.endswith("/iterations") for k in keys)
     print(f"{n_configs} solve configurations, {len(keys)} digests, {len(bad)} mismatches")
     for k in bad[:20]:
         print(f"MISMATCH {k}")
+    if bad:
+        with tempfile.TemporaryDirectory() as tmp:
+            dirs = [Path(tmp, side) for side in ("parent", "change")]
+            for checkout, d in zip(sides, dirs):
+                d.mkdir()
+                run(checkout, {"keys": bad, "dir": str(d)})
+            report(bad, *dirs)
     return 1 if bad else 0
 
 

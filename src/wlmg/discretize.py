@@ -301,12 +301,16 @@ def split(A: sp.csr_array, grid: GridSpec, coeff) -> AssembledProblem:
 
 def build_rhs(grid: GridSpec, mode="ones", seed: int | None = None,
               u_true: np.ndarray | None = None, operator=None) -> np.ndarray:
-    """Right-hand sides: ``ones`` (h^2-scaled), ``random`` (seeded), ``manufactured``."""
+    """Right-hand sides: ``ones`` (h^2-scaled), ``random`` (standard normal,
+    drawn from ``seed``, which it requires), ``manufactured``."""
     N = grid.n_total
     if mode == "ones":
         scale = math.prod(grid.spacing(r) ** 2 for r in range(grid.dim)) ** (1.0 / grid.dim)
         return scale * np.ones(N)
     if mode == "random":
+        if seed is None:
+            raise ValueError("random mode needs a seed; without one every call "
+                             "would draw a different vector")
         return np.random.default_rng(seed).standard_normal(N)
     if mode == "manufactured":
         if u_true is None:

@@ -1,16 +1,19 @@
 """Two-grid and V-cycle engines over the structured-plus-correction splitting.
 
 ``build_hierarchy`` runs the pre-computing phase once: per-level structured
-symbols (by folding), sparse corrections (by sparse triple products, each
-dropped once the next level's exists), smoothing parameters, Gauss-Seidel
-triangular factors, and the coarsest direct solver.  The finest level
-multiplies by the assembled matrix that ``split`` kept.  ``LevelHierarchy``
+symbols (by folding), sparse corrections (by Galerkin products computed
+diagonal by diagonal, each dropped once the next level's exists), smoothing
+parameters, Gauss-Seidel triangular factors, and the coarsest direct solver.
+Every coarse level matrix is born as diagonals: the structured part's bands
+and the correction's are added band by band.  The finest level multiplies by
+the assembled matrix that ``split`` kept.  ``LevelHierarchy``
 then resolves, once per level, which smoother each slot runs with which
 damping and diagonal, and the nominal operation count of each phase of a
 cycle (``costs``, ``cycle_cost``).
 Hierarchies are immutable afterwards, apart from the ``p^T`` each projector
-caches on its first ``restrict`` (concurrent first solves may each build
-it; they build the same matrix).  Every solve owns its iterate, residual
+caches on its first ``restrict`` and the CSR ``combined`` a coarse level
+reads off its diagonals on first access (concurrent first uses may each
+build one; they build the same matrix).  Every solve owns its iterate, residual
 history and work vectors, so concurrent solves against one hierarchy are
 safe.
 
@@ -21,8 +24,9 @@ The grid transfers are CSR products, and the coarsest level is one SuperLU
 factor; with a rank-one term it factors the bordered matrix
 ``[[A, u], [u^T, -1]]``, ``u = sqrt(gamma/N) e``, whose solve with
 ``[b; 0]`` solves ``(A + u u^T) x = b`` without forming the dense term.
-The CSR form of each level operator stays for that factor, the dense
-oracles, and the nominal operation counts, which count its stored entries.
+The CSR form of a level operator is read off its diagonals only where it is
+used: for that factor and the dense oracles.  The nominal operation counts
+count its stored entries, which the band sums count as they go.
 
 Forward Gauss-Seidel is one cached sparse triangular factor per level on
 all three boundary conditions.  Without a rank-one term it is the SuperLU
@@ -52,7 +56,7 @@ import scipy.sparse.linalg as spla
 
 from .discretize import AssembledProblem
 from .smoothers import cg_steps, compute_omegas, richardson, splitting_diagonal
-from .structured import AlgebraKind, StructuredOperator
+from .structured import AlgebraKind, StructuredOperator, csr_from_bands, stored_diagonals
 from .transfer import Projector, coarse_size, coarsen_structured, galerkin_sparse
 
 __all__ = ["SolverConfig", "SolveReport", "LevelHierarchy",
@@ -122,59 +126,91 @@ def _by_diagonals(A: sp.csr_array) -> tuple:
     entries above the diagonal.
 
     Ascending offsets keep each row's products in the column order of the
-    sorted CSR, so the two products agree bit for bit.  The diagonals are
-    read one at a time; the only nnz-sized temporary is one int array.
+    sorted CSR, so the two products agree bit for bit.
     """
-    n = A.shape[0]
-    offset = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
-    np.subtract(A.indices, offset, out=offset)      # column minus row
-    n_upper = int(np.count_nonzero(offset > 0))
-    seen = np.zeros(2 * n - 1, dtype=bool)
-    seen[offset + (n - 1)] = True
-    del offset
-    offsets = np.flatnonzero(seen) - (n - 1)
-    data = np.zeros((offsets.size, n))
-    for row, k in zip(data, offsets):
-        diag = A.diagonal(k)
-        row[max(k, 0):max(k, 0) + diag.size] = diag
+    offsets, data, n_upper = stored_diagonals(A, by_column=True)
     return sp.dia_array((data, offsets), shape=A.shape), n_upper
+
+
+def _summed_diagonals(first: dict, second: dict, n: int) -> tuple:
+    """The sum of two n-by-n matrices given by diagonals (``{offset: band}``,
+    ``band[i] = M[i, i + offset]``) stored by diagonals, offsets ascending,
+    and its counts of nonzero entries in all and above the diagonal.
+
+    Each diagonal is added straight into its row of the ``sp.dia_array``
+    layout, and a diagonal that sums to zero is left out: the sum stores
+    what a CSR sum of the two would, with the same values.
+    """
+    offsets = np.array(sorted(first.keys() | second.keys()), dtype=int)
+    data = np.zeros((offsets.size, n))
+    counts = np.zeros(offsets.size, dtype=np.int64)
+    for k, o in enumerate(offsets.tolist()):
+        lo, hi = max(0, -o), n - max(0, o)          # the rows whose column is on A
+        out = data[k, lo + o:hi + o]
+        parts = [band[lo:hi] for band in (first.get(o), second.get(o)) if band is not None]
+        if len(parts) == 2:
+            np.add(*parts, out=out)
+        else:
+            out[:] = parts[0]
+        counts[k] = np.count_nonzero(out)
+    keep = counts > 0
+    matrix = sp.dia_array((data[keep] if not keep.all() else data, offsets[keep]),
+                          shape=(n, n))
+    return matrix, int(counts.sum()), int(counts[offsets > 0].sum())
 
 
 class _Level:
     """Per-level data produced in the pre-computing phase.
 
-    ``correction`` is read here only.  ``combined``, the level matrix
-    without its rank-one term, is summed from the structured part and the
-    correction unless the caller has it: the finest level is given the
-    assembled ``A``.
+    ``correction``, the sparse correction by diagonals (``{offset: band}``),
+    is read here only.  ``operator`` is the level matrix without its
+    rank-one term, stored by diagonals: on a coarse level the sum of the
+    structured part's bands and the correction's, on the finest level the
+    assembled ``A`` (``matrix``), which it also keeps as ``combined``.  A
+    coarse level reads its CSR ``combined`` off the diagonals on first
+    access; ``nnz`` counts the entries it stores.
     """
 
-    def __init__(self, structured: StructuredOperator, correction: sp.csr_array,
-                 combined: sp.csr_array | None = None):
+    def __init__(self, structured: StructuredOperator, correction: dict,
+                 matrix: sp.csr_array | None = None):
         self.structured = structured
         self.sizes = structured.sizes
         self.n = structured.n_total
         self.gamma = structured.rank_one
         # A <= diag(d) row by row: the global step damps by the largest row,
         # the diagonal one by each row's own, so lambda_max(D^{-1} A) <= 1
-        d = splitting_diagonal(structured.symbol.sup_norm(), correction)
+        d = splitting_diagonal(structured.symbol.sup_norm(), correction, self.n)
         self.omega_pre, self.omega_post = compute_omegas(float(d.max()))
         self.dinv = 1.0 / d
         self.omega_pre_scaled, self.omega_post_scaled = compute_omegas(1.0)
-        if combined is None:
-            # the copy drops the sum's buffers, sized for both patterns
-            combined = sp.csr_array(structured.to_sparse() + correction).copy()
-            combined.sort_indices()
-        self.combined = combined
-        self.operator, self._n_upper = _by_diagonals(combined)
+        if matrix is None:
+            self.operator, self.nnz, self._n_upper = _summed_diagonals(
+                structured.bands()[0], correction, self.n)
+        else:
+            self.operator, self._n_upper = _by_diagonals(matrix)
+            self.nnz = matrix.nnz
+        self._combined = matrix
         # the diagonal of A itself preconditions the CG step
-        diag = combined.diagonal()
+        diag = self.operator.diagonal()
         if self.gamma is not None:
             diag = diag + self.gamma / self.n
         self.jacobi_inv = 1.0 / diag
         self.projector = None        # set for all but the coarsest level
         self._gs = None
         self._direct = None
+
+    @property
+    def combined(self) -> sp.csr_array:
+        """The level matrix without its rank-one term as CSR; no product on
+        the solve path reads it."""
+        if self._combined is None:
+            bands = {}
+            for o, row in zip(self.operator.offsets.tolist(), self.operator.data):
+                lo, hi = max(0, -o), self.n - max(0, o)
+                bands[o] = np.zeros(self.n)
+                bands[o][lo:hi] = row[lo + o:hi + o]
+            self._combined = csr_from_bands(bands, self.n)
+        return self._combined
 
     # -- operator ---------------------------------------------------------
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -298,7 +334,7 @@ class LevelHierarchy:
         self.smoothers, self.costs = [], []
         for s, lev in enumerate(levels):
             n = lev.n
-            matvec = 2 * lev.combined.nnz + (3 * n if lev.gamma is not None else 0)
+            matvec = 2 * lev.nnz + (3 * n if lev.gamma is not None else 0)
             costs = {"outer": matvec + 2 * n} if s == 0 else {}
             if lev.projector is None:
                 costs["coarse"] = lev._ensure_direct()[2]
@@ -338,7 +374,7 @@ def _smoothing(lev: _Level, cfg: SolverConfig, pre: bool, matvec: int):
     if name == "gauss-seidel":
         factor_nnz = lev._ensure_gs()[3]
         cost = (2 * lev._n_upper + 2 * factor_nnz + n if lev.gamma is None
-                else 2 * lev.combined.nnz + 4 * factor_nnz + 12 * n)
+                else 2 * lev.nnz + 4 * factor_nnz + 12 * n)
         return (lambda x, b, r: lev.gauss_seidel_step(x, b)), cost
     if name == "cg":
         dinv = lev.jacobi_inv if cfg.cg_preconditioner == "diagonal" else None
@@ -378,26 +414,39 @@ def _size_chain(kind: AlgebraKind, sizes, method: str):
     return chain
 
 
+def _finest_correction(problem: AssembledProblem) -> dict:
+    """The split's sparse correction by diagonals, ``{offset: band}``: the
+    finest level's splitting bound and first Galerkin product read it."""
+    offsets, values, _ = stored_diagonals(problem.correction)
+    return dict(zip(offsets.tolist(), values))
+
+
 def build_hierarchy(problem: AssembledProblem, config: SolverConfig | None = None
                     ) -> LevelHierarchy:
     """Pre-computing phase: all level data, computed once.
 
-    With ``method="mgm"`` a chain that stops above the coarsest size (15
-    Dirichlet, 16 otherwise) because a grid cannot be halved warns with a
-    ``RuntimeWarning`` naming the coarsest sizes reached.  A grid that
-    cannot be halved once gives one level, solved directly.
+    ``config`` defaults to ``SolverConfig()``; anything but a
+    ``SolverConfig`` raises a ``ValueError``.  With ``method="mgm"`` a chain
+    that stops above the coarsest size (15 Dirichlet, 16 otherwise) because
+    a grid cannot be halved warns with a ``RuntimeWarning`` naming the
+    coarsest sizes reached.  A grid that cannot be halved once gives one
+    level, solved directly.
     """
-    config = config or SolverConfig()
+    config = SolverConfig() if config is None else config
+    if not isinstance(config, SolverConfig):
+        raise ValueError(f"config must be a SolverConfig, got {type(config).__name__}")
     base = problem.structured
     chain = _size_chain(base.kind, base.sizes, config.method)
 
     scaled = StructuredOperator(
         base.kind, base.sizes, base.symbol.scaled(problem.a_min),
         rank_one=None if base.rank_one is None else problem.a_min * base.rank_one)
-    correction = problem.correction
-    levels = [_Level(scaled, correction, combined=problem.matrix)]
-    for fine_sizes in chain[:-1]:
-        proj = Projector(base.kind, fine_sizes)
+    projectors = [Projector(base.kind, sizes) for sizes in chain[:-1]]
+    for proj in projectors:
+        proj.to_sparse()    # the transfers' p, built here and not in the first solve
+    correction = _finest_correction(problem)
+    levels = [_Level(scaled, correction, matrix=problem.matrix)]
+    for proj in projectors:
         levels[-1].projector = proj
         coarse_struct = coarsen_structured(levels[-1].structured, proj)
         correction = galerkin_sparse(correction, proj)
@@ -455,15 +504,18 @@ def solve(H: LevelHierarchy, b: np.ndarray, tol: float = 1e-7,
     non-finite relative residual ends the run at once, with
     ``converged=False`` and that residual last in the history.  Raises ``ValueError`` before the first cycle if ``b`` or ``x0`` is not a
     real vector of the finest level's length or holds a NaN or an infinity,
-    if ``tol`` is not positive, or if ``max_iter`` is not an integer >= 1.
+    if ``tol`` is not a positive real number, or if ``max_iter`` is not an
+    integer >= 1 (``True`` is not an iteration count).
     """
     n = H.levels[0].n
     if max_iter is None:
         max_iter = n
-    if not isinstance(max_iter, numbers.Integral):
+    if not isinstance(max_iter, numbers.Integral) or isinstance(max_iter, bool):
         raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    if not isinstance(tol, numbers.Real) or isinstance(tol, bool):
+        raise ValueError(f"tol must be a real number, got {tol!r}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     b = _real_vector(b, n, "b")

@@ -38,14 +38,18 @@ the level operator stored by diagonals.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = ["richardson", "cg_steps", "compute_omegas", "splitting_diagonal"]
 
 
-def splitting_diagonal(symbol_sup: float, R: sp.csr_array) -> np.ndarray:
-    """Row-wise splitting bound ``d_i = sup|symbol| + sum_j |R_ij|``."""
-    d = symbol_sup + np.asarray(abs(R).sum(axis=1)).ravel()
+def splitting_diagonal(symbol_sup: float, R: dict, n: int) -> np.ndarray:
+    """Row-wise splitting bound ``d_i = sup|symbol| + sum_j |R_ij|`` of the
+    n-by-n correction ``R`` by diagonals, ``{offset: band}`` with
+    ``band[i] = R[i, i + offset]``; the rows are summed in column order."""
+    rows, buf = np.zeros(n), np.empty(n)
+    for offset in sorted(R):
+        rows += np.abs(R[offset], out=buf)
+    d = symbol_sup + rows
     if np.any(d <= 0):
         raise ValueError("smoothing diagonal must be positive")
     return d

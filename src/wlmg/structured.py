@@ -6,10 +6,10 @@ rank-one correction ``gamma * e e^T / N`` (``e`` the all-ones vector) that
 renders the singular circulant/DCT-III Laplacians positive definite.
 
 The symbol is kept for the Galerkin coarse symbols (folds of it), the
-smoother damping (``sup|symbol|``) and the dense oracles.  Every level
-matrix on the solve path is assembled from ``to_sparse`` (``mgm`` stores it
-by diagonals for its products); the symbols arising here keep O(1)
-bandwidth at every grid level, so it has ``O(N)`` entries.
+smoother damping (``sup|symbol|``) and the dense oracles.  Every coarse
+level matrix on the solve path adds the Galerkin correction to ``bands``
+(``mgm`` stores the sum by diagonals for its products); the symbols arising
+here keep O(1) bandwidth at every grid level, so it has ``O(N)`` entries.
 
 Sparse matrices are built band by band: the entry formulas give each 1-D
 diagonal as one array, a 2-D term's diagonals are outer products of its
@@ -17,6 +17,7 @@ factors' diagonals, the terms are summed diagonal by diagonal, and
 ``csr_from_bands`` reads the CSR arrays off the result.  No COO triples are
 formed and no duplicates summed (the COO and Kronecker construction
 survives as the test oracle, and the two agree bit for bit).
+``stored_diagonals`` goes the other way, from a CSR matrix to its bands.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import scipy.sparse as sp
 
 from .symbols import CosineSymbol, TensorSymbol
 
-__all__ = ["AlgebraKind", "StructuredOperator", "algebra_grid", "csr_from_bands"]
+__all__ = ["AlgebraKind", "StructuredOperator", "algebra_grid", "csr_from_bands",
+           "stored_diagonals"]
 
 
 class AlgebraKind(enum.Enum):
@@ -120,6 +122,8 @@ def csr_from_bands(bands: dict, n: int, stored: dict | None = None) -> sp.csr_ar
     freed once the CSR arrays hold it.
     """
     offsets = sorted(bands)
+    if not offsets:
+        return sp.csr_array((n, n))
     index = np.int32 if n * len(offsets) <= np.iinfo(np.int32).max else np.int64
     mask = np.stack([bands[o] != 0.0 if stored is None else stored[o] for o in offsets],
                     axis=1)                                                  # (n, bands)
@@ -130,6 +134,30 @@ def csr_from_bands(bands: dict, n: int, stored: dict | None = None) -> sp.csr_ar
     del values
     indices = (np.arange(n, dtype=index)[:, None] + np.asarray(offsets, dtype=index))[mask]
     return sp.csr_array((data, indices, indptr), shape=(n, n))
+
+
+def stored_diagonals(A: sp.csr_array, by_column: bool = False) -> tuple:
+    """The diagonals of a square CSR matrix in canonical format that store an
+    entry: their offsets, ascending, one row of values per offset (0 where
+    the diagonal stores nothing), and the count of stored entries above the
+    diagonal.
+
+    By rows (``csr_from_bands``'s bands) ``values[k, i] = A[i, i + o_k]``;
+    by columns (``sp.dia_array``'s layout) ``values[k, j] = A[j - o_k, j]``.
+    The diagonals are read one at a time; the only nnz-sized temporaries
+    are arrays of the index type (a scatter of every entry at once would
+    need intp arrays, and raise the set-up's memory peak).
+    """
+    n = A.shape[0]
+    offset = A.indices - np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
+    seen = np.zeros(2 * n - 1, dtype=bool)
+    seen[offset + (n - 1)] = True
+    offsets = np.flatnonzero(seen) - (n - 1)
+    values = np.zeros((offsets.size, n))
+    for row, o in zip(values, offsets.tolist()):
+        start = max(0, o) if by_column else max(0, -o)
+        row[start:start + n - abs(o)] = A.diagonal(o)
+    return offsets, values, int(np.count_nonzero(offset > 0))
 
 
 def _diagonals(kind: AlgebraKind, f: CosineSymbol, n: int) -> tuple:
@@ -258,13 +286,14 @@ class StructuredOperator:
                     bands[offset], stored[offset] = band, mask
         return bands, stored
 
-    def to_sparse(self) -> sp.csr_array:
-        """Sparse banded matrix of the symbol part (rank-one term excluded).
+    def bands(self) -> tuple:
+        """The symbol part (rank-one term excluded) by diagonals over the
+        flattened grid, ``({offset: band}, stored)``.
 
         A single term stores each entry its factors store, zero or not.  The
-        terms are summed band by band in order and the sum stores the
-        nonzero entries: those of the CSR sum of the terms' matrices, with
-        the same values.
+        terms are summed band by band in order, and ``stored`` is None: the
+        sum stores its nonzero entries, those of the CSR sum of the terms'
+        matrices, with the same values.
         """
         first, *rest = self.symbol.terms
         bands, stored = self._term_bands(first)
@@ -276,6 +305,11 @@ class StructuredOperator:
                     bands[offset] += band
                 else:
                     bands[offset] = band
+        return bands, stored
+
+    def to_sparse(self) -> sp.csr_array:
+        """Sparse banded matrix of the symbol part, read off ``bands``."""
+        bands, stored = self.bands()
         return csr_from_bands(bands, self.n_total, stored)
 
     def __repr__(self):

@@ -132,6 +132,29 @@ def to_sparse_kron(op) -> sp.csr_array:
     return out
 
 
+def bands_of(A) -> dict:
+    """``{offset: band}`` of a square sparse matrix, ``band[i] = A[i, i + offset]``,
+    one ``A.diagonal(offset)`` per offset that stores an entry."""
+    A = sp.csr_array(A)
+    n = A.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    bands = {}
+    for o in np.unique(A.indices - rows).tolist():
+        bands[o] = np.zeros(n)
+        bands[o][max(0, -o):n - max(0, o)] = A.diagonal(o)
+    return bands
+
+
+def galerkin_csr(R: sp.csr_array, projector) -> sp.csr_array:
+    """The Galerkin correction as SciPy's CSR triple product ``p^T (R p)``,
+    symmetrized against rounding as ``(G + G^T) / 2``."""
+    p = projector.to_sparse()
+    G = sp.csr_array(p.T @ (R @ p))
+    G = sp.csr_array((G + G.T) * 0.5)
+    G.sort_indices()
+    return G
+
+
 def infinity_norm(A: sp.csr_array) -> float:
     """Max absolute row sum of a sparse matrix."""
     if A.nnz == 0:

@@ -14,9 +14,11 @@ from wlmg.cli import bench_cell
 from wlmg.discretize import (BoundaryCondition, GridSpec, algebra_for_bc,
                              assemble, coefficient_samples, split)
 from wlmg.mgm import SolverConfig, build_hierarchy, dense_iteration_matrix, solve
-from wlmg.structured import StructuredOperator
+from wlmg.structured import StructuredOperator, csr_from_bands
 from wlmg.transfer import Projector, coarsen_structured, galerkin_sparse
 from wlmg.verify import theory_report
+
+from oracles import bands_of
 
 RR = "richardson+richardson"
 RGS = "richardson+gauss-seidel"
@@ -214,7 +216,7 @@ def _galerkin_relerr(bc, sizes, coeff="a2"):
         rank_one=None if prob.structured.rank_one is None
         else prob.a_min * prob.structured.rank_one)
     got = coarsen_structured(scaled, P).materialize_dense() \
-        + galerkin_sparse(prob.correction, P).toarray()
+        + csr_from_bands(galerkin_sparse(bands_of(prob.correction), P), P.n_coarse).toarray()
     p = P.to_sparse().toarray()
     want = p.T @ prob.full_dense() @ p
     return np.abs(got - want).max() / np.abs(want).max()

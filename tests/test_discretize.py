@@ -150,6 +150,14 @@ def test_build_rhs_modes():
     assert np.allclose(build_rhs(grid, "manufactured", u_true=e1), [2.0, -1.0, 0.0])
 
 
+def test_random_rhs_needs_a_seed():
+    grid = GridSpec((3,), BoundaryCondition.DIRICHLET)
+    with pytest.raises(ValueError, match="seed"):
+        build_rhs(grid, "random")
+    assert not np.array_equal(build_rhs(grid, "random", seed=0),
+                              build_rhs(grid, "random", seed=1))
+
+
 def test_coefficient_errors():
     grid = GridSpec((5,), BoundaryCondition.DIRICHLET)
     with pytest.raises(ValueError):

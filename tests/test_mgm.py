@@ -1,6 +1,8 @@
+import json
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +12,11 @@ import wlmg.mgm
 
 from wlmg.discretize import (BoundaryCondition, GridSpec, assemble, build_rhs,
                              split)
-from wlmg.mgm import (SolverConfig, build_hierarchy, dense_iteration_matrix,
-                      solve, tgm_iterate, vcycle)
+from wlmg.mgm import (SolverConfig, _finest_correction, build_hierarchy,
+                      dense_iteration_matrix, solve, tgm_iterate, vcycle)
+from wlmg.structured import csr_from_bands
 
-from oracles import solve_full
+from oracles import bands_of, solve_full
 
 D = BoundaryCondition.DIRICHLET
 
@@ -492,10 +495,13 @@ def test_coarsest_or_coarsenable_grid_does_not_warn(bc, sizes):
     ("tol", 0.0, r"^tol must be positive, got 0.0"),
     ("tol", -1e-7, r"^tol must be positive"),
     ("tol", np.nan, r"^tol must be positive, got nan"),
+    ("tol", "1e-7", r"^tol must be a real number, got '1e-7'"),
     ("max_iter", 2.5, r"^max_iter must be an integer, got 2.5"),
     ("max_iter", np.float64(3.0), r"^max_iter must be an integer"),
+    ("max_iter", True, r"^max_iter must be an integer, got True"),
 ], ids=["b-short", "b-column", "b-complex", "x0-long", "x0-square", "x0-complex",
-        "tol-zero", "tol-negative", "tol-nan", "max_iter-float", "max_iter-numpy-float"])
+        "tol-zero", "tol-negative", "tol-nan", "tol-string", "max_iter-float",
+        "max_iter-numpy-float", "max_iter-bool"])
 def test_solve_rejects_bad_arguments(argument, value, message, monkeypatch):
     prob = make_problem((15, 15), "a2")
     H = build_hierarchy(prob, SolverConfig(method="mgm"))
@@ -503,6 +509,12 @@ def test_solve_rejects_bad_arguments(argument, value, message, monkeypatch):
     monkeypatch.setattr(wlmg.mgm, "vcycle", None)   # no cycle may start
     with pytest.raises(ValueError, match=message):
         solve(H, **kwargs)
+
+
+@pytest.mark.parametrize("config", [{"method": "mgm"}, "mgm"], ids=["dict", "str"])
+def test_build_hierarchy_rejects_a_config_that_is_not_a_solver_config(config):
+    with pytest.raises(ValueError, match=r"^config must be a SolverConfig, got (dict|str)$"):
+        build_hierarchy(make_problem((15, 15), "a2"), config)
 
 
 @pytest.mark.parametrize("max_iter", [np.int64(2), np.int32(2), np.uint8(2)])
@@ -696,3 +708,46 @@ def test_solve_stops_at_a_non_finite_residual(bad, monkeypatch):
     assert not np.isfinite(rep.residuals[-1]) and np.isfinite(rep.residuals[:-1]).all()
     assert rep.operations == 3 * H.cycle_cost
     assert not np.isfinite(x).all()
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+@pytest.mark.parametrize("sizes, coeff", [((63,), "a2"), ((31, 31), "a7"), ((31, 15), "a2")],
+                         ids=["1d-a2", "2d-a7", "2d-rect-a2"])
+def test_finest_correction_bands_are_the_split_correction(bc, sizes, coeff):
+    """The bands the first Galerkin product reads are ``problem.correction``
+    bit for bit: diagonal by diagonal, and read back as CSR."""
+    sizes = tuple(n + (bc is not D) for n in sizes)
+    prob = make_problem(sizes, coeff, bc)
+    bands = _finest_correction(prob)
+    want = bands_of(prob.correction)
+    assert sorted(bands) == sorted(want)
+    assert all(bands[o].tobytes() == want[o].tobytes() for o in want)
+    got = csr_from_bands(dict(bands), prob.grid.n_total)
+    R = prob.correction
+    assert np.array_equal(got.indptr, R.indptr) and np.array_equal(got.indices, R.indices)
+    assert got.data.tobytes() == R.data.tobytes()
+
+
+def piecewise_1d(x):
+    """The 1-D counterpart of ``a7``: 1 on the left half, 100 on the right."""
+    return np.where(x < 0.5, 1.0, 100.0)
+
+
+# H.costs and the nnz of each level's CSR matrix, recorded while the coarse
+# corrections were still CSR triple products summed with the structured CSR
+HIERARCHY_COSTS = json.loads((Path(__file__).parent / "data" / "hierarchy_costs.json")
+                             .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", sorted(HIERARCHY_COSTS))
+def test_hierarchy_costs_and_nnz_are_unchanged(case):
+    bc, dim, pre = case.split("-", 2)
+    bc = BoundaryCondition(bc)
+    even = bc is not D
+    sizes, coeff = ((255 + even,), piecewise_1d) if dim == "1d" else ((63 + even,) * 2, "a7")
+    grid = GridSpec(sizes, bc)
+    prob = split(assemble(grid, coeff), grid, coeff)
+    H = build_hierarchy(prob, SolverConfig(method="mgm", pre=pre, post="richardson"))
+    assert [lev.combined.nnz for lev in H.levels] == HIERARCHY_COSTS[case]["nnz"]
+    assert [lev.nnz for lev in H.levels] == HIERARCHY_COSTS[case]["nnz"]
+    assert H.costs == HIERARCHY_COSTS[case]["costs"]

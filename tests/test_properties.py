@@ -16,6 +16,9 @@
   max over the full grid exactly.
 * The Galerkin symbol fold agrees with the triple product ``p^T M p``, and
   every Galerkin coarse level is symmetric positive definite.
+* ``galerkin_sparse`` computes ``p^T R p`` diagonal by diagonal; it stores
+  the nonzero pattern of ``oracles.galerkin_csr``, is symmetric bit for bit,
+  and agrees with it up to rounding.
 
 Examples are derandomized, so every run checks the same cases.
 """
@@ -31,11 +34,12 @@ from hypothesis import strategies as st
 from wlmg.discretize import (TWO_D_ONLY_PRESETS, BoundaryCondition, DiffusionCoefficient,
                              GridSpec, algebra_for_bc, assemble, split)
 from wlmg.mgm import SMOOTHERS, LevelHierarchy, SolverConfig, _by_diagonals, build_hierarchy
-from wlmg.structured import AlgebraKind, StructuredOperator, sparse_matrix
+from wlmg.structured import AlgebraKind, StructuredOperator, csr_from_bands, sparse_matrix
 from wlmg.symbols import CosineSymbol, TensorSymbol
-from wlmg.transfer import Projector, coarsen_structured
+from wlmg.transfer import Projector, coarsen_structured, galerkin_sparse
 
-from oracles import assemble_coo, sparse_matrix_coo, to_sparse_kron
+from oracles import (assemble_coo, bands_of, galerkin_csr, sparse_matrix_coo,
+                     to_sparse_kron)
 
 checked = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -232,6 +236,88 @@ def test_galerkin_coarse_levels_are_symmetric_positive_definite(case):
         M = lev.dense_operator()
         assert np.array_equal(M, M.T)
         np.linalg.cholesky(M)       # raises unless positive definite
+
+
+def coarsenable(kind, n: int) -> bool:
+    return n >= 3 and n % 2 == 1 if kind is AlgebraKind.TAU else n >= 4 and n % 2 == 0
+
+
+@st.composite
+def random_symmetric(draw):
+    """A random symmetric sparse matrix on a small grid, up to full width,
+    and its projector."""
+    kind = draw(st.sampled_from(list(AlgebraKind)))
+    size = st.integers(2, 8).map(lambda k: 2 * k + (kind is AlgebraKind.TAU))
+    proj = Projector(kind, tuple(draw(st.lists(size, min_size=1, max_size=2))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    R = sp.random_array((proj.n_fine,) * 2, density=draw(st.floats(0.01, 0.5)), rng=rng,
+                        format="csr")
+    return sp.csr_array(R + R.T), proj
+
+
+@st.composite
+def corrections(draw):
+    """A split's correction and its projector, or, if the coarse grid can be
+    halved again, the oracle's coarse correction (a wider stencil) and the
+    next projector.  2-D grids are small, square or not, or (63, 31) and
+    (64, 32) either way round."""
+    bc = draw(st.sampled_from(list(BoundaryCondition)))
+    kind = algebra_for_bc(bc)
+    odd = kind is AlgebraKind.TAU
+    dim = draw(st.sampled_from([1, 2]))
+    size = st.integers(2, 20).map(lambda k: 2 * k + odd)
+    if dim == 1:
+        sizes = (draw(size),)
+    else:
+        wide = [(63, 31), (31, 63)] if odd else [(64, 32), (32, 64)]
+        sizes = draw(st.one_of(st.sampled_from(wide), st.tuples(size, size)))
+    presets = [p for p in PRESETS if dim == 2 or p not in TWO_D_ONLY_PRESETS]
+    coeff = draw(st.one_of(st.sampled_from(presets), random_coefficients(dim)))
+    grid = GridSpec(sizes, bc)
+    R = split(assemble(grid, coeff), grid, coeff).correction
+    proj = Projector(kind, sizes)
+    if draw(st.booleans()) and all(coarsenable(kind, n) for n in proj.coarse_sizes):
+        R, proj = galerkin_csr(R, proj), Projector(kind, proj.coarse_sizes)
+    return R, proj
+
+
+def check_band_galerkin(R, proj):
+    """``galerkin_sparse`` against ``oracles.galerkin_csr``: the same nonzero
+    pattern, exact symmetry, and every band within 1e-15 of the largest
+    entry of that band of ``|p|^T |R| |p|``, the sum of the magnitudes of
+    the products that make each entry (the scale of their rounding)."""
+    n = proj.n_coarse
+    bands = bands_of(R)
+    got = galerkin_sparse(bands, proj)
+    assert all(same_bits(band, want) for band, want in zip(bands.values(),
+                                                           bands_of(R).values()))
+    G, want = csr_from_bands(dict(got), n), galerkin_csr(R, proj)
+    assert np.array_equal(G.indptr, want.indptr) and np.array_equal(G.indices, want.indices)
+    GT = sp.csr_array(G.T)
+    GT.sort_indices()
+    assert same_csr(GT, G)
+    p = proj.to_sparse()
+    scale, want = bands_of(abs(p).T @ (abs(R) @ abs(p))), bands_of(want)
+    for o, band in got.items():
+        err = np.abs(band - want.get(o, 0.0)).max()
+        assert err <= 1e-15 * np.abs(scale.get(o, 0.0)).max(), o
+
+
+@checked
+@given(st.one_of(corrections(), random_symmetric()))
+def test_band_galerkin_equals_csr_oracle(case):
+    check_band_galerkin(*case)
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+@pytest.mark.parametrize("coeff", ["a2", "a7", "a8"])
+def test_band_galerkin_equals_csr_oracle_on_rectangles(bc, coeff):
+    sizes = (63, 31) if bc is BoundaryCondition.DIRICHLET else (64, 32)
+    grid = GridSpec(sizes, bc)
+    R = split(assemble(grid, coeff), grid, coeff).correction
+    proj = Projector(algebra_for_bc(bc), sizes)
+    check_band_galerkin(R, proj)
+    check_band_galerkin(galerkin_csr(R, proj), Projector(proj.kind, proj.coarse_sizes))
 
 
 @lru_cache(maxsize=None)

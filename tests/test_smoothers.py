@@ -9,6 +9,8 @@ from wlmg.smoothers import cg_steps, compute_omegas, richardson, splitting_diago
 from wlmg.structured import StructuredOperator
 from wlmg.symbols import CosineSymbol, TensorSymbol
 
+from oracles import bands_of
+
 GS = SolverConfig(method="mgm", pre="gauss-seidel", post="richardson")
 RANK_ONE = (BoundaryCondition.PERIODIC, BoundaryCondition.REFLECTIVE)
 
@@ -249,7 +251,7 @@ def test_gs_zero_pivot_raises(bc, n):
     zero = StructuredOperator(lev.structured.kind, lev.sizes,
                               TensorSymbol(1, [(CosineSymbol([0.0]),)]), rank_one=lev.gamma)
     with np.errstate(divide="ignore"):     # its Jacobi diagonal is zero too
-        broken = _Level(zero, sp.csr_array(A))
+        broken = _Level(zero, bands_of(A))
     with pytest.raises(ZeroDivisionError, match="row 3"):
         broken.gauss_seidel_step(np.zeros(n), np.ones(n))
 
@@ -378,9 +380,9 @@ def test_diagonal_scaling_is_global_for_unit_coefficient():
 
 def test_splitting_diagonal_rows_and_guard():
     R = sp.csr_array(np.array([[2.0, -1.0, 0.0], [-1.0, 3.0, -2.0], [0.0, -2.0, 2.0]]))
-    assert np.array_equal(splitting_diagonal(4.0, R), [7.0, 10.0, 8.0])
+    assert np.array_equal(splitting_diagonal(4.0, bands_of(R), 3), [7.0, 10.0, 8.0])
     with pytest.raises(ValueError):
-        splitting_diagonal(0.0, sp.csr_array((3, 3)))
+        splitting_diagonal(0.0, {}, 3)
 
 
 @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
