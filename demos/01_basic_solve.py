@@ -6,6 +6,8 @@ multigrid hierarchy, and solve.  The iteration count stays flat as the
 grid is refined -- that is the point of the method.
 """
 
+import numpy as np
+
 from wlmg import (BoundaryCondition, GridSpec, SolverConfig, assemble,
                   build_hierarchy, build_rhs, solve, split)
 
@@ -16,7 +18,7 @@ for n in (63, 127, 255, 511):
     A = assemble(grid, "a3")
     problem = split(A, grid, "a3")
     print(f"n={n:4d}  a_min={problem.a_min:.4f}  "
-          f"correction nnz={problem.correction.nnz}")
+          f"correction nnz={sum(map(np.count_nonzero, problem.correction.values()))}")
 
     config = SolverConfig(method="mgm", pre="gauss-seidel", post="richardson",
                           richardson_scaling="diagonal")

@@ -4,7 +4,8 @@ Runs a fixed list of configurations in each checkout, each in its own
 process with that checkout's ``src`` on the import path, and compares:
 
 * level arrays by value (index arrays may change their integer type): the
-  splitting's ``a_min`` and correction, and per level the CSR ``combined``
+  splitting's ``a_min`` and correction (as CSR, whether the checkout holds
+  it as CSR or by diagonals), and per level the CSR ``combined``
   and ``structured.to_sparse()`` arrays, the diagonals, ``dinv``,
   ``jacobi_inv``, the four damping factors, ``sup|symbol|``, the projector,
   and the nnz of the Gauss-Seidel and coarse factors;
@@ -87,6 +88,7 @@ def arrays(bc: str, shape: tuple, coeff: str):
     # imported here, in the child whose import path holds one checkout's src
     from wlmg.discretize import BoundaryCondition, GridSpec, assemble, build_rhs, split
     from wlmg.mgm import LevelHierarchy, SolverConfig, build_hierarchy, solve
+    from wlmg.structured import csr_from_bands
 
     def csr(key, M):
         for name in ("indptr", "indices", "data"):
@@ -96,7 +98,10 @@ def arrays(bc: str, shape: tuple, coeff: str):
     tag = f"{bc}/{'x'.join(map(str, shape))}/{coeff}"
     problem = split(assemble(grid, coeff), grid, coeff)
     yield f"{tag}/a_min", canonical(problem.a_min, True)
-    yield from csr(f"{tag}/correction", problem.correction)
+    correction = problem.correction
+    if isinstance(correction, dict):        # {offset: band}
+        correction = csr_from_bands(dict(correction), grid.n_total)
+    yield from csr(f"{tag}/correction", correction)
     b = build_rhs(grid, "random", seed=0)
     for method in ("mgm", "tgm"):
         H = build_hierarchy(problem, SolverConfig(method=method))

@@ -11,9 +11,9 @@ per dimension, and right-hand sides are scaled by ``h^2`` instead.
     A(a) = a_min * M(2 - 2cos) + R,    R = A(a) - a_min * M(2 - 2cos),
 
 with ``a_min`` the minimum of the sampled coefficient values, which makes
-``R`` positive semidefinite.  For periodic/reflective boundaries the
-structured part gets a Strang rank-one correction; the solved operator is
-then ``a_min * (M + gamma e e^T / N) + R``, which is positive definite.
+``R`` positive semidefinite (``split`` checks it).  For periodic/reflective
+boundaries the structured part gets a Strang rank-one correction; the solved
+operator is then ``a_min * (M + gamma e e^T / N) + R``, positive definite.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .structured import AlgebraKind, StructuredOperator, csr_from_bands
+from .structured import (AlgebraKind, StructuredOperator, csr_from_bands, dia_bands,
+                         stored_diagonals)
 from .symbols import CosineSymbol, TensorSymbol
 
 __all__ = [
@@ -122,7 +123,6 @@ _PRESETS = {
 }
 
 TWO_D_ONLY_PRESETS = ("a4", "a5", "a6", "a7", "a8")
-PRESET_NAMES = tuple(_PRESETS) + ("a2k:<k>",)
 
 
 def make_coefficient(spec, dim: int) -> DiffusionCoefficient:
@@ -257,22 +257,25 @@ class AssembledProblem:
     The full (solved) operator is ``a_min * S + R``, ``S`` the matrix of
     ``structured``; for periodic/reflective grids ``structured`` carries the
     Strang rank-one term, so the full operator is symmetric positive
-    definite.  ``matrix`` is the assembled ``A`` itself, which equals
-    ``a_min * S + R`` without the rank-one term up to the rounding of ``R``;
-    the finest level of a hierarchy multiplies by it.  ``split`` builds
-    every instance.
+    definite.  ``correction`` is ``R`` by diagonals, ``{offset: band}``
+    with ``band[i] = R[i, i + offset]``, offsets ascending, as on every
+    coarse level.  ``matrix`` is the assembled ``A`` itself, ``operator``
+    its ``sp.dia_array``, which the finest level multiplies by.  ``split``
+    builds every instance.
     """
 
     grid: GridSpec
     a_min: float
     structured: StructuredOperator
-    correction: sp.csr_array
+    correction: dict
     matrix: sp.csr_array
+    operator: sp.dia_array
     rhs: np.ndarray | None = None
     coefficient: DiffusionCoefficient | None = None
 
     def full_dense(self) -> np.ndarray:
-        return self.a_min * self.structured.materialize_dense() + self.correction.toarray()
+        R = csr_from_bands(dict(self.correction), self.grid.n_total)
+        return self.a_min * self.structured.materialize_dense() + R.toarray()
 
 
 def laplace_symbol(dim: int) -> TensorSymbol:
@@ -282,21 +285,49 @@ def laplace_symbol(dim: int) -> TensorSymbol:
 def split(A: sp.csr_array, grid: GridSpec, coeff) -> AssembledProblem:
     """Split ``A = a_min * M(2-2cos per dim) + R`` with ``R`` sparse and PSD.
 
-    The problem keeps ``A`` itself (as a canonical CSR array; ``assemble``
-    returns one) rather than a copy.
+    ``R`` is built band by band: ``A``'s diagonals, read once in the
+    ``sp.dia_array`` layout the finest level multiplies by, minus ``a_min``
+    times ``M``'s.  The problem keeps ``A`` itself (as a canonical CSR array;
+    ``assemble`` returns one) rather than a copy.
+
+    Raises ``ValueError`` if ``A`` is not N-by-N for the grid, and, naming
+    the coefficient, unless ``R`` has no positive off-diagonal entry and no
+    row sum below ``-8 (2d + 1) u A_ii`` (``u = eps / 2``), which make the
+    symmetric ``R`` PSD.  Both hold for ``assemble(grid, coeff)``: an
+    off-diagonal ``a_min - a_e`` rounds a difference <= 0, and a row sum,
+    >= 0 exactly, carries the rounding of ``A_ii``'s sum of 2d edges and,
+    per entry, of ``a_min M_ij``, the difference and the sum: less than the
+    bound, as ``sum_j |A_ij|`` and ``a_min sum_j |M_ij|`` are <= ``2 A_ii``.
     """
     coeff = make_coefficient(coeff, grid.dim)
     if not isinstance(A, sp.csr_array) or not A.has_canonical_format:
         A = sp.csr_array(A, copy=True)
         A.sum_duplicates()
+    N = grid.n_total
+    if A.shape != (N, N):
+        raise ValueError(f"A has shape {A.shape}; the grid {grid.sizes} needs ({N}, {N})")
     a_min = float(coefficient_samples(grid, coeff).min())
     kind = algebra_for_bc(grid.bc)
     base = StructuredOperator(kind, grid.sizes, laplace_symbol(grid.dim))
-    R = sp.csr_array(A - a_min * base.to_sparse())
-    R.sort_indices()
+    operator = stored_diagonals(A)
+    bands = dia_bands(operator)
+    for offset, band in base.bands()[0].items():
+        bands[offset] = bands.get(offset, 0.0) - a_min * band
+    # a diagonal with no nonzero entry is left out, as a CSR difference drops it
+    R = {offset: bands[offset] for offset in sorted(bands) if bands[offset].any()}
+    positive = max((band.max() for offset, band in R.items() if offset != 0), default=0.0)
+    rows = sum(R.values(), np.zeros(N))
+    tol = 4 * (2 * grid.dim + 1) * np.finfo(float).eps * np.abs(A.diagonal())
+    low = np.flatnonzero(rows < -tol)
+    if positive > 0.0 or low.size:
+        fault = (f"the positive off-diagonal entry {positive:.3g}" if positive > 0.0 else
+                 f"row {low[0]} summing to {rows[low[0]]:.3g}, below -{tol[low[0]]:.3g}")
+        raise ValueError(f"A does not fit coefficient {coeff.name!r}: R = A - a_min M has "
+                         f"{fault}, so it is not positive semidefinite")
     structured = base if kind is AlgebraKind.TAU else base.strang_correct()
     return AssembledProblem(grid=grid, a_min=a_min, structured=structured,
-                            correction=R, matrix=A, coefficient=coeff)
+                            correction=R, matrix=A, operator=operator,
+                            coefficient=coeff)
 
 
 def build_rhs(grid: GridSpec, mode="ones", seed: int | None = None,

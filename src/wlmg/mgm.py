@@ -4,18 +4,17 @@
 symbols (by folding), sparse corrections (by Galerkin products computed
 diagonal by diagonal, each dropped once the next level's exists), smoothing
 parameters, Gauss-Seidel triangular factors, and the coarsest direct solver.
-Every coarse level matrix is born as diagonals: the structured part's bands
-and the correction's are added band by band.  The finest level multiplies by
-the assembled matrix that ``split`` kept.  ``LevelHierarchy``
+Every level matrix is born as diagonals: a coarse level adds the structured
+part's bands and the correction's band by band, and the finest level takes
+the diagonals ``split`` read off the assembled matrix.  ``LevelHierarchy``
 then resolves, once per level, which smoother each slot runs with which
 damping and diagonal, and the nominal operation count of each phase of a
-cycle (``costs``, ``cycle_cost``).
-Hierarchies are immutable afterwards, apart from the ``p^T`` each projector
-caches on its first ``restrict`` and the CSR ``combined`` a coarse level
-reads off its diagonals on first access (concurrent first uses may each
-build one; they build the same matrix).  Every solve owns its iterate, residual
-history and work vectors, so concurrent solves against one hierarchy are
-safe.
+cycle (``costs``, ``cycle_cost``).  Hierarchies are immutable afterwards,
+apart from the ``p^T`` each projector caches on its first ``restrict`` and
+the CSR ``combined`` a coarse level reads off its diagonals on first access
+(concurrent first uses may each build one; they build the same matrix).
+Every solve owns its iterate, residual history and work vectors, so
+concurrent solves against one hierarchy are safe.
 
 Every level product on the solve path is a product with the level operator
 stored by diagonals (``sp.dia_array``): the residual, the smoothers, and
@@ -26,7 +25,7 @@ factor; with a rank-one term it factors the bordered matrix
 ``[b; 0]`` solves ``(A + u u^T) x = b`` without forming the dense term.
 The CSR form of a level operator is read off its diagonals only where it is
 used: for that factor and the dense oracles.  The nominal operation counts
-count its stored entries, which the band sums count as they go.
+count the nonzero entries of the diagonals.
 
 Forward Gauss-Seidel is one cached sparse triangular factor per level on
 all three boundary conditions.  Without a rank-one term it is the SuperLU
@@ -56,7 +55,8 @@ import scipy.sparse.linalg as spla
 
 from .discretize import AssembledProblem
 from .smoothers import cg_steps, compute_omegas, richardson, splitting_diagonal
-from .structured import AlgebraKind, StructuredOperator, csr_from_bands, stored_diagonals
+from .structured import (AlgebraKind, StructuredOperator, csr_from_bands, dia_bands,
+                         dia_from_bands)
 from .transfer import Projector, coarse_size, coarsen_structured, galerkin_sparse
 
 __all__ = ["SolverConfig", "SolveReport", "LevelHierarchy",
@@ -121,44 +121,6 @@ class SolveReport:
         return self.residuals[-1] if self.residuals else np.inf
 
 
-def _by_diagonals(A: sp.csr_array) -> tuple:
-    """``A`` stored by diagonals, offsets ascending, and its count of stored
-    entries above the diagonal.
-
-    Ascending offsets keep each row's products in the column order of the
-    sorted CSR, so the two products agree bit for bit.
-    """
-    offsets, data, n_upper = stored_diagonals(A, by_column=True)
-    return sp.dia_array((data, offsets), shape=A.shape), n_upper
-
-
-def _summed_diagonals(first: dict, second: dict, n: int) -> tuple:
-    """The sum of two n-by-n matrices given by diagonals (``{offset: band}``,
-    ``band[i] = M[i, i + offset]``) stored by diagonals, offsets ascending,
-    and its counts of nonzero entries in all and above the diagonal.
-
-    Each diagonal is added straight into its row of the ``sp.dia_array``
-    layout, and a diagonal that sums to zero is left out: the sum stores
-    what a CSR sum of the two would, with the same values.
-    """
-    offsets = np.array(sorted(first.keys() | second.keys()), dtype=int)
-    data = np.zeros((offsets.size, n))
-    counts = np.zeros(offsets.size, dtype=np.int64)
-    for k, o in enumerate(offsets.tolist()):
-        lo, hi = max(0, -o), n - max(0, o)          # the rows whose column is on A
-        out = data[k, lo + o:hi + o]
-        parts = [band[lo:hi] for band in (first.get(o), second.get(o)) if band is not None]
-        if len(parts) == 2:
-            np.add(*parts, out=out)
-        else:
-            out[:] = parts[0]
-        counts[k] = np.count_nonzero(out)
-    keep = counts > 0
-    matrix = sp.dia_array((data[keep] if not keep.all() else data, offsets[keep]),
-                          shape=(n, n))
-    return matrix, int(counts.sum()), int(counts[offsets > 0].sum())
-
-
 class _Level:
     """Per-level data produced in the pre-computing phase.
 
@@ -166,13 +128,13 @@ class _Level:
     is read here only.  ``operator`` is the level matrix without its
     rank-one term, stored by diagonals: on a coarse level the sum of the
     structured part's bands and the correction's, on the finest level the
-    assembled ``A`` (``matrix``), which it also keeps as ``combined``.  A
-    coarse level reads its CSR ``combined`` off the diagonals on first
-    access; ``nnz`` counts the entries it stores.
+    assembled ``A`` as ``split`` read it, whose CSR form (``matrix``) the
+    level keeps as ``combined``.  A coarse level reads its CSR ``combined``
+    off the diagonals on first access; ``nnz`` counts the nonzero entries.
     """
 
     def __init__(self, structured: StructuredOperator, correction: dict,
-                 matrix: sp.csr_array | None = None):
+                 operator: sp.dia_array | None = None, matrix: sp.csr_array | None = None):
         self.structured = structured
         self.sizes = structured.sizes
         self.n = structured.n_total
@@ -183,12 +145,13 @@ class _Level:
         self.omega_pre, self.omega_post = compute_omegas(float(d.max()))
         self.dinv = 1.0 / d
         self.omega_pre_scaled, self.omega_post_scaled = compute_omegas(1.0)
-        if matrix is None:
-            self.operator, self.nnz, self._n_upper = _summed_diagonals(
-                structured.bands()[0], correction, self.n)
-        else:
-            self.operator, self._n_upper = _by_diagonals(matrix)
-            self.nnz = matrix.nnz
+        if operator is None:        # the structured part's bands plus the correction's
+            bands = structured.bands()[0]
+            for o, band in correction.items():
+                bands[o] = bands[o] + band if o in bands else band
+            operator = dia_from_bands(bands, self.n)
+        self.operator = operator
+        self.nnz = int(np.count_nonzero(operator.data))     # the padding holds zeros
         self._combined = matrix
         # the diagonal of A itself preconditions the CG step
         diag = self.operator.diagonal()
@@ -204,12 +167,7 @@ class _Level:
         """The level matrix without its rank-one term as CSR; no product on
         the solve path reads it."""
         if self._combined is None:
-            bands = {}
-            for o, row in zip(self.operator.offsets.tolist(), self.operator.data):
-                lo, hi = max(0, -o), self.n - max(0, o)
-                bands[o] = np.zeros(self.n)
-                bands[o][lo:hi] = row[lo + o:hi + o]
-            self._combined = csr_from_bands(bands, self.n)
+            self._combined = csr_from_bands(dia_bands(self.operator), self.n)
         return self._combined
 
     # -- operator ---------------------------------------------------------
@@ -320,7 +278,7 @@ class LevelHierarchy:
     ``costs[s]`` the nominal operation count of each phase of a cycle on
     it (on the finest level ``outer`` is the outer residual and its norm),
     both resolved once from the configuration.  ``cycle_cost`` is one cycle
-    plus the outer residual.  A level product counts two per stored entry
+    plus the outer residual.  A level product counts two per nonzero entry
     of the CSR form (not the padding of the diagonals), plus 3N for a
     rank-one term; the factored solves count their factor entries, which
     factors them here, and a transfer 8 per fine unknown.  The table is
@@ -372,8 +330,8 @@ def _smoothing(lev: _Level, cfg: SolverConfig, pre: bool, matvec: int):
     """
     name, n = (cfg.pre if pre else cfg.post), lev.n
     if name == "gauss-seidel":
-        factor_nnz = lev._ensure_gs()[3]
-        cost = (2 * lev._n_upper + 2 * factor_nnz + n if lev.gamma is None
+        _, _, upper, factor_nnz, _ = lev._ensure_gs()
+        cost = (2 * int(np.count_nonzero(upper.data)) + 2 * factor_nnz + n if lev.gamma is None
                 else 2 * lev.nnz + 4 * factor_nnz + 12 * n)
         return (lambda x, b, r: lev.gauss_seidel_step(x, b)), cost
     if name == "cg":
@@ -414,13 +372,6 @@ def _size_chain(kind: AlgebraKind, sizes, method: str):
     return chain
 
 
-def _finest_correction(problem: AssembledProblem) -> dict:
-    """The split's sparse correction by diagonals, ``{offset: band}``: the
-    finest level's splitting bound and first Galerkin product read it."""
-    offsets, values, _ = stored_diagonals(problem.correction)
-    return dict(zip(offsets.tolist(), values))
-
-
 def build_hierarchy(problem: AssembledProblem, config: SolverConfig | None = None
                     ) -> LevelHierarchy:
     """Pre-computing phase: all level data, computed once.
@@ -444,8 +395,8 @@ def build_hierarchy(problem: AssembledProblem, config: SolverConfig | None = Non
     projectors = [Projector(base.kind, sizes) for sizes in chain[:-1]]
     for proj in projectors:
         proj.to_sparse()    # the transfers' p, built here and not in the first solve
-    correction = _finest_correction(problem)
-    levels = [_Level(scaled, correction, matrix=problem.matrix)]
+    correction = problem.correction
+    levels = [_Level(scaled, correction, problem.operator, problem.matrix)]
     for proj in projectors:
         levels[-1].projector = proj
         coarse_struct = coarsen_structured(levels[-1].structured, proj)

@@ -17,7 +17,9 @@ factors' diagonals, the terms are summed diagonal by diagonal, and
 ``csr_from_bands`` reads the CSR arrays off the result.  No COO triples are
 formed and no duplicates summed (the COO and Kronecker construction
 survives as the test oracle, and the two agree bit for bit).
-``stored_diagonals`` goes the other way, from a CSR matrix to its bands.
+``stored_diagonals`` reads a CSR matrix into the ``sp.dia_array`` every
+level multiplies by; ``dia_bands`` and ``dia_from_bands`` convert between
+that layout and the bands.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import scipy.sparse as sp
 from .symbols import CosineSymbol, TensorSymbol
 
 __all__ = ["AlgebraKind", "StructuredOperator", "algebra_grid", "csr_from_bands",
-           "stored_diagonals"]
+           "dia_bands", "dia_from_bands", "stored_diagonals"]
 
 
 class AlgebraKind(enum.Enum):
@@ -136,28 +138,49 @@ def csr_from_bands(bands: dict, n: int, stored: dict | None = None) -> sp.csr_ar
     return sp.csr_array((data, indices, indptr), shape=(n, n))
 
 
-def stored_diagonals(A: sp.csr_array, by_column: bool = False) -> tuple:
-    """The diagonals of a square CSR matrix in canonical format that store an
-    entry: their offsets, ascending, one row of values per offset (0 where
-    the diagonal stores nothing), and the count of stored entries above the
-    diagonal.
+def stored_diagonals(A: sp.csr_array) -> sp.dia_array:
+    """A square CSR matrix in canonical format stored by diagonals, one
+    ``sp.dia_array`` row per diagonal that stores an entry, offsets ascending.
 
-    By rows (``csr_from_bands``'s bands) ``values[k, i] = A[i, i + o_k]``;
-    by columns (``sp.dia_array``'s layout) ``values[k, j] = A[j - o_k, j]``.
-    The diagonals are read one at a time; the only nnz-sized temporaries
-    are arrays of the index type (a scatter of every entry at once would
-    need intp arrays, and raise the set-up's memory peak).
+    Ascending offsets keep each row's products in the CSR's column order, so
+    the two products agree bit for bit.  The diagonals are read one at a
+    time: the only nnz-sized temporaries are of the index type, not intp.
     """
     n = A.shape[0]
     offset = A.indices - np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
     seen = np.zeros(2 * n - 1, dtype=bool)
     seen[offset + (n - 1)] = True
+    del offset
     offsets = np.flatnonzero(seen) - (n - 1)
     values = np.zeros((offsets.size, n))
     for row, o in zip(values, offsets.tolist()):
-        start = max(0, o) if by_column else max(0, -o)
-        row[start:start + n - abs(o)] = A.diagonal(o)
-    return offsets, values, int(np.count_nonzero(offset > 0))
+        row[max(0, o):max(0, o) + n - abs(o)] = A.diagonal(o)
+    return sp.dia_array((values, offsets), shape=A.shape)
+
+
+def dia_from_bands(bands: dict, n: int) -> sp.dia_array:
+    """The n-by-n matrix of ``{offset: band}`` stored by diagonals, offsets
+    ascending; a diagonal with no nonzero entry is left out, as a CSR matrix
+    of the bands would store none of it."""
+    offsets = [o for o in sorted(bands) if bands[o][max(0, -o):n - max(0, o)].any()]
+    data = np.zeros((len(offsets), n))
+    for row, o in zip(data, offsets):
+        lo, hi = max(0, -o), n - max(0, o)          # the rows whose column is on the matrix
+        row[lo + o:hi + o] = bands[o][lo:hi]
+    return sp.dia_array((data, offsets), shape=(n, n))
+
+
+def dia_bands(D: sp.dia_array) -> dict:
+    """The diagonals of a square ``sp.dia_array`` as ``{offset: band}``,
+    ``band[i] = D[i, i + offset]``, 0 off the matrix: the form
+    ``csr_from_bands`` reads."""
+    n = D.shape[0]
+    bands = {}
+    for o, row in zip(D.offsets.tolist(), D.data):
+        lo, hi = max(0, -o), n - max(0, o)
+        bands[o] = np.zeros(n)
+        bands[o][lo:hi] = row[lo + o:hi + o]
+    return bands
 
 
 def _diagonals(kind: AlgebraKind, f: CosineSymbol, n: int) -> tuple:

@@ -123,18 +123,12 @@ class Projector:
         return self._sparse
 
 
-def _fold_for(kind: AlgebraKind):
-    return fold_pairsum if kind is AlgebraKind.DCT3 else fold
-
-
 def galerkin_structured(symbol: TensorSymbol, projector: Projector) -> TensorSymbol:
     """Coarse symbol of ``p^T M(symbol) p``, computed by per-dimension folds."""
-    do_fold = _fold_for(projector.kind)
+    do_fold = fold_pairsum if projector.kind is AlgebraKind.DCT3 else fold
     s2 = projector.scalar ** 2
     p2 = P_SYMBOL * P_SYMBOL
-    terms = []
-    for term in symbol.terms:
-        terms.append(tuple(do_fold(p2 * g).scaled(s2) for g in term))
+    terms = [tuple(do_fold(p2 * g).scaled(s2) for g in term) for term in symbol.terms]
     return TensorSymbol(symbol.dim, terms)
 
 

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from wlmg.discretize import BoundaryCondition, GridSpec, _sample, make_coefficient
-from wlmg.structured import AlgebraKind, _check_band
+from wlmg.discretize import (BoundaryCondition, GridSpec, _sample, algebra_for_bc,
+                             coefficient_samples, laplace_symbol, make_coefficient)
+from wlmg.structured import AlgebraKind, StructuredOperator, _check_band, csr_from_bands
 
 
 def edge_groups(grid: GridSpec, coeff):
@@ -130,6 +131,23 @@ def to_sparse_kron(op) -> sp.csr_array:
     out = sp.csr_array(out)
     out.sort_indices()
     return out
+
+
+def split_csr(A, grid: GridSpec, coeff) -> sp.csr_array:
+    """The splitting's correction as the CSR difference ``A - a_min M``, ``M``
+    the algebra matrix of ``2 - 2cos`` per dimension from ``to_sparse_kron``;
+    the difference stores the nonzero entries, indices sorted."""
+    coeff = make_coefficient(coeff, grid.dim)
+    a_min = float(coefficient_samples(grid, coeff).min())
+    base = StructuredOperator(algebra_for_bc(grid.bc), grid.sizes, laplace_symbol(grid.dim))
+    R = sp.csr_array(A - a_min * to_sparse_kron(base))
+    R.sort_indices()
+    return R
+
+
+def correction_csr(problem) -> sp.csr_array:
+    """A problem's correction, held by diagonals, as a CSR matrix."""
+    return csr_from_bands(dict(problem.correction), problem.grid.n_total)
 
 
 def bands_of(A) -> dict:

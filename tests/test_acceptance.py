@@ -18,7 +18,7 @@ from wlmg.structured import StructuredOperator, csr_from_bands
 from wlmg.transfer import Projector, coarsen_structured, galerkin_sparse
 from wlmg.verify import theory_report
 
-from oracles import bands_of
+from oracles import correction_csr
 
 RR = "richardson+richardson"
 RGS = "richardson+gauss-seidel"
@@ -216,7 +216,7 @@ def _galerkin_relerr(bc, sizes, coeff="a2"):
         rank_one=None if prob.structured.rank_one is None
         else prob.a_min * prob.structured.rank_one)
     got = coarsen_structured(scaled, P).materialize_dense() \
-        + csr_from_bands(galerkin_sparse(bands_of(prob.correction), P), P.n_coarse).toarray()
+        + csr_from_bands(galerkin_sparse(prob.correction, P), P.n_coarse).toarray()
     p = P.to_sparse().toarray()
     want = p.T @ prob.full_dense() @ p
     return np.abs(got - want).max() / np.abs(want).max()
@@ -343,14 +343,14 @@ def test_criterion_09_splitting():
             for n in ((15, 31) if odd else (16, 32)):
                 grid = GridSpec((n,), bc)
                 prob = split(assemble(grid, preset), grid, preset)
-                lam = np.linalg.eigvalsh(prob.correction.toarray()).min()
+                lam = np.linalg.eigvalsh(correction_csr(prob).toarray()).min()
                 if lam < -1e-10:
                     bad.append(("psd", bc.value, preset, n, lam))
         for preset in presets_2d:
             n = 15 if odd else 16
             grid = GridSpec((n, n), bc)
             prob = split(assemble(grid, preset), grid, preset)
-            lam = np.linalg.eigvalsh(prob.correction.toarray()).min()
+            lam = np.linalg.eigvalsh(correction_csr(prob).toarray()).min()
             if lam < -1e-10:
                 bad.append(("psd-2d", bc.value, preset, lam))
         # unit coefficient assembles to the algebra matrix exactly

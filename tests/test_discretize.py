@@ -10,7 +10,7 @@ from wlmg.discretize import (BoundaryCondition, DiffusionCoefficient, GridSpec,
 from wlmg.structured import StructuredOperator
 from wlmg.symbols import CosineSymbol, TensorSymbol
 
-from oracles import edge_groups, infinity_norm
+from oracles import correction_csr, edge_groups, infinity_norm
 
 BCS = list(BoundaryCondition)
 
@@ -73,14 +73,14 @@ def test_split_unit_coefficient_zero_correction():
     grid = GridSpec((9,), BoundaryCondition.DIRICHLET)
     prob = split(assemble(grid, "a1"), grid, "a1")
     assert prob.a_min == 1.0
-    assert abs(prob.correction).max() == 0.0
+    assert prob.correction == {}
 
 
 def test_split_amin_and_psd_a2():
     grid = GridSpec((7,), BoundaryCondition.DIRICHLET)
     prob = split(assemble(grid, "a2"), grid, "a2")
     assert prob.a_min == pytest.approx(np.exp(1.0 / 16.0))
-    lam = np.linalg.eigvalsh(prob.correction.toarray())
+    lam = np.linalg.eigvalsh(correction_csr(prob).toarray())
     assert lam.min() >= -1e-10
 
 
@@ -92,7 +92,7 @@ def test_split_reconstruction_exact():
         prob = split(A, grid, "a2")
         base = StructuredOperator(algebra_for_bc(bc), sizes,
                                   prob.structured.symbol).to_sparse()
-        recon = prob.a_min * base.toarray() + prob.correction.toarray()
+        recon = prob.a_min * base.toarray() + correction_csr(prob).toarray()
         assert np.abs(recon - A.toarray()).max() <= 1e-13
 
 
@@ -107,7 +107,40 @@ def test_split_keeps_a_canonical_csr_array():
         got = split(other, grid, "a7")
         assert isinstance(got.matrix, sp.csr_array) and got.matrix.has_canonical_format
         assert np.array_equal(got.matrix.toarray(), A.toarray())
-        assert np.array_equal(got.correction.toarray(), prob.correction.toarray())
+        assert list(got.correction) == list(prob.correction)
+        assert all(np.array_equal(got.correction[o], band)
+                   for o, band in prob.correction.items())
+
+
+@pytest.mark.parametrize("shape", [(48, 48), (49, 48), (7, 7)])
+def test_split_rejects_a_misshaped_matrix(shape):
+    grid = GridSpec((7, 7), BoundaryCondition.DIRICHLET)
+    A = sp.random_array(shape, density=0.2, rng=0, format="csr") + sp.eye_array(*shape)
+    with pytest.raises(ValueError, match=r"needs \(49, 49\)"):
+        split(A, grid, "a2")
+
+
+@pytest.mark.parametrize("bc", BCS, ids=lambda bc: bc.value)
+def test_split_rejects_a_positive_off_diagonal_correction(bc):
+    """``a7``'s matrix split with ``a2``'s ``a_min``: the edges of value 1 lie
+    below it (1.0983 on these grids), so ``R`` has positive off-diagonal
+    entries."""
+    grid = GridSpec((15, 15) if bc is BoundaryCondition.DIRICHLET else (16, 16), bc)
+    with pytest.raises(ValueError, match=r"^A does not fit coefficient 'a2': .* positive "
+                                         r"off-diagonal entry 0\.0983"):
+        split(assemble(grid, "a7"), grid, "a2")
+
+
+def test_split_rejects_a_negative_row_sum():
+    """A 1-D Dirichlet matrix whose left boundary edge (0.5) is below the
+    splitting's ``a_min`` (1) while every interior edge (2) is above it: the
+    off-diagonal entries of ``R`` are -1, and row 0 sums to 0.5 - 1."""
+    grid = GridSpec((15,), BoundaryCondition.DIRICHLET)
+    h = grid.spacing(0)
+    A = assemble(grid, lambda x: np.where(x < h, 0.5, 2.0))
+    with pytest.raises(ValueError, match=r"^A does not fit coefficient 'a1': R = A - a_min M "
+                                         r"has row 0 summing to -0\.5, below -"):
+        split(A, grid, "a1")
 
 
 def test_split_full_operator_spd():
@@ -127,14 +160,14 @@ def test_correction_psd_all_presets():
             s = sizes if bc is BoundaryCondition.DIRICHLET else tuple(n + 1 for n in sizes)
             grid = GridSpec(s, bc)
             prob = split(assemble(grid, preset), grid, preset)
-            lam = np.linalg.eigvalsh(prob.correction.toarray())
+            lam = np.linalg.eigvalsh(correction_csr(prob).toarray())
             assert lam.min() >= -1e-10, (bc, preset)
 
 
 def test_infnorm_oracle_a7():
     grid = GridSpec((15, 15), BoundaryCondition.DIRICHLET)
     prob = split(assemble(grid, "a7"), grid, "a7")
-    R = prob.correction
+    R = correction_csr(prob)
     want = np.abs(R.toarray()).sum(axis=1).max()
     assert infinity_norm(R) == pytest.approx(want)
 

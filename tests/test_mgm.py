@@ -12,11 +12,11 @@ import wlmg.mgm
 
 from wlmg.discretize import (BoundaryCondition, GridSpec, assemble, build_rhs,
                              split)
-from wlmg.mgm import (SolverConfig, _finest_correction, build_hierarchy,
-                      dense_iteration_matrix, solve, tgm_iterate, vcycle)
+from wlmg.mgm import (SolverConfig, build_hierarchy, dense_iteration_matrix, solve,
+                      tgm_iterate, vcycle)
 from wlmg.structured import csr_from_bands
 
-from oracles import bands_of, solve_full
+from oracles import bands_of, solve_full, split_csr
 
 D = BoundaryCondition.DIRICHLET
 
@@ -573,15 +573,20 @@ def test_concurrent_solves_share_one_hierarchy():
                                       (BoundaryCondition.REFLECTIVE, (32, 32))],
                          ids=["dirichlet", "periodic", "reflective"])
 def test_hierarchy_shares_a_and_keeps_no_correction(bc, sizes):
-    """Level 0 multiplies by the assembled matrix that ``split`` received, and
-    no level holds a sparse correction once the hierarchy is built."""
+    """Level 0 multiplies by the assembled matrix that ``split`` received, by
+    the diagonals ``split`` read off it, and no level holds a sparse
+    correction once the hierarchy is built; the build leaves the problem's
+    correction as it was."""
     grid = GridSpec(sizes, bc)
     A = assemble(grid, "a7" if len(sizes) == 2 else "a3")
     prob = split(A, grid, "a7" if len(sizes) == 2 else "a3")
     assert prob.matrix is A
+    before = {o: band.tobytes() for o, band in prob.correction.items()}
     H = build_hierarchy(prob, SolverConfig(method="mgm", pre="gauss-seidel"))
+    assert {o: band.tobytes() for o, band in prob.correction.items()} == before
     assert H.n_levels >= 2
     assert H.levels[0].combined is A
+    assert H.levels[0].operator is prob.operator
     for lev in H.levels:
         assert getattr(lev, "correction", None) is None
         assert not any(value is prob.correction for value in vars(lev).values())
@@ -714,16 +719,17 @@ def test_solve_stops_at_a_non_finite_residual(bad, monkeypatch):
 @pytest.mark.parametrize("sizes, coeff", [((63,), "a2"), ((31, 31), "a7"), ((31, 15), "a2")],
                          ids=["1d-a2", "2d-a7", "2d-rect-a2"])
 def test_finest_correction_bands_are_the_split_correction(bc, sizes, coeff):
-    """The bands the first Galerkin product reads are ``problem.correction``
-    bit for bit: diagonal by diagonal, and read back as CSR."""
+    """``problem.correction``, which the finest level and the first Galerkin
+    product read, is the CSR difference ``A - a_min M`` of
+    ``oracles.split_csr`` bit for bit: diagonal by diagonal, offsets
+    ascending, and read back as CSR."""
     sizes = tuple(n + (bc is not D) for n in sizes)
     prob = make_problem(sizes, coeff, bc)
-    bands = _finest_correction(prob)
-    want = bands_of(prob.correction)
-    assert sorted(bands) == sorted(want)
+    R = split_csr(prob.matrix, prob.grid, coeff)
+    bands, want = prob.correction, bands_of(R)
+    assert list(bands) == sorted(want)
     assert all(bands[o].tobytes() == want[o].tobytes() for o in want)
     got = csr_from_bands(dict(bands), prob.grid.n_total)
-    R = prob.correction
     assert np.array_equal(got.indptr, R.indptr) and np.array_equal(got.indices, R.indices)
     assert got.data.tobytes() == R.data.tobytes()
 

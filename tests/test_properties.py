@@ -2,8 +2,9 @@
 
 * ``assemble`` builds the stencil band by band; it equals the COO assembly
   of ``oracles.assemble_coo`` bit for bit.
-* ``mgm._by_diagonals`` stores a CSR matrix by diagonals; products with it
-  equal the CSR products bit for bit.
+* ``structured.stored_diagonals`` stores a CSR matrix by diagonals; products
+  with it equal the CSR products bit for bit, and ``dia_bands`` reads back
+  the CSR matrix's diagonals.
 * ``Projector.restrict`` is the exact adjoint of ``Projector.prolong``.
 * Smoothing steps never modify ``x`` or ``b``; ``x=None`` steps as from
   zero and a given residual ``r = b - A x`` steps as without it, bit for
@@ -19,6 +20,8 @@
 * ``galerkin_sparse`` computes ``p^T R p`` diagonal by diagonal; it stores
   the nonzero pattern of ``oracles.galerkin_csr``, is symmetric bit for bit,
   and agrees with it up to rounding.
+* ``wlmg bench`` is deterministic: two runs of one cell write the same CSV
+  line.
 
 Examples are derandomized, so every run checks the same cases.
 """
@@ -31,15 +34,18 @@ import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from wlmg._tables import TABLES
+from wlmg.cli import BenchRow, bench_cell, bench_rows_csv
 from wlmg.discretize import (TWO_D_ONLY_PRESETS, BoundaryCondition, DiffusionCoefficient,
                              GridSpec, algebra_for_bc, assemble, split)
-from wlmg.mgm import SMOOTHERS, LevelHierarchy, SolverConfig, _by_diagonals, build_hierarchy
-from wlmg.structured import AlgebraKind, StructuredOperator, csr_from_bands, sparse_matrix
+from wlmg.mgm import SMOOTHERS, LevelHierarchy, SolverConfig, build_hierarchy
+from wlmg.structured import (AlgebraKind, StructuredOperator, csr_from_bands, dia_bands,
+                             sparse_matrix, stored_diagonals)
 from wlmg.symbols import CosineSymbol, TensorSymbol
 from wlmg.transfer import Projector, coarsen_structured, galerkin_sparse
 
-from oracles import (assemble_coo, bands_of, galerkin_csr, sparse_matrix_coo,
-                     to_sparse_kron)
+from oracles import (assemble_coo, bands_of, correction_csr, galerkin_csr,
+                     sparse_matrix_coo, to_sparse_kron)
 
 checked = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -156,8 +162,11 @@ def test_products_by_diagonals_equal_csr_products(n, density, seed):
     rng = np.random.default_rng(seed)
     dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
     A = sp.csr_array(dense)
-    D, n_upper = _by_diagonals(A)
-    assert n_upper == sp.triu(A, k=1).nnz
+    D = stored_diagonals(A)
+    want = bands_of(A)
+    assert isinstance(D, sp.dia_array) and D.offsets.tolist() == sorted(want)
+    got = dia_bands(D)
+    assert list(got) == sorted(want) and all(same_bits(got[o], want[o]) for o in want)
     for shift in (0.0, 1e3):
         x = rng.standard_normal(n) + shift
         assert same_bits(D @ x, A @ x)
@@ -274,7 +283,7 @@ def corrections(draw):
     presets = [p for p in PRESETS if dim == 2 or p not in TWO_D_ONLY_PRESETS]
     coeff = draw(st.one_of(st.sampled_from(presets), random_coefficients(dim)))
     grid = GridSpec(sizes, bc)
-    R = split(assemble(grid, coeff), grid, coeff).correction
+    R = correction_csr(split(assemble(grid, coeff), grid, coeff))
     proj = Projector(kind, sizes)
     if draw(st.booleans()) and all(coarsenable(kind, n) for n in proj.coarse_sizes):
         R, proj = galerkin_csr(R, proj), Projector(kind, proj.coarse_sizes)
@@ -314,7 +323,7 @@ def test_band_galerkin_equals_csr_oracle(case):
 def test_band_galerkin_equals_csr_oracle_on_rectangles(bc, coeff):
     sizes = (63, 31) if bc is BoundaryCondition.DIRICHLET else (64, 32)
     grid = GridSpec(sizes, bc)
-    R = split(assemble(grid, coeff), grid, coeff).correction
+    R = correction_csr(split(assemble(grid, coeff), grid, coeff))
     proj = Projector(algebra_for_bc(bc), sizes)
     check_band_galerkin(R, proj)
     check_band_galerkin(galerkin_csr(R, proj), Projector(proj.kind, proj.coarse_sizes))
@@ -355,3 +364,27 @@ def test_smoothers_never_modify_their_inputs(bc, dim, smoother, zero_x, give_r,
     assert same_bits(got, step(x_full, b, None))
     assert same_bits(b, b_before) and same_bits(x_full, x_before)
     assert zero_x or same_bits(x, x_before)
+
+
+@st.composite
+def bench_cells(draw):
+    """A cell of a bench table at the table's smallest size."""
+    table = TABLES[draw(st.sampled_from(sorted(TABLES)))]
+    return (table, draw(st.sampled_from(table.pairs)), draw(st.sampled_from(table.coeffs)),
+            min(table.sizes))
+
+
+@checked
+@given(bench_cells(), st.integers(0, 2**32 - 1))
+def test_bench_cells_are_deterministic(cell, seed):
+    table, pair, coeff, n = cell
+    lines, histories = [], []
+    for _ in range(2):
+        result, rep = bench_cell(table, pair, coeff, n, seed=seed)
+        row = BenchRow(table.table_id, pair, coeff, n, result,
+                       table.reference.get((pair, coeff, n)), rep.iterations,
+                       rep.operations // max(rep.iterations, 1))
+        lines.append(bench_rows_csv([row])[1])
+        histories.append(np.array(rep.residuals))
+    assert lines[0] == lines[1]
+    assert same_bits(*histories)

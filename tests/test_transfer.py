@@ -9,7 +9,7 @@ from wlmg.transfer import (Projector, coarse_size, cutting_matrix,
                            coarsen_structured, galerkin_sparse,
                            galerkin_structured, project_rank_one)
 
-from oracles import bands_of, galerkin_csr
+from oracles import bands_of, correction_csr, galerkin_csr
 
 LAPLACE = CosineSymbol([2.0, -1.0])
 KINDS = [AlgebraKind.TAU, AlgebraKind.CIRCULANT, AlgebraKind.DCT3]
@@ -147,9 +147,10 @@ def test_galerkin_sparse_a2():
     grid = GridSpec((31,), BoundaryCondition.DIRICHLET)
     prob = split(assemble(grid, "a2"), grid, "a2")
     P = Projector(AlgebraKind.TAU, (31,))
-    got = coarse_correction(prob.correction, P).toarray()
+    R = correction_csr(prob)
+    got = coarse_correction(R, P).toarray()
     p = P.to_sparse().toarray()
-    want = p.T @ prob.correction.toarray() @ p
+    want = p.T @ R.toarray() @ p
     assert np.abs(got - want).max() <= 1e-11 * max(np.abs(want).max(), 1)
     lam = np.linalg.eigvalsh(got)
     assert lam.min() >= -1e-10
@@ -168,7 +169,7 @@ def test_master_galerkin_identity_1d(bc):
             rank_one=None if prob.structured.rank_one is None
             else prob.a_min * prob.structured.rank_one)
         coarse_struct = coarsen_structured(scaled, P)
-        coarse_R = coarse_correction(prob.correction, P)
+        coarse_R = coarse_correction(correction_csr(prob), P)
         got = coarse_struct.materialize_dense() + coarse_R.toarray()
         p = P.to_sparse().toarray()
         A = prob.full_dense()
@@ -185,7 +186,7 @@ def test_master_galerkin_identity_2d():
     scaled = StructuredOperator(AlgebraKind.TAU, (15, 15),
                                 prob.structured.symbol.scaled(prob.a_min))
     coarse_struct = coarsen_structured(scaled, P)
-    coarse_R = coarse_correction(prob.correction, P)
+    coarse_R = coarse_correction(correction_csr(prob), P)
     got = coarse_struct.materialize_dense() + coarse_R.toarray()
     p = P.to_sparse().toarray()
     want = p.T @ prob.full_dense() @ p
