@@ -7,8 +7,9 @@ process with that checkout's ``src`` on the import path, and compares:
   splitting's ``a_min`` and correction (as CSR, whether the checkout holds
   it as CSR or by diagonals), and per level the CSR ``combined``
   and ``structured.to_sparse()`` arrays, the diagonals, ``dinv``,
-  ``jacobi_inv``, the four damping factors, ``sup|symbol|``, the projector,
-  and the nnz of the Gauss-Seidel and coarse factors;
+  ``jacobi_inv``, the four damping factors, ``sup|symbol|``, the projector
+  (as CSR, whether the checkout stores it as CSR or CSC), and the nnz of
+  the Gauss-Seidel and coarse factors;
 * iterates, residual histories, iteration counts, ``converged`` and
   ``operations`` of every solve by bytes.
 
@@ -86,6 +87,7 @@ def digest(a: np.ndarray) -> str:
 def arrays(bc: str, shape: tuple, coeff: str):
     """``(key, array)`` of one configuration, canonical as compared."""
     # imported here, in the child whose import path holds one checkout's src
+    import scipy.sparse as sp
     from wlmg.discretize import BoundaryCondition, GridSpec, assemble, build_rhs, split
     from wlmg.mgm import LevelHierarchy, SolverConfig, build_hierarchy, solve
     from wlmg.structured import csr_from_bands
@@ -118,7 +120,7 @@ def arrays(bc: str, shape: tuple, coeff: str):
             if lev.projector is None:
                 yield f"{key}/direct_nnz", canonical(lev._ensure_direct()[2], True)
             else:
-                yield from csr(f"{key}/projector", lev.projector.to_sparse())
+                yield from csr(f"{key}/projector", sp.csr_array(lev.projector.to_sparse()))
                 yield f"{key}/gs_nnz", canonical(lev._ensure_gs()[3], True)
         for k, kwargs in enumerate(SOLVERS):
             key = f"{tag}/{method}/solver{k}"

@@ -270,8 +270,6 @@ class AssembledProblem:
     correction: dict
     matrix: sp.csr_array
     operator: sp.dia_array
-    rhs: np.ndarray | None = None
-    coefficient: DiffusionCoefficient | None = None
 
     def full_dense(self) -> np.ndarray:
         R = csr_from_bands(dict(self.correction), self.grid.n_total)
@@ -290,10 +288,12 @@ def split(A: sp.csr_array, grid: GridSpec, coeff) -> AssembledProblem:
     times ``M``'s.  The problem keeps ``A`` itself (as a canonical CSR array;
     ``assemble`` returns one) rather than a copy.
 
-    Raises ``ValueError`` if ``A`` is not N-by-N for the grid, and, naming
-    the coefficient, unless ``R`` has no positive off-diagonal entry and no
-    row sum below ``-8 (2d + 1) u A_ii`` (``u = eps / 2``), which make the
-    symmetric ``R`` PSD.  Both hold for ``assemble(grid, coeff)``: an
+    Raises ``ValueError`` if ``A`` is not N-by-N for the grid, if it is not
+    symmetric bit for bit (tested on ``R``, as ``M`` is symmetric; the
+    Galerkin coarsening forms half the diagonals and mirrors them), and,
+    naming the coefficient, unless ``R`` has no positive off-diagonal entry
+    and no row sum below ``-8 (2d + 1) u A_ii`` (``u = eps / 2``), which
+    make the symmetric ``R`` PSD.  Both hold for ``assemble(grid, coeff)``: an
     off-diagonal ``a_min - a_e`` rounds a difference <= 0, and a row sum,
     >= 0 exactly, carries the rounding of ``A_ii``'s sum of 2d edges and,
     per entry, of ``a_min M_ij``, the difference and the sum: less than the
@@ -315,6 +315,13 @@ def split(A: sp.csr_array, grid: GridSpec, coeff) -> AssembledProblem:
         bands[offset] = bands.get(offset, 0.0) - a_min * band
     # a diagonal with no nonzero entry is left out, as a CSR difference drops it
     R = {offset: bands[offset] for offset in sorted(bands) if bands[offset].any()}
+    zero = np.zeros(N)
+    for o in sorted({abs(o) for o in R} - {0}):     # R[i, i + o] == R[i + o, i]
+        upper, lower = R.get(o, zero)[:N - o], R.get(-o, zero)[o:]
+        if not np.array_equal(upper, lower):
+            i = int(np.flatnonzero(upper != lower)[0])
+            raise ValueError(f"A is not symmetric: A[{i}, {i + o}] = {float(A[i, i + o])!r} "
+                             f"but A[{i + o}, {i}] = {float(A[i + o, i])!r}")
     positive = max((band.max() for offset, band in R.items() if offset != 0), default=0.0)
     rows = sum(R.values(), np.zeros(N))
     tol = 4 * (2 * grid.dim + 1) * np.finfo(float).eps * np.abs(A.diagonal())
@@ -326,14 +333,12 @@ def split(A: sp.csr_array, grid: GridSpec, coeff) -> AssembledProblem:
                          f"{fault}, so it is not positive semidefinite")
     structured = base if kind is AlgebraKind.TAU else base.strang_correct()
     return AssembledProblem(grid=grid, a_min=a_min, structured=structured,
-                            correction=R, matrix=A, operator=operator,
-                            coefficient=coeff)
+                            correction=R, matrix=A, operator=operator)
 
 
-def build_rhs(grid: GridSpec, mode="ones", seed: int | None = None,
-              u_true: np.ndarray | None = None, operator=None) -> np.ndarray:
-    """Right-hand sides: ``ones`` (h^2-scaled), ``random`` (standard normal,
-    drawn from ``seed``, which it requires), ``manufactured``."""
+def build_rhs(grid: GridSpec, mode="ones", seed: int | None = None) -> np.ndarray:
+    """Right-hand sides: ``ones`` (h^2-scaled) or ``random`` (standard
+    normal, drawn from ``seed``, which it requires)."""
     N = grid.n_total
     if mode == "ones":
         scale = math.prod(grid.spacing(r) ** 2 for r in range(grid.dim)) ** (1.0 / grid.dim)
@@ -343,12 +348,4 @@ def build_rhs(grid: GridSpec, mode="ones", seed: int | None = None,
             raise ValueError("random mode needs a seed; without one every call "
                              "would draw a different vector")
         return np.random.default_rng(seed).standard_normal(N)
-    if mode == "manufactured":
-        if u_true is None:
-            raise ValueError("manufactured mode needs u_true")
-        if operator is None:
-            operator = assemble(grid, "a1")
-        if callable(operator):
-            return operator(np.asarray(u_true, dtype=float))
-        return operator @ np.asarray(u_true, dtype=float)
     raise ValueError(f"unknown rhs mode {mode!r}")

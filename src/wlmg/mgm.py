@@ -10,19 +10,20 @@ the diagonals ``split`` read off the assembled matrix.  ``LevelHierarchy``
 then resolves, once per level, which smoother each slot runs with which
 damping and diagonal, and the nominal operation count of each phase of a
 cycle (``costs``, ``cycle_cost``).  Hierarchies are immutable afterwards,
-apart from the ``p^T`` each projector caches on its first ``restrict`` and
-the CSR ``combined`` a coarse level reads off its diagonals on first access
-(concurrent first uses may each build one; they build the same matrix).
+apart from the CSR ``combined`` a coarse level reads off its diagonals on
+first access (concurrent first uses may each build one; they build the
+same matrix).
 Every solve owns its iterate, residual history and work vectors, so
 concurrent solves against one hierarchy are safe.
 
 Every level product on the solve path is a product with the level operator
 stored by diagonals (``sp.dia_array``): the residual, the smoothers, and
 the two triangles of Gauss-Seidel, which are slices of those diagonals.
-The grid transfers are CSR products, and the coarsest level is one SuperLU
-factor; with a rank-one term it factors the bordered matrix
-``[[A, u], [u^T, -1]]``, ``u = sqrt(gamma/N) e``, whose solve with
-``[b; 0]`` solves ``(A + u u^T) x = b`` without forming the dense term.
+The grid transfers multiply by ``p^T`` (CSR) and ``p`` (CSC) over one set
+of arrays, and the coarsest level is one SuperLU factor; with a rank-one
+term it factors the bordered matrix ``[[A, u], [u^T, -1]]``,
+``u = sqrt(gamma/N) e``, whose solve with ``[b; 0]`` solves
+``(A + u u^T) x = b`` without forming the dense term.
 The CSR form of a level operator is read off its diagonals only where it is
 used: for that factor and the dense oracles.  The nominal operation counts
 count the nonzero entries of the diagonals.

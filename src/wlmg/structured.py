@@ -218,12 +218,6 @@ def _diagonals(kind: AlgebraKind, f: CosineSymbol, n: int) -> tuple:
     return bands, stored
 
 
-def sparse_matrix(kind: AlgebraKind, f: CosineSymbol, n: int) -> sp.csr_array:
-    """Sparse banded algebra matrix (includes the algebra's corner entries)."""
-    bands, stored = _diagonals(kind, f, n)
-    return csr_from_bands(bands, n, stored)
-
-
 class StructuredOperator:
     """Operator ``M(symbol) + gamma * e e^T / N`` in one algebra.
 

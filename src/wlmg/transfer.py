@@ -1,4 +1,4 @@
-"""Grid-transfer operators: cutting matrices, projectors, Galerkin coarsening.
+"""Grid-transfer operators: projectors and Galerkin coarsening.
 
 The projector is ``p = s * M(2 + 2cos) * T`` per dimension, where ``T`` is
 the boundary-condition-specific 0/1 cutting matrix and ``s`` a scalar
@@ -9,7 +9,10 @@ maps, 1-based as usual in the multigrid literature:
 * periodic (circulant): n0 = 2 n1,     T[i, j] = 1 at i = 2j - 1
 * reflective (DCT-III): n0 = 2 n1,     T[i, j] = 1 at i in {2j-1, 2j}
 
-Both transfers are CSR products with the cached sparse ``p`` and ``p^T``
+A column of that product holds a few fixed taps, ``TAPS``, and ``p`` is
+built from them alone: ``Projector`` stores the CSR arrays of ``p^T``, one
+row per coarse unknown.  ``restrict`` multiplies by that CSR matrix and
+``prolong`` by the CSC matrix over the same three arrays, which is ``p``
 (``p`` is rectangular, so it is not stored by diagonals like the square
 level operators of ``mgm``).
 
@@ -27,11 +30,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .structured import AlgebraKind, StructuredOperator, sparse_matrix
+from .structured import AlgebraKind, StructuredOperator
 from .symbols import CosineSymbol, TensorSymbol, fold, fold_pairsum
 
-__all__ = ["Projector", "coarse_size", "cutting_matrix",
-           "galerkin_structured", "galerkin_sparse"]
+__all__ = ["Projector", "coarse_size", "galerkin_structured", "galerkin_sparse"]
 
 P_SYMBOL = CosineSymbol([2.0, 1.0])
 
@@ -54,25 +56,28 @@ def coarse_size(kind: AlgebraKind, n: int) -> int:
     return n // 2
 
 
-def cutting_matrix(kind: AlgebraKind, n0: int) -> sp.csr_array:
-    """Sparse 0/1 cutting matrix of shape (n0, n1)."""
-    n1 = coarse_size(kind, n0)
-    j = np.arange(n1)
-    if kind is AlgebraKind.TAU:
-        rows, cols = 2 * j + 1, j
-    elif kind is AlgebraKind.CIRCULANT:
-        rows, cols = 2 * j, j
-    else:
-        rows = np.empty(2 * n1, dtype=int)
-        rows[0::2] = 2 * j
-        rows[1::2] = 2 * j + 1
-        cols = np.repeat(j, 2)
-    vals = np.ones(len(rows))
-    return sp.coo_array((vals, (rows, cols)), shape=(n0, n1)).tocsr()
+def _columns(kind: AlgebraKind, n0: int, n1: int, index) -> tuple:
+    """One dimension's ``p / s`` by columns, as ``(n1, len(taps))`` tables of
+    fine rows (ascending), taps and the entries held: the circulant column 0
+    wraps its first tap to row n0 - 1, the last; a DCT-III end column adds
+    its outer tap to the next one, on the same row, and drops it."""
+    w = TAPS[kind]
+    start = 0 if kind is AlgebraKind.TAU else -1
+    rows = (2 * np.arange(n1)[:, None] + np.arange(start, start + len(w))).astype(index)
+    taps = np.tile(w, (n1, 1))
+    held = np.ones(rows.shape, dtype=bool)
+    if kind is AlgebraKind.CIRCULANT:
+        rows[0], taps[0] = (0, 1, n0 - 1), (w[1], w[2], w[0])
+    elif kind is AlgebraKind.DCT3:
+        taps[0, 1] += taps[0, 0]
+        taps[-1, -2] += taps[-1, -1]
+        held[0, 0] = held[-1, -1] = False
+    return rows, taps, held
 
 
 class Projector:
-    """Tensor-product projector between two grid levels."""
+    """Tensor-product projector between two grid levels: ``p`` and ``p^T``
+    over one set of arrays, built from ``TAPS``."""
 
     def __init__(self, kind: AlgebraKind, fine_sizes):
         self.kind = kind
@@ -81,45 +86,51 @@ class Projector:
         self.scalar = (1.0 / np.sqrt(2.0)) if kind is AlgebraKind.TAU else 1.0
         self.n_fine = int(np.prod(self.fine_sizes))
         self.n_coarse = int(np.prod(self.coarse_sizes))
-        self._sparse = None
-        self._sparse_t = None
+        self._sparse = None         # p, CSC
+        self._transpose = None      # p^T, CSR over the same arrays
 
     def prolong(self, y: np.ndarray) -> np.ndarray:
         """Coarse-to-fine map ``p y``."""
         y = np.asarray(y, dtype=float)
         if y.shape != (self.n_coarse,):
             raise ValueError(f"expected coarse vector of length {self.n_coarse}")
-        return self.to_sparse() @ y
+        if self._sparse is None:
+            self.to_sparse()
+        return self._sparse @ y
 
     def restrict(self, r: np.ndarray) -> np.ndarray:
         """Fine-to-coarse map ``p^T r`` (exact adjoint of ``prolong``)."""
         r = np.asarray(r, dtype=float)
         if r.shape != (self.n_fine,):
             raise ValueError(f"expected fine vector of length {self.n_fine}")
-        if self._sparse_t is None:
-            self._sparse_t = sp.csr_array(self.to_sparse().T)
-        return self._sparse_t @ r
+        if self._transpose is None:
+            self.to_sparse()
+        return self._transpose @ r
 
-    def to_sparse(self) -> sp.csr_array:
-        """Sparse p (cached): the transfers, the rank-one projection, the oracles.
+    def to_sparse(self) -> sp.csc_array:
+        """Sparse ``p`` (cached), CSC: the transfers and the oracles.
 
-        Its index arrays are int32 where they fit (``sp.kron`` gives int64);
-        the index type changes no value of any product with ``p``.
+        Entry for entry it is ``s * M(2 + 2cos) * T``, the Kronecker product
+        of those in 2-D; each column's rows are sorted, and the index arrays
+        are int32 where they fit.
         """
         if self._sparse is None:
-            factors = []
-            for n0 in self.fine_sizes:
-                P = sparse_matrix(self.kind, P_SYMBOL, n0)
-                factors.append(self.scalar * (P @ cutting_matrix(self.kind, n0)))
-            M = factors[0]
-            for F in factors[1:]:
-                M = sp.kron(M, F, format="csr")
-            M = sp.csr_array(M)
-            M.sort_indices()
-            if max(M.nnz, *M.shape) <= np.iinfo(np.int32).max:
-                M = sp.csr_array((M.data, M.indices.astype(np.int32, copy=False),
-                                  M.indptr.astype(np.int32, copy=False)), shape=M.shape)
-            self._sparse = M
+            width = len(TAPS[self.kind]) ** len(self.fine_sizes)
+            index = np.int32 if self.n_coarse * width <= np.iinfo(np.int32).max else np.int64
+            rows, values, held = np.zeros((1, 1), index), np.ones((1, 1)), np.ones((1, 1), bool)
+            for n0, n1 in zip(self.fine_sizes, self.coarse_sizes):
+                r, taps, h = _columns(self.kind, n0, n1, index)
+                v, m = self.scalar * taps, len(rows) * n1
+                # the Kronecker product with the dimensions before, row by row
+                # of p^T: row (J', J) holds (i', i) for each pair, ascending
+                rows = (rows[:, None, :, None] * n0 + r[None, :, None, :]).reshape(m, -1)
+                values = (values[:, None, :, None] * v[None, :, None, :]).reshape(m, -1)
+                held = (held[:, None, :, None] & h[None, :, None, :]).reshape(m, -1)
+            indptr = np.zeros(self.n_coarse + 1, dtype=index)
+            np.cumsum(held.sum(axis=1), out=indptr[1:])
+            arrays = (values[held], rows[held], indptr)
+            self._transpose = sp.csr_array(arrays, shape=(self.n_coarse, self.n_fine))
+            self._sparse = sp.csc_array(arrays, shape=(self.n_fine, self.n_coarse))
         return self._sparse
 
 
@@ -349,22 +360,17 @@ def galerkin_sparse(R: dict, projector: Projector) -> dict:
 def project_rank_one(gamma: float, projector: Projector) -> float:
     """Coarse coefficient of ``gamma e e^T / N`` under the Galerkin projection.
 
-    ``p^T e``, the column sums of ``p``, is a constant vector for the
-    circulant and DCT-III projectors, so the projected term is again
-    ``gamma' e e^T / N_coarse``.  Summing ``p`` leaves the ``p^T`` of
-    ``restrict`` to the first solve.
+    Every column of ``p`` holds all its taps (the DCT-III end columns sum
+    two on one row), so ``p^T e`` is the constant ``(s * sum(taps))^d``,
+    4^d circulant and 8^d DCT-III, and the projected term is again
+    ``gamma' e e^T / N_coarse``.
     """
-    u = np.asarray(projector.to_sparse().sum(axis=0)).ravel()
-    c = float(u[0])
-    if not np.allclose(u, c, rtol=1e-12, atol=1e-12):
-        raise ValueError("rank-one projection needs constant column sums of p")
+    c = (projector.scalar * sum(TAPS[projector.kind])) ** len(projector.fine_sizes)
     return gamma * c * c * projector.n_coarse / projector.n_fine
 
 
 def coarsen_structured(op: StructuredOperator, projector: Projector) -> StructuredOperator:
     """Full Galerkin coarse structured operator, rank-one term included."""
     sym = galerkin_structured(op.symbol, projector)
-    gamma = None
-    if op.rank_one is not None:
-        gamma = project_rank_one(op.rank_one, projector)
+    gamma = None if op.rank_one is None else project_rank_one(op.rank_one, projector)
     return StructuredOperator(op.kind, projector.coarse_sizes, sym, rank_one=gamma)

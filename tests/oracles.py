@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from wlmg.discretize import (BoundaryCondition, GridSpec, _sample, algebra_for_bc,
                              coefficient_samples, laplace_symbol, make_coefficient)
 from wlmg.structured import AlgebraKind, StructuredOperator, _check_band, csr_from_bands
+from wlmg.transfer import P_SYMBOL, coarse_size
 
 
 def edge_groups(grid: GridSpec, coeff):
@@ -131,6 +132,43 @@ def to_sparse_kron(op) -> sp.csr_array:
     out = sp.csr_array(out)
     out.sort_indices()
     return out
+
+
+def cutting_matrix(kind: AlgebraKind, n0: int) -> sp.csr_array:
+    """The 0/1 cutting matrix ``T`` of shape (n0, n1), 0-based: tau keeps
+    the fine rows 2j + 1, circulant 2j, DCT-III the pairs 2j, 2j + 1."""
+    n1 = coarse_size(kind, n0)
+    j = np.arange(n1)
+    if kind is AlgebraKind.TAU:
+        rows, cols = 2 * j + 1, j
+    elif kind is AlgebraKind.CIRCULANT:
+        rows, cols = 2 * j, j
+    else:
+        rows = np.empty(2 * n1, dtype=int)
+        rows[0::2] = 2 * j
+        rows[1::2] = 2 * j + 1
+        cols = np.repeat(j, 2)
+    vals = np.ones(len(rows))
+    return sp.coo_array((vals, (rows, cols)), shape=(n0, n1)).tocsr()
+
+
+def projector_kron(kind: AlgebraKind, fine_sizes) -> sp.csr_array:
+    """The projector as the paper defines it: ``s * M(2 + 2cos) * T`` per
+    dimension, the algebra matrix from ``sparse_matrix_coo``, and the
+    Kronecker product of the factors in 2-D; indices sorted, int32 where
+    they fit."""
+    scalar = (1.0 / np.sqrt(2.0)) if kind is AlgebraKind.TAU else 1.0
+    factors = [scalar * (sparse_matrix_coo(kind, P_SYMBOL, n0) @ cutting_matrix(kind, n0))
+               for n0 in fine_sizes]
+    M = factors[0]
+    for F in factors[1:]:
+        M = sp.kron(M, F, format="csr")
+    M = sp.csr_array(M)
+    M.sort_indices()
+    if max(M.nnz, *M.shape) <= np.iinfo(np.int32).max:
+        M = sp.csr_array((M.data, M.indices.astype(np.int32), M.indptr.astype(np.int32)),
+                         shape=M.shape)
+    return M
 
 
 def split_csr(A, grid: GridSpec, coeff) -> sp.csr_array:

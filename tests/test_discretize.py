@@ -131,6 +131,24 @@ def test_split_rejects_a_positive_off_diagonal_correction(bc):
         split(assemble(grid, "a7"), grid, "a2")
 
 
+@pytest.mark.parametrize("bc", BCS, ids=lambda bc: bc.value)
+def test_split_rejects_a_non_symmetric_matrix(bc):
+    """``a7``'s matrix with one entry halved and its mirror left as it is,
+    and with one entry added and no mirror at all."""
+    grid = GridSpec((63, 63) if bc is BoundaryCondition.DIRICHLET else (64, 64), bc)
+    N = grid.n_total
+    A = assemble(grid, "a7")
+    halved = sp.csr_array(A, copy=True)
+    halved[N - 3, N - 2] = A[N - 3, N - 2] / 2
+    with pytest.raises(ValueError, match=rf"^A is not symmetric: A\[{N - 3}, {N - 2}\] = "
+                                         rf"-50\.0 but A\[{N - 2}, {N - 3}\] = -100\.0$"):
+        split(halved, grid, "a7")
+    one_sided = A + sp.csr_array(([-1e-3], ([7], [3])), shape=A.shape)
+    with pytest.raises(ValueError, match=r"^A is not symmetric: A\[3, 7\] = 0\.0 but "
+                                         r"A\[7, 3\] = -0\.001$"):
+        split(one_sided, grid, "a7")
+
+
 def test_split_rejects_a_negative_row_sum():
     """A 1-D Dirichlet matrix whose left boundary edge (0.5) is below the
     splitting's ``a_min`` (1) while every interior edge (2) is above it: the
@@ -178,9 +196,8 @@ def test_build_rhs_modes():
     r1 = build_rhs(grid, "random", seed=42)
     r2 = build_rhs(grid, "random", seed=42)
     assert np.array_equal(r1, r2)
-    e1 = np.zeros(3)
-    e1[0] = 1.0
-    assert np.allclose(build_rhs(grid, "manufactured", u_true=e1), [2.0, -1.0, 0.0])
+    with pytest.raises(ValueError, match="unknown rhs mode 'manufactured'"):
+        build_rhs(grid, "manufactured")
 
 
 def test_random_rhs_needs_a_seed():

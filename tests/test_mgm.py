@@ -24,15 +24,19 @@ D = BoundaryCondition.DIRICHLET
 def make_problem(n, coeff="a2", bc=D):
     sizes = (n,) if np.isscalar(n) else tuple(n)
     grid = GridSpec(sizes, bc)
-    prob = split(assemble(grid, coeff), grid, coeff)
-    prob.rhs = build_rhs(grid, "ones")
-    return prob
+    return split(assemble(grid, coeff), grid, coeff)
+
+
+def make_system(n, coeff="a2", bc=D):
+    """``make_problem`` and its h^2-scaled ones right-hand side."""
+    prob = make_problem(n, coeff, bc)
+    return prob, build_rhs(prob.grid, "ones")
 
 
 def run(n, coeff, method, pre, post, bc=D, tol=1e-7, max_iter=None):
-    prob = make_problem(n, coeff, bc)
+    prob, b = make_system(n, coeff, bc)
     H = build_hierarchy(prob, SolverConfig(method=method, pre=pre, post=post))
-    return solve(H, prob.rhs, tol=tol, max_iter=max_iter)
+    return solve(H, b, tol=tol, max_iter=max_iter)
 
 
 def test_hierarchy_sizes_1d():
@@ -282,11 +286,11 @@ def test_tgm_on_small_grids(bc, sizes):
 
 def test_rank_one_coarse_solve_has_no_size_cap():
     # periodic 130^2 stops at 65^2 = 4225 unknowns, past the old dense cap
-    prob = make_problem((130, 130), "a1", BoundaryCondition.PERIODIC)
+    prob, b = make_system((130, 130), "a1", BoundaryCondition.PERIODIC)
     with pytest.warns(RuntimeWarning, match="sparse direct solve of 4225 unknowns"):
         H = build_hierarchy(prob, SolverConfig(method="mgm"))
     assert H.levels[-1].n == 4225
-    _, rep = solve(H, prob.rhs)
+    _, rep = solve(H, b)
     assert rep.converged
 
 
@@ -319,10 +323,10 @@ def test_builds_with_scipy_1_10_constructors(monkeypatch):
         monkeypatch.delattr(scipy.sparse, name)
     for bc, sizes in ((D, (15, 15)), (BoundaryCondition.PERIODIC, (16, 16)),
                       (BoundaryCondition.REFLECTIVE, (16, 16))):
-        prob = make_problem(sizes, "a2", bc)
+        prob, b = make_system(sizes, "a2", bc)
         H = build_hierarchy(prob, SolverConfig(method="tgm", pre="gauss-seidel",
                                                post="gauss-seidel"))
-        assert solve(H, prob.rhs)[1].converged
+        assert solve(H, b)[1].converged
 
 
 def same_bits(a, b) -> bool:
@@ -428,9 +432,8 @@ def test_zero_rhs_costs_nothing():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_solve_rejects_non_finite_rhs(bad, monkeypatch):
-    prob = make_problem((15, 15), "a2")
+    prob, b = make_system((15, 15), "a2")
     H = build_hierarchy(prob, SolverConfig(method="tgm"))
-    b = prob.rhs.copy()
     b[7] = bad
     monkeypatch.setattr(wlmg.mgm, "vcycle", None)   # no cycle may start
     with pytest.raises(ValueError, match="^b holds a NaN or inf"):
@@ -439,13 +442,13 @@ def test_solve_rejects_non_finite_rhs(bad, monkeypatch):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_solve_rejects_non_finite_initial_guess(bad, monkeypatch):
-    prob = make_problem((16, 16), "a2", BoundaryCondition.REFLECTIVE)
+    prob, b = make_system((16, 16), "a2", BoundaryCondition.REFLECTIVE)
     H = build_hierarchy(prob, SolverConfig(method="tgm"))
     x0 = np.zeros(H.levels[0].n)
     x0[3] = bad
     monkeypatch.setattr(wlmg.mgm, "vcycle", None)
     with pytest.raises(ValueError, match="^x0 holds a NaN or inf"):
-        solve(H, prob.rhs, x0=x0)
+        solve(H, b, x0=x0)
 
 
 @pytest.mark.parametrize("bc, sizes", [(D, (96, 96)), (D, (96,)),
@@ -503,9 +506,9 @@ def test_coarsest_or_coarsenable_grid_does_not_warn(bc, sizes):
         "tol-zero", "tol-negative", "tol-nan", "tol-string", "max_iter-float",
         "max_iter-numpy-float", "max_iter-bool"])
 def test_solve_rejects_bad_arguments(argument, value, message, monkeypatch):
-    prob = make_problem((15, 15), "a2")
+    prob, b = make_system((15, 15), "a2")
     H = build_hierarchy(prob, SolverConfig(method="mgm"))
-    kwargs = {"b": prob.rhs, argument: value}
+    kwargs = {"b": b, argument: value}
     monkeypatch.setattr(wlmg.mgm, "vcycle", None)   # no cycle may start
     with pytest.raises(ValueError, match=message):
         solve(H, **kwargs)
@@ -519,10 +522,10 @@ def test_build_hierarchy_rejects_a_config_that_is_not_a_solver_config(config):
 
 @pytest.mark.parametrize("max_iter", [np.int64(2), np.int32(2), np.uint8(2)])
 def test_solve_accepts_numpy_integer_max_iter(max_iter):
-    prob = make_problem((31, 31), "a2")
+    prob, b = make_system((31, 31), "a2")
     H = build_hierarchy(prob, SolverConfig(method="mgm"))
-    _, rep = solve(H, prob.rhs, tol=1e-14, max_iter=max_iter)
-    _, ref = solve(H, prob.rhs, tol=1e-14, max_iter=2)
+    _, rep = solve(H, b, tol=1e-14, max_iter=max_iter)
+    _, ref = solve(H, b, tol=1e-14, max_iter=2)
     assert (rep.iterations, rep.converged) == (2, False)
     assert rep.residuals == ref.residuals
 
@@ -664,7 +667,7 @@ def test_cycle_products_per_level(x0, monkeypatch):
     products (residual, two CG, the stop test) and level 1 makes 3; the
     Richardson pre-smoothers make none.  A given ``x0`` costs one more
     product in the first cycle."""
-    prob = make_problem((63, 63), "a7")
+    prob, b = make_system((63, 63), "a7")
     H = build_hierarchy(prob, SolverConfig(method="mgm", pre="richardson", post="cg"))
     assert H.n_levels == 3
     level_of = {id(lev): s for s, lev in enumerate(H.levels)}
@@ -680,7 +683,7 @@ def test_cycle_products_per_level(x0, monkeypatch):
     per_cycle = []
     for cycles in (1, 2, 5):
         counts[:] = [0] * H.n_levels
-        _, rep = solve(H, prob.rhs, max_iter=cycles, x0=start)
+        _, rep = solve(H, b, max_iter=cycles, x0=start)
         assert rep.iterations == cycles
         per_cycle.append(list(counts))
     first = [4 if x0 == "zero" else 5, 3, 0]
@@ -693,7 +696,7 @@ def test_cycle_products_per_level(x0, monkeypatch):
 def test_solve_stops_at_a_non_finite_residual(bad, monkeypatch):
     """A cycle that returns a non-finite iterate ends the run at once; the
     next cycle is never given a non-finite residual."""
-    prob = make_problem((15, 15), "a2")
+    prob, b = make_system((15, 15), "a2")
     H = build_hierarchy(prob, SolverConfig(method="tgm"))
     cycle = wlmg.mgm.vcycle
     calls = []
@@ -707,7 +710,7 @@ def test_solve_stops_at_a_non_finite_residual(bad, monkeypatch):
         return out
 
     monkeypatch.setattr(wlmg.mgm, "vcycle", breaking)
-    x, rep = solve(H, prob.rhs, max_iter=50)
+    x, rep = solve(H, b, max_iter=50)
     assert len(calls) == 3 and rep.iterations == 3 and not rep.converged
     assert calls == [None, True, True]
     assert not np.isfinite(rep.residuals[-1]) and np.isfinite(rep.residuals[:-1]).all()

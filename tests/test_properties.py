@@ -5,12 +5,15 @@
 * ``structured.stored_diagonals`` stores a CSR matrix by diagonals; products
   with it equal the CSR products bit for bit, and ``dia_bands`` reads back
   the CSR matrix's diagonals.
+* ``Projector`` builds ``p`` from its taps; it equals
+  ``oracles.projector_kron``, the paper's ``s * M(2 + 2cos) * T`` with
+  Kronecker products in 2-D, bit for bit, and so do both transfers.
 * ``Projector.restrict`` is the exact adjoint of ``Projector.prolong``.
 * Smoothing steps never modify ``x`` or ``b``; ``x=None`` steps as from
   zero and a given residual ``r = b - A x`` steps as without it, bit for
   bit (the given ``r`` is consumed).
-* ``sparse_matrix`` and ``StructuredOperator.to_sparse`` build band by
-  band; they equal the COO and Kronecker construction of
+* ``StructuredOperator.to_sparse`` builds band by band, in 1-D and 2-D;
+  it equals the COO and Kronecker construction of
   ``oracles.sparse_matrix_coo`` and ``oracles.to_sparse_kron`` bit for bit,
   explicit zeros included.
 * ``TensorSymbol.sup_norm`` skips blocks of the angle grid; it equals the
@@ -40,11 +43,11 @@ from wlmg.discretize import (TWO_D_ONLY_PRESETS, BoundaryCondition, DiffusionCoe
                              GridSpec, algebra_for_bc, assemble, split)
 from wlmg.mgm import SMOOTHERS, LevelHierarchy, SolverConfig, build_hierarchy
 from wlmg.structured import (AlgebraKind, StructuredOperator, csr_from_bands, dia_bands,
-                             sparse_matrix, stored_diagonals)
+                             stored_diagonals)
 from wlmg.symbols import CosineSymbol, TensorSymbol
 from wlmg.transfer import Projector, coarsen_structured, galerkin_sparse
 
-from oracles import (assemble_coo, bands_of, correction_csr, galerkin_csr,
+from oracles import (assemble_coo, bands_of, correction_csr, galerkin_csr, projector_kron,
                      sparse_matrix_coo, to_sparse_kron)
 
 checked = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -129,7 +132,8 @@ def test_band_matrices_equal_kron_oracle(op):
     assert same_csr(op.to_sparse(), to_sparse_kron(op))
     for term in op.symbol.terms:
         for g, n in zip(term, op.sizes):
-            assert same_csr(sparse_matrix(op.kind, g, n), sparse_matrix_coo(op.kind, g, n))
+            factor = StructuredOperator(op.kind, (n,), TensorSymbol.from_1d(g))
+            assert same_csr(factor.to_sparse(), sparse_matrix_coo(op.kind, g, n))
 
 
 @st.composite
@@ -193,6 +197,26 @@ def test_restrict_is_the_exact_adjoint_of_prolong(proj):
     prolong = np.column_stack([proj.prolong(e) for e in np.eye(proj.n_coarse)])
     restrict = np.column_stack([proj.restrict(e) for e in np.eye(proj.n_fine)])
     assert same_bits(restrict, np.ascontiguousarray(prolong.T))
+
+
+@settings(checked, max_examples=100)
+@given(projectors(), st.integers(0, 2**32 - 1))
+@example(Projector(AlgebraKind.TAU, (63, 31)), 0)
+@example(Projector(AlgebraKind.CIRCULANT, (8, 16)), 0)
+@example(Projector(AlgebraKind.CIRCULANT, (4,)), 0)
+@example(Projector(AlgebraKind.DCT3, (4, 6)), 0)
+@example(Projector(AlgebraKind.DCT3, (4,)), 0)
+def test_projector_equals_the_kron_oracle(proj, seed):
+    """``p``, built from the taps, is the paper's ``s * M(2 + 2cos) * T``
+    (Kronecker products in 2-D): the same indices and values, bit for bit,
+    and both transfers are the products with it.  ``restrict`` runs first,
+    so it builds ``p`` itself."""
+    want = projector_kron(proj.kind, proj.fine_sizes)
+    rng = np.random.default_rng(seed)
+    y, r = rng.standard_normal(proj.n_coarse), rng.standard_normal(proj.n_fine)
+    assert same_bits(proj.restrict(r), sp.csr_array(want.T) @ r)
+    assert same_bits(proj.prolong(y), want @ y)
+    assert same_csr(sp.csr_array(proj.to_sparse()), want)
 
 
 # sizes whose coarse grid takes the folded symbols of degree <= 2 below

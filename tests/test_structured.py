@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from wlmg.symbols import CosineSymbol, TensorSymbol
 from wlmg.structured import (AlgebraKind, StructuredOperator, algebra_grid,
-                             dct3_basis, dense_matrix, sparse_matrix)
+                             dct3_basis, dense_matrix)
 
 LAPLACE = CosineSymbol([2.0, -1.0])
 KINDS = [AlgebraKind.TAU, AlgebraKind.CIRCULANT, AlgebraKind.DCT3]
@@ -117,7 +117,8 @@ def test_sparse_matrix_equals_row_loop(kind):
             gapped[[0, m]] = 1.0
             for coeffs in (rng.standard_normal(m + 1), gapped):
                 sym = CosineSymbol(coeffs)
-                got, want = sparse_matrix(kind, sym, n), reference_sparse_matrix(kind, sym, n)
+                got = make_op(kind, n, sym).to_sparse()
+                want = reference_sparse_matrix(kind, sym, n)
                 for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
                              (got.data, want.data)):
                     assert np.array_equal(a, b)
@@ -139,12 +140,12 @@ def test_dense_matrix_matches_or_raises(kind):
             except ValueError as exc:
                 assert "too wide" in str(exc)
                 with pytest.raises(ValueError, match="too wide"):
-                    sparse_matrix(kind, sym, n)
+                    make_op(kind, n, sym).to_sparse()
                 raised += 1
                 continue
             want = eig_reconstruction(kind, sym, n)
             assert np.abs(M - want).max() <= 1e-12
-            assert np.abs(sparse_matrix(kind, sym, n).toarray() - want).max() <= 1e-12
+            assert np.abs(make_op(kind, n, sym).to_sparse().toarray() - want).max() <= 1e-12
         assert raised > 0
 
 
@@ -158,10 +159,10 @@ def test_sparse_matrix_wide_band(kind):
                  AlgebraKind.CIRCULANT: n - 1}[kind]
         for m in range(0, limit + 1):
             sym = CosineSymbol(rng.standard_normal(m + 1))
-            got = sparse_matrix(kind, sym, n).toarray()
+            got = make_op(kind, n, sym).to_sparse().toarray()
             assert np.abs(got - eig_reconstruction(kind, sym, n)).max() <= 1e-12
         with pytest.raises(ValueError, match="too wide"):
-            sparse_matrix(kind, CosineSymbol(np.ones(limit + 2)), n)
+            make_op(kind, n, CosineSymbol(np.ones(limit + 2))).to_sparse()
 
 
 @pytest.mark.parametrize("kind", KINDS)

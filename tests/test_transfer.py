@@ -5,11 +5,10 @@ import scipy.sparse as sp
 from wlmg.discretize import BoundaryCondition, GridSpec, algebra_for_bc, assemble, split
 from wlmg.structured import AlgebraKind, StructuredOperator, csr_from_bands
 from wlmg.symbols import CosineSymbol, TensorSymbol
-from wlmg.transfer import (Projector, coarse_size, cutting_matrix,
-                           coarsen_structured, galerkin_sparse,
-                           galerkin_structured, project_rank_one)
+from wlmg.transfer import (P_SYMBOL, TAPS, Projector, coarse_size, coarsen_structured,
+                           galerkin_sparse, galerkin_structured, project_rank_one)
 
-from oracles import bands_of, correction_csr, galerkin_csr
+from oracles import bands_of, correction_csr, cutting_matrix, galerkin_csr, projector_kron
 
 LAPLACE = CosineSymbol([2.0, -1.0])
 KINDS = [AlgebraKind.TAU, AlgebraKind.CIRCULANT, AlgebraKind.DCT3]
@@ -37,6 +36,15 @@ def test_cutting_matrix_shapes():
     assert np.array_equal(np.nonzero(T)[0], [0, 2, 4, 6])
     T = cutting_matrix(AlgebraKind.DCT3, 8).toarray()
     assert np.array_equal(T.sum(axis=0), [2, 2, 2, 2])
+
+
+def test_taps_are_the_projector_symbol():
+    """A column of ``M(2 + 2cos) T`` holds the Laurent coefficients of
+    ``2 + 2cos``; a DCT-III column sums two neighbouring ones, which
+    convolves them with ``(1, 1)``."""
+    laurent = P_SYMBOL.laurent()
+    assert TAPS[AlgebraKind.TAU] == TAPS[AlgebraKind.CIRCULANT] == tuple(laurent)
+    assert TAPS[AlgebraKind.DCT3] == tuple(np.convolve(laurent, (1.0, 1.0)))
 
 
 def test_prolong_dirichlet_example():
@@ -202,6 +210,21 @@ def test_rank_one_projection_constant():
         assert gamma == pytest.approx(factor)
 
 
+@pytest.mark.parametrize("kind", [AlgebraKind.CIRCULANT, AlgebraKind.DCT3],
+                         ids=lambda k: k.value)
+@pytest.mark.parametrize("sizes", [(4,), (16,), (4, 4), (8, 6), (16, 32)])
+def test_rank_one_projection_equals_oracle_column_sums(kind, sizes):
+    """``project_rank_one`` takes the column sums of ``p`` as
+    ``(s * sum(taps))^d``; the paper's ``p`` has those sums in every column,
+    and the coefficient is the one computed from them, bit for bit."""
+    P = Projector(kind, sizes)
+    sums = projector_kron(kind, sizes).sum(axis=0)
+    c = float(sums[0])
+    assert np.all(sums == c)
+    gamma = 0.3
+    assert project_rank_one(gamma, P) == gamma * c * c * P.n_coarse / P.n_fine
+
+
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
 @pytest.mark.parametrize("dim", [1, 2])
 def test_projector_has_int32_indices_and_int64_products(kind, dim):
@@ -211,6 +234,7 @@ def test_projector_has_int32_indices_and_int64_products(kind, dim):
     proj = Projector(kind, (fine_size(kind, 12),) * dim)
     p = proj.to_sparse()
     assert p.indices.dtype == np.int32 and p.indptr.dtype == np.int32
+    p = sp.csr_array(p)
     wide = sp.csr_array((p.data, p.indices.astype(np.int64), p.indptr.astype(np.int64)),
                         shape=p.shape)
     assert wide.indices.dtype == np.int64
