@@ -10,6 +10,9 @@ process with that checkout's ``src`` on the import path, and compares:
   ``jacobi_inv``, the four damping factors, ``sup|symbol|``, the projector
   (as CSR, whether the checkout stores it as CSR or CSC), and the nnz of
   the Gauss-Seidel and coarse factors;
+* each Gauss-Seidel and coarse factor by bytes, through its solve of a
+  fixed random vector, so a factor that moved shows even where its nnz
+  did not;
 * iterates, residual histories, iteration counts, ``converged`` and
   ``operations`` of every solve by bytes.
 
@@ -84,6 +87,11 @@ def digest(a: np.ndarray) -> str:
     return hashlib.sha256(str(a.shape).encode() + a.tobytes()).hexdigest()
 
 
+def fixed(n: int) -> np.ndarray:
+    """The vector each factor solves with: seed-0 standard normals."""
+    return np.random.default_rng(0).standard_normal(n)
+
+
 def arrays(bc: str, shape: tuple, coeff: str):
     """``(key, array)`` of one configuration, canonical as compared."""
     # imported here, in the child whose import path holds one checkout's src
@@ -118,10 +126,14 @@ def arrays(bc: str, shape: tuple, coeff: str):
                 yield f"{key}/{name}", canonical(getattr(lev, name), True)
             yield f"{key}/sup_norm", canonical(lev.structured.symbol.sup_norm(), True)
             if lev.projector is None:
-                yield f"{key}/direct_nnz", canonical(lev._ensure_direct()[2], True)
+                _, lu, nnz = lev._ensure_direct()
+                yield f"{key}/direct_nnz", canonical(nnz, True)
+                yield f"{key}/direct_solve", lu.solve(fixed(lu.shape[0]))
             else:
                 yield from csr(f"{key}/projector", sp.csr_array(lev.projector.to_sparse()))
-                yield f"{key}/gs_nnz", canonical(lev._ensure_gs()[3], True)
+                _, lu, _, nnz, _ = lev._ensure_gs()
+                yield f"{key}/gs_nnz", canonical(nnz, True)
+                yield f"{key}/gs_solve", lu.solve(fixed(lu.shape[0]))
         for k, kwargs in enumerate(SOLVERS):
             key = f"{tag}/{method}/solver{k}"
             config = SolverConfig(method=method, **kwargs)

@@ -23,7 +23,8 @@ The grid transfers multiply by ``p^T`` (CSR) and ``p`` (CSC) over one set
 of arrays, and the coarsest level is one SuperLU factor; with a rank-one
 term it factors the bordered matrix ``[[A, u], [u^T, -1]]``,
 ``u = sqrt(gamma/N) e``, whose solve with ``[b; 0]`` solves
-``(A + u u^T) x = b`` without forming the dense term.
+``(A + u u^T) x = b`` without forming the dense term; set-up writes it into
+the CSC arrays of ``A``.
 The CSR form of a level operator is read off its diagonals only where it is
 used: for that factor and the dense oracles.  The nominal operation counts
 count the nonzero entries of the diagonals.
@@ -32,8 +33,9 @@ Forward Gauss-Seidel is one cached sparse triangular factor per level on
 all three boundary conditions.  Without a rank-one term it is the SuperLU
 factor of ``tril(A)``.  With the uniform rank-one term of the periodic and
 reflective levels, ``A + (gamma/N) e e^T``, it is the factor of the
-first-differenced triangle ``(I - S) tril(A) + (gamma/N) I``, followed by
-one refinement step; there is no per-row loop.
+first-differenced triangle ``(I - S) tril(A) + (gamma/N) I``, formed on
+the diagonals of ``tril(A)``, followed by one refinement step; there is no
+per-row loop, and set-up runs no sparse product.
 
 The cycle makes no level product whose result it already knows.  Coarse
 levels start from the zero iterate, passed as ``x=None``, so the first
@@ -201,21 +203,25 @@ class _Level:
         the prefix-sum matrix, which is dense.  The first difference
         ``I - S`` (``S`` the down-shift) maps ``C`` to ``I``, so the factored
         triangle is the sparse ``(I - S) tril(A) + rho I``; with ``rho = 0``
-        it is ``tril(A)``.  Rank-one levels also keep ``tril(A)`` for the
-        refinement step of ``gauss_seidel_step``.
+        it is ``tril(A)``.  The differenced triangle is formed on the
+        diagonals of ``tril(A)`` (``_differenced``).  The pivots are the
+        triangle's offset-0 diagonal, and SciPy reads its CSC off the
+        diagonals, dropping zero entries such as differences that cancel.
+        Rank-one levels also keep ``tril(A)`` for the refinement step of
+        ``gauss_seidel_step``.
         """
         if self._gs is None:
             tril_a, upper = self._triangles()
-            lower = sp.csc_array(tril_a)
             if self.gamma is None:
-                tril_a = None
+                lower, tril_a = tril_a, None
             else:
-                diff = sp.eye(self.n, format="csr") - sp.eye(self.n, k=-1, format="csr")
-                lower = sp.csc_array(diff @ lower + self.gamma / self.n * sp.identity(self.n))
-            zero = np.flatnonzero(lower.diagonal() == 0.0)
-            if zero.size:
+                lower = _differenced(tril_a, self.gamma / self.n)
+            at = np.flatnonzero(lower.offsets == 0)
+            zero = np.flatnonzero(lower.data[at[0]] == 0.0) if at.size else [0]
+            if len(zero):
                 raise ZeroDivisionError(
                     f"Gauss-Seidel pivot of row {zero[0]} is zero (diagonal of A + rho e e^T)")
+            lower = sp.csc_array(lower)     # the differenced diagonals are freed here
             # a triangle in its own order has no fill; relaxed supernodes and
             # panels would only pad the factor with zeros
             lu = spla.splu(lower, permc_spec="NATURAL", diag_pivot_thresh=0.0,
@@ -256,11 +262,17 @@ class _Level:
 
     # -- coarsest direct solve --------------------------------------------
     def _ensure_direct(self):
+        """Factor the coarsest level once with SuperLU.
+
+        Without a rank-one term the factored matrix is ``A`` as CSC.  With
+        one it is the bordered ``[[A, u], [u^T, -1]]``, ``u = sqrt(gamma/N) e``,
+        written into ``A``'s CSC arrays: each column gains ``u`` on row N,
+        and a last column ``u, ..., u, -1`` follows.
+        """
         if self._direct is None:
             A = sp.csc_matrix(self.combined)
             if self.gamma is not None:
-                u = sp.csr_matrix(np.full((self.n, 1), np.sqrt(self.gamma / self.n)))
-                A = sp.bmat([[A, u], [u.T, sp.csr_matrix([[-1.0]])]], format="csc")
+                A = _bordered(A, np.sqrt(self.gamma / self.n))
             lu = spla.splu(A)
             self._direct = ("sparse", lu, lu.L.nnz + lu.U.nnz)
         return self._direct
@@ -270,6 +282,41 @@ class _Level:
         if self.gamma is None:
             return lu.solve(b)
         return lu.solve(np.append(b, 0.0))[:self.n]
+
+
+def _differenced(L: sp.dia_array, rho: float) -> sp.dia_array:
+    """``(I - S) L + rho I`` by diagonals, for ``L`` lower triangular.
+
+    SciPy stores ``L[j - o, j]`` in column ``j`` of the data row of offset
+    ``o``, so row ``i`` minus row ``i - 1`` is, at each offset ``o``, the data
+    row of ``o`` minus that of ``o + 1`` (a missing row reads as zeros), in
+    the same column.  The offsets are those of ``L``, one lower, and 0;
+    entries past the last row of the matrix are never read.
+    """
+    n = L.shape[0]
+    rows = dict(zip(L.offsets.tolist(), L.data))
+    offsets = np.union1d(L.offsets, np.append(L.offsets - 1, 0))
+    offsets = offsets[offsets > -n]
+    data = np.zeros((offsets.size, L.data.shape[1]))
+    for row, o in zip(data, offsets.tolist()):
+        if o in rows:
+            row[:] = rows[o]
+        if o + 1 in rows:
+            row -= rows[o + 1]
+    data[offsets == 0] += rho
+    return sp.dia_array((data, offsets), shape=L.shape)
+
+
+def _bordered(A: sp.csc_matrix, u: float) -> sp.csc_matrix:
+    """``[[A, u e], [u e^T, -1]]`` from the CSC arrays of the N-by-N ``A``."""
+    n, index = A.shape[0], A.indptr.dtype
+    indptr = np.empty(n + 2, dtype=index)
+    indptr[:-1] = A.indptr + np.arange(n + 1, dtype=index)
+    indptr[-1] = indptr[-2] + n + 1
+    indices = np.concatenate([np.insert(A.indices, A.indptr[1:], n),
+                              np.arange(n + 1, dtype=A.indices.dtype)])
+    data = np.concatenate([np.insert(A.data, A.indptr[1:], u), np.full(n, u), [-1.0]])
+    return sp.csc_matrix((data, indices, indptr), shape=(n + 1, n + 1))
 
 
 class LevelHierarchy:

@@ -211,6 +211,24 @@ def galerkin_csr(R: sp.csr_array, projector) -> sp.csr_array:
     return G
 
 
+def gs_triangle_product(lev) -> sp.csc_array:
+    """The factored Gauss-Seidel triangle of a rank-one level,
+    ``(I - S) tril(A) + rho I``, as sparse products: the first-difference
+    matrix from ``sp.eye``, a CSR product and a sum, read as CSC."""
+    n = lev.n
+    lower = sp.csc_array(lev._triangles()[0])
+    diff = sp.eye(n, format="csr") - sp.eye(n, k=-1, format="csr")
+    return sp.csc_array(diff @ lower + lev.gamma / n * sp.identity(n))
+
+
+def bordered_bmat(lev) -> sp.csc_matrix:
+    """The bordered coarse matrix ``[[A, u], [u^T, -1]]`` of a rank-one level,
+    ``u = sqrt(gamma/N) e``, stacked by ``sp.bmat``."""
+    A = sp.csc_matrix(lev.combined)
+    u = sp.csr_matrix(np.full((lev.n, 1), np.sqrt(lev.gamma / lev.n)))
+    return sp.bmat([[A, u], [u.T, sp.csr_matrix([[-1.0]])]], format="csc")
+
+
 def infinity_norm(A: sp.csr_array) -> float:
     """Max absolute row sum of a sparse matrix."""
     if A.nnz == 0:

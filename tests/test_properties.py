@@ -23,6 +23,10 @@
 * ``galerkin_sparse`` computes ``p^T R p`` diagonal by diagonal; it stores
   the nonzero pattern of ``oracles.galerkin_csr``, is symmetric bit for bit,
   and agrees with it up to rounding.
+* On periodic and reflective levels, set-up forms the differenced
+  Gauss-Seidel triangle on its diagonals and the bordered coarse matrix from
+  its CSC arrays; both equal the sparse products of
+  ``oracles.gs_triangle_product`` and ``oracles.bordered_bmat`` bit for bit.
 * ``wlmg bench`` is deterministic: two runs of one cell write the same CSV
   line.
 
@@ -31,9 +35,12 @@ Examples are derandomized, so every run checks the same cases.
 
 from functools import lru_cache
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -47,8 +54,8 @@ from wlmg.structured import (AlgebraKind, StructuredOperator, csr_from_bands, di
 from wlmg.symbols import CosineSymbol, TensorSymbol
 from wlmg.transfer import Projector, coarsen_structured, galerkin_sparse
 
-from oracles import (assemble_coo, bands_of, correction_csr, galerkin_csr, projector_kron,
-                     sparse_matrix_coo, to_sparse_kron)
+from oracles import (assemble_coo, bands_of, bordered_bmat, correction_csr, galerkin_csr,
+                     gs_triangle_product, projector_kron, sparse_matrix_coo, to_sparse_kron)
 
 checked = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -388,6 +395,72 @@ def test_smoothers_never_modify_their_inputs(bc, dim, smoother, zero_x, give_r,
     assert same_bits(got, step(x_full, b, None))
     assert same_bits(b, b_before) and same_bits(x_full, x_before)
     assert zero_x or same_bits(x, x_before)
+
+
+def check_factored_matrices(grid: GridSpec, coeff, method: str):
+    """On every smoothing level the differenced Gauss-Seidel triangle, and on
+    the coarsest level the bordered matrix, that set-up hands to SuperLU are
+    the CSC arrays of the sparse products they replaced
+    (``oracles.gs_triangle_product`` and ``oracles.bordered_bmat``) bit for
+    bit, index types included, and store no zero."""
+    seen, splu = [], spla.splu
+
+    def capture(A, *args, **kwargs):
+        seen.append(sp.csc_array((A.data.copy(), A.indices.copy(), A.indptr.copy()),
+                                 shape=A.shape))
+        return splu(A, *args, **kwargs)
+
+    config = SolverConfig(method=method, pre="gauss-seidel", post="gauss-seidel")
+    with pytest.MonkeyPatch.context() as m, warnings.catch_warnings():
+        m.setattr(spla, "splu", capture)
+        warnings.simplefilter("ignore", RuntimeWarning)    # a chain that stops early
+        H = build_hierarchy(split(assemble(grid, coeff), grid, coeff), config)
+    want = [gs_triangle_product(lev) for lev in H.levels[:-1]] + [bordered_bmat(H.levels[-1])]
+    assert len(seen) == len(want)
+    for got, ref in zip(seen, want):
+        for name in ("indptr", "indices", "data"):
+            assert same_bits(getattr(got, name), getattr(ref, name)), name
+        assert np.all(got.data != 0.0)
+    for lev, got in zip(H.levels[:-1], seen):
+        assert lev._gs[3] == got.nnz + lev.n
+
+
+def jump_1000(*xs):
+    """1 on the left half of the domain, 1000 on the right."""
+    return np.where(xs[0] < 0.5, 1.0, 1000.0)
+
+
+# 2-D a1 cancels differences to exact zeros (up to 870 on a level), which
+# both constructions drop
+@pytest.mark.parametrize("bc", [BoundaryCondition.PERIODIC, BoundaryCondition.REFLECTIVE],
+                         ids=lambda bc: bc.value)
+@pytest.mark.parametrize("sizes, coeff", [
+    (sizes, coeff) for sizes in ((64,), (128,), (64, 64), (64, 32), (32, 64))
+    for coeff in ("a1", "a2", jump_1000) + (("a7", "a8") if len(sizes) == 2 else ())],
+    ids=lambda v: getattr(v, "__name__", str(v)))
+@pytest.mark.parametrize("method", ["mgm", "tgm"])
+def test_rank_one_factored_matrices_equal_the_sparse_product_oracles(bc, sizes, coeff, method):
+    check_factored_matrices(GridSpec(sizes, bc), coeff, method)
+
+
+@st.composite
+def rank_one_grids_and_coefficients(draw):
+    """A periodic or reflective grid of even sizes, 1-D or 2-D, and a preset
+    or random coefficient."""
+    dim = draw(st.sampled_from([1, 2]))
+    bc = draw(st.sampled_from([BoundaryCondition.PERIODIC, BoundaryCondition.REFLECTIVE]))
+    sizes = tuple(2 * draw(st.integers(2, 32 if dim == 1 else 12)) for _ in range(dim))
+    presets = [p for p in PRESETS if dim == 2 or p not in TWO_D_ONLY_PRESETS]
+    coeff = draw(st.one_of(st.sampled_from(presets), random_coefficients(dim)))
+    return GridSpec(sizes, bc), coeff
+
+
+@checked
+@given(rank_one_grids_and_coefficients(), st.sampled_from(["mgm", "tgm"]))
+@example((GridSpec((16, 16), BoundaryCondition.REFLECTIVE), "a1"), "mgm")
+@example((GridSpec((8, 12), BoundaryCondition.PERIODIC), "a1"), "tgm")
+def test_rank_one_factored_matrices_equal_the_sparse_products(case, method):
+    check_factored_matrices(*case, method)
 
 
 @st.composite

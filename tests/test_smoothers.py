@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 from wlmg.discretize import BoundaryCondition, GridSpec, assemble, split
 from wlmg.mgm import SolverConfig, _Level, build_hierarchy
 from wlmg.smoothers import cg_steps, compute_omegas, richardson, splitting_diagonal
-from wlmg.structured import StructuredOperator
+from wlmg.structured import AlgebraKind, StructuredOperator
 from wlmg.symbols import CosineSymbol, TensorSymbol
 
 from oracles import bands_of
@@ -253,6 +253,26 @@ def test_gs_zero_pivot_raises(bc, n):
     with np.errstate(divide="ignore"):     # its Jacobi diagonal is zero too
         broken = _Level(zero, bands_of(A))
     with pytest.raises(ZeroDivisionError, match="row 3"):
+        broken.gauss_seidel_step(np.zeros(n), np.ones(n))
+
+
+@pytest.mark.parametrize("rank_one, row", [(None, 0), (0.0, 0), (16.0, None)])
+def test_gs_pivots_without_a_stored_diagonal(rank_one, row):
+    """A level that stores no diagonal has the pivots ``rho``: zero without a
+    rank-one term or with ``gamma = 0``, which fails naming row 0, and
+    ``gamma / N`` otherwise, which factors."""
+    n = 16
+    band = np.full(n, -1.0)
+    zero = StructuredOperator(AlgebraKind.TAU if rank_one is None else AlgebraKind.CIRCULANT,
+                              (n,), TensorSymbol(1, [(CosineSymbol([0.0]),)]),
+                              rank_one=rank_one)
+    with np.errstate(divide="ignore"):     # its Jacobi diagonal may be zero too
+        broken = _Level(zero, {-1: band, 1: band})
+    assert 0 not in broken.operator.offsets.tolist()
+    if row is None:
+        assert np.array_equal(broken._ensure_gs()[1].U.diagonal(), np.full(n, rank_one / n))
+        return
+    with pytest.raises(ZeroDivisionError, match=f"row {row} is zero"):
         broken.gauss_seidel_step(np.zeros(n), np.ones(n))
 
 
