@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,15 +56,19 @@ class GridSpec:
 
     Dirichlet grids have ``h = 1/(n+1)`` and nodes ``x_i = i h``; periodic
     and reflective grids are cell-centered with ``h = 1/n`` and nodes
-    ``x_i = (i - 1/2) h``.
+    ``x_i = (i - 1/2) h``.  A size that is not an integer (a float, a
+    ``bool``) raises a ``ValueError`` naming it.
     """
 
     sizes: tuple
     bc: BoundaryCondition
 
     def __post_init__(self):
-        sizes = tuple(int(n) for n in (self.sizes if np.iterable(self.sizes) else (self.sizes,)))
-        object.__setattr__(self, "sizes", sizes)
+        sizes = tuple(self.sizes) if np.iterable(self.sizes) else (self.sizes,)
+        for n in sizes:
+            if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+                raise ValueError(f"grid size {n!r} is not an integer")
+        object.__setattr__(self, "sizes", tuple(int(n) for n in sizes))
         if len(sizes) not in (1, 2):
             raise ValueError("only 1-D and 2-D grids are supported")
         if any(n < 3 for n in sizes):
@@ -259,21 +264,16 @@ class AssembledProblem:
     Strang rank-one term, so the full operator is symmetric positive
     definite.  ``correction`` is ``R`` by diagonals, ``{offset: band}``
     with ``band[i] = R[i, i + offset]``, offsets ascending, as on every
-    coarse level.  ``matrix`` is the assembled ``A`` itself, ``operator``
-    its ``sp.dia_array``, which the finest level multiplies by.  ``split``
-    builds every instance.
+    coarse level.  ``operator`` is the assembled ``A`` as the
+    ``sp.dia_array`` the finest level multiplies by; ``A`` itself is not
+    kept.  ``split`` builds every instance.
     """
 
     grid: GridSpec
     a_min: float
     structured: StructuredOperator
     correction: dict
-    matrix: sp.csr_array
     operator: sp.dia_array
-
-    def full_dense(self) -> np.ndarray:
-        R = csr_from_bands(dict(self.correction), self.grid.n_total)
-        return self.a_min * self.structured.materialize_dense() + R.toarray()
 
 
 def laplace_symbol(dim: int) -> TensorSymbol:
@@ -285,8 +285,8 @@ def split(A: sp.csr_array, grid: GridSpec, coeff) -> AssembledProblem:
 
     ``R`` is built band by band: ``A``'s diagonals, read once in the
     ``sp.dia_array`` layout the finest level multiplies by, minus ``a_min``
-    times ``M``'s.  The problem keeps ``A`` itself (as a canonical CSR array;
-    ``assemble`` returns one) rather than a copy.
+    times ``M``'s.  The problem keeps those diagonals, not ``A``; a sparse
+    ``A`` other than a canonical CSR array is read through a canonical copy.
 
     Raises ``ValueError`` if ``A`` is not N-by-N for the grid, if it is not
     symmetric bit for bit (tested on ``R``, as ``M`` is symmetric; the
@@ -333,7 +333,7 @@ def split(A: sp.csr_array, grid: GridSpec, coeff) -> AssembledProblem:
                          f"{fault}, so it is not positive semidefinite")
     structured = base if kind is AlgebraKind.TAU else base.strang_correct()
     return AssembledProblem(grid=grid, a_min=a_min, structured=structured,
-                            correction=R, matrix=A, operator=operator)
+                            correction=R, operator=operator)
 
 
 def build_rhs(grid: GridSpec, mode="ones", seed: int | None = None) -> np.ndarray:

@@ -10,9 +10,9 @@ the diagonals ``split`` read off the assembled matrix.  ``LevelHierarchy``
 then resolves, once per level, which smoother each slot runs with which
 damping and diagonal, and the nominal operation count of each phase of a
 cycle (``costs``, ``cycle_cost``).  Hierarchies are immutable afterwards,
-apart from the CSR ``combined`` a coarse level reads off its diagonals on
-first access (concurrent first uses may each build one; they build the
-same matrix).
+apart from the CSR ``combined`` a level reads off its diagonals on first
+access (concurrent first uses may each build one; they build the same
+matrix).  A hierarchy keeps no reference to the caller's ``A``.
 Every solve owns its iterate, residual history and work vectors, so
 concurrent solves against one hierarchy are safe.
 
@@ -26,8 +26,8 @@ term it factors the bordered matrix ``[[A, u], [u^T, -1]]``,
 ``(A + u u^T) x = b`` without forming the dense term; set-up writes it into
 the CSC arrays of ``A``.
 The CSR form of a level operator is read off its diagonals only where it is
-used: for that factor and the dense oracles.  The nominal operation counts
-count the nonzero entries of the diagonals.
+used: for that factor, which does not keep it, and ``combined``.  The
+nominal operation counts count the nonzero entries of the diagonals.
 
 Forward Gauss-Seidel is one cached sparse triangular factor per level on
 all three boundary conditions.  Without a rank-one term it is the SuperLU
@@ -63,8 +63,7 @@ from .structured import (AlgebraKind, StructuredOperator, csr_from_bands, dia_ba
 from .transfer import Projector, coarse_size, coarsen_structured, galerkin_sparse
 
 __all__ = ["SolverConfig", "SolveReport", "LevelHierarchy",
-           "build_hierarchy", "tgm_iterate", "vcycle", "solve",
-           "dense_iteration_matrix"]
+           "build_hierarchy", "tgm_iterate", "vcycle", "solve"]
 
 SMOOTHERS = ("richardson", "gauss-seidel", "cg")
 
@@ -111,7 +110,8 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Outcome of one outer run; ``operations = iterations * H.cycle_cost``."""
+    """Outcome of one outer run; ``operations = iterations * H.cycle_cost``;
+    with ``b = 0`` no cycle runs and the final residual is 0."""
 
     iterations: int
     residuals: list
@@ -121,7 +121,7 @@ class SolveReport:
 
     @property
     def final_residual(self) -> float:
-        return self.residuals[-1] if self.residuals else np.inf
+        return self.residuals[-1] if self.residuals else 0.0
 
 
 class _Level:
@@ -131,13 +131,13 @@ class _Level:
     is read here only.  ``operator`` is the level matrix without its
     rank-one term, stored by diagonals: on a coarse level the sum of the
     structured part's bands and the correction's, on the finest level the
-    assembled ``A`` as ``split`` read it, whose CSR form (``matrix``) the
-    level keeps as ``combined``.  A coarse level reads its CSR ``combined``
-    off the diagonals on first access; ``nnz`` counts the nonzero entries.
+    assembled ``A`` as ``split`` read it.  Every level reads its CSR
+    ``combined`` off the diagonals on first access; ``nnz`` counts the
+    nonzero entries.
     """
 
     def __init__(self, structured: StructuredOperator, correction: dict,
-                 operator: sp.dia_array | None = None, matrix: sp.csr_array | None = None):
+                 operator: sp.dia_array | None = None):
         self.structured = structured
         self.sizes = structured.sizes
         self.n = structured.n_total
@@ -155,7 +155,7 @@ class _Level:
             operator = dia_from_bands(bands, self.n)
         self.operator = operator
         self.nnz = int(np.count_nonzero(operator.data))     # the padding holds zeros
-        self._combined = matrix
+        self._combined = None
         # the diagonal of A itself preconditions the CG step
         diag = self.operator.diagonal()
         if self.gamma is not None:
@@ -167,8 +167,8 @@ class _Level:
 
     @property
     def combined(self) -> sp.csr_array:
-        """The level matrix without its rank-one term as CSR; no product on
-        the solve path reads it."""
+        """The level matrix without its rank-one term as CSR, read off the
+        diagonals and cached; neither set-up nor the solve path reads it."""
         if self._combined is None:
             self._combined = csr_from_bands(dia_bands(self.operator), self.n)
         return self._combined
@@ -179,12 +179,6 @@ class _Level:
         if self.gamma is not None:
             y += self.gamma * x.sum() / self.n
         return y
-
-    def dense_operator(self) -> np.ndarray:
-        M = self.combined.toarray()
-        if self.gamma is not None:
-            M = M + self.gamma / self.n
-        return M
 
     # -- Gauss-Seidel -----------------------------------------------------
     def _triangles(self) -> tuple:
@@ -264,13 +258,14 @@ class _Level:
     def _ensure_direct(self):
         """Factor the coarsest level once with SuperLU.
 
-        Without a rank-one term the factored matrix is ``A`` as CSC.  With
-        one it is the bordered ``[[A, u], [u^T, -1]]``, ``u = sqrt(gamma/N) e``,
+        Without a rank-one term the factored matrix is ``A`` as CSC, read
+        off the diagonals here and not kept as ``combined``.  With one it is
+        the bordered ``[[A, u], [u^T, -1]]``, ``u = sqrt(gamma/N) e``,
         written into ``A``'s CSC arrays: each column gains ``u`` on row N,
         and a last column ``u, ..., u, -1`` follows.
         """
         if self._direct is None:
-            A = sp.csc_matrix(self.combined)
+            A = sp.csc_matrix(csr_from_bands(dia_bands(self.operator), self.n))
             if self.gamma is not None:
                 A = _bordered(A, np.sqrt(self.gamma / self.n))
             lu = spla.splu(A)
@@ -361,9 +356,6 @@ class LevelHierarchy:
     def depth(self) -> int:
         return len(self.levels) - 1
 
-    def dense_operator(self, s: int) -> np.ndarray:
-        return self.levels[s].dense_operator()
-
 
 def _smoothing(lev: _Level, cfg: SolverConfig, pre: bool, matvec: int):
     """The pre- (or post-) smoothing step of ``lev`` as ``step(x, b, r)``,
@@ -441,10 +433,8 @@ def build_hierarchy(problem: AssembledProblem, config: SolverConfig | None = Non
         base.kind, base.sizes, base.symbol.scaled(problem.a_min),
         rank_one=None if base.rank_one is None else problem.a_min * base.rank_one)
     projectors = [Projector(base.kind, sizes) for sizes in chain[:-1]]
-    for proj in projectors:
-        proj.to_sparse()    # the transfers' p, built here and not in the first solve
     correction = problem.correction
-    levels = [_Level(scaled, correction, problem.operator, problem.matrix)]
+    levels = [_Level(scaled, correction, problem.operator)]
     for proj in projectors:
         levels[-1].projector = proj
         coarse_struct = coarsen_structured(levels[-1].structured, proj)
@@ -501,10 +491,12 @@ def solve(H: LevelHierarchy, b: np.ndarray, tol: float = 1e-7,
 
     The residual of the stop test seeds the next cycle's pre-smoother.  A
     non-finite relative residual ends the run at once, with
-    ``converged=False`` and that residual last in the history.  Raises ``ValueError`` before the first cycle if ``b`` or ``x0`` is not a
-    real vector of the finest level's length or holds a NaN or an infinity,
-    if ``tol`` is not a positive real number, or if ``max_iter`` is not an
-    integer >= 1 (``True`` is not an iteration count).
+    ``converged=False`` and that residual last in the history; ``b = 0``
+    returns ``x = 0`` with no cycle.  Raises ``ValueError`` before the first
+    cycle if ``b`` or ``x0`` is not a real vector of the finest level's
+    length or holds a NaN or an infinity, if ``tol`` is not a positive real
+    number, or if ``max_iter`` is not an integer >= 1 (``True`` is not an
+    iteration count).
     """
     n = H.levels[0].n
     if max_iter is None:
@@ -527,9 +519,8 @@ def solve(H: LevelHierarchy, b: np.ndarray, tol: float = 1e-7,
     bnorm = float(np.linalg.norm(b))
     if not np.isfinite(bnorm):
         raise ValueError(f"b holds a NaN or inf, or its norm overflows (norm {bnorm})")
-    if bnorm == 0.0:
-        return (np.zeros(n) if x is None else x), SolveReport(
-            0, [], True, 0, time.perf_counter() - t0)
+    if bnorm == 0.0:        # A is SPD: x = 0 solves it exactly, whatever x0 is
+        return np.zeros(n), SolveReport(0, [], True, 0, time.perf_counter() - t0)
     finest = H.levels[0]
     residuals = []
     converged = False
@@ -549,22 +540,3 @@ def solve(H: LevelHierarchy, b: np.ndarray, tol: float = 1e-7,
     return x, SolveReport(it, residuals, converged, it * H.cycle_cost,
                           time.perf_counter() - t0)
 
-
-def dense_iteration_matrix(H: LevelHierarchy) -> np.ndarray:
-    """Column-by-column extraction of the cycle's error-propagation matrix.
-
-    Valid for linear smoother pairs only (CG smoothing makes the cycle
-    nonlinear); relies on ``cycle(x, b=0) = M x``.
-    """
-    if not H.config.is_linear:
-        raise ValueError("iteration matrix is undefined for CG smoothing")
-    n = H.levels[0].n
-    if n > 4096:
-        raise ValueError("dense extraction capped at N <= 4096")
-    M = np.empty((n, n))
-    zero = np.zeros(n)
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        M[:, j] = vcycle(H, 0, e, zero)
-    return M

@@ -6,10 +6,12 @@ rank-one correction ``gamma * e e^T / N`` (``e`` the all-ones vector) that
 renders the singular circulant/DCT-III Laplacians positive definite.
 
 The symbol is kept for the Galerkin coarse symbols (folds of it), the
-smoother damping (``sup|symbol|``) and the dense oracles.  Every coarse
-level matrix on the solve path adds the Galerkin correction to ``bands``
-(``mgm`` stores the sum by diagonals for its products); the symbols arising
-here keep O(1) bandwidth at every grid level, so it has ``O(N)`` entries.
+smoother damping (``sup|symbol|``) and the entry formulas of ``bands``;
+the dense matrices of the algebras live in the tests, as oracles.  Every
+coarse level matrix on the solve path adds the Galerkin correction to
+``bands`` (``mgm`` stores the sum by diagonals for its products); the
+symbols arising here keep O(1) bandwidth at every grid level, so it has
+``O(N)`` entries.
 
 Sparse matrices are built band by band: the entry formulas give each 1-D
 diagonal as one array, a 2-D term's diagonals are outer products of its
@@ -72,46 +74,6 @@ def _check_band(kind: AlgebraKind, f: CosineSymbol, n: int) -> int:
         raise ValueError(f"band {m} too wide for the {kind.value} entry formulas "
                          f"at size {n}")
     return m
-
-
-def dense_matrix(kind: AlgebraKind, f: CosineSymbol, n: int) -> np.ndarray:
-    """Dense n-by-n algebra matrix of a 1-D symbol."""
-    m = _check_band(kind, f, n)
-    t = f.coeffs
-    i = np.arange(n)
-    I, J = np.meshgrid(i, i, indexing="ij")
-
-    def tt(S):
-        S = np.asarray(S)
-        out = np.zeros(S.shape)
-        mask = S < len(t)
-        out[mask] = t[S[mask]]
-        return out
-
-    if kind is AlgebraKind.TAU:
-        return tt(np.abs(I - J)) - tt(I + J + 2) - tt(2 * n - I - J)
-    if kind is AlgebraKind.CIRCULANT:
-        D = (I - J) % n
-        M = tt(D)
-        wrap = D != 0
-        M[wrap] += tt(n - D)[wrap]
-        return M
-    # DCT-III: banded entry formula (exact) when the band is narrow, else
-    # eigen-reconstruction with the orthonormal basis
-    if 2 * m < n:
-        return tt(np.abs(I - J)) + tt(I + J + 1) + tt(2 * n - 1 - I - J)
-    Q = dct3_basis(n)
-    lam = f.eval(algebra_grid(kind, n))
-    return (Q * lam) @ Q.T
-
-
-def dct3_basis(n: int) -> np.ndarray:
-    """Orthonormal DCT-III eigenvector matrix, columns indexed by frequency."""
-    i = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    Q = np.sqrt(2.0 / n) * np.cos((2 * i + 1) * j * np.pi / (2 * n))
-    Q[:, 0] /= np.sqrt(2.0)
-    return Q
 
 
 def csr_from_bands(bands: dict, n: int, stored: dict | None = None) -> sp.csr_array:
@@ -258,23 +220,6 @@ class StructuredOperator:
         freqs = [first_nonzero_angle(self.kind, n) for n in self.sizes]
         gamma = float(self.symbol.eval(*freqs))
         return StructuredOperator(self.kind, self.sizes, self.symbol, rank_one=gamma)
-
-    def materialize_dense(self) -> np.ndarray:
-        """Dense matrix; verification oracle only, guarded against large N."""
-        if self.n_total > 4096:
-            raise ValueError("dense materialization capped at N <= 4096")
-        if self.dim == 1:
-            M = np.zeros((self.n_total, self.n_total))
-            for (g,) in self.symbol.terms:
-                M += dense_matrix(self.kind, g, self.sizes[0])
-        else:
-            M = np.zeros((self.n_total, self.n_total))
-            for g1, g2 in self.symbol.terms:
-                M += np.kron(dense_matrix(self.kind, g1, self.sizes[0]),
-                             dense_matrix(self.kind, g2, self.sizes[1]))
-        if self.rank_one is not None:
-            M = M + self.rank_one / self.n_total
-        return M
 
     def _term_bands(self, term) -> tuple:
         """One separable term's matrix by diagonals, ``({offset: band},

@@ -88,14 +88,13 @@ class Projector:
         self.n_coarse = int(np.prod(self.coarse_sizes))
         self._sparse = None         # p, CSC
         self._transpose = None      # p^T, CSR over the same arrays
+        self.to_sparse()            # both are built here, never in a solve
 
     def prolong(self, y: np.ndarray) -> np.ndarray:
         """Coarse-to-fine map ``p y``."""
         y = np.asarray(y, dtype=float)
         if y.shape != (self.n_coarse,):
             raise ValueError(f"expected coarse vector of length {self.n_coarse}")
-        if self._sparse is None:
-            self.to_sparse()
         return self._sparse @ y
 
     def restrict(self, r: np.ndarray) -> np.ndarray:
@@ -103,12 +102,11 @@ class Projector:
         r = np.asarray(r, dtype=float)
         if r.shape != (self.n_fine,):
             raise ValueError(f"expected fine vector of length {self.n_fine}")
-        if self._transpose is None:
-            self.to_sparse()
         return self._transpose @ r
 
     def to_sparse(self) -> sp.csc_array:
-        """Sparse ``p`` (cached), CSC: the transfers and the oracles.
+        """Sparse ``p``, CSC, built on construction and cached: the transfers
+        and the oracles.
 
         Entry for entry it is ``s * M(2 + 2cos) * T``, the Kronecker product
         of those in 2-D; each column's rows are sorted, and the index arrays

@@ -8,6 +8,9 @@ bounds the two-grid contraction in the energy norm:
 
 with ``X = I`` throughout.  Whenever both constants exist, ``beta >= alpha``
 and ``||TGM||_A <= sqrt(1 - alpha/beta) < 1``.
+
+This is the library's one dense module: ``theory_report`` reads its dense
+matrices off the sparse forms the solver runs, and the cycle's off ``vcycle``.
 """
 
 from __future__ import annotations
@@ -17,9 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
+from .discretize import BoundaryCondition, GridSpec, assemble, make_coefficient, split
+from .mgm import SolverConfig, build_hierarchy, vcycle
+from .structured import csr_from_bands
+
 __all__ = ["smoothing_constant", "approximation_constant",
            "spectral_equivalence", "tgm_contraction", "TheoryReport",
-           "theory_report"]
+           "theory_report", "dense_iteration_matrix"]
 
 _SIZE_CAP = 1024
 
@@ -100,22 +107,49 @@ class TheoryReport:
                 and self.measured_contraction <= self.bound + 1e-8)
 
 
+def dense_iteration_matrix(H) -> np.ndarray:
+    """Column-by-column extraction of the cycle's error-propagation matrix.
+
+    Valid for linear smoother pairs only (CG smoothing makes the cycle
+    nonlinear); relies on ``cycle(x, b=0) = M x``.
+    """
+    if not H.config.is_linear:
+        raise ValueError("iteration matrix is undefined for CG smoothing")
+    n = H.levels[0].n
+    if n > 4096:
+        raise ValueError("dense extraction capped at N <= 4096")
+    M, zero = np.empty((n, n)), np.zeros(n)
+    for j in range(n):
+        M[:, j] = vcycle(H, 0, np.eye(1, n, j)[0], zero)
+    return M
+
+
+def _dense(A, rank_one: float | None, n: int) -> np.ndarray:
+    """The sparse ``A`` plus ``rank_one * e e^T / n``, if any, as a dense matrix."""
+    M = A.toarray()
+    return M if rank_one is None else M + rank_one / n
+
+
+def _dense_problem(problem) -> np.ndarray:
+    """``a_min * S + R`` from the structured part's CSR and the correction's bands."""
+    S, n = problem.structured, problem.grid.n_total
+    return (problem.a_min * _dense(S.to_sparse(), S.rank_one, n)
+            + csr_from_bands(dict(problem.correction), n).toarray())
+
+
 def theory_report(bc, coeff, n: int, pre: str = "richardson",
                   post: str = "richardson") -> TheoryReport:
     """Run the full dense chain on a two-level hierarchy for one setup."""
-    from .discretize import BoundaryCondition, GridSpec, assemble, make_coefficient, split
-    from .mgm import SolverConfig, build_hierarchy, dense_iteration_matrix
-
     bc = BoundaryCondition(bc) if not isinstance(bc, BoundaryCondition) else bc
     grid = GridSpec((n,), bc)
     coeff = make_coefficient(coeff, 1)
-    A_sparse = assemble(grid, coeff)
-    problem = split(A_sparse, grid, coeff)
+    problem = split(assemble(grid, coeff), grid, coeff)
     H = build_hierarchy(problem, SolverConfig(method="tgm", pre=pre, post=post))
 
-    A = H.dense_operator(0)
-    p = H.levels[0].projector.to_sparse().toarray()
-    V_post = np.eye(len(A)) - H.levels[0].omega_post * A
+    lev = H.levels[0]
+    A = _dense(lev.combined, lev.gamma, lev.n)
+    p = lev.projector.to_sparse().toarray()
+    V_post = np.eye(len(A)) - lev.omega_post * A
     alpha = smoothing_constant(A, V_post)
     beta = approximation_constant(A, p)
     bound = float(np.sqrt(max(1.0 - alpha / beta, 0.0)))
@@ -123,6 +157,6 @@ def theory_report(bc, coeff, n: int, pre: str = "richardson",
 
     # pencil of the (corrected, if singular) weighted vs unit-coefficient operators
     base_problem = split(assemble(grid, "a1"), grid, "a1")
-    theta1, theta2 = spectral_equivalence(problem.full_dense(), base_problem.full_dense())
+    theta1, theta2 = spectral_equivalence(_dense_problem(problem), _dense_problem(base_problem))
     return TheoryReport(bc.value, coeff.name, n, alpha, beta, bound,
                         contraction, theta1, theta2)

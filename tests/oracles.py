@@ -7,8 +7,82 @@ import scipy.sparse as sp
 
 from wlmg.discretize import (BoundaryCondition, GridSpec, _sample, algebra_for_bc,
                              coefficient_samples, laplace_symbol, make_coefficient)
-from wlmg.structured import AlgebraKind, StructuredOperator, _check_band, csr_from_bands
+from wlmg.structured import (AlgebraKind, StructuredOperator, _check_band, algebra_grid,
+                             csr_from_bands)
 from wlmg.transfer import P_SYMBOL, coarse_size
+
+
+def dense_matrix(kind: AlgebraKind, f, n: int) -> np.ndarray:
+    """Dense n-by-n algebra matrix of a 1-D symbol."""
+    m = _check_band(kind, f, n)
+    t = f.coeffs
+    i = np.arange(n)
+    I, J = np.meshgrid(i, i, indexing="ij")
+
+    def tt(S):
+        S = np.asarray(S)
+        out = np.zeros(S.shape)
+        mask = S < len(t)
+        out[mask] = t[S[mask]]
+        return out
+
+    if kind is AlgebraKind.TAU:
+        return tt(np.abs(I - J)) - tt(I + J + 2) - tt(2 * n - I - J)
+    if kind is AlgebraKind.CIRCULANT:
+        D = (I - J) % n
+        M = tt(D)
+        wrap = D != 0
+        M[wrap] += tt(n - D)[wrap]
+        return M
+    # DCT-III: banded entry formula (exact) when the band is narrow, else
+    # eigen-reconstruction with the orthonormal basis
+    if 2 * m < n:
+        return tt(np.abs(I - J)) + tt(I + J + 1) + tt(2 * n - 1 - I - J)
+    Q = dct3_basis(n)
+    lam = f.eval(algebra_grid(kind, n))
+    return (Q * lam) @ Q.T
+
+
+def dct3_basis(n: int) -> np.ndarray:
+    """Orthonormal DCT-III eigenvector matrix, columns indexed by frequency."""
+    i = np.arange(n)[:, None]
+    j = np.arange(n)[None, :]
+    Q = np.sqrt(2.0 / n) * np.cos((2 * i + 1) * j * np.pi / (2 * n))
+    Q[:, 0] /= np.sqrt(2.0)
+    return Q
+
+
+def materialize_dense(op: StructuredOperator) -> np.ndarray:
+    """A ``StructuredOperator`` as a dense matrix, rank-one term included:
+    the sum of its terms' ``dense_matrix`` (their Kronecker products in
+    2-D); guarded against large N."""
+    if op.n_total > 4096:
+        raise ValueError("dense materialization capped at N <= 4096")
+    M = np.zeros((op.n_total, op.n_total))
+    if op.dim == 1:
+        for (g,) in op.symbol.terms:
+            M += dense_matrix(op.kind, g, op.sizes[0])
+    else:
+        for g1, g2 in op.symbol.terms:
+            M += np.kron(dense_matrix(op.kind, g1, op.sizes[0]),
+                         dense_matrix(op.kind, g2, op.sizes[1]))
+    if op.rank_one is not None:
+        M = M + op.rank_one / op.n_total
+    return M
+
+
+def full_dense(problem) -> np.ndarray:
+    """A split problem's operator ``a_min * S + R`` as a dense matrix."""
+    R = csr_from_bands(dict(problem.correction), problem.grid.n_total)
+    return problem.a_min * materialize_dense(problem.structured) + R.toarray()
+
+
+def dense_operator(lev) -> np.ndarray:
+    """A level matrix, rank-one term included, as a dense matrix."""
+    M = lev.combined.toarray()
+    if lev.gamma is not None:
+        M = M + lev.gamma / lev.n
+    return M
 
 
 def edge_groups(grid: GridSpec, coeff):

@@ -13,12 +13,12 @@ from wlmg._tables import DAGGER, TABLES
 from wlmg.cli import bench_cell
 from wlmg.discretize import (BoundaryCondition, GridSpec, algebra_for_bc,
                              assemble, coefficient_samples, split)
-from wlmg.mgm import SolverConfig, build_hierarchy, dense_iteration_matrix, solve
+from wlmg.mgm import SolverConfig, build_hierarchy, solve
 from wlmg.structured import StructuredOperator, csr_from_bands
 from wlmg.transfer import Projector, coarsen_structured, galerkin_sparse
-from wlmg.verify import theory_report
+from wlmg.verify import dense_iteration_matrix, theory_report
 
-from oracles import correction_csr
+from oracles import correction_csr, dense_operator, full_dense, materialize_dense
 
 RR = "richardson+richardson"
 RGS = "richardson+gauss-seidel"
@@ -215,10 +215,10 @@ def _galerkin_relerr(bc, sizes, coeff="a2"):
         kind, sizes, prob.structured.symbol.scaled(prob.a_min),
         rank_one=None if prob.structured.rank_one is None
         else prob.a_min * prob.structured.rank_one)
-    got = coarsen_structured(scaled, P).materialize_dense() \
+    got = materialize_dense(coarsen_structured(scaled, P)) \
         + csr_from_bands(galerkin_sparse(prob.correction, P), P.n_coarse).toarray()
     p = P.to_sparse().toarray()
-    want = p.T @ prob.full_dense() @ p
+    want = p.T @ full_dense(prob) @ p
     return np.abs(got - want).max() / np.abs(want).max()
 
 
@@ -247,13 +247,13 @@ def _iteration_matrix_relerr(bc, n, method, pre="richardson", post="richardson",
         weights = _splitting_weights(n)[:, None]
 
     def dense_recursion(s):
-        A = H.dense_operator(s)
+        A = dense_operator(H.levels[s])
         m = len(A)
         if s == H.depth:
             return np.zeros((m, m))
         lev = H.levels[s]
         p = lev.projector.to_sparse().toarray()
-        A1 = H.dense_operator(s + 1)
+        A1 = dense_operator(H.levels[s + 1])
         M1 = dense_recursion(s + 1)
         cgc = np.eye(m) - p @ ((np.eye(len(A1)) - M1) @ np.linalg.solve(A1, p.T @ A))
         def smoother(name, omega):
@@ -359,8 +359,8 @@ def test_criterion_09_splitting():
             grid = GridSpec(sizes, bc)
             A = assemble(grid, "a1").toarray()
             from wlmg.discretize import laplace_symbol
-            M = StructuredOperator(algebra_for_bc(bc), sizes,
-                                   laplace_symbol(len(sizes))).materialize_dense()
+            M = materialize_dense(StructuredOperator(algebra_for_bc(bc), sizes,
+                                                     laplace_symbol(len(sizes))))
             if not np.array_equal(A, M):
                 bad.append(("exact-a1", bc.value, sizes))
     verdict(9, not bad, f"corrections PSD and unit-coefficient assembly exact; "

@@ -10,7 +10,7 @@ from wlmg.discretize import (BoundaryCondition, DiffusionCoefficient, GridSpec,
 from wlmg.structured import StructuredOperator
 from wlmg.symbols import CosineSymbol, TensorSymbol
 
-from oracles import correction_csr, edge_groups, infinity_norm
+from oracles import correction_csr, edge_groups, full_dense, infinity_norm, materialize_dense
 
 BCS = list(BoundaryCondition)
 
@@ -50,7 +50,7 @@ def test_unit_coefficient_equals_algebra_matrix(bc):
         grid = GridSpec(sizes, bc)
         A = assemble(grid, "a1").toarray()
         sym = TensorSymbol.separable_sum([CosineSymbol([2.0, -1.0])] * grid.dim)
-        M = StructuredOperator(algebra_for_bc(bc), sizes, sym).materialize_dense()
+        M = materialize_dense(StructuredOperator(algebra_for_bc(bc), sizes, sym))
         assert np.array_equal(A, M)
 
 
@@ -96,17 +96,17 @@ def test_split_reconstruction_exact():
         assert np.abs(recon - A.toarray()).max() <= 1e-13
 
 
-def test_split_keeps_a_canonical_csr_array():
-    """``split`` keeps an assembled ``A`` itself; any other sparse form is
-    copied to a canonical CSR array with the same splitting."""
+def test_split_reads_any_sparse_form_alike():
+    """``split`` keeps ``A``'s diagonals, not ``A``; any other sparse form of
+    ``A`` gives the same diagonals and the same splitting."""
     grid = GridSpec((7, 7), BoundaryCondition.DIRICHLET)
     A = assemble(grid, "a7")
     prob = split(A, grid, "a7")
-    assert prob.matrix is A
+    assert not any(value is A for value in vars(prob).values())
     for other in (sp.csr_matrix(A), sp.coo_array(A)):
         got = split(other, grid, "a7")
-        assert isinstance(got.matrix, sp.csr_array) and got.matrix.has_canonical_format
-        assert np.array_equal(got.matrix.toarray(), A.toarray())
+        assert np.array_equal(got.operator.offsets, prob.operator.offsets)
+        assert np.array_equal(got.operator.toarray(), A.toarray())
         assert list(got.correction) == list(prob.correction)
         assert all(np.array_equal(got.correction[o], band)
                    for o, band in prob.correction.items())
@@ -166,7 +166,7 @@ def test_split_full_operator_spd():
         sizes = (16,) if bc is not BoundaryCondition.DIRICHLET else (15,)
         grid = GridSpec(sizes, bc)
         prob = split(assemble(grid, "a2"), grid, "a2")
-        lam = np.linalg.eigvalsh(prob.full_dense())
+        lam = np.linalg.eigvalsh(full_dense(prob))
         assert lam.min() > 0
 
 
@@ -254,6 +254,19 @@ def test_piecewise_tie_break():
     assert a7(0.5, 0.25) == 100.0
     assert a7(0.25, 0.5) == 100.0
     assert a7(0.25, 0.25) == 1.0
+
+
+@pytest.mark.parametrize("sizes, bad", [((63.9, 63.9), "63.9"), ((15, 7.0), "7.0"),
+                                        ((True, 5), "True"), (15.5, "15.5")])
+def test_grid_rejects_a_size_that_is_not_an_integer(sizes, bad):
+    """A float size is not truncated, and a ``bool`` is not a size."""
+    with pytest.raises(ValueError, match=f"^grid size {bad} is not an integer$"):
+        GridSpec(sizes, BoundaryCondition.DIRICHLET)
+
+
+def test_grid_takes_numpy_integer_sizes():
+    grid = GridSpec(np.array([7, 5]), BoundaryCondition.DIRICHLET)
+    assert grid.sizes == (7, 5) and all(type(n) is int for n in grid.sizes)
 
 
 def test_grid_validation():

@@ -12,11 +12,11 @@ import wlmg.mgm
 
 from wlmg.discretize import (BoundaryCondition, GridSpec, assemble, build_rhs,
                              split)
-from wlmg.mgm import (SolverConfig, build_hierarchy, dense_iteration_matrix, solve,
-                      tgm_iterate, vcycle)
+from wlmg.mgm import SolverConfig, build_hierarchy, solve, tgm_iterate, vcycle
 from wlmg.structured import csr_from_bands
+from wlmg.verify import dense_iteration_matrix
 
-from oracles import bands_of, solve_full, split_csr
+from oracles import bands_of, dense_operator, solve_full, split_csr
 
 D = BoundaryCondition.DIRICHLET
 
@@ -63,7 +63,7 @@ def test_fixed_point_every_configuration():
     for n, coeff, bc, method, pre, post in cases:
         prob = make_problem(n, coeff, bc)
         H = build_hierarchy(prob, SolverConfig(method=method, pre=pre, post=post))
-        A = H.dense_operator(0)
+        A = dense_operator(H.levels[0])
         b = rng.standard_normal(H.levels[0].n)
         xstar = np.linalg.solve(A, b)
         out = vcycle(H, 0, xstar.copy(), b)
@@ -91,8 +91,8 @@ def test_tgm_iteration_matrix_formula():
     prob = make_problem(15, "a2")
     H = build_hierarchy(prob, SolverConfig(method="tgm"))
     M = dense_iteration_matrix(H)
-    A0 = H.dense_operator(0)
-    A1 = H.dense_operator(1)
+    A0 = dense_operator(H.levels[0])
+    A1 = dense_operator(H.levels[1])
     p = H.levels[0].projector.to_sparse().toarray()
     n = len(A0)
     Vpre = np.eye(n) - H.levels[0].omega_pre * A0
@@ -107,8 +107,8 @@ def test_tgm_iteration_matrix_formula_gs_post():
     H = build_hierarchy(prob, SolverConfig(method="tgm", pre="richardson",
                                            post="gauss-seidel"))
     M = dense_iteration_matrix(H)
-    A0 = H.dense_operator(0)
-    A1 = H.dense_operator(1)
+    A0 = dense_operator(H.levels[0])
+    A1 = dense_operator(H.levels[1])
     p = H.levels[0].projector.to_sparse().toarray()
     n = len(A0)
     Vpre = np.eye(n) - H.levels[0].omega_pre * A0
@@ -120,13 +120,13 @@ def test_tgm_iteration_matrix_formula_gs_post():
 
 def mgm_recursion_dense(H, s=0):
     """Dense error-propagation matrix from the level recursion (oracle)."""
-    A = H.dense_operator(s)
+    A = dense_operator(H.levels[s])
     n = len(A)
     if s == H.depth:
         return np.zeros((n, n))
     lev = H.levels[s]
     p = lev.projector.to_sparse().toarray()
-    A1 = H.dense_operator(s + 1)
+    A1 = dense_operator(H.levels[s + 1])
     M1 = mgm_recursion_dense(H, s + 1)
     I1 = np.eye(len(A1))
     cgc = np.eye(n) - p @ ((I1 - M1) @ np.linalg.solve(A1, p.T @ A))
@@ -157,7 +157,7 @@ def test_linear_method_identity():
     H = build_hierarchy(prob, SolverConfig(method="mgm", pre="richardson",
                                            post="richardson"))
     M = dense_iteration_matrix(H)
-    A = H.dense_operator(0)
+    A = dense_operator(H.levels[0])
     rng = np.random.default_rng(9)
     b = rng.standard_normal(31)
     xstar = np.linalg.solve(A, b)
@@ -204,7 +204,7 @@ def test_every_level_spd():
         prob = make_problem(sizes, "a2", bc)
         H = build_hierarchy(prob, SolverConfig(method="mgm"))
         for lev in H.levels:
-            lam = np.linalg.eigvalsh(lev.dense_operator())
+            lam = np.linalg.eigvalsh(dense_operator(lev))
             assert lam.min() > 0, (bc, lev.sizes)
 
 
@@ -238,8 +238,8 @@ def test_iteration_matrix_diagonal_scaling():
     H = build_hierarchy(prob, SolverConfig(method="tgm",
                                            richardson_scaling="diagonal"))
     M = dense_iteration_matrix(H)
-    A0 = H.dense_operator(0)
-    A1 = H.dense_operator(1)
+    A0 = dense_operator(H.levels[0])
+    A1 = dense_operator(H.levels[1])
     lev = H.levels[0]
     p = lev.projector.to_sparse().toarray()
     n = len(A0)
@@ -277,8 +277,8 @@ def test_tgm_on_small_grids(bc, sizes):
     operator ``p^T A p``, rank-one term included."""
     H = build_hierarchy(make_problem(sizes, "a2", bc), SolverConfig(method="tgm"))
     p = H.levels[0].projector.to_sparse().toarray()
-    want = p.T @ H.dense_operator(0) @ p
-    got = H.dense_operator(1)
+    want = p.T @ dense_operator(H.levels[0]) @ p
+    got = dense_operator(H.levels[1])
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     b = np.random.default_rng(0).standard_normal(H.levels[0].n)
     assert solve(H, b, max_iter=100)[1].converged
@@ -300,7 +300,7 @@ def test_bordered_coarse_solve_matches_dense(bc, coeff):
     H = build_hierarchy(make_problem((32, 32), coeff, bc), SolverConfig(method="mgm"))
     lev = H.levels[-1]
     assert lev.gamma is not None and lev._direct[0] == "sparse"
-    M = lev.dense_operator()
+    M = dense_operator(lev)
     b = np.random.default_rng(1).standard_normal(lev.n)
     want = np.linalg.solve(M, b)
     got = lev.direct_solve(b)
@@ -428,6 +428,39 @@ def test_zero_rhs_costs_nothing():
     x, rep = solve(H, np.zeros(H.levels[0].n))
     assert (rep.iterations, rep.operations, rep.converged) == (0, 0, True)
     assert H.cycle_cost > 0 and not x.any()
+
+
+@pytest.mark.parametrize("x0", ["none", "random"])
+def test_zero_rhs_reports_a_zero_final_residual(x0):
+    """``b = 0`` runs no cycle and returns ``x = 0``, its exact solution,
+    from any ``x0``; the report has converged with an empty history, whose
+    final residual is 0, not inf."""
+    H = build_hierarchy(make_problem((15, 15), "a2"), SolverConfig(method="tgm"))
+    n = H.levels[0].n
+    start = None if x0 == "none" else np.random.default_rng(2).standard_normal(n)
+    x, rep = solve(H, np.zeros(n), x0=start)
+    assert rep.converged and rep.residuals == [] and not x.any()
+    assert rep.final_residual == 0.0
+
+
+@pytest.mark.parametrize("method", ["mgm", "tgm"])
+@pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+def test_built_levels_hold_no_csr(bc, method):
+    """Set-up reads no level's CSR ``combined``: the coarsest factor reads
+    its own CSR off the diagonals and drops it, so no level of a freshly
+    built hierarchy holds a CSR matrix.  ``combined`` is built on first
+    access."""
+    sizes = (63, 63) if bc is D else (64, 64)
+    H = build_hierarchy(make_problem(sizes, "a7", bc),
+                        SolverConfig(method=method, pre="gauss-seidel"))
+    assert H.n_levels == (2 if method == "tgm" else 3)
+    for lev in H.levels:
+        assert lev._combined is None
+        held = [item for value in vars(lev).values()
+                for item in (value if isinstance(value, tuple) else (value,))]
+        assert not [item for item in held if sp.issparse(item) and item.format == "csr"]
+    coarsest = H.levels[-1]
+    assert coarsest._direct is not None and coarsest.combined.nnz == coarsest.nnz
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -575,24 +608,22 @@ def test_concurrent_solves_share_one_hierarchy():
 @pytest.mark.parametrize("bc, sizes", [(D, (31, 31)), (BoundaryCondition.PERIODIC, (32,)),
                                       (BoundaryCondition.REFLECTIVE, (32, 32))],
                          ids=["dirichlet", "periodic", "reflective"])
-def test_hierarchy_shares_a_and_keeps_no_correction(bc, sizes):
-    """Level 0 multiplies by the assembled matrix that ``split`` received, by
-    the diagonals ``split`` read off it, and no level holds a sparse
-    correction once the hierarchy is built; the build leaves the problem's
-    correction as it was."""
+def test_hierarchy_keeps_neither_a_nor_the_correction(bc, sizes):
+    """Level 0 multiplies by the diagonals ``split`` read off the assembled
+    matrix, and no level holds that matrix or a sparse correction once the
+    hierarchy is built; the build leaves the problem's correction as it
+    was."""
     grid = GridSpec(sizes, bc)
     A = assemble(grid, "a7" if len(sizes) == 2 else "a3")
     prob = split(A, grid, "a7" if len(sizes) == 2 else "a3")
-    assert prob.matrix is A
     before = {o: band.tobytes() for o, band in prob.correction.items()}
     H = build_hierarchy(prob, SolverConfig(method="mgm", pre="gauss-seidel"))
     assert {o: band.tobytes() for o, band in prob.correction.items()} == before
     assert H.n_levels >= 2
-    assert H.levels[0].combined is A
     assert H.levels[0].operator is prob.operator
     for lev in H.levels:
         assert getattr(lev, "correction", None) is None
-        assert not any(value is prob.correction for value in vars(lev).values())
+        assert not any(value is prob.correction or value is A for value in vars(lev).values())
 
 
 def held_arrays(H) -> dict:
@@ -728,7 +759,7 @@ def test_finest_correction_bands_are_the_split_correction(bc, sizes, coeff):
     ascending, and read back as CSR."""
     sizes = tuple(n + (bc is not D) for n in sizes)
     prob = make_problem(sizes, coeff, bc)
-    R = split_csr(prob.matrix, prob.grid, coeff)
+    R = split_csr(assemble(prob.grid, coeff), prob.grid, coeff)
     bands, want = prob.correction, bands_of(R)
     assert list(bands) == sorted(want)
     assert all(bands[o].tobytes() == want[o].tobytes() for o in want)

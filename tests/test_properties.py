@@ -54,8 +54,9 @@ from wlmg.structured import (AlgebraKind, StructuredOperator, csr_from_bands, di
 from wlmg.symbols import CosineSymbol, TensorSymbol
 from wlmg.transfer import Projector, coarsen_structured, galerkin_sparse
 
-from oracles import (assemble_coo, bands_of, bordered_bmat, correction_csr, galerkin_csr,
-                     gs_triangle_product, projector_kron, sparse_matrix_coo, to_sparse_kron)
+from oracles import (assemble_coo, bands_of, bordered_bmat, correction_csr, dense_operator,
+                     galerkin_csr, gs_triangle_product, projector_kron, sparse_matrix_coo,
+                     to_sparse_kron)
 
 checked = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -273,7 +274,7 @@ def test_galerkin_coarse_levels_are_symmetric_positive_definite(case):
     H = build_hierarchy(split(assemble(grid, coeff), grid, coeff))
     assume(H.n_levels > 1)
     for lev in H.levels[1:]:
-        M = lev.dense_operator()
+        M = dense_operator(lev)
         assert np.array_equal(M, M.T)
         np.linalg.cholesky(M)       # raises unless positive definite
 

@@ -9,7 +9,7 @@ from wlmg.smoothers import cg_steps, compute_omegas, richardson, splitting_diago
 from wlmg.structured import AlgebraKind, StructuredOperator
 from wlmg.symbols import CosineSymbol, TensorSymbol
 
-from oracles import bands_of
+from oracles import bands_of, dense_operator
 
 GS = SolverConfig(method="mgm", pre="gauss-seidel", post="richardson")
 RANK_ONE = (BoundaryCondition.PERIODIC, BoundaryCondition.REFLECTIVE)
@@ -80,7 +80,7 @@ def test_richardson_anorm_monotone():
     for coeff in ("a1", "a2"):
         prob = split(assemble(grid, coeff), grid, coeff)
         H = build_hierarchy(prob, SolverConfig(method="tgm"))
-        A = H.dense_operator(0)
+        A = dense_operator(H.levels[0])
         rng = np.random.default_rng(5)
         b = rng.standard_normal(15)
         xstar = np.linalg.solve(A, b)
@@ -205,7 +205,7 @@ def test_rank_one_gs_energy_norm_monotone(bc, sizes):
     H = gs_hierarchy(bc, sizes, "a7" if len(sizes) == 2 else "a3")
     rng = np.random.default_rng(13)
     for lev in H.levels[:-1]:
-        A = lev.dense_operator()
+        A = dense_operator(lev)
         b = rng.standard_normal(lev.n)
         xstar = np.linalg.solve(A, b)
         for _ in range(10):
@@ -281,7 +281,7 @@ def test_gs_anorm_monotone():
     prob = split(assemble(grid, "a3"), grid, "a3")
     H = build_hierarchy(prob, SolverConfig(method="tgm", pre="gauss-seidel",
                                            post="gauss-seidel"))
-    A = H.dense_operator(0)
+    A = dense_operator(H.levels[0])
     rng = np.random.default_rng(7)
     b = rng.standard_normal(15)
     xstar = np.linalg.solve(A, b)
@@ -350,7 +350,7 @@ def test_post_smoother_spectrum_in_unit_interval():
         grid = GridSpec((15,), BoundaryCondition.DIRICHLET)
         prob = split(assemble(grid, coeff), grid, coeff)
         H = build_hierarchy(prob, SolverConfig(method="tgm"))
-        A = H.dense_operator(0)
+        A = dense_operator(H.levels[0])
         lam = np.linalg.eigvalsh(A)
         w_pre, w_post = H.levels[0].omega_pre, H.levels[0].omega_post
         assert np.all(np.abs(1 - w_post * lam) < 1.0)
@@ -363,7 +363,7 @@ def test_proposition_style_post_constant_positive():
     grid = GridSpec((15,), BoundaryCondition.DIRICHLET)
     prob = split(assemble(grid, "a2"), grid, "a2")
     H = build_hierarchy(prob, SolverConfig(method="tgm"))
-    A = H.dense_operator(0)
+    A = dense_operator(H.levels[0])
     V = np.eye(15) - H.levels[0].omega_post * A
     assert smoothing_constant(A, V) > 0
 
@@ -383,7 +383,7 @@ def test_splitting_diagonal_bounds_every_level(bc, n):
         prob = split(assemble(grid, coeff), grid, coeff)
         H = build_hierarchy(prob, SolverConfig(method="mgm", richardson_scaling="diagonal"))
         for lev in H.levels:
-            A = lev.dense_operator()
+            A = dense_operator(lev)
             gap = np.diag(1.0 / lev.dinv) - A
             assert np.linalg.eigvalsh(gap).min() >= -1e-10 * np.abs(A).max()
 

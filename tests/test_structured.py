@@ -3,8 +3,9 @@ import pytest
 import scipy.sparse as sp
 
 from wlmg.symbols import CosineSymbol, TensorSymbol
-from wlmg.structured import (AlgebraKind, StructuredOperator, algebra_grid,
-                             dct3_basis, dense_matrix)
+from wlmg.structured import AlgebraKind, StructuredOperator, algebra_grid
+
+from oracles import dct3_basis, dense_matrix, materialize_dense
 
 LAPLACE = CosineSymbol([2.0, -1.0])
 KINDS = [AlgebraKind.TAU, AlgebraKind.CIRCULANT, AlgebraKind.DCT3]
@@ -30,13 +31,13 @@ def eig_reconstruction(kind, sym, n):
 
 
 def test_dense_examples():
-    assert np.array_equal(make_op(AlgebraKind.TAU, 3).materialize_dense(),
+    assert np.array_equal(materialize_dense(make_op(AlgebraKind.TAU, 3)),
                           np.array([[2., -1., 0.], [-1., 2., -1.], [0., -1., 2.]]))
-    assert np.array_equal(make_op(AlgebraKind.CIRCULANT, 3).materialize_dense(),
+    assert np.array_equal(materialize_dense(make_op(AlgebraKind.CIRCULANT, 3)),
                           np.array([[2., -1., -1.], [-1., 2., -1.], [-1., -1., 2.]]))
     # DCT-III entries come from eigen-reconstruction with eigenvalues f(pi j / n)
     expected = eig_reconstruction(AlgebraKind.DCT3, LAPLACE, 2)
-    got = make_op(AlgebraKind.DCT3, 2).materialize_dense()
+    got = materialize_dense(make_op(AlgebraKind.DCT3, 2))
     assert np.allclose(got, expected, atol=1e-14)
     assert np.allclose(got, np.array([[1., -1.], [-1., 1.]]), atol=1e-14)
 
@@ -61,7 +62,7 @@ def test_apply_matches_dense(kind):
         coeffs[0] = abs(coeffs[0]) + 2 * np.abs(coeffs[1:]).sum()  # keep f >= 0
         op = make_op(kind, n, CosineSymbol(coeffs))
         S = op.to_sparse()
-        M = op.materialize_dense()
+        M = materialize_dense(op)
         for _ in range(10):
             v = rng.standard_normal(n)
             got = S @ v
@@ -75,7 +76,7 @@ def test_sparse_matches_dense(kind):
     for n in (5, 8, 12, 16):
         sym = CosineSymbol(rng.standard_normal(3))
         op = make_op(kind, n, sym)
-        assert np.allclose(op.to_sparse().toarray(), op.materialize_dense(), atol=1e-13)
+        assert np.allclose(op.to_sparse().toarray(), materialize_dense(op), atol=1e-13)
 
 
 def reference_sparse_matrix(kind, f, n):
@@ -171,7 +172,7 @@ def test_eigenvalue_identity(kind):
     for n in (6, 9, 14):
         sym = CosineSymbol(rng.standard_normal(3))
         op = make_op(kind, n, sym)
-        got = np.sort(np.linalg.eigvalsh(op.materialize_dense()))
+        got = np.sort(np.linalg.eigvalsh(materialize_dense(op)))
         want = np.sort(op.eigenvalues())
         assert np.allclose(got, want, atol=1e-10)
 
@@ -181,7 +182,7 @@ def test_apply_2d_matches_dense():
     for kind in KINDS:
         sym = TensorSymbol.separable_sum([LAPLACE, LAPLACE])
         op = StructuredOperator(kind, (6, 5), sym)
-        M = op.materialize_dense()
+        M = materialize_dense(op)
         v = rng.standard_normal(30)
         assert np.allclose(op.to_sparse() @ v, M @ v, atol=1e-12)
 
@@ -196,7 +197,7 @@ def test_apply_examples():
     assert gamma == pytest.approx(2.0)  # f(2 pi / 4) = 2
     # to_sparse excludes the rank-one term; the dense oracle carries it
     assert np.array_equal(corrected.to_sparse().toarray(), op.to_sparse().toarray())
-    dense = corrected.materialize_dense()
+    dense = materialize_dense(corrected)
     assert np.allclose(dense @ np.ones(4), gamma * np.ones(4))
 
 
@@ -206,7 +207,7 @@ def test_strang_values():
     dct = make_op(AlgebraKind.DCT3, 8).strang_correct()
     assert dct.rank_one == pytest.approx(2 - 2 * np.cos(np.pi / 8))
     for op in (circ, dct):
-        assert np.linalg.eigvalsh(op.materialize_dense()).min() > 0
+        assert np.linalg.eigvalsh(materialize_dense(op)).min() > 0
 
 
 def test_strang_errors():
@@ -226,4 +227,4 @@ def test_strang_2d_uses_per_dimension_frequencies():
 def test_dense_size_guard():
     op = make_op(AlgebraKind.TAU, 5000)
     with pytest.raises(ValueError):
-        op.materialize_dense()
+        materialize_dense(op)

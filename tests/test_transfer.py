@@ -8,7 +8,8 @@ from wlmg.symbols import CosineSymbol, TensorSymbol
 from wlmg.transfer import (P_SYMBOL, TAPS, Projector, coarse_size, coarsen_structured,
                            galerkin_sparse, galerkin_structured, project_rank_one)
 
-from oracles import bands_of, correction_csr, cutting_matrix, galerkin_csr, projector_kron
+from oracles import (bands_of, correction_csr, cutting_matrix, full_dense, galerkin_csr,
+                     materialize_dense, projector_kron)
 
 LAPLACE = CosineSymbol([2.0, -1.0])
 KINDS = [AlgebraKind.TAU, AlgebraKind.CIRCULANT, AlgebraKind.DCT3]
@@ -130,8 +131,8 @@ def test_galerkin_structured_matches_dense_triple_product(kind):
     coarse = galerkin_structured(op.symbol, P)
     coarse_op = StructuredOperator(kind, P.coarse_sizes, coarse)
     p = P.to_sparse().toarray()
-    want = p.T @ op.materialize_dense() @ p
-    got = coarse_op.materialize_dense()
+    want = p.T @ materialize_dense(op) @ p
+    got = materialize_dense(coarse_op)
     rel = np.abs(got - want).max() / np.abs(want).max()
     assert rel <= 1e-11
 
@@ -178,9 +179,9 @@ def test_master_galerkin_identity_1d(bc):
             else prob.a_min * prob.structured.rank_one)
         coarse_struct = coarsen_structured(scaled, P)
         coarse_R = coarse_correction(correction_csr(prob), P)
-        got = coarse_struct.materialize_dense() + coarse_R.toarray()
+        got = materialize_dense(coarse_struct) + coarse_R.toarray()
         p = P.to_sparse().toarray()
-        A = prob.full_dense()
+        A = full_dense(prob)
         want = p.T @ A @ p
         rel = np.abs(got - want).max() / np.abs(want).max()
         assert rel <= 1e-11, (bc, n0, rel)
@@ -195,9 +196,9 @@ def test_master_galerkin_identity_2d():
                                 prob.structured.symbol.scaled(prob.a_min))
     coarse_struct = coarsen_structured(scaled, P)
     coarse_R = coarse_correction(correction_csr(prob), P)
-    got = coarse_struct.materialize_dense() + coarse_R.toarray()
+    got = materialize_dense(coarse_struct) + coarse_R.toarray()
     p = P.to_sparse().toarray()
-    want = p.T @ prob.full_dense() @ p
+    want = p.T @ full_dense(prob) @ p
     rel = np.abs(got - want).max() / np.abs(want).max()
     assert rel <= 1e-11
 

@@ -5,6 +5,8 @@ from wlmg.discretize import BoundaryCondition, GridSpec, assemble, coefficient_s
 from wlmg.verify import (approximation_constant, smoothing_constant,
                          spectral_equivalence, tgm_contraction, theory_report)
 
+from oracles import dense_operator
+
 D = BoundaryCondition.DIRICHLET
 
 
@@ -50,7 +52,7 @@ def test_approximation_constant_bounded_across_sizes():
         grid = GridSpec((n,), D)
         prob = split(assemble(grid, "a1"), grid, "a1")
         H = build_hierarchy(prob, SolverConfig(method="tgm"))
-        A = H.dense_operator(0)
+        A = dense_operator(H.levels[0])
         p = H.levels[0].projector.to_sparse().toarray()
         betas.append(approximation_constant(A, p))
     assert max(betas) / min(betas) <= 2.0
