@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from ._tables import DAGGER, PAIR_SMOOTHERS, TABLES
-from .discretize import (BoundaryCondition, DiffusionCoefficient, GridSpec,
-                         assemble, build_rhs, make_coefficient, split)
+from .discretize import (DiffusionCoefficient, GridSpec, assemble, build_rhs,
+                         make_coefficient, split)
 from .mgm import SolverConfig, build_hierarchy, solve
 from .verify import theory_report
 
@@ -58,7 +58,7 @@ def coefficient_from_spec(spec: str, dim: int):
 
 
 def _build_problem(bc: str, dim: int, coeff_spec: str, n: int):
-    grid = GridSpec((n,) * dim, BoundaryCondition(bc))
+    grid = GridSpec((n,) * dim, bc)
     coeff = coefficient_from_spec(coeff_spec, dim)
     A = assemble(grid, coeff)
     return grid, split(A, grid, coeff)

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .structured import (AlgebraKind, StructuredOperator, csr_from_bands, dia_bands,
-                         stored_diagonals)
+from .structured import (AlgebraKind, StructuredOperator, dia_bands, dia_from_bands,
+                         integer_sizes, stored_diagonals)
 from .symbols import CosineSymbol, TensorSymbol
 
 __all__ = [
@@ -57,18 +56,20 @@ class GridSpec:
     Dirichlet grids have ``h = 1/(n+1)`` and nodes ``x_i = i h``; periodic
     and reflective grids are cell-centered with ``h = 1/n`` and nodes
     ``x_i = (i - 1/2) h``.  A size that is not an integer (a float, a
-    ``bool``) raises a ``ValueError`` naming it.
+    ``bool``), or a ``bc`` that ``BoundaryCondition`` does not take (it
+    takes ``"dirichlet"``), raises a ``ValueError`` naming it.
     """
 
     sizes: tuple
     bc: BoundaryCondition
 
     def __post_init__(self):
-        sizes = tuple(self.sizes) if np.iterable(self.sizes) else (self.sizes,)
-        for n in sizes:
-            if not isinstance(n, numbers.Integral) or isinstance(n, bool):
-                raise ValueError(f"grid size {n!r} is not an integer")
-        object.__setattr__(self, "sizes", tuple(int(n) for n in sizes))
+        object.__setattr__(self, "sizes", sizes := integer_sizes(self.sizes))
+        try:
+            object.__setattr__(self, "bc", BoundaryCondition(self.bc))
+        except ValueError:
+            raise ValueError(f"unknown boundary condition {self.bc!r}; use one of "
+                             f"{', '.join(b.value for b in BoundaryCondition)}") from None
         if len(sizes) not in (1, 2):
             raise ValueError("only 1-D and 2-D grids are supported")
         if any(n < 3 for n in sizes):
@@ -194,8 +195,7 @@ def _edge_samples(grid: GridSpec, coeff: DiffusionCoefficient) -> list:
 
 def _stencil_bands(grid: GridSpec, samples: list) -> dict:
     """The conservative stencil by diagonals: ``{o: band}`` with ``band``
-    holding ``A[i, i + o]`` at each node ``i``, 0 where the stencil has no
-    entry."""
+    holding ``A[i, i + o]`` at each flat node ``i``, 0 off the stencil."""
     dirichlet = grid.bc is BoundaryCondition.DIRICHLET
     periodic = grid.bc is BoundaryCondition.PERIODIC
     diag = np.zeros(grid.sizes)
@@ -228,25 +228,24 @@ def _stencil_bands(grid: GridSpec, samples: list) -> dict:
                 np.moveaxis(band, r, 0)[end] = 0.0
                 bands[-offset * (n - 1)] = wrap
             bands[offset] = band
-    return bands
+    return {o: band.ravel() for o, band in bands.items()}
 
 
 def assemble(grid: GridSpec, coeff) -> sp.csr_array:
     """Assemble the h^2-scaled stiffness matrix of -div(a grad u).
 
-    The (2d+1)-point stencil is built band by band, and ``csr_from_bands``
-    reads the CSR arrays off the bands.  Raises ``ValueError``
-    naming the coefficient if a sample is NaN, inf or not positive, or if a
-    callable returns a shape other than its points'.
+    The (2d+1)-point stencil is built band by band, and SciPy's ``tocsr``
+    reads the CSR arrays off the diagonals, dropping zeros.  Raises a
+    ``ValueError`` naming the coefficient if a sample is NaN, inf or not
+    positive, or if a callable returns a shape other than its points'.
     """
     coeff = make_coefficient(coeff, grid.dim)
     samples = _edge_samples(grid, coeff)
     if any(np.any(c <= 0.0) for c in samples):
         raise ValueError("diffusion coefficient must be positive at all sample points")
     # every sample is positive, so the nonzero entries are exactly the stencil's;
-    # no name keeps the bands, so csr_from_bands can free them
-    return csr_from_bands(
-        {o: band.ravel() for o, band in _stencil_bands(grid, samples).items()}, grid.n_total)
+    # no name keeps the bands, so they are freed before the conversion
+    return dia_from_bands(_stencil_bands(grid, samples), grid.n_total).tocsr()
 
 
 def coefficient_samples(grid: GridSpec, coeff) -> np.ndarray:
@@ -289,15 +288,16 @@ def split(A: sp.csr_array, grid: GridSpec, coeff) -> AssembledProblem:
     ``A`` other than a canonical CSR array is read through a canonical copy.
 
     Raises ``ValueError`` if ``A`` is not N-by-N for the grid, if it is not
-    symmetric bit for bit (tested on ``R``, as ``M`` is symmetric; the
-    Galerkin coarsening forms half the diagonals and mirrors them), and,
-    naming the coefficient, unless ``R`` has no positive off-diagonal entry
-    and no row sum below ``-8 (2d + 1) u A_ii`` (``u = eps / 2``), which
-    make the symmetric ``R`` PSD.  Both hold for ``assemble(grid, coeff)``: an
-    off-diagonal ``a_min - a_e`` rounds a difference <= 0, and a row sum,
-    >= 0 exactly, carries the rounding of ``A_ii``'s sum of 2d edges and,
-    per entry, of ``a_min M_ij``, the difference and the sum: less than the
-    bound, as ``sum_j |A_ij|`` and ``a_min sum_j |M_ij|`` are <= ``2 A_ii``.
+    symmetric bit for bit (tested on its diagonals; ``mgm`` factors a level's
+    CSR as its transpose, and the Galerkin coarsening mirrors half the
+    diagonals), and, naming the coefficient, unless ``R`` has no positive
+    off-diagonal entry and no row sum below ``-8 (2d + 1) u A_ii``
+    (``u = eps / 2``), which make the symmetric ``R`` PSD.  Both hold for
+    ``assemble(grid, coeff)``: an off-diagonal ``a_min - a_e`` rounds a
+    difference <= 0, and a row sum, >= 0 exactly, carries the rounding of
+    ``A_ii``'s sum of 2d edges and, per entry, of ``a_min M_ij``, the
+    difference and the sum: less than the bound, as ``sum_j |A_ij|`` and
+    ``a_min sum_j |M_ij|`` are <= ``2 A_ii``.
     """
     coeff = make_coefficient(coeff, grid.dim)
     if not isinstance(A, sp.csr_array) or not A.has_canonical_format:
@@ -311,20 +311,20 @@ def split(A: sp.csr_array, grid: GridSpec, coeff) -> AssembledProblem:
     base = StructuredOperator(kind, grid.sizes, laplace_symbol(grid.dim))
     operator = stored_diagonals(A)
     bands = dia_bands(operator)
-    for offset, band in base.bands()[0].items():
-        bands[offset] = bands.get(offset, 0.0) - a_min * band
-    # a diagonal with no nonzero entry is left out, as a CSR difference drops it
-    R = {offset: bands[offset] for offset in sorted(bands) if bands[offset].any()}
     zero = np.zeros(N)
-    for o in sorted({abs(o) for o in R} - {0}):     # R[i, i + o] == R[i + o, i]
-        upper, lower = R.get(o, zero)[:N - o], R.get(-o, zero)[o:]
+    for o in sorted({abs(o) for o in bands} - {0}):     # A[i, i + o] == A[i + o, i]
+        upper, lower = bands.get(o, zero)[:N - o], bands.get(-o, zero)[o:]
         if not np.array_equal(upper, lower):
             i = int(np.flatnonzero(upper != lower)[0])
             raise ValueError(f"A is not symmetric: A[{i}, {i + o}] = {float(A[i, i + o])!r} "
                              f"but A[{i + o}, {i}] = {float(A[i + o, i])!r}")
+    for offset, band in base.bands()[0].items():
+        bands[offset] = bands.get(offset, 0.0) - a_min * band
+    # a diagonal with no nonzero entry is left out, as a CSR difference drops it
+    R = {offset: bands[offset] for offset in sorted(bands) if bands[offset].any()}
     positive = max((band.max() for offset, band in R.items() if offset != 0), default=0.0)
     rows = sum(R.values(), np.zeros(N))
-    tol = 4 * (2 * grid.dim + 1) * np.finfo(float).eps * np.abs(A.diagonal())
+    tol = 4 * (2 * grid.dim + 1) * np.finfo(float).eps * np.abs(operator.diagonal())
     low = np.flatnonzero(rows < -tol)
     if positive > 0.0 or low.size:
         fault = (f"the positive off-diagonal entry {positive:.3g}" if positive > 0.0 else

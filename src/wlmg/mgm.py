@@ -25,17 +25,17 @@ term it factors the bordered matrix ``[[A, u], [u^T, -1]]``,
 ``u = sqrt(gamma/N) e``, whose solve with ``[b; 0]`` solves
 ``(A + u u^T) x = b`` without forming the dense term; set-up writes it into
 the CSC arrays of ``A``.
-The CSR form of a level operator is read off its diagonals only where it is
-used: for that factor, which does not keep it, and ``combined``.  The
-nominal operation counts count the nonzero entries of the diagonals.
+SciPy's ``tocsr`` reads a level's CSR off its diagonals only where it is
+used: for that factor, the CSC of the symmetric ``A``, which does not keep
+it, and ``combined``.  The nominal counts count the diagonals' nonzeros.
 
 Forward Gauss-Seidel is one cached sparse triangular factor per level on
 all three boundary conditions.  Without a rank-one term it is the SuperLU
 factor of ``tril(A)``.  With the uniform rank-one term of the periodic and
 reflective levels, ``A + (gamma/N) e e^T``, it is the factor of the
-first-differenced triangle ``(I - S) tril(A) + (gamma/N) I``, formed on
-the diagonals of ``tril(A)``, followed by one refinement step; there is no
-per-row loop, and set-up runs no sparse product.
+first-differenced triangle ``(I - S) tril(A) + (gamma/N) I``, followed by
+one refinement step.  Its CSC is the CSR of its transpose, read off the
+diagonals of ``triu(A)``; set-up runs no per-row loop and no sparse product.
 
 The cycle makes no level product whose result it already knows.  Coarse
 levels start from the zero iterate, passed as ``x=None``, so the first
@@ -58,8 +58,7 @@ import scipy.sparse.linalg as spla
 
 from .discretize import AssembledProblem
 from .smoothers import cg_steps, compute_omegas, richardson, splitting_diagonal
-from .structured import (AlgebraKind, StructuredOperator, csr_from_bands, dia_bands,
-                         dia_from_bands)
+from .structured import AlgebraKind, StructuredOperator, dia_from_bands
 from .transfer import Projector, coarse_size, coarsen_structured, galerkin_sparse
 
 __all__ = ["SolverConfig", "SolveReport", "LevelHierarchy",
@@ -170,7 +169,7 @@ class _Level:
         """The level matrix without its rank-one term as CSR, read off the
         diagonals and cached; neither set-up nor the solve path reads it."""
         if self._combined is None:
-            self._combined = csr_from_bands(dia_bands(self.operator), self.n)
+            self._combined = self.operator.tocsr()
         return self._combined
 
     # -- operator ---------------------------------------------------------
@@ -190,39 +189,51 @@ class _Level:
         return lower, upper
 
     def _ensure_gs(self):
-        """Factor the forward Gauss-Seidel triangle once, on every level kind.
+        """Factor the forward Gauss-Seidel triangle ``F`` once, on every level kind.
 
         The sweep on ``A + rho e e^T`` (``rho = gamma / N``, 0 without a
         rank-one term) solves with ``tril(A) + rho C``, ``C = tril(e e^T)``
-        the prefix-sum matrix, which is dense.  The first difference
-        ``I - S`` (``S`` the down-shift) maps ``C`` to ``I``, so the factored
-        triangle is the sparse ``(I - S) tril(A) + rho I``; with ``rho = 0``
-        it is ``tril(A)``.  The differenced triangle is formed on the
-        diagonals of ``tril(A)`` (``_differenced``).  The pivots are the
-        triangle's offset-0 diagonal, and SciPy reads its CSC off the
-        diagonals, dropping zero entries such as differences that cancel.
-        Rank-one levels also keep ``tril(A)`` for the refinement step of
-        ``gauss_seidel_step``.
+        the dense prefix-sum matrix, which the first difference ``I - S``
+        (``S`` the down-shift) maps to ``I``: ``F = (I - S) tril(A) + rho I``,
+        ``tril(A)`` with ``rho = 0``.  ``A`` is symmetric bit for bit
+        (``split`` certifies level 0, the Galerkin product mirrors it), so
+        ``F^T`` is ``U = triu(A)``, a view of the diagonals, or
+        ``U (I - S^T) + rho I``: ``U[i, j] - U[i, j - 1]`` subtracts the
+        operands of ``L[j, i] - L[j - 1, i]``, ``L = tril(A)``, in order.
+        SciPy's ``tocsr`` reads ``F^T``'s CSR off the diagonals, dropping
+        zeros such as differences that cancel; its transpose is ``F``'s
+        CSC.  Rank-one levels keep ``tril(A)`` for ``gauss_seidel_step``.
         """
         if self._gs is None:
+            A, n = self.operator, self.n
             tril_a, upper = self._triangles()
-            if self.gamma is None:
-                lower, tril_a = tril_a, None
-            else:
-                lower = _differenced(tril_a, self.gamma / self.n)
-            at = np.flatnonzero(lower.offsets == 0)
-            zero = np.flatnonzero(lower.data[at[0]] == 0.0) if at.size else [0]
+            first = int(np.searchsorted(A.offsets, 0))      # triu(A): the offsets >= 0
+            data, offsets = A.data[first:], A.offsets[first:]
+            if self.gamma is not None:     # column j of offset o's row holds U[j - o, j]
+                rows = dict(zip(offsets.tolist(), data))
+                offsets = np.union1d(offsets, np.append(offsets[offsets < n - 1] + 1, 0))
+                data = np.zeros((offsets.size, A.data.shape[1]))
+                for k, o in enumerate(offsets.tolist()):     # no row view outlives data
+                    if o in rows:
+                        data[k] = rows[o]
+                    if o - 1 in rows:
+                        data[k, 1:] -= rows[o - 1][:-1]
+                data[offsets == 0] += self.gamma / n
+            at = np.flatnonzero(offsets == 0)
+            zero = np.flatnonzero(data[at[0]] == 0.0) if at.size else [0]
             if len(zero):
                 raise ZeroDivisionError(
                     f"Gauss-Seidel pivot of row {zero[0]} is zero (diagonal of A + rho e e^T)")
-            lower = sp.csc_array(lower)     # the differenced diagonals are freed here
+            lower = sp.dia_array((data, offsets), shape=A.shape).tocsr().T
+            del data        # differenced diagonals are freed before the factorization
             # a triangle in its own order has no fill; relaxed supernodes and
             # panels would only pad the factor with zeros
             lu = spla.splu(lower, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                            relax=1, panel_size=1)
             # L is the triangle scaled to a unit diagonal and U its diagonal,
             # so the factor holds nnz + n entries; lu.L and lu.U would copy it
-            self._gs = ("triangular", lu, upper, lower.nnz + self.n, tril_a)
+            self._gs = ("triangular", lu, upper, lower.nnz + n,
+                        None if self.gamma is None else tril_a)
         return self._gs
 
     def gauss_seidel_step(self, x, b):
@@ -258,14 +269,14 @@ class _Level:
     def _ensure_direct(self):
         """Factor the coarsest level once with SuperLU.
 
-        Without a rank-one term the factored matrix is ``A`` as CSC, read
-        off the diagonals here and not kept as ``combined``.  With one it is
-        the bordered ``[[A, u], [u^T, -1]]``, ``u = sqrt(gamma/N) e``,
+        Without a rank-one term the factored matrix is ``A``, the transpose
+        of its CSR (``A`` is symmetric), not kept as ``combined``.  With one
+        it is the bordered ``[[A, u], [u^T, -1]]``, ``u = sqrt(gamma/N) e``,
         written into ``A``'s CSC arrays: each column gains ``u`` on row N,
         and a last column ``u, ..., u, -1`` follows.
         """
         if self._direct is None:
-            A = sp.csc_matrix(csr_from_bands(dia_bands(self.operator), self.n))
+            A = self.operator.tocsr().T
             if self.gamma is not None:
                 A = _bordered(A, np.sqrt(self.gamma / self.n))
             lu = spla.splu(A)
@@ -279,30 +290,7 @@ class _Level:
         return lu.solve(np.append(b, 0.0))[:self.n]
 
 
-def _differenced(L: sp.dia_array, rho: float) -> sp.dia_array:
-    """``(I - S) L + rho I`` by diagonals, for ``L`` lower triangular.
-
-    SciPy stores ``L[j - o, j]`` in column ``j`` of the data row of offset
-    ``o``, so row ``i`` minus row ``i - 1`` is, at each offset ``o``, the data
-    row of ``o`` minus that of ``o + 1`` (a missing row reads as zeros), in
-    the same column.  The offsets are those of ``L``, one lower, and 0;
-    entries past the last row of the matrix are never read.
-    """
-    n = L.shape[0]
-    rows = dict(zip(L.offsets.tolist(), L.data))
-    offsets = np.union1d(L.offsets, np.append(L.offsets - 1, 0))
-    offsets = offsets[offsets > -n]
-    data = np.zeros((offsets.size, L.data.shape[1]))
-    for row, o in zip(data, offsets.tolist()):
-        if o in rows:
-            row[:] = rows[o]
-        if o + 1 in rows:
-            row -= rows[o + 1]
-    data[offsets == 0] += rho
-    return sp.dia_array((data, offsets), shape=L.shape)
-
-
-def _bordered(A: sp.csc_matrix, u: float) -> sp.csc_matrix:
+def _bordered(A: sp.csc_array, u: float) -> sp.csc_matrix:
     """``[[A, u e], [u e^T, -1]]`` from the CSC arrays of the N-by-N ``A``."""
     n, index = A.shape[0], A.indptr.dtype
     indptr = np.empty(n + 2, dtype=index)

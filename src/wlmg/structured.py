@@ -16,17 +16,19 @@ symbols arising here keep O(1) bandwidth at every grid level, so it has
 Sparse matrices are built band by band: the entry formulas give each 1-D
 diagonal as one array, a 2-D term's diagonals are outer products of its
 factors' diagonals, the terms are summed diagonal by diagonal, and
-``csr_from_bands`` reads the CSR arrays off the result.  No COO triples are
-formed and no duplicates summed (the COO and Kronecker construction
-survives as the test oracle, and the two agree bit for bit).
-``stored_diagonals`` reads a CSR matrix into the ``sp.dia_array`` every
-level multiplies by; ``dia_bands`` and ``dia_from_bands`` convert between
-that layout and the bands.
+``csr_from_bands`` reads the CSR arrays off the result, keeping the zero
+entries a single term stores.  No COO triples are formed and no duplicates
+summed (the COO and Kronecker construction survives as the test oracle, and
+the two agree bit for bit).  ``stored_diagonals`` reads a CSR matrix into
+the ``sp.dia_array`` every level multiplies by; ``dia_bands`` and
+``dia_from_bands`` convert between that layout and the bands, off which
+SciPy's ``tocsr`` reads a CSR of the nonzero entries in one compiled pass.
 """
 
 from __future__ import annotations
 
 import enum
+import numbers
 
 import numpy as np
 import scipy.sparse as sp
@@ -74,6 +76,16 @@ def _check_band(kind: AlgebraKind, f: CosineSymbol, n: int) -> int:
         raise ValueError(f"band {m} too wide for the {kind.value} entry formulas "
                          f"at size {n}")
     return m
+
+
+def integer_sizes(sizes) -> tuple:
+    """Sizes as a tuple of ``int``; a size that is not an integer (a float,
+    a ``bool``, which ``int`` truncates or takes as 1) raises a ``ValueError``."""
+    sizes = tuple(sizes) if np.iterable(sizes) else (sizes,)
+    for n in sizes:
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+            raise ValueError(f"grid size {n!r} is not an integer")
+    return tuple(int(n) for n in sizes)
 
 
 def csr_from_bands(bands: dict, n: int, stored: dict | None = None) -> sp.csr_array:
@@ -191,7 +203,7 @@ class StructuredOperator:
     def __init__(self, kind: AlgebraKind, sizes, symbol: TensorSymbol,
                  rank_one: float | None = None):
         self.kind = kind
-        self.sizes = tuple(int(n) for n in sizes)
+        self.sizes = integer_sizes(sizes)
         if symbol.dim != len(self.sizes):
             raise ValueError("symbol dimension does not match sizes")
         self.symbol = symbol

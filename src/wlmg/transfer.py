@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .structured import AlgebraKind, StructuredOperator
+from .structured import AlgebraKind, StructuredOperator, integer_sizes
 from .symbols import CosineSymbol, TensorSymbol, fold, fold_pairsum
 
 __all__ = ["Projector", "coarse_size", "galerkin_structured", "galerkin_sparse"]
@@ -81,7 +81,7 @@ class Projector:
 
     def __init__(self, kind: AlgebraKind, fine_sizes):
         self.kind = kind
-        self.fine_sizes = tuple(int(n) for n in fine_sizes)
+        self.fine_sizes = integer_sizes(fine_sizes)
         self.coarse_sizes = tuple(coarse_size(kind, n) for n in self.fine_sizes)
         self.scalar = (1.0 / np.sqrt(2.0)) if kind is AlgebraKind.TAU else 1.0
         self.n_fine = int(np.prod(self.fine_sizes))

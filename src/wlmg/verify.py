@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .discretize import BoundaryCondition, GridSpec, assemble, make_coefficient, split
+from .discretize import GridSpec, assemble, make_coefficient, split
 from .mgm import SolverConfig, build_hierarchy, vcycle
 from .structured import csr_from_bands
 
@@ -140,7 +140,6 @@ def _dense_problem(problem) -> np.ndarray:
 def theory_report(bc, coeff, n: int, pre: str = "richardson",
                   post: str = "richardson") -> TheoryReport:
     """Run the full dense chain on a two-level hierarchy for one setup."""
-    bc = BoundaryCondition(bc) if not isinstance(bc, BoundaryCondition) else bc
     grid = GridSpec((n,), bc)
     coeff = make_coefficient(coeff, 1)
     problem = split(assemble(grid, coeff), grid, coeff)
@@ -158,5 +157,5 @@ def theory_report(bc, coeff, n: int, pre: str = "richardson",
     # pencil of the (corrected, if singular) weighted vs unit-coefficient operators
     base_problem = split(assemble(grid, "a1"), grid, "a1")
     theta1, theta2 = spectral_equivalence(_dense_problem(problem), _dense_problem(base_problem))
-    return TheoryReport(bc.value, coeff.name, n, alpha, beta, bound,
+    return TheoryReport(grid.bc.value, coeff.name, n, alpha, beta, bound,
                         contraction, theta1, theta2)

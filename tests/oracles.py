@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from wlmg.discretize import (BoundaryCondition, GridSpec, _sample, algebra_for_bc,
-                             coefficient_samples, laplace_symbol, make_coefficient)
+from wlmg.discretize import (BoundaryCondition, GridSpec, _edge_samples, _sample,
+                             _stencil_bands, algebra_for_bc, coefficient_samples,
+                             laplace_symbol, make_coefficient)
 from wlmg.structured import (AlgebraKind, StructuredOperator, _check_band, algebra_grid,
                              csr_from_bands)
 from wlmg.transfer import P_SYMBOL, coarse_size
@@ -157,6 +158,14 @@ def assemble_coo(grid: GridSpec, coeff) -> sp.csr_array:
     return A
 
 
+def assemble_bands(grid: GridSpec, coeff) -> sp.csr_array:
+    """Stiffness matrix as ``csr_from_bands`` reads it off the stencil's
+    bands, one numpy gather per array: the nonzero entries, int32 indices
+    where they fit."""
+    samples = _edge_samples(grid, make_coefficient(coeff, grid.dim))
+    return csr_from_bands(_stencil_bands(grid, samples), grid.n_total)
+
+
 def sparse_matrix_coo(kind: AlgebraKind, f, n: int) -> sp.csr_array:
     """The banded algebra matrix of a 1-D symbol from COO triples, one
     diagonal at a time: band-formula entries where nonzero, circulant
@@ -286,19 +295,24 @@ def galerkin_csr(R: sp.csr_array, projector) -> sp.csr_array:
 
 
 def gs_triangle_product(lev) -> sp.csc_array:
-    """The factored Gauss-Seidel triangle of a rank-one level,
-    ``(I - S) tril(A) + rho I``, as sparse products: the first-difference
-    matrix from ``sp.eye``, a CSR product and a sum, read as CSC."""
+    """The factored Gauss-Seidel triangle as SciPy's CSC of ``tril(A)``, and
+    on a rank-one level of ``(I - S) tril(A) + rho I`` by sparse products:
+    the first-difference matrix from ``sp.eye``, a CSR product and a sum."""
     n = lev.n
     lower = sp.csc_array(lev._triangles()[0])
+    if lev.gamma is None:
+        return lower
     diff = sp.eye(n, format="csr") - sp.eye(n, k=-1, format="csr")
     return sp.csc_array(diff @ lower + lev.gamma / n * sp.identity(n))
 
 
 def bordered_bmat(lev) -> sp.csc_matrix:
-    """The bordered coarse matrix ``[[A, u], [u^T, -1]]`` of a rank-one level,
+    """The coarse matrix SuperLU factors, as SciPy's CSC of ``A``, and on a
+    rank-one level the bordered ``[[A, u], [u^T, -1]]``,
     ``u = sqrt(gamma/N) e``, stacked by ``sp.bmat``."""
     A = sp.csc_matrix(lev.combined)
+    if lev.gamma is None:
+        return A
     u = sp.csr_matrix(np.full((lev.n, 1), np.sqrt(lev.gamma / lev.n)))
     return sp.bmat([[A, u], [u.T, sp.csr_matrix([[-1.0]])]], format="csc")
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import scipy.sparse as sp
 from wlmg.discretize import (BoundaryCondition, DiffusionCoefficient, GridSpec,
                              algebra_for_bc, assemble, build_rhs, make_coefficient,
                              split)
-from wlmg.structured import StructuredOperator
+from wlmg.structured import AlgebraKind, StructuredOperator
 from wlmg.symbols import CosineSymbol, TensorSymbol
 
 from oracles import correction_csr, edge_groups, full_dense, infinity_norm, materialize_dense
@@ -267,6 +268,28 @@ def test_grid_rejects_a_size_that_is_not_an_integer(sizes, bad):
 def test_grid_takes_numpy_integer_sizes():
     grid = GridSpec(np.array([7, 5]), BoundaryCondition.DIRICHLET)
     assert grid.sizes == (7, 5) and all(type(n) is int for n in grid.sizes)
+
+
+@pytest.mark.parametrize("bc", BCS, ids=lambda bc: bc.value)
+def test_grid_takes_a_boundary_condition_by_name(bc):
+    """A name is coerced to the enum, so the grid, its spacing and its matrix
+    are those of the member; a string used to fall through to the reflective
+    branch of every ``bc is`` test."""
+    n = 15 if bc is BoundaryCondition.DIRICHLET else 16
+    named, member = GridSpec((n,), bc.value), GridSpec((n,), bc)
+    assert named.bc is bc and named == member
+    assert named.spacing(0) == member.spacing(0)
+    got, want = assemble(named, "a2"), assemble(member, "a2")
+    assert (got != want).nnz == 0
+    assert split(got, named, "a2").structured.kind is algebra_for_bc(bc)
+
+
+@pytest.mark.parametrize("bc", [1, None, "neumann", "Dirichlet", AlgebraKind.TAU],
+                         ids=["int", "none", "unknown-name", "capitalized", "algebra"])
+def test_grid_rejects_a_boundary_condition_it_does_not_know(bc):
+    with pytest.raises(ValueError, match=rf"^unknown boundary condition {re.escape(repr(bc))}; "
+                                         r"use one of dirichlet, periodic, reflective$"):
+        GridSpec((15,), bc)
 
 
 def test_grid_validation():

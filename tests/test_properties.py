@@ -1,7 +1,8 @@
 """Property tests of the algebraic identities the solver relies on.
 
 * ``assemble`` builds the stencil band by band; it equals the COO assembly
-  of ``oracles.assemble_coo`` bit for bit.
+  of ``oracles.assemble_coo`` bit for bit, and the CSR ``csr_from_bands``
+  reads off the bands (``oracles.assemble_bands``), index types included.
 * ``structured.stored_diagonals`` stores a CSR matrix by diagonals; products
   with it equal the CSR products bit for bit, and ``dia_bands`` reads back
   the CSR matrix's diagonals.
@@ -23,9 +24,13 @@
 * ``galerkin_sparse`` computes ``p^T R p`` diagonal by diagonal; it stores
   the nonzero pattern of ``oracles.galerkin_csr``, is symmetric bit for bit,
   and agrees with it up to rounding.
-* On periodic and reflective levels, set-up forms the differenced
-  Gauss-Seidel triangle on its diagonals and the bordered coarse matrix from
-  its CSC arrays; both equal the sparse products of
+* Every level matrix equals its transpose bit for bit, periodic wrap
+  diagonals included, and its CSR ``combined`` is the one ``csr_from_bands``
+  reads off its diagonals.
+* Set-up reads the Gauss-Seidel triangle (differenced on periodic and
+  reflective levels) as the transpose of the CSR of its transpose, off the
+  diagonals of ``triu(A)``, and the coarse matrix (bordered there) from the
+  CSR of ``A``; both equal SciPy's conversions and sparse products in
   ``oracles.gs_triangle_product`` and ``oracles.bordered_bmat`` bit for bit.
 * ``wlmg bench`` is deterministic: two runs of one cell write the same CSV
   line.
@@ -54,9 +59,9 @@ from wlmg.structured import (AlgebraKind, StructuredOperator, csr_from_bands, di
 from wlmg.symbols import CosineSymbol, TensorSymbol
 from wlmg.transfer import Projector, coarsen_structured, galerkin_sparse
 
-from oracles import (assemble_coo, bands_of, bordered_bmat, correction_csr, dense_operator,
-                     galerkin_csr, gs_triangle_product, projector_kron, sparse_matrix_coo,
-                     to_sparse_kron)
+from oracles import (assemble_bands, assemble_coo, bands_of, bordered_bmat, correction_csr,
+                     dense_operator, galerkin_csr, gs_triangle_product, projector_kron,
+                     sparse_matrix_coo, to_sparse_kron)
 
 checked = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -96,12 +101,19 @@ def grids_and_coefficients(draw):
 @checked
 @given(grids_and_coefficients())
 def test_band_assembly_equals_coo_oracle(case):
+    """``assemble``'s CSR, which SciPy reads off the diagonals, is the COO
+    assembly's, and the one ``csr_from_bands`` reads off the bands: arrays
+    and, for the latter, index types; it is flagged canonical."""
     grid, coeff = case
     got, want = assemble(grid, coeff), assemble_coo(grid, coeff)
+    bands = assemble_bands(grid, coeff)
     assert got.shape == want.shape
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
     assert same_bits(got.data, want.data)
+    assert same_csr(got, bands)
+    assert got.indptr.dtype == got.indices.dtype == bands.indices.dtype == bands.indptr.dtype
+    assert got.has_canonical_format
 
 
 def same_csr(got, want) -> bool:
@@ -399,11 +411,13 @@ def test_smoothers_never_modify_their_inputs(bc, dim, smoother, zero_x, give_r,
 
 
 def check_factored_matrices(grid: GridSpec, coeff, method: str):
-    """On every smoothing level the differenced Gauss-Seidel triangle, and on
-    the coarsest level the bordered matrix, that set-up hands to SuperLU are
-    the CSC arrays of the sparse products they replaced
-    (``oracles.gs_triangle_product`` and ``oracles.bordered_bmat``) bit for
-    bit, index types included, and store no zero."""
+    """On every smoothing level the Gauss-Seidel triangle (differenced on
+    rank-one levels), and on the coarsest level the matrix (bordered on
+    rank-one levels), that set-up hands to SuperLU are the CSC arrays of
+    ``oracles.gs_triangle_product`` and ``oracles.bordered_bmat``, SciPy's
+    conversions and sparse products, bit for bit, index types included, and
+    store no zero.  Set-up reads each as the transpose of the CSR of its
+    transpose, so this also checks that the level matrices are symmetric."""
     seen, splu = [], spla.splu
 
     def capture(A, *args, **kwargs):
@@ -442,6 +456,43 @@ def jump_1000(*xs):
 @pytest.mark.parametrize("method", ["mgm", "tgm"])
 def test_rank_one_factored_matrices_equal_the_sparse_product_oracles(bc, sizes, coeff, method):
     check_factored_matrices(GridSpec(sizes, bc), coeff, method)
+
+
+@pytest.mark.parametrize("sizes, coeff", [
+    (sizes, coeff) for sizes in ((63,), (63, 63), (63, 31))
+    for coeff in ("a1", "a2", jump_1000) + (("a7", "a8") if len(sizes) == 2 else ())],
+    ids=lambda v: getattr(v, "__name__", str(v)))
+@pytest.mark.parametrize("method", ["mgm", "tgm"])
+def test_dirichlet_factored_matrices_equal_the_sparse_oracles(sizes, coeff, method):
+    check_factored_matrices(GridSpec(sizes, BoundaryCondition.DIRICHLET), coeff, method)
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+@pytest.mark.parametrize("sizes, coeff", [((63,), "a2"), ((63,), jump_1000),
+                                          ((63, 63), "a2"), ((63, 63), "a8")],
+                         ids=["1d-a2", "1d-jump1000", "2d-a2", "2d-a8"])
+def test_every_level_matrix_equals_its_transpose(bc, sizes, coeff):
+    """Every level matrix equals its transpose bit for bit, the identity by
+    which set-up reads a triangle's and the coarse matrix's CSC as the CSR
+    of its transpose; periodic levels store their wrap diagonals, which
+    mirror too.  Each level's ``combined``, which SciPy reads off the
+    diagonals, is the CSR ``csr_from_bands`` reads off them, index types
+    included."""
+    if bc is not BoundaryCondition.DIRICHLET:
+        sizes = tuple(n + 1 for n in sizes)
+    grid = GridSpec(sizes, bc)
+    H = build_hierarchy(split(assemble(grid, coeff), grid, coeff), SolverConfig())
+    assert H.n_levels >= 3
+    for lev in H.levels:
+        A = lev.combined
+        transposed = sp.csr_array(A.T)
+        assert same_csr(A, transposed) and A.nnz == lev.nnz
+        want = csr_from_bands(dia_bands(lev.operator), lev.n)
+        assert same_csr(A, want)
+        assert A.indptr.dtype == A.indices.dtype == want.indices.dtype == np.int32
+        if bc is BoundaryCondition.PERIODIC:
+            wrap = (lev.sizes[0] - 1) * lev.n // lev.sizes[0]
+            assert A[0, wrap] != 0.0 and A[wrap, 0] == A[0, wrap]
 
 
 @st.composite

@@ -228,3 +228,18 @@ def test_dense_size_guard():
     op = make_op(AlgebraKind.TAU, 5000)
     with pytest.raises(ValueError):
         materialize_dense(op)
+
+
+@pytest.mark.parametrize("sizes, bad", [((63.9,), "63.9"), ((15, 7.0), "7.0"), ((True,), "True"),
+                                        ((np.float64(15.0),), r"np\.float64\(15\.0\)")])
+def test_operator_rejects_a_size_that_is_not_an_integer(sizes, bad):
+    """A float size is not truncated, and a ``bool`` is not a size."""
+    symbol = TensorSymbol.separable_sum([LAPLACE] * len(sizes))
+    with pytest.raises(ValueError, match=f"^grid size {bad} is not an integer$"):
+        StructuredOperator(AlgebraKind.TAU, sizes, symbol)
+
+
+def test_operator_takes_numpy_integer_sizes():
+    op = StructuredOperator(AlgebraKind.TAU, np.array([7, 5]),
+                            TensorSymbol.separable_sum([LAPLACE] * 2))
+    assert op.sizes == (7, 5) and all(type(n) is int for n in op.sizes)

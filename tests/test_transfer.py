@@ -252,3 +252,18 @@ def test_projector_has_int32_indices_and_int64_products(kind, dim):
     assert np.array_equal(G.indptr, G_wide.indptr)
     assert np.array_equal(G.indices, G_wide.indices)
     assert G.data.tobytes() == G_wide.data.tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("sizes, bad", [((63.9,), "63.9"), ((64, 32.0), "32.0"),
+                                        ((True,), "True")])
+def test_projector_rejects_a_size_that_is_not_an_integer(kind, sizes, bad):
+    """A float size is not truncated, and a ``bool`` is not a size."""
+    with pytest.raises(ValueError, match=f"^grid size {bad} is not an integer$"):
+        Projector(kind, sizes)
+
+
+def test_projector_takes_numpy_integer_sizes():
+    P = Projector(AlgebraKind.TAU, np.array([7, 15]))
+    assert P.fine_sizes == (7, 15) and all(type(n) is int for n in P.fine_sizes)
+    assert P.coarse_sizes == (3, 7)
