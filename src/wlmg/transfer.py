@@ -14,7 +14,9 @@ built from them alone: ``Projector`` stores the CSR arrays of ``p^T``, one
 row per coarse unknown.  ``restrict`` multiplies by that CSR matrix and
 ``prolong`` by the CSC matrix over the same three arrays, which is ``p``
 (``p`` is rectangular, so it is not stored by diagonals like the square
-level operators of ``mgm``).
+level operators of ``mgm``).  Both call SciPy's compiled kernels directly,
+``structured.csr_matvec`` and ``csc_matvec``: ``@`` spends about 3 us per
+transfer on dispatch, a third of a level-1 transfer at 63^2.
 
 Galerkin coarsening never forms a sparse triple product.  The coarse symbol
 of the structured part is the algebra-specific fold of ``s^2 p(t)^2 g(t)``.
@@ -30,7 +32,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .structured import AlgebraKind, StructuredOperator, integer_sizes
+from .structured import (AlgebraKind, StructuredOperator, csc_matvec, csr_matvec,
+                         integer_sizes)
 from .symbols import CosineSymbol, TensorSymbol, fold, fold_pairsum
 
 __all__ = ["Projector", "coarse_size", "galerkin_structured", "galerkin_sparse"]
@@ -95,14 +98,14 @@ class Projector:
         y = np.asarray(y, dtype=float)
         if y.shape != (self.n_coarse,):
             raise ValueError(f"expected coarse vector of length {self.n_coarse}")
-        return self._sparse @ y
+        return csc_matvec(self._sparse, y)
 
     def restrict(self, r: np.ndarray) -> np.ndarray:
         """Fine-to-coarse map ``p^T r`` (exact adjoint of ``prolong``)."""
         r = np.asarray(r, dtype=float)
         if r.shape != (self.n_fine,):
             raise ValueError(f"expected fine vector of length {self.n_fine}")
-        return self._transpose @ r
+        return csr_matvec(self._transpose, r)
 
     def to_sparse(self) -> sp.csc_array:
         """Sparse ``p``, CSC, built on construction and cached: the transfers

@@ -250,6 +250,26 @@ def test_iteration_matrix_diagonal_scaling():
     assert np.abs(M - Vpost @ CGC @ Vpre).max() <= 1e-11
 
 
+@pytest.mark.parametrize("bc", [D, BoundaryCondition.REFLECTIVE], ids=lambda bc: bc.value)
+def test_jacobi_inv_is_computed_on_first_read(bc):
+    """Only the diagonal CG preconditioner reads ``jacobi_inv``: without it a
+    hierarchy never computes one, not even in a solve; read, it is
+    ``1 / (diag(A) + gamma/N)``."""
+    prob, b = make_system((31, 31) if bc is D else (32, 32), "a7", bc)
+    H = build_hierarchy(prob, SolverConfig(pre="richardson", post="cg"))
+    solve(H, b, max_iter=2)
+    assert all(lev._jacobi_inv is None for lev in H.levels)
+    for lev in H.levels:
+        diag = lev.combined.diagonal()
+        if lev.gamma is not None:
+            diag = diag + lev.gamma / lev.n
+        assert np.array_equal(lev.jacobi_inv, 1.0 / diag)
+        assert lev.jacobi_inv is lev._jacobi_inv
+    H = build_hierarchy(prob, SolverConfig(pre="richardson", post="cg",
+                                           cg_preconditioner="diagonal"))
+    assert all(lev._jacobi_inv is not None for lev in H.levels[:-1])
+
+
 def test_operation_counter_linear_in_n_1d():
     per_iter = []
     for n in (255, 511):
