@@ -98,7 +98,7 @@ def arrays(bc: str, shape: tuple, coeff: str):
     import scipy.sparse as sp
     from wlmg.discretize import BoundaryCondition, GridSpec, assemble, build_rhs, split
     from wlmg.mgm import LevelHierarchy, SolverConfig, build_hierarchy, solve
-    from wlmg.structured import csr_from_bands
+    from wlmg.structured import dia_from_bands
 
     def csr(key, M):
         for name in ("indptr", "indices", "data"):
@@ -110,7 +110,7 @@ def arrays(bc: str, shape: tuple, coeff: str):
     yield f"{tag}/a_min", canonical(problem.a_min, True)
     correction = problem.correction
     if isinstance(correction, dict):        # {offset: band}
-        correction = csr_from_bands(dict(correction), grid.n_total)
+        correction = dia_from_bands(correction, grid.n_total).tocsr()
     yield from csr(f"{tag}/correction", correction)
     b = build_rhs(grid, "random", seed=0)
     for method in ("mgm", "tgm"):

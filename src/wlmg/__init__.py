@@ -13,7 +13,7 @@ from .discretize import (AssembledProblem, BoundaryCondition, DiffusionCoefficie
 from .transfer import Projector, galerkin_sparse, galerkin_structured
 from .smoothers import cg_steps, richardson
 from .mgm import (LevelHierarchy, SolveReport, SolverConfig, build_hierarchy,
-                  solve, tgm_iterate, vcycle)
+                  solve, vcycle)
 from .verify import (TheoryReport, approximation_constant, smoothing_constant,
                      spectral_equivalence, tgm_contraction, theory_report)
 
@@ -25,7 +25,7 @@ __all__ = [
     "Projector", "galerkin_sparse", "galerkin_structured",
     "cg_steps", "richardson",
     "LevelHierarchy", "SolveReport", "SolverConfig",
-    "build_hierarchy", "solve", "tgm_iterate", "vcycle",
+    "build_hierarchy", "solve", "vcycle",
     "TheoryReport", "approximation_constant", "smoothing_constant",
     "spectral_equivalence", "tgm_contraction", "theory_report",
 ]

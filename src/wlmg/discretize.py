@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .structured import (AlgebraKind, StructuredOperator, dia_bands, dia_from_bands,
-                         integer_sizes, stored_diagonals)
+from .structured import AlgebraKind, StructuredOperator, dia_from_bands, integer_sizes
 from .symbols import CosineSymbol, TensorSymbol
 
 __all__ = [
@@ -143,7 +142,10 @@ def make_coefficient(spec, dim: int) -> DiffusionCoefficient:
             k = int(name.split(":", 1)[1])
         except (IndexError, ValueError):
             raise ValueError(f"malformed preset {name!r}; use a2k:<k>") from None
-        shift = 10.0 ** k
+        try:
+            shift = 10.0 ** k
+        except OverflowError:
+            raise ValueError(f"preset {name!r}: the shift 10^{k} overflows a float") from None
         return DiffusionCoefficient(lambda *xs: np.exp(sum(xs)) + shift, name=f"a2k:{k}")
     if name in _PRESETS:
         if name in TWO_D_ONLY_PRESETS and dim != 2:
@@ -264,8 +266,9 @@ class AssembledProblem:
     definite.  ``correction`` is ``R`` by diagonals, ``{offset: band}``
     with ``band[i] = R[i, i + offset]``, offsets ascending, as on every
     coarse level.  ``operator`` is the assembled ``A`` as the
-    ``sp.dia_array`` the finest level multiplies by; ``A`` itself is not
-    kept.  ``split`` builds every instance.
+    ``sp.dia_array`` the finest level multiplies by, stored by
+    ``dia_from_bands`` as every coarse level is; ``A`` itself is not kept.
+    ``split`` builds every instance.
     """
 
     grid: GridSpec
@@ -279,15 +282,49 @@ def laplace_symbol(dim: int) -> TensorSymbol:
     return TensorSymbol.separable_sum([CosineSymbol([2.0, -1.0])] * dim)
 
 
+def _read_bands(A: sp.csr_array) -> dict:
+    """The diagonals of a square canonical CSR array that store an entry,
+    ``{offset: band}`` with ``band[i] = A[i, i + offset]``, 0 off the
+    matrix, offsets ascending.
+
+    Raises ``ValueError`` naming the first stored entry, in row order, that
+    is NaN, infinite or has an imaginary part; a complex ``A`` is refused
+    whatever its entries.  The offsets are found in one pass over the column
+    indices, whose only nnz-sized temporary is of the index type, not intp.
+    """
+    n, data = A.shape[0], A.data
+    bad = ~np.isfinite(data)
+    if data.dtype.kind == "c":
+        bad |= data.imag != 0.0
+    if bad.any():
+        k = int(np.argmax(bad))
+        row = int(np.searchsorted(A.indptr, k, side="right")) - 1
+        raise ValueError(f"A must be real and finite, but A[{row}, {A.indices[k]}] = "
+                         f"{data[k].item()!r}")
+    if data.dtype.kind == "c":
+        raise ValueError(f"A must be real, not of dtype {data.dtype}")
+    del bad
+    offset = A.indices - np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
+    seen = np.zeros(2 * n - 1, dtype=bool)
+    seen[offset + (n - 1)] = True
+    del offset
+    bands = {}
+    for o in (np.flatnonzero(seen) - (n - 1)).tolist():
+        bands[o] = np.zeros(n)
+        bands[o][max(0, -o):n - max(0, o)] = A.diagonal(o)
+    return bands
+
+
 def split(A: sp.csr_array, grid: GridSpec, coeff) -> AssembledProblem:
     """Split ``A = a_min * M(2-2cos per dim) + R`` with ``R`` sparse and PSD.
 
-    ``R`` is built band by band: ``A``'s diagonals, read once in the
-    ``sp.dia_array`` layout the finest level multiplies by, minus ``a_min``
-    times ``M``'s.  The problem keeps those diagonals, not ``A``; a sparse
-    ``A`` other than a canonical CSR array is read through a canonical copy.
+    ``R`` is built band by band: ``A``'s diagonals, read once into bands,
+    minus ``a_min`` times ``M``'s.  The problem keeps ``A``'s bands stored
+    by ``dia_from_bands``, not ``A``; a sparse ``A`` other than a canonical
+    CSR array is read through a canonical copy.
 
-    Raises ``ValueError`` if ``A`` is not N-by-N for the grid, if it is not
+    Raises ``ValueError`` if ``A`` is not N-by-N for the grid, naming the
+    first stored entry that is NaN, infinite or complex, if ``A`` is not
     symmetric bit for bit (tested on its diagonals; ``mgm`` factors a level's
     CSR as its transpose, and the Galerkin coarsening mirrors half the
     diagonals), and, naming the coefficient, unless ``R`` has no positive
@@ -309,8 +346,7 @@ def split(A: sp.csr_array, grid: GridSpec, coeff) -> AssembledProblem:
     a_min = float(coefficient_samples(grid, coeff).min())
     kind = algebra_for_bc(grid.bc)
     base = StructuredOperator(kind, grid.sizes, laplace_symbol(grid.dim))
-    operator = stored_diagonals(A)
-    bands = dia_bands(operator)
+    bands = _read_bands(A)
     zero = np.zeros(N)
     for o in sorted({abs(o) for o in bands} - {0}):     # A[i, i + o] == A[i + o, i]
         upper, lower = bands.get(o, zero)[:N - o], bands.get(-o, zero)[o:]
@@ -318,7 +354,8 @@ def split(A: sp.csr_array, grid: GridSpec, coeff) -> AssembledProblem:
             i = int(np.flatnonzero(upper != lower)[0])
             raise ValueError(f"A is not symmetric: A[{i}, {i + o}] = {float(A[i, i + o])!r} "
                              f"but A[{i + o}, {i}] = {float(A[i + o, i])!r}")
-    for offset, band in base.bands()[0].items():
+    operator = dia_from_bands(bands, N)
+    for offset, band in base.bands().items():
         bands[offset] = bands.get(offset, 0.0) - a_min * band
     # a diagonal with no nonzero entry is left out, as a CSR difference drops it
     R = {offset: bands[offset] for offset in sorted(bands) if bands[offset].any()}

@@ -4,18 +4,18 @@
 symbols (by folding), sparse corrections (by Galerkin products computed
 diagonal by diagonal, each dropped once the next level's exists), smoothing
 parameters, Gauss-Seidel triangular factors, and the coarsest direct solver.
-Every level matrix is born as diagonals: a coarse level adds the structured
-part's bands and the correction's band by band, and the finest level takes
-the diagonals ``split`` read off the assembled matrix.  ``LevelHierarchy``
-then resolves, once per level, which smoother each slot runs with which
-damping and diagonal, and the nominal operation count of each phase of a
-cycle (``costs``, ``cycle_cost``).  Hierarchies are immutable afterwards,
-apart from what a level computes on first access and caches: the CSR
-``combined`` read off its diagonals and the CG preconditioner
-``jacobi_inv`` (concurrent first uses may each compute one; they compute
-the same values).  A hierarchy keeps no reference to the caller's ``A``.
-Every solve owns its iterate, residual history and work vectors, so
-concurrent solves against one hierarchy are safe.
+Every level matrix is born as diagonals, stored by ``dia_from_bands``: a
+coarse level adds the structured part's bands and the correction's band by
+band, and the finest level takes the assembled matrix's, as ``split`` read
+them.  ``LevelHierarchy`` then resolves, once per level, which smoother
+each slot runs with which damping and diagonal, and the nominal operation
+count of each phase of a cycle (``costs``, ``cycle_cost``).  Hierarchies
+are immutable afterwards, apart from what a level computes on first access
+and caches: the CSR ``combined`` read off its diagonals and the CG
+preconditioner ``jacobi_inv`` (concurrent first uses may each compute one;
+they compute the same values).  A hierarchy keeps no reference to the
+caller's ``A``.  Every solve owns its iterate, residual history and work
+vectors, so concurrent solves against one hierarchy are safe.
 
 Every level product on the solve path is a product with the level operator
 stored by diagonals (``sp.dia_array``): the residual, the smoothers, and
@@ -67,7 +67,7 @@ from .structured import AlgebraKind, StructuredOperator, dia_from_bands, dia_mat
 from .transfer import Projector, coarse_size, coarsen_structured, galerkin_sparse
 
 __all__ = ["SolverConfig", "SolveReport", "LevelHierarchy",
-           "build_hierarchy", "tgm_iterate", "vcycle", "solve"]
+           "build_hierarchy", "vcycle", "solve"]
 
 SMOOTHERS = ("richardson", "gauss-seidel", "cg")
 
@@ -134,10 +134,10 @@ class _Level:
     ``correction``, the sparse correction by diagonals (``{offset: band}``),
     is read here only.  ``operator`` is the level matrix without its
     rank-one term, stored by diagonals: on a coarse level the sum of the
-    structured part's bands and the correction's, on the finest level the
-    assembled ``A`` as ``split`` read it.  Every level reads its CSR
-    ``combined`` off the diagonals on first access; ``nnz`` counts the
-    nonzero entries.
+    structured part's bands and the correction's, on the finest level those
+    of the assembled ``A``, as ``split`` read them; ``dia_from_bands``
+    stores both.  Every level reads its CSR ``combined`` off the diagonals
+    on first access; ``nnz`` counts the nonzero entries.
     """
 
     def __init__(self, structured: StructuredOperator, correction: dict,
@@ -153,7 +153,7 @@ class _Level:
         self.dinv = 1.0 / d
         self.omega_pre_scaled, self.omega_post_scaled = compute_omegas(1.0)
         if operator is None:        # the structured part's bands plus the correction's
-            bands = structured.bands()[0]
+            bands = structured.bands()
             for o, band in correction.items():
                 bands[o] = bands[o] + band if o in bands else band
             operator = dia_from_bands(bands, self.n)
@@ -465,13 +465,6 @@ def vcycle(H: LevelHierarchy, s: int, x: np.ndarray | None, b: np.ndarray,
     e = lev.projector.prolong(y_coarse)
     e += x
     return post(e, b, None)
-
-
-def tgm_iterate(H: LevelHierarchy, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One two-grid iteration (exact coarse solve on a two-level hierarchy)."""
-    if H.n_levels != 2:
-        raise ValueError("tgm_iterate needs a two-level hierarchy (method='tgm')")
-    return vcycle(H, 0, x, b)
 
 
 def _real_vector(v, n: int, name: str) -> np.ndarray:

@@ -15,14 +15,13 @@ symbols arising here keep O(1) bandwidth at every grid level, so it has
 
 Sparse matrices are built band by band: the entry formulas give each 1-D
 diagonal as one array, a 2-D term's diagonals are outer products of its
-factors' diagonals, the terms are summed diagonal by diagonal, and
-``csr_from_bands`` reads the CSR arrays off the result, keeping the zero
-entries a single term stores.  No COO triples are formed and no duplicates
-summed (the COO and Kronecker construction survives as the test oracle, and
-the two agree bit for bit).  ``stored_diagonals`` reads a CSR matrix into
-the ``sp.dia_array`` every level multiplies by; ``dia_bands`` and
-``dia_from_bands`` convert between that layout and the bands, off which
-SciPy's ``tocsr`` reads a CSR of the nonzero entries in one compiled pass.
+factors' diagonals, and the terms are summed diagonal by diagonal into
+``{offset: band}``.  ``dia_from_bands`` stores those bands as the
+``sp.dia_array`` every level multiplies by, and SciPy's ``tocsr`` reads a
+CSR of its nonzero entries off it in one compiled pass: the library's one
+route from bands to a square sparse matrix.  No COO triples are formed and
+no duplicates summed (the COO and Kronecker construction survives as the
+test oracle, and the two agree bit for bit on the nonzero entries).
 
 Every sparse product of the solve path goes through ``dia_matvec``,
 ``csr_matvec`` or ``csc_matvec``, which call SciPy's compiled kernels
@@ -48,8 +47,7 @@ from scipy.sparse import _sparsetools
 from .symbols import CosineSymbol, TensorSymbol
 
 __all__ = ["AlgebraKind", "StructuredOperator", "algebra_grid", "csc_matvec",
-           "csr_from_bands", "csr_matvec", "dia_bands", "dia_from_bands",
-           "dia_matvec", "stored_diagonals"]
+           "csr_matvec", "dia_from_bands", "dia_matvec"]
 
 
 class AlgebraKind(enum.Enum):
@@ -101,73 +99,16 @@ def integer_sizes(sizes) -> tuple:
     return tuple(int(n) for n in sizes)
 
 
-def csr_from_bands(bands: dict, n: int, stored: dict | None = None) -> sp.csr_array:
-    """The n-by-n CSR matrix of ``{offset: band}``, ``band[i] = A[i, i + offset]``.
-
-    It stores the entries that ``stored`` (boolean bands under the same
-    offsets) marks, or the nonzero ones when it is None.  The offsets are
-    read in ascending order, so each row's columns come out sorted; indices
-    are int32 where they fit.  ``bands`` is emptied, so each band can be
-    freed once the CSR arrays hold it.
-    """
-    offsets = sorted(bands)
-    if not offsets:
-        return sp.csr_array((n, n))
-    index = np.int32 if n * len(offsets) <= np.iinfo(np.int32).max else np.int64
-    mask = np.stack([bands[o] != 0.0 if stored is None else stored[o] for o in offsets],
-                    axis=1)                                                  # (n, bands)
-    indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(mask.sum(axis=1), out=indptr[1:])
-    values = np.stack([bands.pop(o) for o in offsets], axis=1)
-    data = values[mask]
-    del values
-    indices = (np.arange(n, dtype=index)[:, None] + np.asarray(offsets, dtype=index))[mask]
-    return sp.csr_array((data, indices, indptr), shape=(n, n))
-
-
-def stored_diagonals(A: sp.csr_array) -> sp.dia_array:
-    """A square CSR matrix in canonical format stored by diagonals, one
-    ``sp.dia_array`` row per diagonal that stores an entry, offsets ascending.
-
-    Ascending offsets keep each row's products in the CSR's column order, so
-    the two products agree bit for bit.  The diagonals are read one at a
-    time: the only nnz-sized temporaries are of the index type, not intp.
-    """
-    n = A.shape[0]
-    offset = A.indices - np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
-    seen = np.zeros(2 * n - 1, dtype=bool)
-    seen[offset + (n - 1)] = True
-    del offset
-    offsets = np.flatnonzero(seen) - (n - 1)
-    values = np.zeros((offsets.size, n))
-    for row, o in zip(values, offsets.tolist()):
-        row[max(0, o):max(0, o) + n - abs(o)] = A.diagonal(o)
-    return sp.dia_array((values, offsets), shape=A.shape)
-
-
 def dia_from_bands(bands: dict, n: int) -> sp.dia_array:
-    """The n-by-n matrix of ``{offset: band}`` stored by diagonals, offsets
-    ascending; a diagonal with no nonzero entry is left out, as a CSR matrix
-    of the bands would store none of it."""
+    """The n-by-n matrix of ``{offset: band}``, ``band[i] = A[i, i + offset]``,
+    stored by diagonals, offsets ascending; a diagonal with no nonzero entry
+    is left out.  Its ``tocsr`` is the CSR of the nonzero entries."""
     offsets = [o for o in sorted(bands) if bands[o][max(0, -o):n - max(0, o)].any()]
     data = np.zeros((len(offsets), n))
     for row, o in zip(data, offsets):
         lo, hi = max(0, -o), n - max(0, o)          # the rows whose column is on the matrix
         row[lo + o:hi + o] = bands[o][lo:hi]
     return sp.dia_array((data, offsets), shape=(n, n))
-
-
-def dia_bands(D: sp.dia_array) -> dict:
-    """The diagonals of a square ``sp.dia_array`` as ``{offset: band}``,
-    ``band[i] = D[i, i + offset]``, 0 off the matrix: the form
-    ``csr_from_bands`` reads."""
-    n = D.shape[0]
-    bands = {}
-    for o, row in zip(D.offsets.tolist(), D.data):
-        lo, hi = max(0, -o), n - max(0, o)
-        bands[o] = np.zeros(n)
-        bands[o][lo:hi] = row[lo + o:hi + o]
-    return bands
 
 
 def _output(A, x: np.ndarray) -> np.ndarray:
@@ -200,19 +141,17 @@ def csc_matvec(A: sp.csc_array, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _diagonals(kind: AlgebraKind, f: CosineSymbol, n: int) -> tuple:
-    """The algebra matrix of a 1-D symbol by diagonals, ``({k: band},
-    {k: stored})`` with ``band[i] = M[i, i + k]``, 0 off the matrix.
+def _diagonals(kind: AlgebraKind, f: CosineSymbol, n: int) -> dict:
+    """The algebra matrix of a 1-D symbol by diagonals, ``{k: band}`` with
+    ``band[i] = M[i, i + k]``, 0 off the matrix.
 
-    A band-formula entry is stored where it is nonzero; the circulant
-    wrap-around entries ``t_k`` at column distance ``n - k`` are always
-    stored, zero or not, and add to a band entry that shares their position
-    (when ``2m >= n``).
+    The circulant wrap-around entries ``t_k`` at column distance ``n - k``
+    add to a band entry that shares their position (when ``2m >= n``).
     """
     m = _check_band(kind, f, n)
     t = f.coeffs
     ext = np.concatenate([t, np.zeros(2 * n + 2)])   # ext[s] = t_s, 0 past m
-    bands, stored = {}, {}
+    bands = {}
     for k in range(-min(m, n - 1), min(m, n - 1) + 1):    # j = i + k
         lo, hi = max(0, -k), n - max(0, k)
         i = np.arange(lo, hi)
@@ -224,15 +163,12 @@ def _diagonals(kind: AlgebraKind, f: CosineSymbol, n: int) -> tuple:
             v -= ext[i + j + 2] + ext[2 * n - i - j]
         elif kind is AlgebraKind.DCT3:
             v += ext[i + j + 1] + ext[2 * n - 1 - i - j]
-        bands[k], stored[k] = band, band != 0.0
+        bands[k] = band
     if kind is AlgebraKind.CIRCULANT:
         for k in range(1, m + 1):
             for offset, rows in ((k - n, slice(n - k, n)), (n - k, slice(0, k))):
-                band = bands.setdefault(offset, np.zeros(n))
-                mask = stored.setdefault(offset, np.zeros(n, dtype=bool))
-                band[rows] = np.where(mask[rows], band[rows] + t[k], t[k])
-                mask[rows] = True
-    return bands, stored
+                bands.setdefault(offset, np.zeros(n))[rows] += t[k]
+    return bands
 
 
 class StructuredOperator:
@@ -276,58 +212,38 @@ class StructuredOperator:
         gamma = float(self.symbol.eval(*freqs))
         return StructuredOperator(self.kind, self.sizes, self.symbol, rank_one=gamma)
 
-    def _term_bands(self, term) -> tuple:
-        """One separable term's matrix by diagonals, ``({offset: band},
-        {offset: stored})`` over the flattened grid.
+    def _term_bands(self, term):
+        """One separable term's diagonals over the flattened grid, as
+        ``(offset, band)`` pairs.
 
         A 2-D diagonal ``(k1, k2)`` is the outer product of the factors'
         diagonals at offset ``k1 n2 + k2``.  Pairs that share an offset
         hold entries in disjoint rows (the 0 of one factor's band off its
-        matrix), so each copies in only the entries it stores.
+        matrix), so their sum leaves each entry as its own pair made it.
         """
         if self.dim == 1:
-            return _diagonals(self.kind, term[0], self.sizes[0])
-        (b1s, s1s), (b2s, s2s) = (_diagonals(self.kind, g, n)
-                                  for g, n in zip(term, self.sizes))
+            return _diagonals(self.kind, term[0], self.sizes[0]).items()
+        b1s, b2s = (_diagonals(self.kind, g, n) for g, n in zip(term, self.sizes))
         n2 = self.sizes[1]
-        bands, stored = {}, {}
-        for k1, b1 in b1s.items():
-            for k2, b2 in b2s.items():
-                offset = k1 * n2 + k2
-                band = np.multiply.outer(b1, b2).ravel()
-                mask = np.logical_and.outer(s1s[k1], s2s[k2]).ravel()
-                if offset in bands:
-                    np.copyto(bands[offset], band, where=mask)
-                    stored[offset] |= mask
-                else:
-                    bands[offset], stored[offset] = band, mask
-        return bands, stored
+        return ((k1 * n2 + k2, np.multiply.outer(b1, b2).ravel())
+                for k1, b1 in b1s.items() for k2, b2 in b2s.items())
 
-    def bands(self) -> tuple:
+    def bands(self) -> dict:
         """The symbol part (rank-one term excluded) by diagonals over the
-        flattened grid, ``({offset: band}, stored)``.
-
-        A single term stores each entry its factors store, zero or not.  The
-        terms are summed band by band in order, and ``stored`` is None: the
-        sum stores its nonzero entries, those of the CSR sum of the terms'
-        matrices, with the same values.
-        """
-        first, *rest = self.symbol.terms
-        bands, stored = self._term_bands(first)
-        if rest:
-            stored = None
-        for term in rest:
-            for offset, band in self._term_bands(term)[0].items():
+        flattened grid, ``{offset: band}``: every term's diagonals summed
+        band by band, in order."""
+        bands = {}
+        for term in self.symbol.terms:
+            for offset, band in self._term_bands(term):
                 if offset in bands:
                     bands[offset] += band
                 else:
                     bands[offset] = band
-        return bands, stored
+        return bands
 
     def to_sparse(self) -> sp.csr_array:
-        """Sparse banded matrix of the symbol part, read off ``bands``."""
-        bands, stored = self.bands()
-        return csr_from_bands(bands, self.n_total, stored)
+        """Sparse banded matrix of the symbol part, its nonzero entries."""
+        return dia_from_bands(self.bands(), self.n_total).tocsr()
 
     def __repr__(self):
         return (f"StructuredOperator({self.kind.value}, sizes={self.sizes}, "

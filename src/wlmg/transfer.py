@@ -342,8 +342,8 @@ def galerkin_sparse(R: dict, projector: Projector) -> dict:
     """The Galerkin coarse correction ``p^T R p`` by diagonals.
 
     ``R`` is a symmetric correction on the fine grid as ``{offset: band}``,
-    ``band[i] = R[i, i + offset]`` over the flattened grid (``csr_from_bands``
-    reads the matrix off it); the result is the coarse correction in the same
+    ``band[i] = R[i, i + offset]`` over the flattened grid (``dia_from_bands``
+    stores it as a matrix); the result is the coarse correction in the same
     form, symmetric bit for bit, its diagonals with offset < 0 copies of the
     others.  The product is taken one dimension at a time on the grid's
     diagonals ``(k_1, ..., k_d)``; it agrees with the sparse triple product

@@ -22,7 +22,7 @@ import scipy.linalg as la
 
 from .discretize import GridSpec, assemble, make_coefficient, split
 from .mgm import SolverConfig, build_hierarchy, vcycle
-from .structured import csr_from_bands
+from .structured import dia_from_bands
 
 __all__ = ["smoothing_constant", "approximation_constant",
            "spectral_equivalence", "tgm_contraction", "TheoryReport",
@@ -134,7 +134,7 @@ def _dense_problem(problem) -> np.ndarray:
     """``a_min * S + R`` from the structured part's CSR and the correction's bands."""
     S, n = problem.structured, problem.grid.n_total
     return (problem.a_min * _dense(S.to_sparse(), S.rank_one, n)
-            + csr_from_bands(dict(problem.correction), n).toarray())
+            + dia_from_bands(problem.correction, n).toarray())
 
 
 def theory_report(bc, coeff, n: int, pre: str = "richardson",

@@ -8,9 +8,29 @@ import scipy.sparse as sp
 from wlmg.discretize import (BoundaryCondition, GridSpec, _edge_samples, _sample,
                              _stencil_bands, algebra_for_bc, coefficient_samples,
                              laplace_symbol, make_coefficient)
-from wlmg.structured import (AlgebraKind, StructuredOperator, _check_band, algebra_grid,
-                             csr_from_bands)
+from wlmg.structured import AlgebraKind, StructuredOperator, _check_band, algebra_grid
 from wlmg.transfer import P_SYMBOL, coarse_size
+
+
+def csr_from_bands(bands: dict, n: int) -> sp.csr_array:
+    """The n-by-n CSR matrix of the nonzero entries of ``{offset: band}``,
+    ``band[i] = A[i, i + offset]``, gathered by numpy alone.
+
+    The offsets are read in ascending order, so each row's columns come out
+    sorted; indices are int32 where they fit.  ``bands`` is emptied.
+    """
+    offsets = sorted(bands)
+    if not offsets:
+        return sp.csr_array((n, n))
+    index = np.int32 if n * len(offsets) <= np.iinfo(np.int32).max else np.int64
+    mask = np.stack([bands[o] != 0.0 for o in offsets], axis=1)             # (n, bands)
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(mask.sum(axis=1), out=indptr[1:])
+    values = np.stack([bands.pop(o) for o in offsets], axis=1)
+    data = values[mask]
+    del values
+    indices = (np.arange(n, dtype=index)[:, None] + np.asarray(offsets, dtype=index))[mask]
+    return sp.csr_array((data, indices, indptr), shape=(n, n))
 
 
 def dense_matrix(kind: AlgebraKind, f, n: int) -> np.ndarray:

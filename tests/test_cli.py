@@ -42,6 +42,13 @@ def test_invalid_preset_usage_error():
     assert exc.value.code == 2
 
 
+def test_overflowing_a2k_preset_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--coeff", "a2k:400", "--n", "15"])
+    assert exc.value.code == 2
+    assert "preset 'a2k:400': the shift 10^400 overflows a float" in capsys.readouterr().err
+
+
 def test_expression_coefficient():
     coeff = coefficient_from_spec("exp(x)+1", 1)
     assert coeff(np.array([0.0]))[0] == pytest.approx(2.0)

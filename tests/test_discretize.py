@@ -150,6 +150,40 @@ def test_split_rejects_a_non_symmetric_matrix(bc):
         split(one_sided, grid, "a7")
 
 
+def _with_entries(A, entries):
+    """A copy of ``A`` with ``entries`` (``{(i, j): value}``) written in."""
+    A = sp.lil_array(A)
+    for (i, j), value in entries.items():
+        A[i, j] = value
+    return sp.csr_array(A)
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda A: _with_entries(A, {(4, 4): np.nan}), r"A\[4, 4\] = nan$"),
+    (lambda A: _with_entries(A, {(4, 4): np.inf}), r"A\[4, 4\] = inf$"),
+    (lambda A: _with_entries(A, {(4, 5): np.nan, (5, 4): np.nan}), r"A\[4, 5\] = nan$"),
+    (lambda A: A + sp.csr_array(([1j], ([6], [7])), shape=A.shape),
+     r"A\[6, 7\] = \(-?[0-9.e-]+\+1j\)$"),
+], ids=["nan-diagonal", "inf-diagonal", "nan-pair", "complex"])
+def test_split_rejects_a_non_finite_or_complex_matrix(make, match):
+    """A 15-point Dirichlet ``a2`` matrix with a NaN or an infinity on the
+    diagonal, a mirrored NaN pair, or an imaginary part: ``split`` names the
+    first bad entry instead of handing it to SuperLU, the solve or the
+    symmetry test, or dropping the imaginary part."""
+    grid = GridSpec((15,), BoundaryCondition.DIRICHLET)
+    with pytest.raises(ValueError, match=r"^A must be real and finite, but " + match):
+        split(make(assemble(grid, "a2")), grid, "a2")
+
+
+@pytest.mark.parametrize("make", [lambda A: A.astype(complex),
+                                  lambda A: sp.csr_array(A.shape, dtype=complex)],
+                         ids=["real-entries", "no-entries"])
+def test_split_rejects_a_complex_matrix_with_no_imaginary_part(make):
+    grid = GridSpec((15,), BoundaryCondition.DIRICHLET)
+    with pytest.raises(ValueError, match=r"^A must be real, not of dtype complex128$"):
+        split(make(assemble(grid, "a2")), grid, "a2")
+
+
 def test_split_rejects_a_negative_row_sum():
     """A 1-D Dirichlet matrix whose left boundary edge (0.5) is below the
     splitting's ``a_min`` (1) while every interior edge (2) is above it: the
@@ -219,6 +253,12 @@ def test_coefficient_errors():
         make_coefficient("a4", 1)           # square-only preset
     with pytest.raises(ValueError):
         make_coefficient("a2k:x", 1)
+
+
+def test_a2k_shift_that_overflows_names_the_preset():
+    assert make_coefficient("a2k:308", 1).name == "a2k:308"
+    with pytest.raises(ValueError, match=r"^preset 'a2k:309': the shift 10\^309 overflows"):
+        make_coefficient("a2k:309", 1)
 
 
 @pytest.mark.parametrize("sizes, func, match", [

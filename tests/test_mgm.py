@@ -12,11 +12,10 @@ import wlmg.mgm
 
 from wlmg.discretize import (BoundaryCondition, GridSpec, assemble, build_rhs,
                              split)
-from wlmg.mgm import SolverConfig, build_hierarchy, solve, tgm_iterate, vcycle
-from wlmg.structured import csr_from_bands
+from wlmg.mgm import SolverConfig, build_hierarchy, solve, vcycle
 from wlmg.verify import dense_iteration_matrix
 
-from oracles import bands_of, dense_operator, solve_full, split_csr
+from oracles import bands_of, csr_from_bands, dense_operator, solve_full, split_csr
 
 D = BoundaryCondition.DIRICHLET
 
@@ -70,20 +69,18 @@ def test_fixed_point_every_configuration():
         assert np.allclose(out, xstar, rtol=1e-12, atol=1e-12 * np.abs(xstar).max())
 
 
-def test_tgm_requires_two_levels():
-    H = build_hierarchy(make_problem(63), SolverConfig(method="mgm"))
-    with pytest.raises(ValueError):
-        tgm_iterate(H, np.zeros(63), np.zeros(63))
-
-
 def test_mgm_reduces_to_tgm_bitwise_at_one_coarsening():
+    """At n = 31 the V-cycle hierarchy has two levels, and its cycle is the
+    two-grid one bit for bit."""
     prob = make_problem(31)
-    cfg = SolverConfig(method="tgm", pre="richardson", post="gauss-seidel")
-    H = build_hierarchy(prob, cfg)
+    mgm, tgm = (build_hierarchy(prob, SolverConfig(method=method, pre="richardson",
+                                                   post="gauss-seidel"))
+                for method in ("mgm", "tgm"))
+    assert mgm.n_levels == tgm.n_levels == 2
     rng = np.random.default_rng(1)
     x = rng.standard_normal(31)
     b = rng.standard_normal(31)
-    assert np.array_equal(tgm_iterate(H, x, b), vcycle(H, 0, x, b))
+    assert vcycle(mgm, 0, x, b).tobytes() == vcycle(tgm, 0, x, b).tobytes()
 
 
 def test_tgm_iteration_matrix_formula():

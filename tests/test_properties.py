@@ -1,11 +1,13 @@
 """Property tests of the algebraic identities the solver relies on.
 
 * ``assemble`` builds the stencil band by band; it equals the COO assembly
-  of ``oracles.assemble_coo`` bit for bit, and the CSR ``csr_from_bands``
-  reads off the bands (``oracles.assemble_bands``), index types included.
-* ``structured.stored_diagonals`` stores a CSR matrix by diagonals; products
-  with it equal the CSR products bit for bit, and ``dia_bands`` reads back
-  the CSR matrix's diagonals.
+  of ``oracles.assemble_coo`` bit for bit, and the CSR that
+  ``oracles.csr_from_bands`` gathers off the bands
+  (``oracles.assemble_bands``), index types included.
+* ``split`` reads a CSR matrix's diagonals into bands, those of
+  ``oracles.bands_of`` bit for bit, an explicitly stored all-zero diagonal
+  included; products with their ``dia_from_bands`` equal the CSR products
+  bit for bit.
 * ``Projector`` builds ``p`` from its taps; it equals
   ``oracles.projector_kron``, the paper's ``s * M(2 + 2cos) * T`` with
   Kronecker products in 2-D, bit for bit, and so do both transfers.
@@ -16,7 +18,7 @@
 * ``StructuredOperator.to_sparse`` builds band by band, in 1-D and 2-D;
   it equals the COO and Kronecker construction of
   ``oracles.sparse_matrix_coo`` and ``oracles.to_sparse_kron`` bit for bit,
-  explicit zeros included.
+  once the explicit zeros those store are eliminated.
 * ``TensorSymbol.sup_norm`` skips blocks of the angle grid; it equals the
   max over the full grid exactly.
 * The Galerkin symbol fold agrees with the triple product ``p^T M p``, and
@@ -25,8 +27,8 @@
   the nonzero pattern of ``oracles.galerkin_csr``, is symmetric bit for bit,
   and agrees with it up to rounding.
 * Every level matrix equals its transpose bit for bit, periodic wrap
-  diagonals included, and its CSR ``combined`` is the one ``csr_from_bands``
-  reads off its diagonals.
+  diagonals included, and its CSR ``combined`` is the one
+  ``oracles.csr_from_bands`` gathers off its diagonals.
 * Set-up reads the Gauss-Seidel triangle (differenced on periodic and
   reflective levels) as the transpose of the CSR of its transpose, off the
   diagonals of ``triu(A)``, and the coarse matrix (bordered there) from the
@@ -52,16 +54,15 @@ from hypothesis import strategies as st
 from wlmg._tables import TABLES
 from wlmg.cli import BenchRow, bench_cell, bench_rows_csv
 from wlmg.discretize import (TWO_D_ONLY_PRESETS, BoundaryCondition, DiffusionCoefficient,
-                             GridSpec, algebra_for_bc, assemble, split)
+                             GridSpec, _read_bands, algebra_for_bc, assemble, split)
 from wlmg.mgm import SMOOTHERS, LevelHierarchy, SolverConfig, build_hierarchy
-from wlmg.structured import (AlgebraKind, StructuredOperator, csr_from_bands, dia_bands,
-                             stored_diagonals)
+from wlmg.structured import AlgebraKind, StructuredOperator, dia_from_bands
 from wlmg.symbols import CosineSymbol, TensorSymbol
 from wlmg.transfer import Projector, coarsen_structured, galerkin_sparse
 
 from oracles import (assemble_bands, assemble_coo, bands_of, bordered_bmat, correction_csr,
-                     dense_operator, galerkin_csr, gs_triangle_product, projector_kron,
-                     sparse_matrix_coo, to_sparse_kron)
+                     csr_from_bands, dense_operator, galerkin_csr, gs_triangle_product,
+                     projector_kron, sparse_matrix_coo, to_sparse_kron)
 
 checked = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -102,7 +103,7 @@ def grids_and_coefficients(draw):
 @given(grids_and_coefficients())
 def test_band_assembly_equals_coo_oracle(case):
     """``assemble``'s CSR, which SciPy reads off the diagonals, is the COO
-    assembly's, and the one ``csr_from_bands`` reads off the bands: arrays
+    assembly's, and the one ``oracles.csr_from_bands`` gathers off the bands: arrays
     and, for the latter, index types; it is flagged canonical."""
     grid, coeff = case
     got, want = assemble(grid, coeff), assemble_coo(grid, coeff)
@@ -149,11 +150,17 @@ def structured_operators(draw):
 @settings(checked, max_examples=100)
 @given(structured_operators())
 def test_band_matrices_equal_kron_oracle(op):
-    assert same_csr(op.to_sparse(), to_sparse_kron(op))
+    """``to_sparse`` stores the nonzero entries of the oracles, which also
+    store the zero entries a single term makes."""
+    want = to_sparse_kron(op)
+    want.eliminate_zeros()
+    assert same_csr(op.to_sparse(), want)
     for term in op.symbol.terms:
         for g, n in zip(term, op.sizes):
             factor = StructuredOperator(op.kind, (n,), TensorSymbol.from_1d(g))
-            assert same_csr(factor.to_sparse(), sparse_matrix_coo(op.kind, g, n))
+            want = sparse_matrix_coo(op.kind, g, n)
+            want.eliminate_zeros()
+            assert same_csr(factor.to_sparse(), want)
 
 
 @st.composite
@@ -181,16 +188,32 @@ def test_sup_norm_equals_the_full_grid_max(sym, npoints):
 
 
 @checked
-@given(n=st.integers(1, 40), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
-def test_products_by_diagonals_equal_csr_products(n, density, seed):
+@given(n=st.integers(1, 40), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       explicit_zero=st.booleans())
+def test_products_by_diagonals_equal_csr_products(n, density, seed, explicit_zero):
+    """``split``'s reader gives the bands of every diagonal that stores an
+    entry, offsets ascending, a diagonal of stored zeros included; their
+    ``dia_from_bands`` leaves out the diagonals with no nonzero entry."""
     rng = np.random.default_rng(seed)
     dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
     A = sp.csr_array(dense)
-    D = stored_diagonals(A)
+    if explicit_zero:       # one diagonal stored entry by entry, every entry 0
+        o = int(rng.integers(-(n - 1), n))
+        i = np.arange(max(0, -o), n - max(0, o))
+        dense[i, i + o] = 0.0
+        rows, cols = np.nonzero(dense)
+        A = sp.coo_array((np.concatenate([dense[rows, cols], np.zeros(i.size)]),
+                          (np.concatenate([rows, i]), np.concatenate([cols, i + o]))),
+                         shape=(n, n)).tocsr()
+        assert A.has_canonical_format and A.nnz - np.count_nonzero(A.data) == i.size
     want = bands_of(A)
-    assert isinstance(D, sp.dia_array) and D.offsets.tolist() == sorted(want)
-    got = dia_bands(D)
+    got = _read_bands(A)
     assert list(got) == sorted(want) and all(same_bits(got[o], want[o]) for o in want)
+    if explicit_zero:
+        assert o in got and not got[o].any()
+    D = dia_from_bands(got, n)
+    assert isinstance(D, sp.dia_array)
+    assert D.offsets.tolist() == [o for o in sorted(want) if want[o].any()]
     for shift in (0.0, 1e3):
         x = rng.standard_normal(n) + shift
         assert same_bits(D @ x, A @ x)
@@ -476,7 +499,7 @@ def test_every_level_matrix_equals_its_transpose(bc, sizes, coeff):
     which set-up reads a triangle's and the coarse matrix's CSC as the CSR
     of its transpose; periodic levels store their wrap diagonals, which
     mirror too.  Each level's ``combined``, which SciPy reads off the
-    diagonals, is the CSR ``csr_from_bands`` reads off them, index types
+    diagonals, is the CSR ``oracles.csr_from_bands`` gathers off them, index types
     included."""
     if bc is not BoundaryCondition.DIRICHLET:
         sizes = tuple(n + 1 for n in sizes)
@@ -487,7 +510,7 @@ def test_every_level_matrix_equals_its_transpose(bc, sizes, coeff):
         A = lev.combined
         transposed = sp.csr_array(A.T)
         assert same_csr(A, transposed) and A.nnz == lev.nnz
-        want = csr_from_bands(dia_bands(lev.operator), lev.n)
+        want = csr_from_bands(bands_of(lev.operator), lev.n)
         assert same_csr(A, want)
         assert A.indptr.dtype == A.indices.dtype == want.indices.dtype == np.int32
         if bc is BoundaryCondition.PERIODIC:

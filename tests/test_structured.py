@@ -120,6 +120,7 @@ def test_sparse_matrix_equals_row_loop(kind):
                 sym = CosineSymbol(coeffs)
                 got = make_op(kind, n, sym).to_sparse()
                 want = reference_sparse_matrix(kind, sym, n)
+                want.eliminate_zeros()      # the row loop stores zero wrap entries
                 for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
                              (got.data, want.data)):
                     assert np.array_equal(a, b)

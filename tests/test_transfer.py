@@ -3,13 +3,13 @@ import pytest
 import scipy.sparse as sp
 
 from wlmg.discretize import BoundaryCondition, GridSpec, algebra_for_bc, assemble, split
-from wlmg.structured import AlgebraKind, StructuredOperator, csr_from_bands
+from wlmg.structured import AlgebraKind, StructuredOperator
 from wlmg.symbols import CosineSymbol, TensorSymbol
 from wlmg.transfer import (P_SYMBOL, TAPS, Projector, coarse_size, coarsen_structured,
                            galerkin_sparse, galerkin_structured, project_rank_one)
 
-from oracles import (bands_of, correction_csr, cutting_matrix, full_dense, galerkin_csr,
-                     materialize_dense, projector_kron)
+from oracles import (bands_of, correction_csr, csr_from_bands, cutting_matrix, full_dense,
+                     galerkin_csr, materialize_dense, projector_kron)
 
 LAPLACE = CosineSymbol([2.0, -1.0])
 KINDS = [AlgebraKind.TAU, AlgebraKind.CIRCULANT, AlgebraKind.DCT3]
