@@ -239,15 +239,23 @@ def assemble(grid: GridSpec, coeff) -> sp.csr_array:
     The (2d+1)-point stencil is built band by band, and SciPy's ``tocsr``
     reads the CSR arrays off the diagonals, dropping zeros.  Raises a
     ``ValueError`` naming the coefficient if a sample is NaN, inf or not
-    positive, or if a callable returns a shape other than its points'.
+    positive, if a callable returns a shape other than its points', or if
+    a node's diagonal, the sum of its edges' samples, overflows.
     """
     coeff = make_coefficient(coeff, grid.dim)
     samples = _edge_samples(grid, coeff)
     if any(np.any(c <= 0.0) for c in samples):
         raise ValueError("diffusion coefficient must be positive at all sample points")
+    with np.errstate(over="ignore"):    # the off-diagonals are the finite samples
+        bands = _stencil_bands(grid, samples)
+    if not np.isfinite(bands[0]).all():
+        raise ValueError(f"coefficient {coeff.name!r} overflows a float in the stencil: "
+                         "a node's diagonal, the sum of its edge samples, is inf")
     # every sample is positive, so the nonzero entries are exactly the stencil's;
-    # no name keeps the bands, so they are freed before the conversion
-    return dia_from_bands(_stencil_bands(grid, samples), grid.n_total).tocsr()
+    # the bands are freed before the conversion
+    A = dia_from_bands(bands, grid.n_total)
+    del bands
+    return A.tocsr()
 
 
 def coefficient_samples(grid: GridSpec, coeff) -> np.ndarray:

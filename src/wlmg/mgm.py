@@ -3,7 +3,7 @@
 ``build_hierarchy`` runs the pre-computing phase once: per-level structured
 symbols (by folding), sparse corrections (by Galerkin products computed
 diagonal by diagonal, each dropped once the next level's exists), smoothing
-parameters, Gauss-Seidel triangular factors, and the coarsest direct solver.
+parameters, Gauss-Seidel triangles, and the coarsest direct solver.
 Every level matrix is born as diagonals, stored by ``dia_from_bands``: a
 coarse level adds the structured part's bands and the correction's band by
 band, and the finest level takes the assembled matrix's, as ``split`` read
@@ -34,13 +34,16 @@ SciPy's ``tocsr`` reads a level's CSR off its diagonals only where it is
 used: for that factor, the CSC of the symmetric ``A``, which does not keep
 it, and ``combined``.  The nominal counts count the diagonals' nonzeros.
 
-Forward Gauss-Seidel is one cached sparse triangular factor per level on
-all three boundary conditions.  Without a rank-one term it is the SuperLU
-factor of ``tril(A)``.  With the uniform rank-one term of the periodic and
-reflective levels, ``A + (gamma/N) e e^T``, it is the factor of the
-first-differenced triangle ``(I - S) tril(A) + (gamma/N) I``, followed by
-one refinement step.  Its CSC is the CSR of its transpose, read off the
-diagonals of ``triu(A)``; set-up runs no per-row loop and no sparse product.
+Forward Gauss-Seidel is one cached sparse lower triangle per level on all
+three boundary conditions.  Without a rank-one term it is ``tril(A)``.
+With the uniform rank-one term of the periodic and reflective levels,
+``A + (gamma/N) e e^T``, it is the first-differenced triangle
+``(I - S) tril(A) + (gamma/N) I``, followed by one refinement step.  Its
+CSC is the CSR of its transpose, read off the diagonals of ``triu(A)``;
+set-up runs no per-row loop and no sparse product.  A triangle in its
+natural order is its own LU factor, so no factorization runs either: the
+CSC is scaled to SuperLU's unit-diagonal form once and each step solves
+with it by SuperLU's triangular kernel (``structured.TriangularFactor``).
 
 The cycle makes no level product whose result it already knows.  Coarse
 levels start from the zero iterate, passed as ``x=None``, so the first
@@ -63,7 +66,8 @@ import scipy.sparse.linalg as spla
 
 from .discretize import AssembledProblem
 from .smoothers import cg_steps, compute_omegas, richardson, splitting_diagonal
-from .structured import AlgebraKind, StructuredOperator, dia_from_bands, dia_matvec
+from .structured import (AlgebraKind, StructuredOperator, TriangularFactor,
+                         dia_from_bands, dia_matvec)
 from .transfer import Projector, coarse_size, coarsen_structured, galerkin_sparse
 
 __all__ = ["SolverConfig", "SolveReport", "LevelHierarchy",
@@ -201,7 +205,7 @@ class _Level:
         return lower, upper
 
     def _ensure_gs(self):
-        """Factor the forward Gauss-Seidel triangle ``F`` once, on every level kind.
+        """Store the forward Gauss-Seidel triangle ``F`` once, on every level kind.
 
         The sweep on ``A + rho e e^T`` (``rho = gamma / N``, 0 without a
         rank-one term) solves with ``tril(A) + rho C``, ``C = tril(e e^T)``
@@ -214,7 +218,11 @@ class _Level:
         operands of ``L[j, i] - L[j - 1, i]``, ``L = tril(A)``, in order.
         SciPy's ``tocsr`` reads ``F^T``'s CSR off the diagonals, dropping
         zeros such as differences that cancel; its transpose is ``F``'s
-        CSC.  Rank-one levels keep ``tril(A)`` for ``gauss_seidel_step``.
+        CSC, whose columns each start with their pivot.  In that order ``F``
+        is its own LU factor, so no factorization runs:
+        ``structured.TriangularFactor`` scales the columns in place and
+        solves with them.  Rank-one levels keep ``tril(A)`` for
+        ``gauss_seidel_step``.
         """
         if self._gs is None:
             A, n = self.operator, self.n
@@ -237,14 +245,10 @@ class _Level:
                 raise ZeroDivisionError(
                     f"Gauss-Seidel pivot of row {zero[0]} is zero (diagonal of A + rho e e^T)")
             lower = sp.dia_array((data, offsets), shape=A.shape).tocsr().T
-            del data        # differenced diagonals are freed before the factorization
-            # a triangle in its own order has no fill; relaxed supernodes and
-            # panels would only pad the factor with zeros
-            lu = spla.splu(lower, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                           relax=1, panel_size=1)
-            # L is the triangle scaled to a unit diagonal and U its diagonal,
-            # so the factor holds nnz + n entries; lu.L and lu.U would copy it
-            self._gs = ("triangular", lu, upper, lower.nnz + n,
+            del data        # differenced diagonals are freed before the CSC is scaled
+            # L, the triangle scaled to a unit diagonal, and U, its diagonal,
+            # count nnz + n entries, though the factor stores them in nnz
+            self._gs = ("triangular", TriangularFactor(lower), upper, lower.nnz + n,
                         None if self.gamma is None else tril_a)
         return self._gs
 
@@ -261,20 +265,20 @@ class _Level:
         level: for ``a8`` on a reflective 64^2 grid, from a relative 6e-11
         off the sweep to 2e-16.
         """
-        _, lu, upper, _, tril_a = self._ensure_gs()
+        _, factor, upper, _, tril_a = self._ensure_gs()
         if x is None:
             rhs = b.copy()
         else:
             rhs = dia_matvec(upper, x)
             np.subtract(b, rhs, out=rhs)
         if tril_a is None:
-            return lu.solve(rhs)
+            return factor.solve(rhs)
         rho = self.gamma / self.n
         if x is not None:
             rhs -= rho * (x.sum() - np.cumsum(x))
-        y = lu.solve(np.diff(rhs, prepend=0.0))
+        y = factor.solve(np.diff(rhs, prepend=0.0))
         rhs -= dia_matvec(tril_a, y) + rho * np.cumsum(y)
-        y += lu.solve(np.diff(rhs, prepend=0.0))
+        y += factor.solve(np.diff(rhs, prepend=0.0))
         return y
 
     # -- coarsest direct solve --------------------------------------------
@@ -323,10 +327,11 @@ class LevelHierarchy:
     both resolved once from the configuration.  ``cycle_cost`` is one cycle
     plus the outer residual.  A level product counts two per nonzero entry
     of the CSR form (not the padding of the diagonals), plus 3N for a
-    rank-one term; the factored solves count their factor entries, which
-    factors them here, and a transfer 8 per fine unknown.  The table is
-    nominal: it counts every step's products, also those the cycle skips
-    on a zero iterate or a residual it already has.
+    rank-one term; a Gauss-Seidel solve counts the entries of its triangle
+    as ``L`` and ``U`` (nnz + N) and the coarse solve those of its factor,
+    so the table builds both, and a transfer counts 8 per fine unknown.
+    The table is nominal: it counts every step's products, also those the
+    cycle skips on a zero iterate or a residual it already has.
     """
 
     def __init__(self, levels, config: SolverConfig):

@@ -33,6 +33,17 @@ products, 0.18 s of it in the kernels).  Each function allocates a zeroed
 float64 output and the kernel accumulates into it, as ``@`` does, so the
 products equal ``@``'s bit for bit.  The kernels themselves read past a
 short vector without a word, so each function checks the length first.
+
+``TriangularFactor`` is forward substitution with a sparse lower triangle
+in its natural order, which is its own LU factor: unit lower triangular
+``L`` the triangle with each column scaled by ``1 / pivot`` (the product
+SuperLU's ``dpivotL`` forms) and ``U`` its pivots, stored on the diagonal
+of ``L`` as SuperLU stores a supernode's.  It keeps the triangle's CSC
+arrays so scaled and solves by SuperLU's factor-free kernel ``gstrs``, the
+call ``spla.spsolve_triangular`` makes after its per-call checks and
+copies; no factorization runs and no second copy of the triangle is made.
+This module is also the only one that touches SciPy's private
+``_superlu``; a SciPy without ``gstrs`` fails at import.
 """
 
 from __future__ import annotations
@@ -41,13 +52,20 @@ import enum
 import numbers
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
+from scipy.sparse.linalg._dsolve import _superlu
 
 from .symbols import CosineSymbol, TensorSymbol
 
-__all__ = ["AlgebraKind", "StructuredOperator", "algebra_grid", "csc_matvec",
-           "csr_matvec", "dia_from_bands", "dia_matvec"]
+__all__ = ["AlgebraKind", "StructuredOperator", "TriangularFactor", "algebra_grid",
+           "csc_matvec", "csr_matvec", "dia_from_bands", "dia_matvec"]
+
+if not hasattr(_superlu, "gstrs"):
+    raise ImportError("wlmg needs SciPy's SuperLU triangular solve "
+                      "scipy.sparse.linalg._dsolve._superlu.gstrs, which this SciPy "
+                      f"{scipy.__version__} lacks")
 
 
 class AlgebraKind(enum.Enum):
@@ -139,6 +157,47 @@ def csc_matvec(A: sp.csc_array, x: np.ndarray) -> np.ndarray:
     y = _output(A, x)
     _sparsetools.csc_matvec(*A.shape, A.indptr, A.indices, A.data, x, y)
     return y
+
+
+class TriangularFactor:
+    """Forward substitution with the n-by-n sparse lower triangle ``F``.
+
+    ``lower`` is ``F`` as a square CSC array whose columns each start with
+    their pivot (sorted rows; a ``ValueError`` otherwise), none of them zero
+    (a ``ZeroDivisionError``).  Its arrays become the factor's: the data is
+    scaled in place, each column by ``1 / pivot`` with the pivot put back
+    on the diagonal.  ``solve(b)`` is one call of ``gstrs``, the unit
+    forward sweep and then a division by the pivots, and returns a new
+    array; ``gstrs`` raises a ``ValueError`` for a vector of the wrong
+    length.
+    """
+
+    def __init__(self, lower: sp.csc_array):
+        n = lower.shape[0]
+        if lower.shape != (n, n):
+            raise ValueError(f"the triangle must be square, not {lower.shape}")
+        self.shape = lower.shape
+        self.indptr = lower.indptr.astype(np.intc, copy=False)
+        self.indices = lower.indices.astype(np.intc, copy=False)
+        self.data = lower.data.astype(np.float64, copy=False)
+        first = self.indptr[:-1]
+        if not (np.diff(self.indptr).all()
+                and np.array_equal(self.indices[first], np.arange(n))):
+            raise ValueError("each column of the triangle must start with its pivot")
+        pivots = self.data[first]
+        zero = np.flatnonzero(pivots == 0.0)
+        if zero.size:
+            raise ZeroDivisionError(f"the pivot of column {zero[0]} is zero")
+        # F^T's CSR arrays are F's CSC arrays: scaling its rows scales F's columns
+        _sparsetools.csr_scale_rows(n, n, self.indptr, self.indices, self.data, 1.0 / pivots)
+        self.data[first] = pivots
+        self.nnz = self.data.size
+        self._operands = (n, self.nnz, self.data, self.indices, self.indptr,
+                          n, 0, np.empty(0), np.empty(0, np.intc), np.zeros(n + 1, np.intc))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``F^{-1} b``."""
+        return _superlu.gstrs("N", *self._operands, b)[0]
 
 
 def _diagonals(kind: AlgebraKind, f: CosineSymbol, n: int) -> dict:

@@ -326,6 +326,39 @@ def gs_triangle_product(lev) -> sp.csc_array:
     return sp.csc_array(diff @ lower + lev.gamma / n * sp.identity(n))
 
 
+def scaled_triangle(lower: sp.csc_array) -> sp.csc_array:
+    """``lower`` in the form SuperLU stores its LU factor: each column
+    scaled by ``1 / pivot`` elementwise, as ``dpivotL`` scales, and the
+    pivots put back on the diagonal, each column's first entry."""
+    F = sp.csc_array(lower, copy=True)
+    first = F.indptr[:-1]
+    assert np.array_equal(F.indices[first], np.arange(F.shape[0]))
+    pivots = F.data[first].copy()
+    for j, (lo, hi) in enumerate(zip(first, F.indptr[1:])):
+        F.data[lo:hi] *= 1.0 / pivots[j]
+    F.data[first] = pivots
+    return F
+
+
+def forward_substitution(lower: sp.csc_array, b) -> np.ndarray:
+    """``lower^{-1} b`` column by column, as SuperLU's ``dgstrs`` solves a
+    factor of single-column supernodes: with ``L_ij = F_ij * (1 / F_jj)``,
+    column ``j`` subtracts ``y_j L_ij`` from each entry below the
+    diagonal, and then ``y`` is divided by the pivots.  ``lower``'s
+    columns must start with their pivot."""
+    F = scaled_triangle(lower)
+    y = np.array(b, dtype=float)
+    for j, (lo, hi) in enumerate(zip(F.indptr[:-1], F.indptr[1:])):
+        rows = F.indices[lo + 1:hi]
+        y[rows] -= y[j] * F.data[lo + 1:hi]
+    return y / F.data[F.indptr[:-1]]
+
+
+def jump_1000(*xs):
+    """1 on the left half of the domain, 1000 on the right."""
+    return np.where(xs[0] < 0.5, 1.0, 1000.0)
+
+
 def bordered_bmat(lev) -> sp.csc_matrix:
     """The coarse matrix SuperLU factors, as SciPy's CSC of ``A``, and on a
     rank-one level the bordered ``[[A, u], [u^T, -1]]``,

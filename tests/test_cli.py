@@ -49,6 +49,15 @@ def test_overflowing_a2k_preset_usage_error(capsys):
     assert "preset 'a2k:400': the shift 10^400 overflows a float" in capsys.readouterr().err
 
 
+def test_coefficient_whose_stencil_overflows_usage_error(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--coeff", "a2k:308", "--n", "15"])
+    assert exc.value.code == 2
+    assert "coefficient 'a2k:308' overflows a float in the stencil" in capsys.readouterr().err
+
+
 def test_expression_coefficient():
     coeff = coefficient_from_spec("exp(x)+1", 1)
     assert coeff(np.array([0.0]))[0] == pytest.approx(2.0)

@@ -261,6 +261,23 @@ def test_a2k_shift_that_overflows_names_the_preset():
         make_coefficient("a2k:309", 1)
 
 
+@pytest.mark.parametrize("grid, coeff, name", [
+    (GridSpec((15,), BoundaryCondition.DIRICHLET), "a2k:308", "a2k:308"),
+    (GridSpec((16,), BoundaryCondition.PERIODIC), "a2k:308", "a2k:308"),
+    (GridSpec((5, 5), BoundaryCondition.REFLECTIVE),
+     DiffusionCoefficient(lambda x, y: np.full_like(x, 6e307), name="huge"), "huge"),
+], ids=["dirichlet", "periodic", "2d-reflective"])
+def test_assemble_names_a_coefficient_whose_stencil_overflows(grid, coeff, name):
+    """Every sample is finite, but a node's diagonal, the sum of its edges,
+    is not: a ``ValueError`` names the coefficient, with no overflow
+    warning first."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^coefficient '{name}' overflows a float "
+                                             "in the stencil"):
+            assemble(grid, coeff)
+
+
 @pytest.mark.parametrize("sizes, func, match", [
     ((7,), lambda x: np.where(x > 0.5, np.nan, 1.0), "NaN or inf"),
     ((7,), lambda x: np.full_like(x, np.inf), "NaN or inf"),

@@ -5,20 +5,30 @@ private ``_sparsetools`` kernels the arrays of a sparse matrix.  Here each
 is held to SciPy's own ``@`` bit for bit on every operator the solve path
 multiplies by, so a SciPy release that changes the private signature fails
 these tests instead of returning wrong numbers.  ``structured`` is the one
-module that may name ``_sparsetools``, and the raw kernels do not check
-lengths, so each product must refuse a vector of the wrong length.
+module that may name ``_sparsetools`` or ``_superlu``, and the raw kernels
+do not check lengths, so each product must refuse a vector of the wrong
+length.  ``structured.TriangularFactor`` solves with a Gauss-Seidel
+triangle by ``_superlu.gstrs``; it is held to a column-by-column forward
+substitution bit for bit, and to SuperLU's own factor of the triangle.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import wlmg
 from wlmg.discretize import BoundaryCondition, GridSpec, assemble, split
 from wlmg.mgm import SolverConfig, build_hierarchy
-from wlmg.structured import csc_matvec, csr_matvec, dia_matvec
+from wlmg.structured import TriangularFactor, csc_matvec, csr_matvec, dia_matvec
+
+from oracles import forward_substitution, gs_triangle_product, jump_1000
 
 BCS = list(BoundaryCondition)
 MODULES = sorted(Path(wlmg.__file__).parent.glob("*.py"))
@@ -89,9 +99,86 @@ def test_a_vector_of_the_wrong_length_raises(bc):
                 csc_matvec(proj.to_sparse(), np.ones(n))
 
 
-def sparsetools_uses(source: str) -> list:
-    """Lines that import or name ``_sparsetools``, in any form."""
-    found = set()
+@pytest.mark.parametrize("bc", BCS, ids=lambda bc: bc.value)
+@pytest.mark.parametrize("sizes, coeff", [((64,), "a2"), ((64,), jump_1000),
+                                          ((64, 64), "a8"), ((64, 64), jump_1000)],
+                         ids=["1d-a2", "1d-jump1000", "2d-a8", "2d-jump1000"])
+def test_triangular_solve_is_forward_substitution(bc, sizes, coeff):
+    """On every smoothing level the stored Gauss-Seidel triangle ``F``
+    solves as ``oracles.forward_substitution`` of ``F`` bit for bit, and as
+    SuperLU's factor of ``F`` to 1e-14 relative.  Its arrays are that
+    factor's ``L`` with the pivots, ``U``'s diagonal, in place of its unit
+    diagonal, bit for bit."""
+    if bc is BoundaryCondition.DIRICHLET:
+        sizes = tuple(n - 1 for n in sizes)
+    grid = GridSpec(sizes, bc)
+    H = build_hierarchy(split(assemble(grid, coeff), grid, coeff),
+                        SolverConfig(pre="gauss-seidel", post="gauss-seidel"))
+    assert H.n_levels >= 3
+    rng = np.random.default_rng(17)
+    for lev in H.levels[:-1]:
+        F, factor = gs_triangle_product(lev), lev._gs[1]
+        lu = spla.splu(F, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                       relax=1, panel_size=1)
+        L, first = sp.csc_array(lu.L), factor.indptr[:-1]
+        L.sort_indices()
+        pivots = factor.data[first]
+        assert same_bits(pivots, lu.U.diagonal()) and lu.U.nnz == lev.n
+        unit = factor.data.copy()
+        unit[first] = 1.0
+        assert same_bits(factor.indptr, L.indptr) and same_bits(factor.indices, L.indices)
+        assert same_bits(unit, L.data)
+        for b in (rng.standard_normal(lev.n), rng.standard_normal(lev.n) + 5.0):
+            got = factor.solve(b)
+            assert same_bits(got, forward_substitution(F, b))
+            want = lu.solve(b)
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_triangular_factor_checks_its_triangle_and_vector():
+    """A column that does not start with its pivot is a ``ValueError``, a
+    stored zero pivot a ``ZeroDivisionError`` naming the column, and a
+    vector of the wrong length a ``ValueError``; ``solve`` leaves ``b``."""
+    F = sp.csc_array(np.array([[2.0, 0.0, 0.0], [-1.0, 4.0, 0.0], [0.5, -1.0, 8.0]]))
+    factor = TriangularFactor(sp.csc_array(F, copy=True))
+    b = np.array([1.0, 2.0, 3.0])
+    x = factor.solve(b)
+    assert same_bits(x, forward_substitution(F, b))
+    assert same_bits(b, np.array([1.0, 2.0, 3.0]))
+    assert np.allclose(F @ x, b, rtol=1e-15)
+    for n in (2, 4):
+        with pytest.raises(ValueError):
+            factor.solve(np.ones(n))
+    with pytest.raises(ValueError, match="start with its pivot"):
+        TriangularFactor(sp.csc_array(F.T))                     # upper: row 0 first
+    with pytest.raises(ValueError, match="start with its pivot"):
+        TriangularFactor(sp.csc_array(F + F.T))                 # not a triangle
+    with pytest.raises(ValueError, match="square"):
+        TriangularFactor(sp.csc_array(F[:, :2]))
+    zero = sp.csc_array(F, copy=True)
+    zero.data[zero.indptr[1]] = 0.0
+    with pytest.raises(ZeroDivisionError, match="column 1"):
+        TriangularFactor(zero)
+
+
+def test_a_scipy_without_gstrs_fails_at_import():
+    code = ("import scipy.sparse.linalg._dsolve._superlu as s\n"
+            "del s.gstrs\n"
+            "import wlmg\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(Path(wlmg.__file__).parents[1])})
+    assert out.returncode != 0
+    assert "ImportError: wlmg needs SciPy's SuperLU triangular solve" in out.stderr
+    assert "_superlu.gstrs" in out.stderr
+
+
+PRIVATE = ("_sparsetools", "_superlu")
+
+
+def private_uses(source: str) -> dict:
+    """The lines that import or name each of SciPy's private modules in
+    ``PRIVATE``, in any form."""
+    found = {name: set() for name in PRIVATE}
     for node in ast.walk(ast.parse(source)):
         names = []
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -100,9 +187,10 @@ def sparsetools_uses(source: str) -> list:
             names = [node.attr]
         elif isinstance(node, ast.Name):
             names = [node.id]
-        if any("_sparsetools" in name for name in names):
-            found.add(node.lineno)
-    return sorted(found)
+        for private in PRIVATE:
+            if any(private in name for name in names):
+                found[private].add(node.lineno)
+    return {name: sorted(lines) for name, lines in found.items()}
 
 
 def test_the_check_sees_each_form_of_use():
@@ -110,15 +198,23 @@ def test_the_check_sees_each_form_of_use():
               "import scipy.sparse._sparsetools as k\n"
               "from scipy.sparse._sparsetools import csr_matvec\n"
               "sp._sparsetools.dia_matvec()\n"
-              "f = _sparsetools\n")
-    assert sparsetools_uses(source) == [1, 2, 3, 4, 5]
-    assert sparsetools_uses("sparsetools = 1\nA @ x\n") == []
+              "f = _sparsetools\n"
+              "from scipy.sparse.linalg._dsolve import _superlu\n"
+              "import scipy.sparse.linalg._dsolve._superlu as s\n"
+              "from scipy.sparse.linalg._dsolve._superlu import gstrs\n"
+              "spla._dsolve._superlu.gstrs()\n"
+              "g = _superlu\n")
+    assert private_uses(source) == {"_sparsetools": [1, 2, 3, 4, 5],
+                                    "_superlu": [6, 7, 8, 9, 10]}
+    assert private_uses("sparsetools = 1\nsuperlu = spla.splu\nA @ x\n") == {
+        "_sparsetools": [], "_superlu": []}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_structured_calls_the_kernels(path):
-    uses = sparsetools_uses(path.read_text(encoding="utf-8"))
-    if path.name == "structured.py":
-        assert uses
-    else:
-        assert uses == []
+    uses = private_uses(path.read_text(encoding="utf-8"))
+    for name in PRIVATE:
+        if path.name == "structured.py":
+            assert uses[name], name
+        else:
+            assert uses[name] == [], name

@@ -62,7 +62,8 @@ from wlmg.transfer import Projector, coarsen_structured, galerkin_sparse
 
 from oracles import (assemble_bands, assemble_coo, bands_of, bordered_bmat, correction_csr,
                      csr_from_bands, dense_operator, galerkin_csr, gs_triangle_product,
-                     projector_kron, sparse_matrix_coo, to_sparse_kron)
+                     jump_1000, projector_kron, scaled_triangle, sparse_matrix_coo,
+                     to_sparse_kron)
 
 checked = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -435,12 +436,15 @@ def test_smoothers_never_modify_their_inputs(bc, dim, smoother, zero_x, give_r,
 
 def check_factored_matrices(grid: GridSpec, coeff, method: str):
     """On every smoothing level the Gauss-Seidel triangle (differenced on
-    rank-one levels), and on the coarsest level the matrix (bordered on
-    rank-one levels), that set-up hands to SuperLU are the CSC arrays of
-    ``oracles.gs_triangle_product`` and ``oracles.bordered_bmat``, SciPy's
-    conversions and sparse products, bit for bit, index types included, and
-    store no zero.  Set-up reads each as the transpose of the CSR of its
-    transpose, so this also checks that the level matrices are symmetric."""
+    rank-one levels) that set-up stores, and on the coarsest level the
+    matrix (bordered on rank-one levels) that it hands to SuperLU, are the
+    CSC arrays of ``oracles.gs_triangle_product`` and ``oracles.bordered_bmat``,
+    SciPy's conversions and sparse products, bit for bit, index types
+    included, and store no zero.  The triangle is stored as SuperLU stores
+    its factor, ``oracles.scaled_triangle`` of the oracle: its pivots are
+    the oracle's diagonal bit for bit, and it counts nnz + n entries.  Set-up
+    reads each as the transpose of the CSR of its transpose, so this also
+    checks that the level matrices are symmetric."""
     seen, splu = [], spla.splu
 
     def capture(A, *args, **kwargs):
@@ -453,19 +457,17 @@ def check_factored_matrices(grid: GridSpec, coeff, method: str):
         m.setattr(spla, "splu", capture)
         warnings.simplefilter("ignore", RuntimeWarning)    # a chain that stops early
         H = build_hierarchy(split(assemble(grid, coeff), grid, coeff), config)
+    assert len(seen) == 1
+    stored = [lev._gs[1] for lev in H.levels[:-1]] + seen
     want = [gs_triangle_product(lev) for lev in H.levels[:-1]] + [bordered_bmat(H.levels[-1])]
-    assert len(seen) == len(want)
-    for got, ref in zip(seen, want):
+    for s, (got, ref) in enumerate(zip(stored, want)):
+        ref_arrays = ref if s == H.depth else scaled_triangle(ref)
         for name in ("indptr", "indices", "data"):
-            assert same_bits(getattr(got, name), getattr(ref, name)), name
-        assert np.all(got.data != 0.0)
-    for lev, got in zip(H.levels[:-1], seen):
-        assert lev._gs[3] == got.nnz + lev.n
-
-
-def jump_1000(*xs):
-    """1 on the left half of the domain, 1000 on the right."""
-    return np.where(xs[0] < 0.5, 1.0, 1000.0)
+            assert same_bits(getattr(got, name), getattr(ref_arrays, name)), name
+        assert np.all(ref.data != 0.0) and np.all(got.data != 0.0)
+    for lev, got, ref in zip(H.levels[:-1], stored, want):
+        assert same_bits(got.data[got.indptr[:-1]], ref.diagonal())
+        assert got.nnz == ref.nnz and lev._gs[3] == ref.nnz + lev.n
 
 
 # 2-D a1 cancels differences to exact zeros (up to 870 on a level), which

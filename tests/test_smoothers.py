@@ -9,7 +9,7 @@ from wlmg.smoothers import cg_steps, compute_omegas, richardson, splitting_diago
 from wlmg.structured import AlgebraKind, StructuredOperator
 from wlmg.symbols import CosineSymbol, TensorSymbol
 
-from oracles import bands_of, dense_operator
+from oracles import bands_of, dense_operator, gs_triangle_product
 
 GS = SolverConfig(method="mgm", pre="gauss-seidel", post="richardson")
 RANK_ONE = (BoundaryCondition.PERIODIC, BoundaryCondition.REFLECTIVE)
@@ -270,7 +270,10 @@ def test_gs_pivots_without_a_stored_diagonal(rank_one, row):
         broken = _Level(zero, {-1: band, 1: band})
     assert 0 not in broken.operator.offsets.tolist()
     if row is None:
-        assert np.array_equal(broken._ensure_gs()[1].U.diagonal(), np.full(n, rank_one / n))
+        factor = broken._ensure_gs()[1]
+        first = factor.indptr[:-1]
+        assert np.array_equal(factor.indices[first], np.arange(n))
+        assert np.array_equal(factor.data[first], np.full(n, rank_one / n))
         return
     with pytest.raises(ZeroDivisionError, match=f"row {row} is zero"):
         broken.gauss_seidel_step(np.zeros(n), np.ones(n))
@@ -408,13 +411,16 @@ def test_splitting_diagonal_rows_and_guard():
 @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
 @pytest.mark.parametrize("dim", [1, 2])
 def test_gs_factor_count_is_triangle_nnz_plus_n(bc, dim):
-    """The counted factor entries, ``nnz`` of the factored triangle plus
-    ``n``, equal SuperLU's own ``L.nnz + U.nnz`` on every smoothing level."""
+    """The counted factor entries, ``nnz`` of the stored triangle plus
+    ``n``, equal SuperLU's own ``L.nnz + U.nnz`` of that triangle's factor
+    on every smoothing level."""
     n = 63 if bc is BoundaryCondition.DIRICHLET else 64
     for coeff in (("a2", "a2k:3") if dim == 1 else ("a7", "a8")):
         grid = GridSpec((n,) * dim, bc)
         H = build_hierarchy(split(assemble(grid, coeff), grid, coeff), GS)
         assert H.n_levels >= 3
         for lev in H.levels[:-1]:
-            lu, counted = lev._gs[1], lev._gs[3]
-            assert counted == lu.L.nnz + lu.U.nnz
+            factor, counted = lev._gs[1], lev._gs[3]
+            lu = spla.splu(gs_triangle_product(lev), permc_spec="NATURAL",
+                           diag_pivot_thresh=0.0, relax=1, panel_size=1)
+            assert counted == factor.nnz + lev.n == lu.L.nnz + lu.U.nnz
