@@ -6,13 +6,16 @@ process with that checkout's ``src`` on the import path, and compares:
 * level arrays by value (index arrays may change their integer type): the
   splitting's ``a_min`` and correction (as CSR, whether the checkout holds
   it as CSR or by diagonals), and per level the CSR ``combined``
-  and ``structured.to_sparse()`` arrays, the diagonals, ``dinv``,
-  ``jacobi_inv``, the four damping factors, ``sup|symbol|``, the projector
-  (as CSR, whether the checkout stores it as CSR or CSC), and the nnz of
-  the Gauss-Seidel and coarse factors;
+  and ``structured.to_sparse()`` arrays, the diagonals, ``sup|symbol|``,
+  the projector (as CSR, whether the checkout stores it as CSR or CSC), and
+  the nnz of the Gauss-Seidel and coarse factors;
 * each Gauss-Seidel and coarse factor by bytes, through its solve of a
   fixed random vector, so a factor that moved shows even where its nnz
   did not;
+* per solver configuration, with the hierarchy built for it, each
+  smoothing level's pre- and post-smoothing step by bytes, applied to fixed
+  random vectors from a given and from the zero iterate, so damping that
+  moved shows however a checkout stores it;
 * iterates, residual histories, iteration counts, ``converged`` and
   ``operations`` of every solve by bytes.
 
@@ -87,9 +90,10 @@ def digest(a: np.ndarray) -> str:
     return hashlib.sha256(str(a.shape).encode() + a.tobytes()).hexdigest()
 
 
-def fixed(n: int) -> np.ndarray:
-    """The vector each factor solves with: seed-0 standard normals."""
-    return np.random.default_rng(0).standard_normal(n)
+def fixed(n: int, seed: int = 0) -> np.ndarray:
+    """The vector each factor solves with (seed 0) and the right-hand side
+    each smoothing step takes (seed 1): standard normals."""
+    return np.random.default_rng(seed).standard_normal(n)
 
 
 def arrays(bc: str, shape: tuple, coeff: str):
@@ -97,7 +101,7 @@ def arrays(bc: str, shape: tuple, coeff: str):
     # imported here, in the child whose import path holds one checkout's src
     import scipy.sparse as sp
     from wlmg.discretize import BoundaryCondition, GridSpec, assemble, build_rhs, split
-    from wlmg.mgm import LevelHierarchy, SolverConfig, build_hierarchy, solve
+    from wlmg.mgm import SolverConfig, build_hierarchy, solve
     from wlmg.structured import dia_from_bands
 
     def csr(key, M):
@@ -121,9 +125,6 @@ def arrays(bc: str, shape: tuple, coeff: str):
             yield from csr(f"{key}/to_sparse", lev.structured.to_sparse())
             yield f"{key}/offsets", canonical(lev.operator.offsets, True)
             yield f"{key}/diagonals", canonical(lev.operator.data, True)
-            for name in ("dinv", "jacobi_inv", "omega_pre", "omega_post",
-                         "omega_pre_scaled", "omega_post_scaled"):
-                yield f"{key}/{name}", canonical(getattr(lev, name), True)
             yield f"{key}/sup_norm", canonical(lev.structured.symbol.sup_norm(), True)
             if lev.projector is None:
                 _, lu, nnz = lev._ensure_direct()
@@ -136,8 +137,14 @@ def arrays(bc: str, shape: tuple, coeff: str):
                 yield f"{key}/gs_solve", lu.solve(fixed(lu.shape[0]))
         for k, kwargs in enumerate(SOLVERS):
             key = f"{tag}/{method}/solver{k}"
-            config = SolverConfig(method=method, **kwargs)
-            x, rep = solve(LevelHierarchy(H.levels, config), b, max_iter=MAX_ITER)
+            H = build_hierarchy(problem, SolverConfig(method=method, **kwargs))
+            for s, steps in enumerate(H.smoothers):      # reported as level values
+                x0, rhs = fixed(H.levels[s].n), fixed(H.levels[s].n, 1)
+                for name, step in zip(("pre", "post"), steps):
+                    step_key = f"{tag}/{method}/L{s}/step{k}_{name}"
+                    yield step_key, step(x0, rhs, None)
+                    yield f"{step_key}_zero", step(None, rhs, None)
+            x, rep = solve(H, b, max_iter=MAX_ITER)
             yield f"{key}/x", x
             yield f"{key}/residuals", np.array(rep.residuals)
             yield f"{key}/iterations", np.int64(rep.iterations)

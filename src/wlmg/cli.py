@@ -20,10 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from ._tables import DAGGER, PAIR_SMOOTHERS, TABLES
-from .discretize import (DiffusionCoefficient, GridSpec, assemble, build_rhs,
-                         make_coefficient, split)
-from .mgm import SolverConfig, build_hierarchy, solve
+from .discretize import (BoundaryCondition, DiffusionCoefficient, GridSpec, assemble,
+                         build_rhs, make_coefficient, split)
+from .mgm import (CG_PRECONDITIONERS, METHODS, SCALINGS, SMOOTHERS, SolverConfig,
+                  build_hierarchy, solve)
 from .verify import theory_report
+
+BOUNDARY_CONDITIONS = tuple(bc.value for bc in BoundaryCondition)
 
 _EXPR_NAMES = {
     "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
@@ -374,19 +377,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sv = sub.add_parser("solve", help="solve one problem and report iterations")
-    sv.add_argument("--bc", choices=["dirichlet", "periodic", "reflective"],
-                    default="dirichlet")
+    sv.add_argument("--bc", choices=BOUNDARY_CONDITIONS, default="dirichlet")
     sv.add_argument("--dim", type=int, choices=[1, 2], default=1)
     sv.add_argument("--coeff", default="a1", help="preset or expression")
-    sv.add_argument("--method", choices=["tgm", "mgm"], default="mgm")
-    sv.add_argument("--pre", choices=["richardson", "gauss-seidel", "cg"],
-                    default="richardson")
-    sv.add_argument("--post", choices=["richardson", "gauss-seidel", "cg"],
-                    default="richardson")
-    sv.add_argument("--richardson-scaling", choices=["global", "diagonal"],
-                    default="global")
-    sv.add_argument("--cg-preconditioner", choices=["none", "diagonal"],
-                    default="none")
+    sv.add_argument("--method", choices=METHODS, default="mgm")
+    sv.add_argument("--pre", choices=SMOOTHERS, default="richardson")
+    sv.add_argument("--post", choices=SMOOTHERS, default="richardson")
+    sv.add_argument("--richardson-scaling", choices=SCALINGS, default="global")
+    sv.add_argument("--cg-preconditioner", choices=CG_PRECONDITIONERS, default="none")
     sv.add_argument("--n", type=int, required=True,
                     help="interior grid size per dimension")
     sv.add_argument("--tol", type=float, default=1e-7)
@@ -407,8 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write one file per table here instead of stdout")
 
     vf = sub.add_parser("verify", help="dense convergence-theory checks")
-    vf.add_argument("--bc", choices=["dirichlet", "periodic", "reflective"],
-                    default="dirichlet")
+    vf.add_argument("--bc", choices=BOUNDARY_CONDITIONS, default="dirichlet")
     vf.add_argument("--coeffs", default="a1,a2,a3",
                     help="comma-separated presets")
     vf.add_argument("--sizes", type=_int_list, default=(7, 15, 31))

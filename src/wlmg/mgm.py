@@ -1,21 +1,20 @@
 """Two-grid and V-cycle engines over the structured-plus-correction splitting.
 
-``build_hierarchy`` runs the pre-computing phase once: per-level structured
-symbols (by folding), sparse corrections (by Galerkin products computed
-diagonal by diagonal, each dropped once the next level's exists), smoothing
-parameters, Gauss-Seidel triangles, and the coarsest direct solver.
+``build_hierarchy`` runs the pre-computing phase once, for one
+``SolverConfig``: per-level structured symbols (by folding), sparse
+corrections (by Galerkin products computed diagonal by diagonal, each
+dropped once the next level's exists), the damping of the configured
+smoothers, Gauss-Seidel triangles, and the coarsest direct solver.
 Every level matrix is born as diagonals, stored by ``dia_from_bands``: a
 coarse level adds the structured part's bands and the correction's band by
 band, and the finest level takes the assembled matrix's, as ``split`` read
 them.  ``LevelHierarchy`` then resolves, once per level, which smoother
-each slot runs with which damping and diagonal, and the nominal operation
-count of each phase of a cycle (``costs``, ``cycle_cost``).  Hierarchies
-are immutable afterwards, apart from what a level computes on first access
-and caches: the CSR ``combined`` read off its diagonals and the CG
-preconditioner ``jacobi_inv`` (concurrent first uses may each compute one;
-they compute the same values).  A hierarchy keeps no reference to the
-caller's ``A``.  Every solve owns its iterate, residual history and work
-vectors, so concurrent solves against one hierarchy are safe.
+each slot runs and the nominal operation count of each phase of a cycle
+(``costs``, ``cycle_cost``).  Hierarchies are immutable afterwards, apart
+from the CSR ``combined`` a level reads off its diagonals on first access,
+off the solve path.  A hierarchy keeps no reference to the caller's ``A``.
+Every solve owns its iterate, residual history and work vectors, so
+concurrent solves against one hierarchy are safe.
 
 Every level product on the solve path is a product with the level operator
 stored by diagonals (``sp.dia_array``): the residual, the smoothers, and
@@ -34,16 +33,12 @@ SciPy's ``tocsr`` reads a level's CSR off its diagonals only where it is
 used: for that factor, the CSC of the symmetric ``A``, which does not keep
 it, and ``combined``.  The nominal counts count the diagonals' nonzeros.
 
-Forward Gauss-Seidel is one cached sparse lower triangle per level on all
-three boundary conditions.  Without a rank-one term it is ``tril(A)``.
-With the uniform rank-one term of the periodic and reflective levels,
-``A + (gamma/N) e e^T``, it is the first-differenced triangle
-``(I - S) tril(A) + (gamma/N) I``, followed by one refinement step.  Its
-CSC is the CSR of its transpose, read off the diagonals of ``triu(A)``;
-set-up runs no per-row loop and no sparse product.  A triangle in its
-natural order is its own LU factor, so no factorization runs either: the
-CSC is scaled to SuperLU's unit-diagonal form once and each step solves
-with it by SuperLU's triangular kernel (``structured.TriangularFactor``).
+Forward Gauss-Seidel solves with one stored sparse lower triangle per
+level on all three boundary conditions (``_Level._ensure_gs``): ``tril(A)``,
+or with the rank-one term of the periodic and reflective levels the
+first-differenced triangle, followed by one refinement step.  A triangle in
+its natural order is its own LU factor, so no factorization runs
+(``structured.TriangularFactor``).
 
 The cycle makes no level product whose result it already knows.  Coarse
 levels start from the zero iterate, passed as ``x=None``, so the first
@@ -73,7 +68,10 @@ from .transfer import Projector, coarse_size, coarsen_structured, galerkin_spars
 __all__ = ["SolverConfig", "SolveReport", "LevelHierarchy",
            "build_hierarchy", "vcycle", "solve"]
 
+METHODS = ("tgm", "mgm")
 SMOOTHERS = ("richardson", "gauss-seidel", "cg")
+SCALINGS = ("global", "diagonal")
+CG_PRECONDITIONERS = ("none", "diagonal")
 
 
 @dataclass(frozen=True)
@@ -101,14 +99,14 @@ class SolverConfig:
     richardson_scaling: str = "global"
 
     def __post_init__(self):
-        if self.method not in ("tgm", "mgm"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         for name in (self.pre, self.post):
             if name not in SMOOTHERS:
                 raise ValueError(f"unknown smoother {name!r}")
-        if self.richardson_scaling not in ("global", "diagonal"):
+        if self.richardson_scaling not in SCALINGS:
             raise ValueError(f"unknown scaling {self.richardson_scaling!r}")
-        if self.cg_preconditioner not in ("none", "diagonal"):
+        if self.cg_preconditioner not in CG_PRECONDITIONERS:
             raise ValueError(f"unknown CG preconditioner {self.cg_preconditioner!r}")
 
     @property
@@ -133,29 +131,37 @@ class SolveReport:
 
 
 class _Level:
-    """Per-level data produced in the pre-computing phase.
+    """Per-level data produced in the pre-computing phase for ``config``.
 
-    ``correction``, the sparse correction by diagonals (``{offset: band}``),
-    is read here only.  ``operator`` is the level matrix without its
-    rank-one term, stored by diagonals: on a coarse level the sum of the
-    structured part's bands and the correction's, on the finest level those
-    of the assembled ``A``, as ``split`` read them; ``dia_from_bands``
-    stores both.  Every level reads its CSR ``combined`` off the diagonals
-    on first access; ``nnz`` counts the nonzero entries.
+    ``operator`` is the level matrix without its rank-one term, stored by
+    diagonals (``dia_from_bands``): on a coarse level the structured part's
+    bands plus those of ``correction``, the correction by diagonals, which
+    only this reads; on the finest level those of the assembled ``A``.  A
+    level with a ``projector`` smooths with one damping, from the splitting
+    bound ``d``: ``omega_pre, omega_post = 2, 1 / max(d)`` (global scaling),
+    or ``2, 1`` and ``dinv = 1 / d`` (diagonal); ``jacobi_inv`` is
+    ``1 / diag(A + (gamma/N) e e^T)`` under the diagonal CG preconditioner.
+    What a level does not use is None, all four on the coarsest level.
     """
 
     def __init__(self, structured: StructuredOperator, correction: dict,
+                 config: SolverConfig, projector: Projector | None = None,
                  operator: sp.dia_array | None = None):
         self.structured = structured
         self.sizes = structured.sizes
         self.n = structured.n_total
         self.gamma = structured.rank_one
-        # A <= diag(d) row by row: the global step damps by the largest row,
-        # the diagonal one by each row's own, so lambda_max(D^{-1} A) <= 1
-        d = splitting_diagonal(structured.symbol.sup_norm(), correction, self.n)
-        self.omega_pre, self.omega_post = compute_omegas(float(d.max()))
-        self.dinv = 1.0 / d
-        self.omega_pre_scaled, self.omega_post_scaled = compute_omegas(1.0)
+        self.config = config
+        self.projector = projector
+        self.omega_pre = self.omega_post = self.dinv = self.jacobi_inv = None
+        if projector is not None:
+            # A <= diag(d) row by row: the global step damps by the largest row,
+            # the diagonal one by each row's own, so lambda_max(D^{-1} A) <= 1
+            d = splitting_diagonal(structured.symbol.sup_norm(), correction, self.n)
+            diagonal = config.richardson_scaling == "diagonal"
+            self.omega_pre, self.omega_post = compute_omegas(1.0 if diagonal else float(d.max()))
+            self.dinv = 1.0 / d if diagonal else None
+            del d       # freed before the operator is formed
         if operator is None:        # the structured part's bands plus the correction's
             bands = structured.bands()
             for o, band in correction.items():
@@ -163,22 +169,14 @@ class _Level:
             operator = dia_from_bands(bands, self.n)
         self.operator = operator
         self.nnz = int(np.count_nonzero(operator.data))     # the padding holds zeros
-        self._combined = None
-        self._jacobi_inv = None
-        self.projector = None        # set for all but the coarsest level
-        self._gs = None
-        self._direct = None
-
-    @property
-    def jacobi_inv(self) -> np.ndarray:
-        """``1 / diag(A + (gamma/N) e e^T)``, the diagonal CG preconditioner,
-        computed on first read and cached; only that preconditioner reads it."""
-        if self._jacobi_inv is None:
-            diag = self.operator.diagonal()
+        if projector is not None and config.cg_preconditioner == "diagonal":
+            diag = operator.diagonal()
             if self.gamma is not None:
                 diag = diag + self.gamma / self.n
-            self._jacobi_inv = 1.0 / diag
-        return self._jacobi_inv
+            self.jacobi_inv = 1.0 / diag
+        self._combined = None
+        self._gs = None
+        self._direct = None
 
     @property
     def combined(self) -> sp.csr_array:
@@ -253,8 +251,9 @@ class _Level:
         return self._gs
 
     def gauss_seidel_step(self, x, b):
-        """One forward Gauss-Seidel sweep on ``A + rho e e^T``; ``x=None`` is
-        the zero iterate, whose right-hand side is ``b`` itself.
+        """One forward Gauss-Seidel sweep on ``A + rho e e^T`` with the
+        triangle ``LevelHierarchy`` stored; ``x=None`` is the zero iterate,
+        whose right-hand side is ``b`` itself.
 
         The sweep solves ``(tril(A) + rho C) x+ = r`` with
         ``r = b - triu(A, 1) x - rho s`` and ``s_i = sum_{j > i} x_j``.  On a
@@ -265,9 +264,9 @@ class _Level:
         level: for ``a8`` on a reflective 64^2 grid, from a relative 6e-11
         off the sweep to 2e-16.
         """
-        _, factor, upper, _, tril_a = self._ensure_gs()
-        if x is None:
-            rhs = b.copy()
+        _, factor, upper, _, tril_a = self._gs
+        if x is None:       # the solve leaves b as it is; refinement writes to rhs
+            rhs = b if tril_a is None else b.copy()
         else:
             rhs = dia_matvec(upper, x)
             np.subtract(b, rhs, out=rhs)
@@ -300,7 +299,7 @@ class _Level:
         return self._direct
 
     def direct_solve(self, b):
-        _, lu, _ = self._ensure_direct()
+        _, lu, _ = self._direct
         if self.gamma is None:
             return lu.solve(b)
         return lu.solve(np.append(b, 0.0))[:self.n]
@@ -319,7 +318,8 @@ def _bordered(A: sp.csc_array, u: float) -> sp.csc_matrix:
 
 
 class LevelHierarchy:
-    """Immutable ladder of levels plus the solver configuration.
+    """Immutable ladder of levels built for ``config``, and that configuration
+    (levels built for another raise a ``ValueError``).
 
     ``smoothers[s]`` holds the pre- and post-smoothing of level ``s`` and
     ``costs[s]`` the nominal operation count of each phase of a cycle on
@@ -339,6 +339,9 @@ class LevelHierarchy:
         self.config = config
         self.smoothers, self.costs = [], []
         for s, lev in enumerate(levels):
+            if lev.config != config:
+                raise ValueError(f"level {s} was built for {lev.config}, not for {config}; "
+                                 f"build_hierarchy builds the levels of a configuration")
             n = lev.n
             matvec = 2 * lev.nnz + (3 * n if lev.gamma is not None else 0)
             costs = {"outer": matvec + 2 * n} if s == 0 else {}
@@ -369,9 +372,9 @@ def _smoothing(lev: _Level, cfg: SolverConfig, pre: bool, matvec: int):
     ``x=None`` is the zero iterate and ``r``, if not None, is ``b - A x``,
     which Richardson and CG consume instead of recomputing it; Gauss-Seidel
     needs ``b - triu(A, 1) x`` and ignores it.  The cost still counts the
-    products these skip: it is a nominal figure per step.  Kind, damping
-    and diagonal are fixed here; the smoothing functions and ``lev.matvec``
-    are looked up by name on every call.
+    products these skip: it is a nominal figure per step.  The damping and
+    diagonals are the level's own, built for ``cfg``; the smoothing
+    functions and ``lev.matvec`` are looked up by name on every call.
     """
     name, n = (cfg.pre if pre else cfg.post), lev.n
     if name == "gauss-seidel":
@@ -380,13 +383,10 @@ def _smoothing(lev: _Level, cfg: SolverConfig, pre: bool, matvec: int):
                 else 2 * lev.nnz + 4 * factor_nnz + 12 * n)
         return (lambda x, b, r: lev.gauss_seidel_step(x, b)), cost
     if name == "cg":
-        dinv = lev.jacobi_inv if cfg.cg_preconditioner == "diagonal" else None
+        dinv = lev.jacobi_inv
         cost = 2 * matvec + (10 if dinv is None else 12) * n
         return (lambda x, b, r: cg_steps(lev.matvec, x, b, dinv=dinv, r=r)), cost
-    if cfg.richardson_scaling == "diagonal":
-        omega, dinv = (lev.omega_pre_scaled if pre else lev.omega_post_scaled), lev.dinv
-    else:
-        omega, dinv = (lev.omega_pre if pre else lev.omega_post), None
+    omega, dinv = (lev.omega_pre if pre else lev.omega_post), lev.dinv
     cost = matvec + (3 if dinv is None else 4) * n
     return (lambda x, b, r: richardson(lev.matvec, x, b, omega, dinv=dinv, r=r)), cost
 
@@ -437,14 +437,15 @@ def build_hierarchy(problem: AssembledProblem, config: SolverConfig | None = Non
     scaled = StructuredOperator(
         base.kind, base.sizes, base.symbol.scaled(problem.a_min),
         rank_one=None if base.rank_one is None else problem.a_min * base.rank_one)
-    projectors = [Projector(base.kind, sizes) for sizes in chain[:-1]]
-    correction = problem.correction
-    levels = [_Level(scaled, correction, problem.operator)]
+    projectors = [Projector(base.kind, sizes) for sizes in chain[:-1]] + [None]
+    structured, correction, operator = scaled, problem.correction, problem.operator
+    levels = []
     for proj in projectors:
-        levels[-1].projector = proj
-        coarse_struct = coarsen_structured(levels[-1].structured, proj)
-        correction = galerkin_sparse(correction, proj)
-        levels.append(_Level(coarse_struct, correction))
+        levels.append(_Level(structured, correction, config, proj, operator))
+        if proj is not None:
+            structured = coarsen_structured(structured, proj)
+            correction = galerkin_sparse(correction, proj)
+            operator = None
     return LevelHierarchy(levels, config)
 
 

@@ -1,7 +1,7 @@
 """Smoothing iterations: Richardson and CG steps.
 
-Forward Gauss-Seidel, a triangular solve with a factor cached per level,
-lives in ``mgm._Level`` on all three boundary conditions.
+Forward Gauss-Seidel, a solve with the triangle each level stores, lives
+in ``mgm._Level``.
 
 Richardson damping follows the structured-plus-correction splitting
 ``A = M(symbol) + R``.  Row ``i`` of ``A`` is bounded by
@@ -14,9 +14,9 @@ so ``A <= diag(d)``.  The global factors take the largest row,
     omega_post = 1 / (sup|symbol| + ||R||_inf)
 
 and the diagonal form keeps every row's own bound, ``x + c diag(d)^{-1} r``
-with the same c = 2 (pre) and c = 1 (post).  Both are computed per level
-from that level's (scaled) structured symbol and sparse correction, which
-keeps the damped spectrum at most ``c`` level-wise.
+with the same c = 2 (pre) and c = 1 (post).  Each smoothing level computes
+the form its configuration uses from its own (scaled) structured symbol and
+sparse correction, which keeps the damped spectrum at most ``c`` level-wise.
 
 Both steps skip the level products whose results the caller already
 knows.  ``x=None`` stands for the zero iterate, whose residual is ``b``

@@ -233,3 +233,33 @@ def test_pair_mapping_contract():
     gscg = PAIR_SMOOTHERS["gauss-seidel+cg"]
     assert (gscg["pre"], gscg["post"], gscg["cg_preconditioner"]) == \
         ("gauss-seidel", "cg", "diagonal")
+
+
+def test_parser_choices_are_the_library_values():
+    """Every option with a fixed set of values offers exactly the values the
+    library accepts, in the library's order."""
+    import argparse
+
+    from wlmg.discretize import BoundaryCondition, GridSpec
+    from wlmg.mgm import CG_PRECONDITIONERS, METHODS, SCALINGS, SMOOTHERS, SolverConfig
+
+    bcs = tuple(bc.value for bc in BoundaryCondition)
+    want = {("solve", "bc"): bcs, ("verify", "bc"): bcs, ("solve", "method"): METHODS,
+            ("solve", "pre"): SMOOTHERS, ("solve", "post"): SMOOTHERS,
+            ("solve", "richardson_scaling"): SCALINGS,
+            ("solve", "cg_preconditioner"): CG_PRECONDITIONERS}
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {(command, action.dest): tuple(action.choices)
+           for command, parser in sub.choices.items() for action in parser._actions
+           if (command, action.dest) in want}
+    assert got == want
+    for bc in bcs:
+        GridSpec((15,), bc)
+    accepted = {"method": METHODS, "pre": SMOOTHERS, "post": SMOOTHERS,
+                "richardson_scaling": SCALINGS, "cg_preconditioner": CG_PRECONDITIONERS}
+    for field, values in accepted.items():
+        for value in values:
+            SolverConfig(**{field: value})
+        with pytest.raises(ValueError):
+            SolverConfig(**{field: "unknown"})

@@ -12,7 +12,7 @@ import wlmg.mgm
 
 from wlmg.discretize import (BoundaryCondition, GridSpec, assemble, build_rhs,
                              split)
-from wlmg.mgm import SolverConfig, build_hierarchy, solve, vcycle
+from wlmg.mgm import LevelHierarchy, SolverConfig, build_hierarchy, solve, vcycle
 from wlmg.verify import dense_iteration_matrix
 
 from oracles import bands_of, csr_from_bands, dense_operator, solve_full, split_csr
@@ -240,31 +240,75 @@ def test_iteration_matrix_diagonal_scaling():
     lev = H.levels[0]
     p = lev.projector.to_sparse().toarray()
     n = len(A0)
+    assert (lev.omega_pre, lev.omega_post) == (2.0, 1.0)
     Dinv = np.diag(lev.dinv)
-    Vpre = np.eye(n) - lev.omega_pre_scaled * Dinv @ A0
-    Vpost = np.eye(n) - lev.omega_post_scaled * Dinv @ A0
+    Vpre = np.eye(n) - lev.omega_pre * Dinv @ A0
+    Vpost = np.eye(n) - lev.omega_post * Dinv @ A0
     CGC = np.eye(n) - p @ np.linalg.solve(A1, p.T @ A0)
     assert np.abs(M - Vpost @ CGC @ Vpre).max() <= 1e-11
 
 
 @pytest.mark.parametrize("bc", [D, BoundaryCondition.REFLECTIVE], ids=lambda bc: bc.value)
 def test_jacobi_inv_is_computed_on_first_read(bc):
-    """Only the diagonal CG preconditioner reads ``jacobi_inv``: without it a
-    hierarchy never computes one, not even in a solve; read, it is
-    ``1 / (diag(A) + gamma/N)``."""
+    """Only the diagonal CG preconditioner reads ``jacobi_inv``: without it
+    no level holds one, not even after a solve; with it every smoothing
+    level holds ``1 / (diag(A) + gamma/N)`` and the coarsest none."""
     prob, b = make_system((31, 31) if bc is D else (32, 32), "a7", bc)
     H = build_hierarchy(prob, SolverConfig(pre="richardson", post="cg"))
     solve(H, b, max_iter=2)
-    assert all(lev._jacobi_inv is None for lev in H.levels)
-    for lev in H.levels:
+    assert all(lev.jacobi_inv is None for lev in H.levels)
+    H = build_hierarchy(prob, SolverConfig(pre="richardson", post="cg",
+                                           cg_preconditioner="diagonal"))
+    assert H.n_levels >= 2 and H.levels[-1].jacobi_inv is None
+    for lev in H.levels[:-1]:
         diag = lev.combined.diagonal()
         if lev.gamma is not None:
             diag = diag + lev.gamma / lev.n
         assert np.array_equal(lev.jacobi_inv, 1.0 / diag)
-        assert lev.jacobi_inv is lev._jacobi_inv
-    H = build_hierarchy(prob, SolverConfig(pre="richardson", post="cg",
-                                           cg_preconditioner="diagonal"))
-    assert all(lev._jacobi_inv is not None for lev in H.levels[:-1])
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+def test_levels_hold_only_their_configured_damping(bc, monkeypatch):
+    """The coarsest level, which does not smooth, never evaluates its
+    symbol's sup norm and holds no damping; a global level holds no
+    ``dinv`` and a diagonal one the factors 2 and 1."""
+    from wlmg.symbols import TensorSymbol
+
+    evaluated, sup_norm = [], TensorSymbol.sup_norm
+
+    def counting(sym, *args, **kwargs):
+        evaluated.append(sym)
+        return sup_norm(sym, *args, **kwargs)
+
+    monkeypatch.setattr(TensorSymbol, "sup_norm", counting)
+    prob = make_problem((31, 31) if bc is D else (32, 32), "a7", bc)
+    for scaling in ("global", "diagonal"):
+        evaluated.clear()
+        H = build_hierarchy(prob, SolverConfig(pre="gauss-seidel", richardson_scaling=scaling))
+        assert H.n_levels >= 2
+        assert len(evaluated) == H.n_levels - 1
+        assert all(sym is not H.levels[-1].structured.symbol for sym in evaluated)
+        coarsest = H.levels[-1]
+        assert (coarsest.omega_pre, coarsest.omega_post, coarsest.dinv) == (None, None, None)
+        for lev in H.levels[:-1]:
+            if scaling == "global":
+                assert lev.dinv is None and lev.omega_pre == 2 * lev.omega_post
+            else:
+                assert (lev.omega_pre, lev.omega_post) == (2.0, 1.0)
+                assert lev.dinv.shape == (lev.n,)
+
+
+def test_levels_built_for_another_configuration_are_refused():
+    """Levels keep the damping of the configuration they were built for, so
+    a hierarchy over them under another configuration is a ``ValueError``,
+    not a solve damped with the wrong form."""
+    prob = make_problem(31, "a2")
+    H = build_hierarchy(prob, SolverConfig(richardson_scaling="diagonal"))
+    for config in (SolverConfig(), SolverConfig(richardson_scaling="diagonal", post="cg"),
+                   SolverConfig(richardson_scaling="diagonal", cg_preconditioner="diagonal")):
+        with pytest.raises(ValueError, match="level 0 was built for"):
+            LevelHierarchy(H.levels, config)
+    assert LevelHierarchy(H.levels, H.config).cycle_cost == H.cycle_cost
 
 
 def test_operation_counter_linear_in_n_1d():
@@ -333,7 +377,9 @@ def test_bordered_coarse_solve_matches_dense(bc, coeff):
 
 
 def test_builds_with_scipy_1_10_constructors(monkeypatch):
-    """The library keeps to constructors that SciPy 1.10 has."""
+    """Set-up and the solve build every sparse matrix from arrays they
+    formed, with the format classes, never with SciPy's ``*_array`` helper
+    constructors: removing those helpers changes nothing."""
     import scipy.sparse
 
     for name in ("eye_array", "diags_array", "block_array", "random_array"):

@@ -55,7 +55,7 @@ from wlmg._tables import TABLES
 from wlmg.cli import BenchRow, bench_cell, bench_rows_csv
 from wlmg.discretize import (TWO_D_ONLY_PRESETS, BoundaryCondition, DiffusionCoefficient,
                              GridSpec, _read_bands, algebra_for_bc, assemble, split)
-from wlmg.mgm import SMOOTHERS, LevelHierarchy, SolverConfig, build_hierarchy
+from wlmg.mgm import SMOOTHERS, SolverConfig, build_hierarchy
 from wlmg.structured import AlgebraKind, StructuredOperator, dia_from_bands
 from wlmg.symbols import CosineSymbol, TensorSymbol
 from wlmg.transfer import Projector, coarsen_structured, galerkin_sparse
@@ -398,11 +398,11 @@ def test_band_galerkin_equals_csr_oracle_on_rectangles(bc, coeff):
 
 
 @lru_cache(maxsize=None)
-def smoothing_levels(bc, dim):
+def smoothing_hierarchy(bc, dim, config):
     n = (63 if dim == 1 else 31) + (bc is not BoundaryCondition.DIRICHLET)
     grid = GridSpec((n,) * dim, bc)
     coeff = "a2" if dim == 1 else "a7"
-    return build_hierarchy(split(assemble(grid, coeff), grid, coeff)).levels
+    return build_hierarchy(split(assemble(grid, coeff), grid, coeff), config)
 
 
 @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
@@ -415,11 +415,10 @@ def smoothing_levels(bc, dim):
 @given(pre=st.booleans(), diagonal=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_smoothers_never_modify_their_inputs(bc, dim, smoother, zero_x, give_r,
                                              pre, diagonal, seed):
-    levels = smoothing_levels(bc, dim)
-    config = SolverConfig(pre=smoother, post=smoother,
-                          richardson_scaling="diagonal" if diagonal else "global",
-                          cg_preconditioner="diagonal" if diagonal else "none")
-    H = LevelHierarchy(levels, config)
+    H = smoothing_hierarchy(bc, dim, SolverConfig(
+        pre=smoother, post=smoother, richardson_scaling="diagonal" if diagonal else "global",
+        cg_preconditioner="diagonal" if diagonal else "none"))
+    levels = H.levels
     rng = np.random.default_rng(seed)
     s = int(rng.integers(len(H.smoothers)))
     lev, step = levels[s], H.smoothers[s][0 if pre else 1]

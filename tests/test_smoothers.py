@@ -250,10 +250,9 @@ def test_gs_zero_pivot_raises(bc, n):
     # level stores it exactly
     zero = StructuredOperator(lev.structured.kind, lev.sizes,
                               TensorSymbol(1, [(CosineSymbol([0.0]),)]), rank_one=lev.gamma)
-    with np.errstate(divide="ignore"):     # its Jacobi diagonal is zero too
-        broken = _Level(zero, bands_of(A))
+    broken = _Level(zero, bands_of(A), GS)
     with pytest.raises(ZeroDivisionError, match="row 3"):
-        broken.gauss_seidel_step(np.zeros(n), np.ones(n))
+        broken._ensure_gs()
 
 
 @pytest.mark.parametrize("rank_one, row", [(None, 0), (0.0, 0), (16.0, None)])
@@ -266,8 +265,7 @@ def test_gs_pivots_without_a_stored_diagonal(rank_one, row):
     zero = StructuredOperator(AlgebraKind.TAU if rank_one is None else AlgebraKind.CIRCULANT,
                               (n,), TensorSymbol(1, [(CosineSymbol([0.0]),)]),
                               rank_one=rank_one)
-    with np.errstate(divide="ignore"):     # its Jacobi diagonal may be zero too
-        broken = _Level(zero, {-1: band, 1: band})
+    broken = _Level(zero, {-1: band, 1: band}, GS)
     assert 0 not in broken.operator.offsets.tolist()
     if row is None:
         factor = broken._ensure_gs()[1]
@@ -276,7 +274,7 @@ def test_gs_pivots_without_a_stored_diagonal(rank_one, row):
         assert np.array_equal(factor.data[first], np.full(n, rank_one / n))
         return
     with pytest.raises(ZeroDivisionError, match=f"row {row} is zero"):
-        broken.gauss_seidel_step(np.zeros(n), np.ones(n))
+        broken._ensure_gs()
 
 
 def test_gs_anorm_monotone():
@@ -380,12 +378,15 @@ def test_compute_omegas_guard():
                                   (BoundaryCondition.PERIODIC, 32),
                                   (BoundaryCondition.REFLECTIVE, 32)])
 def test_splitting_diagonal_bounds_every_level(bc, n):
-    """diag(d) - A is PSD on every level: I - c D^{-1} A has spectrum in [1 - c, 1)."""
+    """diag(d) - A is PSD on every level that smooths: I - c D^{-1} A has
+    spectrum in [1 - c, 1).  The coarsest level, solved directly, holds no
+    bound."""
     for sizes, coeff in (((n,), "a2"), ((n,), "a2k:1"), ((15 if n == 31 else 16,) * 2, "a7")):
         grid = GridSpec(sizes, bc)
         prob = split(assemble(grid, coeff), grid, coeff)
         H = build_hierarchy(prob, SolverConfig(method="mgm", richardson_scaling="diagonal"))
-        for lev in H.levels:
+        assert H.levels[-1].dinv is H.levels[-1].omega_pre is None
+        for lev in H.levels[:-1]:
             A = dense_operator(lev)
             gap = np.diag(1.0 / lev.dinv) - A
             assert np.linalg.eigvalsh(gap).min() >= -1e-10 * np.abs(A).max()
@@ -396,9 +397,11 @@ def test_diagonal_scaling_is_global_for_unit_coefficient():
                   (BoundaryCondition.REFLECTIVE, 32)):
         grid = GridSpec((n,), bc)
         prob = split(assemble(grid, "a1"), grid, "a1")
-        lev = build_hierarchy(prob, SolverConfig(method="tgm")).levels[0]
-        assert np.allclose(lev.omega_pre_scaled * lev.dinv, lev.omega_pre, rtol=1e-14)
-        assert np.allclose(lev.omega_post_scaled * lev.dinv, lev.omega_post, rtol=1e-14)
+        glob = build_hierarchy(prob, SolverConfig(method="tgm")).levels[0]
+        diag = build_hierarchy(prob, SolverConfig(method="tgm",
+                                                  richardson_scaling="diagonal")).levels[0]
+        assert np.allclose(diag.omega_pre * diag.dinv, glob.omega_pre, rtol=1e-14)
+        assert np.allclose(diag.omega_post * diag.dinv, glob.omega_post, rtol=1e-14)
 
 
 def test_splitting_diagonal_rows_and_guard():
