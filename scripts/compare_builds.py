@@ -138,7 +138,7 @@ def arrays(bc: str, shape: tuple, coeff: str):
         for k, kwargs in enumerate(SOLVERS):
             key = f"{tag}/{method}/solver{k}"
             H = build_hierarchy(problem, SolverConfig(method=method, **kwargs))
-            for s, steps in enumerate(H.smoothers):      # reported as level values
+            for s, steps in enumerate(H.smoothers):      # no "/solver": a level value
                 x0, rhs = fixed(H.levels[s].n), fixed(H.levels[s].n, 1)
                 for name, step in zip(("pre", "post"), steps):
                     step_key = f"{tag}/{method}/L{s}/step{k}_{name}"
