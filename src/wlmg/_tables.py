@@ -1,9 +1,9 @@
 """Reference iteration counts bundled with the benchmark suite.
 
 Each benchmark table fixes a cycle type, dimension, smoother pairs, and
-coefficient presets, and stores baseline iteration counts per
-(pair, coefficient, size) cell.  ``DAGGER`` marks a cell where convergence
-needs more than N(n) iterations.
+coefficient presets of a Dirichlet problem, and stores baseline iteration
+counts per (pair, coefficient, size) cell.  ``DAGGER`` marks a cell where
+convergence needs more than N(n) iterations.
 
 Cell gates (used for the benchmark exit status):
 
@@ -65,7 +65,6 @@ class BenchTable:
     cell_gates: dict                # (pair, coeff) -> gate tuple
     column_gates: dict = field(default_factory=dict)   # (pair, coeff) -> gate
     row_gates: dict = field(default_factory=dict)      # n -> gate (all cells)
-    bc: str = "dirichlet"
 
 
 def _ref(pairs_cols_rows):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import types
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +36,16 @@ _EXPR_NAMES = {
 }
 
 
+def _names(code: types.CodeType) -> set:
+    """The names ``code`` looks up, and those of every code object nested in
+    it (a lambda's, a comprehension's)."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _names(const)
+    return names
+
+
 def coefficient_from_spec(spec: str, dim: int):
     """Preset name, ``a2k:<k>``, or a positive expression in x (and y)."""
     try:
@@ -43,11 +54,12 @@ def coefficient_from_spec(spec: str, dim: int):
         if not any(ch in spec for ch in "+-*/( "):
             raise
     code = compile(spec, "<coefficient>", "eval")
+    names = _names(code)
     allowed = set(_EXPR_NAMES) | {"x", "y"}
-    for name in code.co_names:
+    for name in sorted(names):
         if name not in allowed:
             raise ValueError(f"name {name!r} not allowed in coefficient expressions")
-    if "y" in code.co_names and dim != 2:
+    if "y" in names and dim != 2:
         raise ValueError("expression uses y but the problem is one-dimensional")
 
     def func(*coords):
@@ -117,9 +129,10 @@ def _solve_report_lines(args: argparse.Namespace, rep) -> list:
 # ---------------------------------------------------------------------------
 
 def bench_cell(table, pair: str, coeff: str, n: int, seed: int = 0):
-    """Run one benchmark cell; returns (iterations or DAGGER, SolveReport)."""
+    """Run one benchmark cell, on the Dirichlet grid of every table; returns
+    (iterations or DAGGER, SolveReport)."""
     smoothers = PAIR_SMOOTHERS[pair]
-    grid, prob = _build_problem(table.bc, table.dim, coeff, n)
+    grid, prob = _build_problem("dirichlet", table.dim, coeff, n)
     H = build_hierarchy(prob, SolverConfig(
         method=table.method, richardson_scaling=table.richardson_scaling,
         **smoothers))

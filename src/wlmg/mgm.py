@@ -8,8 +8,9 @@ smoothers, Gauss-Seidel triangles, and the coarsest direct solver.
 Every level matrix is born as diagonals, stored by ``dia_from_bands``: a
 coarse level adds the structured part's bands and the correction's band by
 band, and the finest level takes the assembled matrix's, as ``split`` read
-them.  ``LevelHierarchy`` then resolves, once per level, which smoother
-each slot runs and the nominal operation count of each phase of a cycle
+them.  Each level keeps the configuration it was built for, and
+``LevelHierarchy`` resolves from it, once per level, which smoother each
+slot runs and the nominal operation count of each phase of a cycle
 (``costs``, ``cycle_cost``).  Hierarchies are immutable afterwards, apart
 from the CSR ``combined`` a level reads off its diagonals on first access,
 off the solve path.  A hierarchy keeps no reference to the caller's ``A``.
@@ -60,7 +61,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .discretize import AssembledProblem
-from .smoothers import cg_steps, compute_omegas, richardson, splitting_diagonal
+from .smoothers import cg_steps, richardson, splitting_diagonal
 from .structured import (AlgebraKind, StructuredOperator, TriangularFactor,
                          dia_from_bands, dia_matvec)
 from .transfer import Projector, coarse_size, coarsen_structured, galerkin_sparse
@@ -159,7 +160,8 @@ class _Level:
             # the diagonal one by each row's own, so lambda_max(D^{-1} A) <= 1
             d = splitting_diagonal(structured.symbol.sup_norm(), correction, self.n)
             diagonal = config.richardson_scaling == "diagonal"
-            self.omega_pre, self.omega_post = compute_omegas(1.0 if diagonal else float(d.max()))
+            bound = 1.0 if diagonal else float(d.max())
+            self.omega_pre, self.omega_post = 2.0 / bound, 1.0 / bound
             self.dinv = 1.0 / d if diagonal else None
             del d       # freed before the operator is formed
         if operator is None:        # the structured part's bands plus the correction's
@@ -167,6 +169,9 @@ class _Level:
             for o, band in correction.items():
                 bands[o] = bands[o] + band if o in bands else band
             operator = dia_from_bands(bands, self.n)
+            if not np.isfinite(operator.data).all():
+                raise ValueError(f"the coarse level of sizes {self.sizes} overflows: "
+                                 f"its matrix holds an inf or a NaN")
         self.operator = operator
         self.nnz = int(np.count_nonzero(operator.data))     # the padding holds zeros
         if projector is not None and config.cg_preconditioner == "diagonal":
@@ -318,8 +323,8 @@ def _bordered(A: sp.csc_array, u: float) -> sp.csc_matrix:
 
 
 class LevelHierarchy:
-    """Immutable ladder of levels built for ``config``, and that configuration
-    (levels built for another raise a ``ValueError``).
+    """Immutable ladder of levels, and the configuration they were built for,
+    ``levels[0].config``.
 
     ``smoothers[s]`` holds the pre- and post-smoothing of level ``s`` and
     ``costs[s]`` the nominal operation count of each phase of a cycle on
@@ -334,22 +339,19 @@ class LevelHierarchy:
     cycle skips on a zero iterate or a residual it already has.
     """
 
-    def __init__(self, levels, config: SolverConfig):
+    def __init__(self, levels):
         self.levels = levels
-        self.config = config
+        self.config = levels[0].config
         self.smoothers, self.costs = [], []
         for s, lev in enumerate(levels):
-            if lev.config != config:
-                raise ValueError(f"level {s} was built for {lev.config}, not for {config}; "
-                                 f"build_hierarchy builds the levels of a configuration")
             n = lev.n
             matvec = 2 * lev.nnz + (3 * n if lev.gamma is not None else 0)
             costs = {"outer": matvec + 2 * n} if s == 0 else {}
             if lev.projector is None:
                 costs["coarse"] = lev._ensure_direct()[2]
             else:
-                pre, pre_cost = _smoothing(lev, config, True, matvec)
-                post, post_cost = _smoothing(lev, config, False, matvec)
+                pre, pre_cost = _smoothing(lev, True, matvec)
+                post, post_cost = _smoothing(lev, False, matvec)
                 costs.update(pre=pre_cost, residual=matvec, restrict=8 * n,
                              prolong=8 * n + 2 * n, post=post_cost)
                 self.smoothers.append((pre, post))
@@ -365,18 +367,18 @@ class LevelHierarchy:
         return len(self.levels) - 1
 
 
-def _smoothing(lev: _Level, cfg: SolverConfig, pre: bool, matvec: int):
+def _smoothing(lev: _Level, pre: bool, matvec: int):
     """The pre- (or post-) smoothing step of ``lev`` as ``step(x, b, r)``,
     and its nominal cost given that of one level product, ``matvec``.
 
     ``x=None`` is the zero iterate and ``r``, if not None, is ``b - A x``,
     which Richardson and CG consume instead of recomputing it; Gauss-Seidel
     needs ``b - triu(A, 1) x`` and ignores it.  The cost still counts the
-    products these skip: it is a nominal figure per step.  The damping and
-    diagonals are the level's own, built for ``cfg``; the smoothing
+    products these skip: it is a nominal figure per step.  The smoother is
+    that of ``lev.config``, the damping and diagonals the level's own; the
     functions and ``lev.matvec`` are looked up by name on every call.
     """
-    name, n = (cfg.pre if pre else cfg.post), lev.n
+    name, n = (lev.config.pre if pre else lev.config.post), lev.n
     if name == "gauss-seidel":
         _, _, upper, factor_nnz, _ = lev._ensure_gs()
         cost = (2 * int(np.count_nonzero(upper.data)) + 2 * factor_nnz + n if lev.gamma is None
@@ -426,7 +428,8 @@ def build_hierarchy(problem: AssembledProblem, config: SolverConfig | None = Non
     that stops above the coarsest size (15 Dirichlet, 16 otherwise) because
     a grid cannot be halved warns with a ``RuntimeWarning`` naming the
     coarsest sizes reached.  A grid that cannot be halved once gives one
-    level, solved directly.
+    level, solved directly.  A coarse level whose matrix overflows to an
+    inf or a NaN raises a ``ValueError`` naming its sizes.
     """
     config = SolverConfig() if config is None else config
     if not isinstance(config, SolverConfig):
@@ -440,13 +443,16 @@ def build_hierarchy(problem: AssembledProblem, config: SolverConfig | None = Non
     projectors = [Projector(base.kind, sizes) for sizes in chain[:-1]] + [None]
     structured, correction, operator = scaled, problem.correction, problem.operator
     levels = []
-    for proj in projectors:
-        levels.append(_Level(structured, correction, config, proj, operator))
-        if proj is not None:
-            structured = coarsen_structured(structured, proj)
-            correction = galerkin_sparse(correction, proj)
-            operator = None
-    return LevelHierarchy(levels, config)
+    # a coarse level whose entries overflow is refused by _Level, without
+    # the warnings of the products that overflowed on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        for proj in projectors:
+            levels.append(_Level(structured, correction, config, proj, operator))
+            if proj is not None:
+                structured = coarsen_structured(structured, proj)
+                correction = galerkin_sparse(correction, proj)
+                operator = None
+    return LevelHierarchy(levels)
 
 
 def vcycle(H: LevelHierarchy, s: int, x: np.ndarray | None, b: np.ndarray,

@@ -14,9 +14,11 @@ so ``A <= diag(d)``.  The global factors take the largest row,
     omega_post = 1 / (sup|symbol| + ||R||_inf)
 
 and the diagonal form keeps every row's own bound, ``x + c diag(d)^{-1} r``
-with the same c = 2 (pre) and c = 1 (post).  Each smoothing level computes
-the form its configuration uses from its own (scaled) structured symbol and
-sparse correction, which keeps the damped spectrum at most ``c`` level-wise.
+with the same c = 2 (pre) and c = 1 (post).  Each smoothing level
+(``mgm._Level``) computes ``d`` with ``splitting_diagonal`` from its own
+(scaled) structured symbol and sparse correction, and keeps the one form
+its configuration uses, which keeps the damped spectrum at most ``c``
+level-wise.
 
 Both steps skip the level products whose results the caller already
 knows.  ``x=None`` stands for the zero iterate, whose residual is ``b``
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["richardson", "cg_steps", "compute_omegas", "splitting_diagonal"]
+__all__ = ["richardson", "cg_steps", "splitting_diagonal"]
 
 
 def splitting_diagonal(symbol_sup: float, R: dict, n: int) -> np.ndarray:
@@ -56,13 +58,6 @@ def splitting_diagonal(symbol_sup: float, R: dict, n: int) -> np.ndarray:
     if np.any(d <= 0):
         raise ValueError("smoothing diagonal must be positive")
     return d
-
-
-def compute_omegas(bound: float) -> tuple:
-    """Pre- and post-smoothing factors ``2 / bound`` and ``1 / bound``."""
-    if bound <= 0:
-        raise ValueError("smoothing denominator must be positive")
-    return 2.0 / bound, 1.0 / bound
 
 
 def _residual(matvec, x: np.ndarray, b: np.ndarray) -> np.ndarray:

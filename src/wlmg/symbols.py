@@ -70,11 +70,6 @@ class CosineSymbol:
     def scaled(self, alpha: float) -> "CosineSymbol":
         return CosineSymbol(alpha * self.coeffs)
 
-    def sup_norm(self, npoints: int = 1025) -> float:
-        """Max of ``|f|`` over a dense angle grid including the endpoint pi."""
-        t = np.linspace(0.0, np.pi, npoints)
-        return float(np.max(np.abs(self.eval(t))))
-
     def __mul__(self, other):
         if isinstance(other, CosineSymbol):
             return self.product(other)
@@ -175,7 +170,8 @@ class TensorSymbol:
         return out
 
     def sup_norm(self, npoints: int = 1025) -> float:
-        """Max of the absolute value over a dense tensor angle grid.
+        """Max of the absolute value over a dense tensor grid of angles in
+        [0, pi] (of a 1-D symbol ``f`` as ``TensorSymbol.from_1d(f)``).
 
         In 2-D the value is exactly that max over the ``npoints^2`` grid,
         each entry by the sums of ``eval_grid`` without its leading ``0 +``

@@ -56,17 +56,15 @@ def smoothing_constant(A: np.ndarray, V: np.ndarray, X: np.ndarray | None = None
 
 
 def approximation_constant(A: np.ndarray, p: np.ndarray) -> float:
-    """``beta = max_x ||(I - Pi_p) x||_2^2 / ||x||_A^2`` for full-rank ``p``."""
+    """``beta = max_x ||(I - Pi_p) x||_2^2 / ||x||_A^2`` for full-rank ``p``:
+    the largest eigenvalue of the pencil ``(I - Q Q^T, A)``, ``Q`` an
+    orthonormal basis of the range of ``p``."""
     _check_spd(A, "A")
     q, _ = np.linalg.qr(p)
     if np.linalg.matrix_rank(p) < p.shape[1]:
         raise ValueError("p must have full column rank")
-    n = A.shape[0]
-    complement = np.eye(n) - q @ q.T
-    w, U = la.eigh(A)
-    inv_sqrt = U @ np.diag(w ** -0.5) @ U.T
-    M = inv_sqrt @ complement @ inv_sqrt
-    return float(la.eigvalsh(0.5 * (M + M.T)).max())
+    complement = np.eye(A.shape[0]) - q @ q.T
+    return float(la.eigvalsh(complement, A)[-1])
 
 
 def spectral_equivalence(A: np.ndarray, B: np.ndarray) -> tuple:
@@ -78,12 +76,10 @@ def spectral_equivalence(A: np.ndarray, B: np.ndarray) -> tuple:
 
 
 def tgm_contraction(A: np.ndarray, M: np.ndarray) -> float:
-    """Energy-norm of an iteration matrix: ``||A^{1/2} M A^{-1/2}||_2``."""
+    """Energy-norm of an iteration matrix, ``||M||_A = ||A^{1/2} M A^{-1/2}||_2``:
+    the square root of the largest eigenvalue of the pencil ``(M^T A M, A)``."""
     _check_spd(A, "A")
-    w, U = la.eigh(A)
-    sqrtA = U @ np.diag(w ** 0.5) @ U.T
-    inv_sqrtA = U @ np.diag(w ** -0.5) @ U.T
-    return float(np.linalg.norm(sqrtA @ M @ inv_sqrtA, 2))
+    return float(np.sqrt(la.eigvalsh(M.T @ A @ M, A)[-1]))
 
 
 @dataclass
@@ -130,20 +126,14 @@ def _dense(A, rank_one: float | None, n: int) -> np.ndarray:
     return M if rank_one is None else M + rank_one / n
 
 
-def _dense_problem(problem) -> np.ndarray:
-    """``a_min * S + R`` from the structured part's CSR and the correction's bands."""
-    S, n = problem.structured, problem.grid.n_total
-    return (problem.a_min * _dense(S.to_sparse(), S.rank_one, n)
-            + dia_from_bands(problem.correction, n).toarray())
-
-
-def theory_report(bc, coeff, n: int, pre: str = "richardson",
-                  post: str = "richardson") -> TheoryReport:
-    """Run the full dense chain on a two-level hierarchy for one setup."""
+def theory_report(bc, coeff, n: int) -> TheoryReport:
+    """Run the full dense chain on a two-level Richardson hierarchy for one
+    setup: ``A`` is its finest level matrix, rank-one term included, and
+    ``(A, B)`` the ``theta`` pencil, ``B`` the splitting's structured part."""
     grid = GridSpec((n,), bc)
     coeff = make_coefficient(coeff, 1)
     problem = split(assemble(grid, coeff), grid, coeff)
-    H = build_hierarchy(problem, SolverConfig(method="tgm", pre=pre, post=post))
+    H = build_hierarchy(problem, SolverConfig(method="tgm"))
 
     lev = H.levels[0]
     A = _dense(lev.combined, lev.gamma, lev.n)
@@ -154,8 +144,8 @@ def theory_report(bc, coeff, n: int, pre: str = "richardson",
     bound = float(np.sqrt(max(1.0 - alpha / beta, 0.0)))
     contraction = tgm_contraction(A, dense_iteration_matrix(H))
 
-    # pencil of the (corrected, if singular) weighted vs unit-coefficient operators
-    base_problem = split(assemble(grid, "a1"), grid, "a1")
-    theta1, theta2 = spectral_equivalence(_dense_problem(problem), _dense_problem(base_problem))
+    S = problem.structured
+    B = _dense(dia_from_bands(S.bands(), lev.n), S.rank_one, lev.n)
+    theta1, theta2 = spectral_equivalence(A, B)
     return TheoryReport(grid.bc.value, coeff.name, n, alpha, beta, bound,
                         contraction, theta1, theta2)

@@ -49,6 +49,16 @@ def test_overflowing_a2k_preset_usage_error(capsys):
     assert "preset 'a2k:400': the shift 10^400 overflows a float" in capsys.readouterr().err
 
 
+def test_coarse_level_that_overflows_usage_error(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--dim", "2", "--n", "63", "--coeff", "a2k:307"])
+    assert exc.value.code == 2
+    assert ("the coarse level of sizes (15, 15) overflows: its matrix holds an inf "
+            "or a NaN") in capsys.readouterr().err
+
+
 def test_coefficient_whose_stencil_overflows_usage_error(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -67,6 +77,14 @@ def test_expression_coefficient():
         coefficient_from_spec("__import__('os')", 1)
     with pytest.raises(ValueError):
         coefficient_from_spec("x + y", 1)
+    # names looked up inside a lambda or a comprehension are checked too
+    for spec in ("(lambda y: y.shape[0])(x) + 1 + x", "[y.ndim for y in (x,)][0] + x"):
+        with pytest.raises(ValueError, match="not allowed in coefficient expressions"):
+            coefficient_from_spec(spec, 1)
+    x = np.array([0.25, 0.75])
+    assert np.array_equal(coefficient_from_spec("exp(x) + 1", 1)(x), np.exp(x) + 1)
+    coeff3 = coefficient_from_spec("where(x < 0.5, 1.0, 100.0) + 0*y", 2)
+    assert np.array_equal(coeff3(x, x), [1.0, 100.0])
 
 
 def test_expression_coefficient_rejects_complex_values():

@@ -249,7 +249,7 @@ def test_iteration_matrix_diagonal_scaling():
 
 
 @pytest.mark.parametrize("bc", [D, BoundaryCondition.REFLECTIVE], ids=lambda bc: bc.value)
-def test_jacobi_inv_is_computed_on_first_read(bc):
+def test_jacobi_inv_only_under_the_diagonal_preconditioner(bc):
     """Only the diagonal CG preconditioner reads ``jacobi_inv``: without it
     no level holds one, not even after a solve; with it every smoothing
     level holds ``1 / (diag(A) + gamma/N)`` and the coarsest none."""
@@ -299,16 +299,33 @@ def test_levels_hold_only_their_configured_damping(bc, monkeypatch):
 
 
 def test_levels_built_for_another_configuration_are_refused():
-    """Levels keep the damping of the configuration they were built for, so
-    a hierarchy over them under another configuration is a ``ValueError``,
-    not a solve damped with the wrong form."""
+    """Levels keep the damping of the configuration they were built for, and
+    a hierarchy takes its configuration from them: it accepts no other, so
+    no solve is damped with the wrong form."""
     prob = make_problem(31, "a2")
-    H = build_hierarchy(prob, SolverConfig(richardson_scaling="diagonal"))
-    for config in (SolverConfig(), SolverConfig(richardson_scaling="diagonal", post="cg"),
-                   SolverConfig(richardson_scaling="diagonal", cg_preconditioner="diagonal")):
-        with pytest.raises(ValueError, match="level 0 was built for"):
-            LevelHierarchy(H.levels, config)
-    assert LevelHierarchy(H.levels, H.config).cycle_cost == H.cycle_cost
+    config = SolverConfig(richardson_scaling="diagonal")
+    H = build_hierarchy(prob, config)
+    assert H.config is config and all(lev.config is config for lev in H.levels)
+    with pytest.raises(TypeError):
+        LevelHierarchy(H.levels, SolverConfig())
+    again = LevelHierarchy(H.levels)
+    assert again.config is config
+    assert again.costs == H.costs and again.cycle_cost == H.cycle_cost
+
+
+@pytest.mark.parametrize("n,k", [(63, 307), (255, 306)])
+def test_coarse_level_that_overflows_is_refused(n, k):
+    """The finest matrix is finite, but the Galerkin products overflow on
+    the way down: the level whose matrix holds an inf or a NaN is a
+    ``ValueError`` naming its sizes, without overflow warnings, not a
+    singular coarse factor.  A smaller shift solves."""
+    prob = make_problem((n, n), f"a2k:{k}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^the coarse level of sizes \(15, 15\) overflows"):
+            build_hierarchy(prob)
+    prob, b = make_system((n, n), f"a2k:{k - 1}")
+    assert solve(build_hierarchy(prob), b)[1].converged
 
 
 def test_operation_counter_linear_in_n_1d():
@@ -376,7 +393,7 @@ def test_bordered_coarse_solve_matches_dense(bc, coeff):
     assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
 
 
-def test_builds_with_scipy_1_10_constructors(monkeypatch):
+def test_builds_without_scipy_array_helpers(monkeypatch):
     """Set-up and the solve build every sparse matrix from arrays they
     formed, with the format classes, never with SciPy's ``*_array`` helper
     constructors: removing those helpers changes nothing."""

@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 
 from wlmg.discretize import BoundaryCondition, GridSpec, assemble, split
 from wlmg.mgm import SolverConfig, _Level, build_hierarchy
-from wlmg.smoothers import cg_steps, compute_omegas, richardson, splitting_diagonal
+from wlmg.smoothers import cg_steps, richardson, splitting_diagonal
 from wlmg.structured import AlgebraKind, StructuredOperator
 from wlmg.symbols import CosineSymbol, TensorSymbol
 
@@ -369,15 +369,10 @@ def test_proposition_style_post_constant_positive():
     assert smoothing_constant(A, V) > 0
 
 
-def test_compute_omegas_guard():
-    with pytest.raises(ValueError):
-        compute_omegas(0.0)
-
-
 @pytest.mark.parametrize("bc,n", [(BoundaryCondition.DIRICHLET, 31),
                                   (BoundaryCondition.PERIODIC, 32),
                                   (BoundaryCondition.REFLECTIVE, 32)])
-def test_splitting_diagonal_bounds_every_level(bc, n):
+def test_splitting_diagonal_bounds_every_smoothing_level(bc, n):
     """diag(d) - A is PSD on every level that smooths: I - c D^{-1} A has
     spectrum in [1 - c, 1).  The coarsest level, solved directly, holds no
     bound."""

@@ -96,10 +96,15 @@ def test_fold_pairsum_known_value():
 
 
 def test_supnorm_values():
-    assert LAPLACE.sup_norm() == pytest.approx(4.0)
+    """A 1-D symbol's sup norm is that of its one-factor tensor symbol: the
+    max of ``|f|`` over 1025 angles from 0 to pi."""
+    one_d = TensorSymbol.from_1d(LAPLACE)
+    assert one_d.sup_norm() == pytest.approx(4.0)
+    t = np.linspace(0.0, np.pi, 1025)
+    assert one_d.sup_norm() == float(np.max(np.abs(LAPLACE.eval(t))))
     two_d = TensorSymbol.separable_sum([LAPLACE, LAPLACE])
     assert two_d.sup_norm() == pytest.approx(8.0)
-    assert CosineSymbol([0.0]).sup_norm() == 0.0
+    assert TensorSymbol.from_1d(CosineSymbol([0.0])).sup_norm() == 0.0
 
 
 def level_symbols(bc, n, preset):

@@ -1,3 +1,6 @@
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -115,3 +118,24 @@ def test_report_values_sane():
     assert rep.chain_holds
     assert rep.theta1 >= 1.0 - 1e-10       # e^x >= 1 on the sample set
     assert rep.theta2 <= np.e + 1e-10
+
+
+# `wlmg verify --bc <bc> --sizes <3 sizes>` as recorded under tests/data,
+# the CSV of the three default coefficients, each value to 13 digits
+VERIFY_DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "periodic", "reflective"])
+def test_report_values_match_recorded(bc):
+    """Every value of every row within 1e-12 relative of the recorded one,
+    whose printed digits round by at most 5e-13 relative."""
+    with open(VERIFY_DATA / f"verify_{bc}.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 9
+    for row in rows:
+        rep = theory_report(bc, row["coeff"], int(row["n"]))
+        assert (rep.bc, rep.coeff) == (row["bc"], row["coeff"]) and rep.chain_holds
+        for name in ("alpha_post", "beta", "bound", "measured_contraction",
+                     "theta1", "theta2"):
+            want = float(row[name])
+            assert abs(getattr(rep, name) - want) <= 1e-12 * abs(want), (row, name)
