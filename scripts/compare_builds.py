@@ -25,9 +25,13 @@ sides exchange digests, not arrays.  If any digest differs, the
 configurations that hold a mismatch run again in each checkout, which
 writes just the mismatching arrays to a temporary directory, and the
 report says by how much they moved: per level value, the configurations
-and entries that differ and the largest relative difference; per solve,
-whether ``iterations``, ``converged`` or ``operations`` moved, or only the
-rounding of the iterate and the residual history.  It prints the first
+and entries that differ and the largest relative difference; the solves
+grouped by what moved in them besides their rounding (``iterations``,
+``converged``, ``operations``, or nothing), and per group how far the
+iterates and the residual histories moved, as the largest entry-wise
+relative difference and the largest norm-wise one,
+``||new - old|| / ||old||``.  An entry near zero inflates the first, so
+the second says how far the vector as a whole moved.  It prints the first
 mismatches and that report, and exits 1 if there is any mismatch.
 
     python3 scripts/compare_builds.py --parent ../parent --change .
@@ -187,18 +191,24 @@ def run(checkout: Path, request: dict | None = None) -> dict:
     return json.loads(res.stdout)
 
 
-def moved(old: np.ndarray, new: np.ndarray) -> tuple:
-    """Entries that differ and their largest relative difference
-    (``inf`` where a zero became nonzero); None if the shapes differ."""
+def moved(old: np.ndarray, new: np.ndarray) -> tuple | None:
+    """Entries that differ, their largest relative difference (``inf``
+    where a zero became nonzero) and the norm-wise relative difference
+    ``||new - old|| / ||old||`` over the finite entries (``inf`` where a
+    differing entry is not finite); None if the shapes differ."""
     if old.shape != new.shape:
         return None
     old, new = old.astype(float).ravel(), new.astype(float).ravel()
     differ = (old != new) & ~(np.isnan(old) & np.isnan(new))
     if not differ.any():
-        return 0, 0.0
+        return 0, 0.0, 0.0
+    both = np.isfinite(old) & np.isfinite(new)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.abs(new[differ] - old[differ]) / np.abs(old[differ])
-    return int(differ.sum()), float(np.nanmax(rel)) if np.isfinite(rel).any() else np.inf
+        norm = np.linalg.norm(new[both] - old[both]) / np.linalg.norm(old[both])
+    largest = float(np.nanmax(rel)) if np.isfinite(rel).any() else np.inf
+    normwise = float(norm) if both[differ].all() and np.isfinite(norm) else np.inf
+    return int(differ.sum()), largest, normwise
 
 
 def report(bad: list, parent_dir: Path, change_dir: Path) -> None:
@@ -232,20 +242,28 @@ def report(bad: list, parent_dir: Path, change_dir: Path) -> None:
     for what, (n, entries, rel, where) in sorted(values.items()):
         print(f"MOVED {what}: {n} configurations, {entries} entries, "
               f"largest relative difference {rel:.3g} ({where})")
-    kinds = defaultdict(list)
-    largest = {"x": 0.0, "residuals": 0.0}      # over the solves that moved by rounding
+    groups = defaultdict(list)      # what moved besides the rounding -> its solves
     for solve, fields in sorted(solves.items()):
         counts = [f for f in ("iterations", "converged", "operations") if f in fields]
-        kinds[", ".join(counts) if counts else "rounding only"].append(solve)
-        for f in largest:
-            if not counts and f in fields:
-                largest[f] = max(largest[f], np.inf if fields[f] is None else fields[f][1])
-    for kind, names in sorted(kinds.items()):
-        listed = "" if kind == "rounding only" else f" ({', '.join(names[:5])}" + (
-            ", ...)" if len(names) > 5 else ")")
+        groups[", ".join(counts) or "rounding only"].append((solve, fields))
+    for kind, members in sorted(groups.items()):
+        names = [solve for solve, _ in members]
+        listed = f" ({', '.join(names[:5])}" + (", ...)" if len(names) > 5 else ")")
         print(f"SOLVES {kind}: {len(names)}{listed}")
-    print(f"largest relative difference of an iterate {largest['x']:.3g}, "
-          f"of a residual history {largest['residuals']:.3g} (solves moved by rounding)")
+        print("  " + "; ".join(
+            _movement(label, [fields[f] for _, fields in members if f in fields])
+            for f, label in (("x", "iterate"), ("residuals", "residual history"))))
+
+
+def _movement(label: str, changes: list) -> str:
+    """The largest entry-wise and norm-wise relative differences of one
+    field over a group of solves; a field that moved in none reads 0."""
+    shaped = [c for c in changes if c is not None]
+    entry = max((c[1] for c in shaped), default=0.0)
+    norm = max((c[2] for c in shaped), default=0.0)
+    other = len(changes) - len(shaped)
+    return (f"{label} {entry:.3g} entry-wise, {norm:.3g} norm-wise"
+            + (f" ({other} of another length)" if other else ""))
 
 
 def main(argv=None):

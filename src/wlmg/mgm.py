@@ -35,11 +35,12 @@ used: for that factor, the CSC of the symmetric ``A``, which does not keep
 it, and ``combined``.  The nominal counts count the diagonals' nonzeros.
 
 Forward Gauss-Seidel solves with one stored sparse lower triangle per
-level on all three boundary conditions (``_Level._ensure_gs``): ``tril(A)``,
-or with the rank-one term of the periodic and reflective levels the
-first-differenced triangle, followed by one refinement step.  A triangle in
-its natural order is its own LU factor, so no factorization runs
-(``structured.TriangularFactor``).
+level on all three boundary conditions (``_Level._ensure_gs``), one
+triangular solve per step: ``tril(A)``, or with the rank-one term of the
+periodic and reflective levels the 2N-by-2N triangle that carries the
+sweep's running sum as unknowns of its own, interleaved with ``x``.  A
+triangle in its natural order is its own LU factor, so no factorization
+runs (``structured.TriangularFactor``).
 
 The cycle makes no level product whose result it already knows.  Coarse
 levels start from the zero iterate, passed as ``x=None``, so the first
@@ -210,80 +211,75 @@ class _Level:
     def _ensure_gs(self):
         """Store the forward Gauss-Seidel triangle ``F`` once, on every level kind.
 
-        The sweep on ``A + rho e e^T`` (``rho = gamma / N``, 0 without a
-        rank-one term) solves with ``tril(A) + rho C``, ``C = tril(e e^T)``
-        the dense prefix-sum matrix, which the first difference ``I - S``
-        (``S`` the down-shift) maps to ``I``: ``F = (I - S) tril(A) + rho I``,
-        ``tril(A)`` with ``rho = 0``.  ``A`` is symmetric bit for bit
-        (``split`` certifies level 0, the Galerkin product mirrors it), so
-        ``F^T`` is ``U = triu(A)``, a view of the diagonals, or
-        ``U (I - S^T) + rho I``: ``U[i, j] - U[i, j - 1]`` subtracts the
-        operands of ``L[j, i] - L[j - 1, i]``, ``L = tril(A)``, in order.
-        SciPy's ``tocsr`` reads ``F^T``'s CSR off the diagonals, dropping
-        zeros such as differences that cancel; its transpose is ``F``'s
-        CSC, whose columns each start with their pivot.  In that order ``F``
-        is its own LU factor, so no factorization runs:
-        ``structured.TriangularFactor`` scales the columns in place and
-        solves with them.  Rank-one levels keep ``tril(A)`` for
-        ``gauss_seidel_step``.
+        The sweep on ``A + rho e e^T`` (``rho = gamma / N``) solves with
+        ``tril(A) + rho C``, ``C = tril(e e^T)`` the dense prefix-sum
+        matrix.  Without a rank-one term ``F`` is ``tril(A)``.  ``A`` is
+        symmetric bit for bit (``split`` certifies level 0, the Galerkin
+        product mirrors it), so ``F^T`` is ``triu(A)``, a view of the
+        diagonals: SciPy's ``tocsr`` reads its CSR off them, dropping zeros,
+        and its transpose is ``F``'s CSC, whose columns each start with their
+        pivot.  With a rank-one term ``F`` carries the running sum
+        ``s_i = x_0 + ... + x_i`` as unknowns of its own, interleaved as
+        ``(x_0, s_0, x_1, s_1, ...)``: row ``2i`` is
+        ``sum_{j<i} A_ij x_j + (A_ii + rho) x_i + rho s_{i-1} = r_i`` and
+        row ``2i + 1`` is ``s_i - s_{i-1} - x_i = 0``, so ``F`` is 2N by 2N
+        and lower triangular (``_interleaved`` writes its CSC off the
+        diagonals).  In natural order ``F`` is its own LU factor, so no
+        factorization runs: ``structured.TriangularFactor`` scales the
+        columns in place and solves with them.  The tuple's last slot is
+        ``rho``, None without a rank-one term.
         """
         if self._gs is None:
             A, n = self.operator, self.n
-            tril_a, upper = self._triangles()
             first = int(np.searchsorted(A.offsets, 0))      # triu(A): the offsets >= 0
             data, offsets = A.data[first:], A.offsets[first:]
-            if self.gamma is not None:     # column j of offset o's row holds U[j - o, j]
-                rows = dict(zip(offsets.tolist(), data))
-                offsets = np.union1d(offsets, np.append(offsets[offsets < n - 1] + 1, 0))
-                data = np.zeros((offsets.size, A.data.shape[1]))
-                for k, o in enumerate(offsets.tolist()):     # no row view outlives data
-                    if o in rows:
-                        data[k] = rows[o]
-                    if o - 1 in rows:
-                        data[k, 1:] -= rows[o - 1][:-1]
-                data[offsets == 0] += self.gamma / n
-            at = np.flatnonzero(offsets == 0)
-            zero = np.flatnonzero(data[at[0]] == 0.0) if at.size else [0]
-            if len(zero):
+            pivots = data[0] if offsets.size and offsets[0] == 0 else np.zeros(n)
+            rho = None if self.gamma is None else self.gamma / n
+            if rho is not None:
+                pivots = pivots + rho
+            zero = np.flatnonzero(pivots == 0.0)
+            if zero.size:
                 raise ZeroDivisionError(
                     f"Gauss-Seidel pivot of row {zero[0]} is zero (diagonal of A + rho e e^T)")
-            lower = sp.dia_array((data, offsets), shape=A.shape).tocsr().T
-            del data        # differenced diagonals are freed before the CSC is scaled
+            if rho is None:
+                lower = sp.dia_array((data, offsets), shape=A.shape).tocsr().T
+            else:
+                lower = _interleaved(A, pivots, rho)
             # L, the triangle scaled to a unit diagonal, and U, its diagonal,
-            # count nnz + n entries, though the factor stores them in nnz
-            self._gs = ("triangular", TriangularFactor(lower), upper, lower.nnz + n,
-                        None if self.gamma is None else tril_a)
+            # count nnz + rows entries, though the factor stores them in nnz
+            self._gs = ("triangular", TriangularFactor(lower), self._triangles()[1],
+                        lower.nnz + lower.shape[0], rho)
         return self._gs
 
     def gauss_seidel_step(self, x, b):
         """One forward Gauss-Seidel sweep on ``A + rho e e^T`` with the
-        triangle ``LevelHierarchy`` stored; ``x=None`` is the zero iterate,
-        whose right-hand side is ``b`` itself.
+        triangle ``LevelHierarchy`` stored, one triangular solve;
+        ``x=None`` is the zero iterate, whose right-hand side is ``b``
+        itself.
 
         The sweep solves ``(tril(A) + rho C) x+ = r`` with
-        ``r = b - triu(A, 1) x - rho s`` and ``s_i = sum_{j > i} x_j``.  On a
-        rank-one level the factored triangle solves the first difference of
-        that system; differencing mixes neighbouring rows, whose scales
-        differ by the coefficient's contrast, so one refinement step against
-        the undifferenced rows follows.  It brings the result to rounding
-        level: for ``a8`` on a reflective 64^2 grid, from a relative 6e-11
-        off the sweep to 2e-16.
+        ``r = b - triu(A, 1) x - rho t`` and ``t_i = sum_{j > i} x_j``.  On a
+        rank-one level ``r`` fills the even slots of a zero 2N vector, the
+        right-hand side of the interleaved triangle (the odd rows are
+        ``s_i - s_{i-1} - x_i = 0``), and the even entries of its solution
+        are ``x+``.  The solve is the row-by-row sweep, which carries the
+        same running sum, to rounding, with no refinement step: 1.9e-16
+        relative at most on the sweep tests' periodic and reflective grids,
+        ``a8`` and a coefficient jump of 1000 included.
         """
-        _, factor, upper, _, tril_a = self._gs
-        if x is None:       # the solve leaves b as it is; refinement writes to rhs
-            rhs = b if tril_a is None else b.copy()
+        _, factor, upper, _, rho = self._gs
+        if x is None:       # the solve leaves b as it is
+            rhs = b
         else:
             rhs = dia_matvec(upper, x)
             np.subtract(b, rhs, out=rhs)
-        if tril_a is None:
+        if rho is None:
             return factor.solve(rhs)
-        rho = self.gamma / self.n
         if x is not None:
             rhs -= rho * (x.sum() - np.cumsum(x))
-        y = factor.solve(np.diff(rhs, prepend=0.0))
-        rhs -= dia_matvec(tril_a, y) + rho * np.cumsum(y)
-        y += factor.solve(np.diff(rhs, prepend=0.0))
-        return y
+        z = np.zeros(2 * self.n)
+        z[::2] = rhs
+        return factor.solve(z)[::2].copy()
 
     # -- coarsest direct solve --------------------------------------------
     def _ensure_direct(self):
@@ -310,6 +306,49 @@ class _Level:
         return lu.solve(np.append(b, 0.0))[:self.n]
 
 
+def _interleaved(A: sp.dia_array, pivots: np.ndarray, rho: float) -> sp.csc_array:
+    """The CSC arrays of the 2N-by-2N Gauss-Seidel triangle of
+    ``A + rho e e^T`` on the unknowns ``(x_0, s_0, x_1, s_1, ...)``.
+
+    Column ``2j`` (``x_j``) holds ``pivots[j] = A_jj + rho`` on row ``2j``,
+    ``-1`` on row ``2j + 1`` and ``A_ij``, ``i > j``, on row ``2i``: row
+    ``j`` of ``triu(A, 1)``, whose CSR SciPy's ``tocsr`` reads off the
+    diagonals (``A`` is symmetric), zeros dropped.  Column ``2j + 1``
+    (``s_j``) holds ``1``, ``rho`` on row ``2j + 2`` and ``-1`` on row
+    ``2j + 3``; the last holds only its ``1``.  With ``ptr`` the CSR's row
+    pointers, column ``2j`` starts at ``5j + ptr[j]`` and column ``2j + 1``
+    at ``5j + ptr[j + 1] + 2``: the five fixed entries of each ``j`` are
+    written by position and the CSR's entries, in order, into the slots
+    left.  Every temporary is at most N long, apart from the CSR and the
+    mask of those slots.
+    """
+    n = A.shape[0]
+    first = int(np.searchsorted(A.offsets, 1))
+    strict = sp.dia_array((A.data[first:], A.offsets[first:]), shape=A.shape).tocsr()
+    ptr = strict.indptr
+    nnz = int(ptr[-1]) + 5 * n - 2
+    # the column starts as numpy's index type, which scatters without a cast
+    x_at, s_at = np.arange(0, 5 * n, 5) + ptr[:-1], np.arange(2, 5 * n, 5) + ptr[1:]
+    indptr = np.empty(2 * n + 1, dtype=np.intc)
+    indptr[0:-1:2], indptr[1::2], indptr[-1] = x_at, s_at, nnz
+    data, indices = np.empty(nnz), np.empty(nnz, dtype=np.intc)
+    keep = np.ones(nnz, dtype=bool)        # the slots left for triu(A, 1)'s entries
+    rows = np.arange(0, 2 * n, 2, dtype=np.intc)
+    # the five fixed entries: column starts, slot in the column, row - 2j, value
+    for start, slot, shift, value in ((x_at, 0, 0, pivots), (x_at, 1, 1, -1.0),
+                                      (s_at, 0, 1, 1.0), (s_at[:-1], 1, 2, rho),
+                                      (s_at[:-1], 2, 3, -1.0)):
+        at = start + slot
+        data[at] = value
+        indices[at] = rows[:at.size] + shift
+        keep[at] = False
+    del x_at, s_at, at, rows        # freed before the CSR's entries are placed
+    data[keep] = strict.data
+    strict.indices *= 2
+    indices[keep] = strict.indices
+    return sp.csc_array((data, indices, indptr), shape=(2 * n, 2 * n))
+
+
 def _bordered(A: sp.csc_array, u: float) -> sp.csc_matrix:
     """``[[A, u e], [u e^T, -1]]`` from the CSC arrays of the N-by-N ``A``."""
     n, index = A.shape[0], A.indptr.dtype
@@ -332,9 +371,11 @@ class LevelHierarchy:
     both resolved once from the configuration.  ``cycle_cost`` is one cycle
     plus the outer residual.  A level product counts two per nonzero entry
     of the CSR form (not the padding of the diagonals), plus 3N for a
-    rank-one term; a Gauss-Seidel solve counts the entries of its triangle
-    as ``L`` and ``U`` (nnz + N) and the coarse solve those of its factor,
-    so the table builds both, and a transfer counts 8 per fine unknown.
+    rank-one term; a Gauss-Seidel step counts its product with
+    ``triu(A, 1)``, the entries of its triangle as ``L`` and ``U`` (nnz
+    plus its order, N, or 2N on a rank-one level, whose step also counts
+    5N for the running sums of ``x``), and the coarse solve those of its
+    factor, so the table builds both; a transfer counts 8 per fine unknown.
     The table is nominal: it counts every step's products, also those the
     cycle skips on a zero iterate or a residual it already has.
     """
@@ -381,8 +422,10 @@ def _smoothing(lev: _Level, pre: bool, matvec: int):
     name, n = (lev.config.pre if pre else lev.config.post), lev.n
     if name == "gauss-seidel":
         _, _, upper, factor_nnz, _ = lev._ensure_gs()
-        cost = (2 * int(np.count_nonzero(upper.data)) + 2 * factor_nnz + n if lev.gamma is None
-                else 2 * lev.nnz + 4 * factor_nnz + 12 * n)
+        # b - triu(A, 1) x and one solve; a rank-one level also subtracts
+        # rho (sum x - cumsum x), four more passes over x and one over r
+        cost = (2 * int(np.count_nonzero(upper.data)) + 2 * factor_nnz
+                + (n if lev.gamma is None else 6 * n))
         return (lambda x, b, r: lev.gauss_seidel_step(x, b)), cost
     if name == "cg":
         dinv = lev.jacobi_inv

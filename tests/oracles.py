@@ -316,14 +316,22 @@ def galerkin_csr(R: sp.csr_array, projector) -> sp.csr_array:
 
 def gs_triangle_product(lev) -> sp.csc_array:
     """The factored Gauss-Seidel triangle as SciPy's CSC of ``tril(A)``, and
-    on a rank-one level of ``(I - S) tril(A) + rho I`` by sparse products:
-    the first-difference matrix from ``sp.eye``, a CSR product and a sum."""
+    on a rank-one level as the 2N-by-2N block matrix
+    ``[[tril(A) + rho I, rho S], [-I, I - S]]`` (``rho = gamma / N``, ``S``
+    the down-shift) on the unknowns ``(x, s)``, stacked by ``sp.bmat`` and
+    permuted by fancy indexing to the interleaved order
+    ``(x_0, s_0, x_1, s_1, ...)``, indices sorted."""
     n = lev.n
     lower = sp.csc_array(lev._triangles()[0])
     if lev.gamma is None:
         return lower
-    diff = sp.eye(n, format="csr") - sp.eye(n, k=-1, format="csr")
-    return sp.csc_array(diff @ lower + lev.gamma / n * sp.identity(n))
+    rho = lev.gamma / n
+    eye, shift = sp.identity(n, format="csr"), sp.eye(n, k=-1, format="csr")
+    block = sp.bmat([[lower + rho * eye, rho * shift], [-eye, eye - shift]], format="csr")
+    order = np.arange(2 * n).reshape(2, n).T.ravel()
+    F = sp.csc_array(block[order][:, order])
+    F.sort_indices()
+    return F
 
 
 def scaled_triangle(lower: sp.csc_array) -> sp.csc_array:

@@ -104,11 +104,12 @@ def test_a_vector_of_the_wrong_length_raises(bc):
                                           ((64, 64), "a8"), ((64, 64), jump_1000)],
                          ids=["1d-a2", "1d-jump1000", "2d-a8", "2d-jump1000"])
 def test_triangular_solve_is_forward_substitution(bc, sizes, coeff):
-    """On every smoothing level the stored Gauss-Seidel triangle ``F``
-    solves as ``oracles.forward_substitution`` of ``F`` bit for bit, and as
-    SuperLU's factor of ``F`` to 1e-14 relative.  Its arrays are that
-    factor's ``L`` with the pivots, ``U``'s diagonal, in place of its unit
-    diagonal, bit for bit."""
+    """On every smoothing level the stored Gauss-Seidel triangle ``F`` (the
+    interleaved 2N-by-2N one on periodic and reflective levels) solves as
+    ``oracles.forward_substitution`` of ``F`` bit for bit, and as SuperLU's
+    factor of ``F`` to 1e-14 relative.  Its arrays are that factor's ``L``
+    with the pivots, ``U``'s diagonal, in place of its unit diagonal, bit
+    for bit."""
     if bc is BoundaryCondition.DIRICHLET:
         sizes = tuple(n - 1 for n in sizes)
     grid = GridSpec(sizes, bc)
@@ -118,17 +119,19 @@ def test_triangular_solve_is_forward_substitution(bc, sizes, coeff):
     rng = np.random.default_rng(17)
     for lev in H.levels[:-1]:
         F, factor = gs_triangle_product(lev), lev._gs[1]
+        n = F.shape[0]
+        assert factor.shape == (n, n) and n == (lev.n if lev.gamma is None else 2 * lev.n)
         lu = spla.splu(F, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        relax=1, panel_size=1)
         L, first = sp.csc_array(lu.L), factor.indptr[:-1]
         L.sort_indices()
         pivots = factor.data[first]
-        assert same_bits(pivots, lu.U.diagonal()) and lu.U.nnz == lev.n
+        assert same_bits(pivots, lu.U.diagonal()) and lu.U.nnz == n
         unit = factor.data.copy()
         unit[first] = 1.0
         assert same_bits(factor.indptr, L.indptr) and same_bits(factor.indices, L.indices)
         assert same_bits(unit, L.data)
-        for b in (rng.standard_normal(lev.n), rng.standard_normal(lev.n) + 5.0):
+        for b in (rng.standard_normal(n), rng.standard_normal(n) + 5.0):
             got = factor.solve(b)
             assert same_bits(got, forward_substitution(F, b))
             want = lu.solve(b)

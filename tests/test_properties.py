@@ -29,11 +29,13 @@
 * Every level matrix equals its transpose bit for bit, periodic wrap
   diagonals included, and its CSR ``combined`` is the one
   ``oracles.csr_from_bands`` gathers off its diagonals.
-* Set-up reads the Gauss-Seidel triangle (differenced on periodic and
-  reflective levels) as the transpose of the CSR of its transpose, off the
-  diagonals of ``triu(A)``, and the coarse matrix (bordered there) from the
-  CSR of ``A``; both equal SciPy's conversions and sparse products in
-  ``oracles.gs_triangle_product`` and ``oracles.bordered_bmat`` bit for bit.
+* Set-up reads the Gauss-Seidel triangle as the transpose of the CSR of
+  its transpose, off the diagonals of ``triu(A)``, or on periodic and
+  reflective levels writes the interleaved 2N-by-2N triangle that carries
+  the running sum off the diagonals, and it reads the coarse matrix
+  (bordered there) from the CSR of ``A``; both equal SciPy's conversions,
+  block stacking and sparse products in ``oracles.gs_triangle_product``
+  and ``oracles.bordered_bmat`` bit for bit.
 * ``wlmg bench`` is deterministic: two runs of one cell write the same CSV
   line.
 
@@ -434,16 +436,19 @@ def test_smoothers_never_modify_their_inputs(bc, dim, smoother, zero_x, give_r,
 
 
 def check_factored_matrices(grid: GridSpec, coeff, method: str):
-    """On every smoothing level the Gauss-Seidel triangle (differenced on
-    rank-one levels) that set-up stores, and on the coarsest level the
-    matrix (bordered on rank-one levels) that it hands to SuperLU, are the
-    CSC arrays of ``oracles.gs_triangle_product`` and ``oracles.bordered_bmat``,
-    SciPy's conversions and sparse products, bit for bit, index types
-    included, and store no zero.  The triangle is stored as SuperLU stores
-    its factor, ``oracles.scaled_triangle`` of the oracle: its pivots are
-    the oracle's diagonal bit for bit, and it counts nnz + n entries.  Set-up
-    reads each as the transpose of the CSR of its transpose, so this also
-    checks that the level matrices are symmetric."""
+    """On every smoothing level the Gauss-Seidel triangle (the interleaved
+    2N-by-2N one on rank-one levels) that set-up stores, and on the coarsest
+    level the matrix (bordered on rank-one levels) that it hands to SuperLU,
+    are the CSC arrays of ``oracles.gs_triangle_product`` and
+    ``oracles.bordered_bmat``, SciPy's conversions, block stacking and
+    sparse products, bit for bit, index types included, and store no zero.
+    The triangle is stored as SuperLU stores its factor,
+    ``oracles.scaled_triangle`` of the oracle: its pivots are the oracle's
+    diagonal bit for bit, and it counts nnz plus its order entries.  Set-up
+    reads ``tril(A)`` as the transpose of the CSR of its transpose and the
+    interleaved triangle's ``A_ij``, ``i > j``, as ``A_ji``, and the coarse
+    matrix likewise, so this also checks that the level matrices are
+    symmetric."""
     seen, splu = [], spla.splu
 
     def capture(A, *args, **kwargs):
@@ -466,11 +471,11 @@ def check_factored_matrices(grid: GridSpec, coeff, method: str):
         assert np.all(ref.data != 0.0) and np.all(got.data != 0.0)
     for lev, got, ref in zip(H.levels[:-1], stored, want):
         assert same_bits(got.data[got.indptr[:-1]], ref.diagonal())
-        assert got.nnz == ref.nnz and lev._gs[3] == ref.nnz + lev.n
+        assert got.nnz == ref.nnz and lev._gs[3] == ref.nnz + ref.shape[0]
 
 
-# 2-D a1 cancels differences to exact zeros (up to 870 on a level), which
-# both constructions drop
+# 2-D a1 levels store exact zeros on their diagonals (8064 of 28544 on a
+# periodic 64^2 level), which both constructions drop
 @pytest.mark.parametrize("bc", [BoundaryCondition.PERIODIC, BoundaryCondition.REFLECTIVE],
                          ids=lambda bc: bc.value)
 @pytest.mark.parametrize("sizes, coeff", [

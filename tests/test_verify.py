@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wlmg import verify
 from wlmg.discretize import BoundaryCondition, GridSpec, assemble, coefficient_samples
 from wlmg.verify import (approximation_constant, smoothing_constant,
                          spectral_equivalence, tgm_contraction, theory_report)
@@ -101,6 +102,23 @@ def test_non_spd_rejected():
         spectral_equivalence(bad, np.eye(4))
     with pytest.raises(ValueError):
         smoothing_constant(bad, np.zeros((4, 4)))
+    with pytest.raises(ValueError):
+        spectral_equivalence(np.eye(4), bad)
+    with pytest.raises(ValueError):
+        approximation_constant(bad, np.eye(4)[:, :2])
+    with pytest.raises(ValueError):
+        tgm_contraction(bad, np.eye(4))
+
+
+def test_report_certifies_each_matrix_once(monkeypatch):
+    """``theory_report`` certifies ``A`` and ``B`` once each, not once per
+    constant: each certificate is a full dense eigendecomposition."""
+    certified = []
+    check = verify._check_spd
+    monkeypatch.setattr(verify, "_check_spd",
+                        lambda M, name: (certified.append(name), check(M, name)))
+    theory_report("periodic", "a2", 16)
+    assert certified == ["A", "B"]
 
 
 def test_theorem_chain_dirichlet():
