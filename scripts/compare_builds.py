@@ -25,13 +25,13 @@ sides exchange digests, not arrays.  If any digest differs, the
 configurations that hold a mismatch run again in each checkout, which
 writes just the mismatching arrays to a temporary directory, and the
 report says by how much they moved: per level value, the configurations
-and entries that differ and the largest relative difference; the solves
-grouped by what moved in them besides their rounding (``iterations``,
-``converged``, ``operations``, or nothing), and per group how far the
-iterates and the residual histories moved, as the largest entry-wise
-relative difference and the largest norm-wise one,
-``||new - old|| / ||old||``.  An entry near zero inflates the first, so
-the second says how far the vector as a whole moved.  It prints the first
+and entries that differ; the solves grouped by what moved in them besides
+their rounding (``iterations``, ``converged``, ``operations``, or
+nothing).  Each level value, and per group of solves the iterates and the
+residual histories, reports the largest entry-wise relative difference
+and the largest norm-wise one, ``||new - old|| / ||old||``.  An entry near
+zero inflates the first, so the second says how far the array as a whole
+moved.  It prints the first
 mismatches and that report, and exits 1 if there is any mismatch.
 
     python3 scripts/compare_builds.py --parent ../parent --change .
@@ -217,7 +217,8 @@ def report(bad: list, parent_dir: Path, change_dir: Path) -> None:
     by_tag = defaultdict(list)
     for key in bad:
         by_tag[config_tag(key)].append(key)
-    values = defaultdict(lambda: [0, 0, 0.0, ""])   # configs, entries, largest rel, where
+    # configs, entries, largest entry-wise and norm-wise differences, where
+    values = defaultdict(lambda: [0, 0, 0.0, 0.0, ""])
     solves = defaultdict(dict)
     for tag, keys in by_tag.items():
         keys = sorted(keys)
@@ -234,14 +235,15 @@ def report(bad: list, parent_dir: Path, change_dir: Path) -> None:
                 v = values[what]
                 v[0] += 1
                 if change is None:
-                    v[2], v[3] = np.inf, f"{tag} (shape)"
+                    v[2], v[3], v[4] = np.inf, np.inf, f"{tag} (shape)"
                     continue
                 v[1] += change[0]
-                if change[1] > v[2] or not v[3]:
-                    v[2], v[3] = change[1], tag
-    for what, (n, entries, rel, where) in sorted(values.items()):
-        print(f"MOVED {what}: {n} configurations, {entries} entries, "
-              f"largest relative difference {rel:.3g} ({where})")
+                v[3] = max(v[3], change[2])
+                if change[1] > v[2] or not v[4]:
+                    v[2], v[4] = change[1], tag
+    for what, (n, entries, rel, norm, where) in sorted(values.items()):
+        print(f"MOVED {what}: {n} configurations, {entries} entries, largest relative "
+              f"difference {rel:.3g} entry-wise ({where}), {norm:.3g} norm-wise")
     groups = defaultdict(list)      # what moved besides the rounding -> its solves
     for solve, fields in sorted(solves.items()):
         counts = [f for f in ("iterations", "converged", "operations") if f in fields]

@@ -3,8 +3,10 @@
 ``build_hierarchy`` runs the pre-computing phase once, for one
 ``SolverConfig``: per-level structured symbols (by folding), sparse
 corrections (by Galerkin products computed diagonal by diagonal, each
-dropped once the next level's exists), the damping of the configured
-smoothers, Gauss-Seidel triangles, and the coarsest direct solver.
+dropped once the next level's exists), the damping of a Richardson slot
+and the diagonal of a preconditioned CG slot on the levels whose
+configuration has one, Gauss-Seidel triangles, and the coarsest direct
+solver.
 Every level matrix is born as diagonals, stored by ``dia_from_bands``: a
 coarse level adds the structured part's bands and the correction's band by
 band, and the finest level takes the assembled matrix's, as ``split`` read
@@ -138,12 +140,15 @@ class _Level:
     ``operator`` is the level matrix without its rank-one term, stored by
     diagonals (``dia_from_bands``): on a coarse level the structured part's
     bands plus those of ``correction``, the correction by diagonals, which
-    only this reads; on the finest level those of the assembled ``A``.  A
-    level with a ``projector`` smooths with one damping, from the splitting
-    bound ``d``: ``omega_pre, omega_post = 2, 1 / max(d)`` (global scaling),
-    or ``2, 1`` and ``dinv = 1 / d`` (diagonal); ``jacobi_inv`` is
-    ``1 / diag(A + (gamma/N) e e^T)`` under the diagonal CG preconditioner.
-    What a level does not use is None, all four on the coarsest level.
+    only this reads; on the finest level those of the assembled ``A``.
+    ``rho = gamma / N`` is the weight of the rank-one term, None without
+    one.  A level computes only what the steps of its two slots read.  One
+    with a Richardson slot damps it from the splitting bound ``d``:
+    ``omega_pre, omega_post = 2, 1 / max(d)`` (global scaling), or ``2, 1``
+    and ``dinv = 1 / d`` (diagonal).  One whose CG slot runs the diagonal
+    preconditioner holds ``jacobi_inv = 1 / diag(A + rho e e^T)``.  What a
+    level does not use is None, all four on the coarsest level, which
+    smooths with neither slot.
     """
 
     def __init__(self, structured: StructuredOperator, correction: dict,
@@ -153,10 +158,12 @@ class _Level:
         self.sizes = structured.sizes
         self.n = structured.n_total
         self.gamma = structured.rank_one
+        self.rho = None if self.gamma is None else self.gamma / self.n
         self.config = config
         self.projector = projector
+        slots = () if projector is None else (config.pre, config.post)
         self.omega_pre = self.omega_post = self.dinv = self.jacobi_inv = None
-        if projector is not None:
+        if "richardson" in slots:
             # A <= diag(d) row by row: the global step damps by the largest row,
             # the diagonal one by each row's own, so lambda_max(D^{-1} A) <= 1
             d = splitting_diagonal(structured.symbol.sup_norm(), correction, self.n)
@@ -175,11 +182,9 @@ class _Level:
                                  f"its matrix holds an inf or a NaN")
         self.operator = operator
         self.nnz = int(np.count_nonzero(operator.data))     # the padding holds zeros
-        if projector is not None and config.cg_preconditioner == "diagonal":
+        if "cg" in slots and config.cg_preconditioner == "diagonal":
             diag = operator.diagonal()
-            if self.gamma is not None:
-                diag = diag + self.gamma / self.n
-            self.jacobi_inv = 1.0 / diag
+            self.jacobi_inv = 1.0 / (diag if self.rho is None else diag + self.rho)
         self._combined = None
         self._gs = None
         self._direct = None
@@ -200,14 +205,6 @@ class _Level:
         return y
 
     # -- Gauss-Seidel -----------------------------------------------------
-    def _triangles(self) -> tuple:
-        """``tril(A)`` and ``triu(A, 1)`` as views of the level's diagonals."""
-        A = self.operator
-        split = int(np.searchsorted(A.offsets, 0, side="right"))
-        lower = sp.dia_array((A.data[:split], A.offsets[:split]), shape=A.shape)
-        upper = sp.dia_array((A.data[split:], A.offsets[split:]), shape=A.shape)
-        return lower, upper
-
     def _ensure_gs(self):
         """Store the forward Gauss-Seidel triangle ``F`` once, on every level kind.
 
@@ -226,15 +223,20 @@ class _Level:
         and lower triangular (``_interleaved`` writes its CSC off the
         diagonals).  In natural order ``F`` is its own LU factor, so no
         factorization runs: ``structured.TriangularFactor`` scales the
-        columns in place and solves with them.  The tuple's last slot is
-        ``rho``, None without a rank-one term.
+        columns in place and solves with them.
+
+        The diagonals are sliced once, into the pivots (offset 0) and
+        ``triu(A, 1)``, a view of the offsets > 0: the tuple's third slot,
+        which the step multiplies by, ``_interleaved`` reads and the
+        nominal count counts.  The last slot is ``rho``.
         """
         if self._gs is None:
-            A, n = self.operator, self.n
+            A, n, rho = self.operator, self.n, self.rho
             first = int(np.searchsorted(A.offsets, 0))      # triu(A): the offsets >= 0
             data, offsets = A.data[first:], A.offsets[first:]
-            pivots = data[0] if offsets.size and offsets[0] == 0 else np.zeros(n)
-            rho = None if self.gamma is None else self.gamma / n
+            stored = int(offsets.size > 0 and offsets[0] == 0)
+            pivots = data[0] if stored else np.zeros(n)
+            upper = sp.dia_array((data[stored:], offsets[stored:]), shape=A.shape)
             if rho is not None:
                 pivots = pivots + rho
             zero = np.flatnonzero(pivots == 0.0)
@@ -244,10 +246,10 @@ class _Level:
             if rho is None:
                 lower = sp.dia_array((data, offsets), shape=A.shape).tocsr().T
             else:
-                lower = _interleaved(A, pivots, rho)
+                lower = _interleaved(upper, pivots, rho)
             # L, the triangle scaled to a unit diagonal, and U, its diagonal,
             # count nnz + rows entries, though the factor stores them in nnz
-            self._gs = ("triangular", TriangularFactor(lower), self._triangles()[1],
+            self._gs = ("triangular", TriangularFactor(lower), upper,
                         lower.nnz + lower.shape[0], rho)
         return self._gs
 
@@ -293,8 +295,8 @@ class _Level:
         """
         if self._direct is None:
             A = self.operator.tocsr().T
-            if self.gamma is not None:
-                A = _bordered(A, np.sqrt(self.gamma / self.n))
+            if self.rho is not None:
+                A = _bordered(A, np.sqrt(self.rho))
             lu = spla.splu(A)
             self._direct = ("sparse", lu, lu.L.nnz + lu.U.nnz)
         return self._direct
@@ -306,9 +308,10 @@ class _Level:
         return lu.solve(np.append(b, 0.0))[:self.n]
 
 
-def _interleaved(A: sp.dia_array, pivots: np.ndarray, rho: float) -> sp.csc_array:
+def _interleaved(upper: sp.dia_array, pivots: np.ndarray, rho: float) -> sp.csc_array:
     """The CSC arrays of the 2N-by-2N Gauss-Seidel triangle of
-    ``A + rho e e^T`` on the unknowns ``(x_0, s_0, x_1, s_1, ...)``.
+    ``A + rho e e^T`` on the unknowns ``(x_0, s_0, x_1, s_1, ...)``, from
+    ``upper``, ``triu(A, 1)`` as a view of the level's diagonals.
 
     Column ``2j`` (``x_j``) holds ``pivots[j] = A_jj + rho`` on row ``2j``,
     ``-1`` on row ``2j + 1`` and ``A_ij``, ``i > j``, on row ``2i``: row
@@ -322,9 +325,8 @@ def _interleaved(A: sp.dia_array, pivots: np.ndarray, rho: float) -> sp.csc_arra
     left.  Every temporary is at most N long, apart from the CSR and the
     mask of those slots.
     """
-    n = A.shape[0]
-    first = int(np.searchsorted(A.offsets, 1))
-    strict = sp.dia_array((A.data[first:], A.offsets[first:]), shape=A.shape).tocsr()
+    n = upper.shape[0]
+    strict = upper.tocsr()
     ptr = strict.indptr
     nnz = int(ptr[-1]) + 5 * n - 2
     # the column starts as numpy's index type, which scatters without a cast

@@ -14,8 +14,8 @@ so ``A <= diag(d)``.  The global factors take the largest row,
     omega_post = 1 / (sup|symbol| + ||R||_inf)
 
 and the diagonal form keeps every row's own bound, ``x + c diag(d)^{-1} r``
-with the same c = 2 (pre) and c = 1 (post).  Each smoothing level
-(``mgm._Level``) computes ``d`` with ``splitting_diagonal`` from its own
+with the same c = 2 (pre) and c = 1 (post).  Each level with a Richardson
+slot (``mgm._Level``) computes ``d`` with ``splitting_diagonal`` from its own
 (scaled) structured symbol and sparse correction, and keeps the one form
 its configuration uses, which keeps the damped spectrum at most ``c``
 level-wise.

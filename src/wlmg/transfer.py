@@ -80,7 +80,9 @@ def _columns(kind: AlgebraKind, n0: int, n1: int, index) -> tuple:
 
 class Projector:
     """Tensor-product projector between two grid levels: ``p`` and ``p^T``
-    over one set of arrays, built from ``TAPS``."""
+    over one set of arrays, built from ``TAPS``.  ``restrict`` and
+    ``prolong`` read their input as a float array; the kernels refuse one
+    that is not a vector of the right length with a ``ValueError``."""
 
     def __init__(self, kind: AlgebraKind, fine_sizes):
         self.kind = kind
@@ -95,17 +97,11 @@ class Projector:
 
     def prolong(self, y: np.ndarray) -> np.ndarray:
         """Coarse-to-fine map ``p y``."""
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.n_coarse,):
-            raise ValueError(f"expected coarse vector of length {self.n_coarse}")
-        return csc_matvec(self._sparse, y)
+        return csc_matvec(self._sparse, np.asarray(y, dtype=float))
 
     def restrict(self, r: np.ndarray) -> np.ndarray:
         """Fine-to-coarse map ``p^T r`` (exact adjoint of ``prolong``)."""
-        r = np.asarray(r, dtype=float)
-        if r.shape != (self.n_fine,):
-            raise ValueError(f"expected fine vector of length {self.n_fine}")
-        return csr_matvec(self._transpose, r)
+        return csr_matvec(self._transpose, np.asarray(r, dtype=float))
 
     def to_sparse(self) -> sp.csc_array:
         """Sparse ``p``, CSC, built on construction and cached: the transfers

@@ -9,6 +9,10 @@ bounds the two-grid contraction in the energy norm:
 with ``X = I`` throughout.  Whenever both constants exist, ``beta >= alpha``
 and ``||TGM||_A <= sqrt(1 - alpha/beta) < 1``.
 
+Each of the four constants refuses an ``A`` (and ``B``) that is not
+square, within 1024 rows, symmetric and positive definite, certified by a
+Cholesky factor; its one eigendecomposition is that of its pencil.
+
 This is the library's one dense module: ``theory_report`` reads its dense
 matrices off the sparse forms the solver runs, and the cycle's off ``vcycle``.
 """
@@ -32,46 +36,23 @@ _SIZE_CAP = 1024
 
 
 def _check_spd(A: np.ndarray, name: str):
+    """Refuse ``A`` unless it is square, within the cap, symmetric and has a
+    Cholesky factor, which certifies it positive definite."""
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be square")
     if A.shape[0] > _SIZE_CAP:
         raise ValueError(f"{name} exceeds the dense oracle cap {_SIZE_CAP}")
     if np.abs(A - A.T).max() > 1e-10 * max(np.abs(A).max(), 1.0):
         raise ValueError(f"{name} must be symmetric")
-    if la.eigvalsh(A).min() <= 0:
-        raise ValueError(f"{name} must be positive definite")
+    try:
+        la.cholesky(A)
+    except la.LinAlgError:
+        raise ValueError(f"{name} must be positive definite") from None
 
 
 def smoothing_constant(A: np.ndarray, V: np.ndarray, X: np.ndarray | None = None) -> float:
     """Largest ``alpha`` with ``V^T A V <= A - alpha * A X^{-1} A`` (X = I default)."""
     _check_spd(A, "A")
-    return _smoothing_constant(A, V, X)
-
-
-def approximation_constant(A: np.ndarray, p: np.ndarray) -> float:
-    """``beta = max_x ||(I - Pi_p) x||_2^2 / ||x||_A^2`` for full-rank ``p``:
-    the largest eigenvalue of the pencil ``(I - Q Q^T, A)``, ``Q`` an
-    orthonormal basis of the range of ``p``."""
-    _check_spd(A, "A")
-    return _approximation_constant(A, p)
-
-
-def spectral_equivalence(A: np.ndarray, B: np.ndarray) -> tuple:
-    """Extreme generalized eigenvalues of the pencil (A, B), both SPD."""
-    _check_spd(A, "A")
-    _check_spd(B, "B")
-    return _spectral_equivalence(A, B)
-
-
-def tgm_contraction(A: np.ndarray, M: np.ndarray) -> float:
-    """Energy-norm of an iteration matrix, ``||M||_A = ||A^{1/2} M A^{-1/2}||_2``:
-    the square root of the largest eigenvalue of the pencil ``(M^T A M, A)``."""
-    _check_spd(A, "A")
-    return _tgm_contraction(A, M)
-
-
-# The cores of the four constants, for an A (and B) already certified SPD.
-def _smoothing_constant(A, V, X) -> float:
     gap = A - V.T @ A @ V
     if X is None:
         W = A @ A
@@ -82,7 +63,11 @@ def _smoothing_constant(A, V, X) -> float:
     return float(vals.min())
 
 
-def _approximation_constant(A, p) -> float:
+def approximation_constant(A: np.ndarray, p: np.ndarray) -> float:
+    """``beta = max_x ||(I - Pi_p) x||_2^2 / ||x||_A^2`` for full-rank ``p``:
+    the largest eigenvalue of the pencil ``(I - Q Q^T, A)``, ``Q`` an
+    orthonormal basis of the range of ``p``."""
+    _check_spd(A, "A")
     q, _ = np.linalg.qr(p)
     if np.linalg.matrix_rank(p) < p.shape[1]:
         raise ValueError("p must have full column rank")
@@ -90,12 +75,18 @@ def _approximation_constant(A, p) -> float:
     return float(la.eigvalsh(complement, A)[-1])
 
 
-def _spectral_equivalence(A, B) -> tuple:
+def spectral_equivalence(A: np.ndarray, B: np.ndarray) -> tuple:
+    """Extreme generalized eigenvalues of the pencil (A, B), both SPD."""
+    _check_spd(A, "A")
+    _check_spd(B, "B")
     vals = la.eigvalsh(A, B)
     return float(vals.min()), float(vals.max())
 
 
-def _tgm_contraction(A, M) -> float:
+def tgm_contraction(A: np.ndarray, M: np.ndarray) -> float:
+    """Energy-norm of an iteration matrix, ``||M||_A = ||A^{1/2} M A^{-1/2}||_2``:
+    the square root of the largest eigenvalue of the pencil ``(M^T A M, A)``."""
+    _check_spd(A, "A")
     return float(np.sqrt(la.eigvalsh(M.T @ A @ M, A)[-1]))
 
 
@@ -147,7 +138,8 @@ def theory_report(bc, coeff, n: int) -> TheoryReport:
     """Run the full dense chain on a two-level Richardson hierarchy for one
     setup: ``A`` is its finest level matrix, rank-one term included, and
     ``(A, B)`` the ``theta`` pencil, ``B`` the splitting's structured part.
-    Each of ``A`` and ``B`` is certified symmetric positive definite once."""
+    Each constant certifies its own input by a Cholesky factor, so the only
+    eigendecompositions are those of the four pencils."""
     grid = GridSpec((n,), bc)
     coeff = make_coefficient(coeff, 1)
     problem = split(assemble(grid, coeff), grid, coeff)
@@ -155,17 +147,15 @@ def theory_report(bc, coeff, n: int) -> TheoryReport:
 
     lev = H.levels[0]
     A = _dense(lev.combined, lev.gamma, lev.n)
-    _check_spd(A, "A")          # once: the cores below take it as certified
     p = lev.projector.to_sparse().toarray()
     V_post = np.eye(len(A)) - lev.omega_post * A
-    alpha = _smoothing_constant(A, V_post, None)
-    beta = _approximation_constant(A, p)
+    alpha = smoothing_constant(A, V_post)
+    beta = approximation_constant(A, p)
     bound = float(np.sqrt(max(1.0 - alpha / beta, 0.0)))
-    contraction = _tgm_contraction(A, dense_iteration_matrix(H))
+    contraction = tgm_contraction(A, dense_iteration_matrix(H))
 
     S = problem.structured
     B = _dense(dia_from_bands(S.bands(), lev.n), S.rank_one, lev.n)
-    _check_spd(B, "B")
-    theta1, theta2 = _spectral_equivalence(A, B)
+    theta1, theta2 = spectral_equivalence(A, B)
     return TheoryReport(grid.bc.value, coeff.name, n, alpha, beta, bound,
                         contraction, theta1, theta2)

@@ -314,6 +314,15 @@ def galerkin_csr(R: sp.csr_array, projector) -> sp.csr_array:
     return G
 
 
+def dia_triangles(lev) -> tuple:
+    """``tril(A)`` and ``triu(A, 1)`` of a level as views of its diagonals,
+    split at the first offset above 0."""
+    A = lev.operator
+    split = int(np.searchsorted(A.offsets, 0, side="right"))
+    return (sp.dia_array((A.data[:split], A.offsets[:split]), shape=A.shape),
+            sp.dia_array((A.data[split:], A.offsets[split:]), shape=A.shape))
+
+
 def gs_triangle_product(lev) -> sp.csc_array:
     """The factored Gauss-Seidel triangle as SciPy's CSC of ``tril(A)``, and
     on a rank-one level as the 2N-by-2N block matrix
@@ -322,7 +331,7 @@ def gs_triangle_product(lev) -> sp.csc_array:
     permuted by fancy indexing to the interleaved order
     ``(x_0, s_0, x_1, s_1, ...)``, indices sorted."""
     n = lev.n
-    lower = sp.csc_array(lev._triangles()[0])
+    lower = sp.csc_array(dia_triangles(lev)[0])
     if lev.gamma is None:
         return lower
     rho = lev.gamma / n

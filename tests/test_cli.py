@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wlmg import cli
-from wlmg._tables import DAGGER, PAIR_SMOOTHERS, TABLES
+from wlmg._tables import DAGGER, PAIR_SMOOTHERS, TABLES, BenchTable
 from wlmg.cli import (BenchRow, bench_cell, bench_rows_csv, coefficient_from_spec,
                       evaluate_gates, run_bench_table)
 
@@ -157,6 +157,64 @@ def test_column_gates_skip_runs_without_their_sizes():
         f"table 6 column [{pair} / a7] needs > 1000 iterations at n >= 63": True,
         f"table 6 column [{pair} / a8] must not converge within N(n) at n >= 63": False,
     }
+
+
+def gate_table(reference, cell_gates=None, column_gates=None):
+    """A hand-made table of one pair over the cells of ``reference``,
+    ``{(coeff, n): count}``."""
+    return BenchTable(0, "gates", 1, "mgm", tuple(sorted({n for _, n in reference})),
+                      ("p",), tuple(sorted({c for c, _ in reference})), "global",
+                      {("p", c, n): v for (c, n), v in reference.items()},
+                      cell_gates or {}, column_gates or {})
+
+
+def gate_results(table, results) -> list:
+    """``evaluate_gates`` on one row per ``{(coeff, n): result}``, its ``ok``s."""
+    rows = [BenchRow(0, "p", c, n, v, table.reference[("p", c, n)], 0, 0)
+            for (c, n), v in results.items()]
+    return [ok for ok, _ in evaluate_gates(table, rows)]
+
+
+def test_le_gate_on_a_count_and_on_a_dagger():
+    """``le`` passes a count up to its bound and fails one above it or a
+    dagger, whatever the reference."""
+    table = gate_table({("a", 15): 10, ("b", 15): DAGGER}, {("p", "a"): ("le", 17),
+                                                            ("p", "b"): ("le", 17)})
+    assert gate_results(table, {("a", 15): 17, ("b", 15): 3}) == [True, True]
+    assert gate_results(table, {("a", 15): 18, ("b", 15): DAGGER}) == [False, False]
+    assert gate_results(table, {("a", 15): DAGGER}) == [False]
+
+
+def test_tol_gate_with_a_dagger_on_either_side():
+    """A dagger on either side of ``tol`` asks for the same cell exactly:
+    dagger against dagger passes, a count against a dagger fails both
+    ways; two counts compare within the tolerance."""
+    gates = {("p", c): ("tol", 2) for c in ("a", "b")}
+    table = gate_table({("a", 15): DAGGER, ("b", 15): 10}, gates)
+    assert gate_results(table, {("a", 15): DAGGER, ("b", 15): 12}) == [True, True]
+    assert gate_results(table, {("a", 15): 10, ("b", 15): DAGGER}) == [False, False]
+    assert gate_results(table, {("b", 15): 13}) == [False]
+
+
+def test_growth_gate_fails_on_one_step_above_its_limit():
+    """A ``growth`` column passes counts of at least 60 that grow by at most
+    the limit per step, and fails on a single step above it."""
+    reference = {("a", n): 60 for n in (15, 31, 63, 127)}
+    table = gate_table(reference, column_gates={("p", "a"): ("growth", 20.0)})
+    assert gate_results(table, dict(zip(reference, (60, 72, 86, 86)))) == [True]
+    assert gate_results(table, dict(zip(reference, (60, 72, 87, 86)))) == [False]
+
+
+def test_column_gate_skips_a_column_of_direct_solves():
+    """Rows whose reference is 1 are direct solves, left out of the column
+    gates: a column of only those gives no result, even one that would
+    fail, while the same counts against other references are gated."""
+    cells = {("a", 15): 1, ("a", 31): 1}
+    direct = gate_table(cells, column_gates={("p", "a"): ("spread", 2)})
+    assert gate_results(direct, {("a", 15): 1, ("a", 31): 50}) == []
+    gated = gate_table({c: 2 for c in cells}, column_gates={("p", "a"): ("spread", 2)})
+    assert gate_results(gated, {("a", 15): 1, ("a", 31): 50}) == [False]
+    assert gate_results(gated, {("a", 15): 1, ("a", 31): 3}) == [True]
 
 
 def test_bench_gate_evaluation_logic():

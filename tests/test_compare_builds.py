@@ -70,3 +70,34 @@ def test_report_gives_the_movement_of_every_group_of_solves(tmp_path, capsys):
     assert lines[5] == (f"  iterate {2.0**-52:.3g} entry-wise, "
                         f"{2.0**-52 / np.sqrt(2):.3g} norm-wise; "
                         "residual history 0 entry-wise, 0 norm-wise (1 of another length)")
+
+
+def test_report_gives_level_values_entry_wise_and_norm_wise(tmp_path, capsys):
+    """A moved level value reports its largest entry-wise relative
+    difference, with the configuration it is in, beside the largest
+    norm-wise one, which an entry near zero does not inflate; a value of
+    another shape reads inf both ways."""
+    moves = {"reflective/64/a2": ([1.0, 1e-12, 1.0], [1.0, 2e-12, 1.0]),
+             "reflective/64/a3": ([1.0, 1.0], [1.0 + 2.0**-50, 1.0])}
+    bad = []
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    for tag, (old, new) in moves.items():
+        key = f"{tag}/mgm/L0/step2_pre"
+        bad.append(key)
+        for side, values in (("parent", old), ("change", new)):
+            np.savez(tmp_path / side / f"{tag.replace('/', '_')}.npz", k0=np.array(values))
+    compare_builds.report(sorted(bad), tmp_path / "parent", tmp_path / "change")
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line == ("MOVED mgm/L0/step2_pre: 2 configurations, 2 entries, largest "
+                    f"relative difference 1 entry-wise (reflective/64/a2), "
+                    f"{1e-12 / np.sqrt(2):.3g} norm-wise")
+
+    tag = "periodic/64/a2"
+    bad.append(f"{tag}/mgm/L0/step2_pre")
+    for side, values in (("parent", np.ones(3)), ("change", np.ones(4))):
+        np.savez(tmp_path / side / f"{tag.replace('/', '_')}.npz", k0=values)
+    compare_builds.report(sorted(bad), tmp_path / "parent", tmp_path / "change")
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line == ("MOVED mgm/L0/step2_pre: 3 configurations, 2 entries, largest "
+                    "relative difference inf entry-wise (periodic/64/a2 (shape)), inf norm-wise")

@@ -2,7 +2,9 @@
 
 ``verify`` is the library's one dense module; every other module of
 ``wlmg`` is parsed here, and none may call ``toarray``, ``todense`` or
-``kron``.  The dense matrices live in ``tests/oracles.py``.
+``kron``, nor a dense eigensolver or inverse: ``eigh``, ``eigvalsh``,
+``eig``, ``eigvals`` or ``inv``.  The dense matrices live in
+``tests/oracles.py``.
 """
 
 import ast
@@ -12,7 +14,7 @@ import pytest
 
 import wlmg
 
-DENSE_CALLS = ("toarray", "todense", "kron")
+DENSE_CALLS = ("toarray", "todense", "kron", "eigh", "eigvalsh", "eig", "eigvals", "inv")
 MODULES = sorted(p for p in Path(wlmg.__file__).parent.glob("*.py") if p.name != "verify.py")
 
 
@@ -33,7 +35,12 @@ def test_the_check_sees_each_form_of_call():
     source = ("M = A.toarray()\nB = sp.kron(M, M)\n"
               "from numpy import kron\nC = kron(M, M).todense()\n")
     assert dense_calls(source) == [(1, "toarray"), (2, "kron"), (4, "kron"), (4, "todense")]
-    assert dense_calls("toarray = 1\nA.toarray\n") == []
+    source = ("w = np.linalg.eigvalsh(M)\nw, v = la.eigh(M, B)\n"
+              "from scipy.linalg import eig, eigvals, inv\n"
+              "z = eig(M)[0] + eigvals(M)\nN = inv(M) @ np.linalg.inv(M)\n")
+    assert dense_calls(source) == [(1, "eigvalsh"), (2, "eigh"), (4, "eig"), (4, "eigvals"),
+                                   (5, "inv"), (5, "inv")]
+    assert dense_calls("toarray = 1\nA.toarray\nlev.jacobi_inv\nla.inv\n") == []
 
 
 def test_every_solver_module_is_checked():

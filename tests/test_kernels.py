@@ -28,7 +28,7 @@ from wlmg.discretize import BoundaryCondition, GridSpec, assemble, split
 from wlmg.mgm import SolverConfig, build_hierarchy
 from wlmg.structured import TriangularFactor, csc_matvec, csr_matvec, dia_matvec
 
-from oracles import forward_substitution, gs_triangle_product, jump_1000
+from oracles import dia_triangles, forward_substitution, gs_triangle_product, jump_1000
 
 BCS = list(BoundaryCondition)
 MODULES = sorted(Path(wlmg.__file__).parent.glob("*.py"))
@@ -62,7 +62,7 @@ def test_each_kernel_equals_scipy_matmul(bc, dim):
     rng = np.random.default_rng(5)
     assert H.n_levels >= 2
     for lev in H.levels:
-        products = [(dia_matvec, lev.operator), *((dia_matvec, t) for t in lev._triangles())]
+        products = [(dia_matvec, lev.operator), *((dia_matvec, t) for t in dia_triangles(lev))]
         if lev.projector is not None:
             products += [(csr_matvec, lev.projector._transpose),
                          (csc_matvec, lev.projector.to_sparse())]

@@ -15,7 +15,8 @@ from wlmg.discretize import (BoundaryCondition, GridSpec, assemble, build_rhs,
 from wlmg.mgm import LevelHierarchy, SolverConfig, build_hierarchy, solve, vcycle
 from wlmg.verify import dense_iteration_matrix
 
-from oracles import bands_of, csr_from_bands, dense_operator, solve_full, split_csr
+from oracles import (bands_of, csr_from_bands, dense_operator, dia_triangles, solve_full,
+                     split_csr)
 
 D = BoundaryCondition.DIRICHLET
 
@@ -250,9 +251,10 @@ def test_iteration_matrix_diagonal_scaling():
 
 @pytest.mark.parametrize("bc", [D, BoundaryCondition.REFLECTIVE], ids=lambda bc: bc.value)
 def test_jacobi_inv_only_under_the_diagonal_preconditioner(bc):
-    """Only the diagonal CG preconditioner reads ``jacobi_inv``: without it
-    no level holds one, not even after a solve; with it every smoothing
-    level holds ``1 / (diag(A) + gamma/N)`` and the coarsest none."""
+    """Only the diagonal CG preconditioner reads ``jacobi_inv``: without it,
+    or without a CG slot, no level holds one, not even after a solve; with
+    both every smoothing level holds ``1 / (diag(A) + gamma/N)`` and the
+    coarsest none."""
     prob, b = make_system((31, 31) if bc is D else (32, 32), "a7", bc)
     H = build_hierarchy(prob, SolverConfig(pre="richardson", post="cg"))
     solve(H, b, max_iter=2)
@@ -260,6 +262,9 @@ def test_jacobi_inv_only_under_the_diagonal_preconditioner(bc):
     H = build_hierarchy(prob, SolverConfig(pre="richardson", post="cg",
                                            cg_preconditioner="diagonal"))
     assert H.n_levels >= 2 and H.levels[-1].jacobi_inv is None
+    no_cg = build_hierarchy(prob, SolverConfig(pre="richardson", post="gauss-seidel",
+                                               cg_preconditioner="diagonal"))
+    assert all(lev.jacobi_inv is None for lev in no_cg.levels)
     for lev in H.levels[:-1]:
         diag = lev.combined.diagonal()
         if lev.gamma is not None:
@@ -271,7 +276,8 @@ def test_jacobi_inv_only_under_the_diagonal_preconditioner(bc):
 def test_levels_hold_only_their_configured_damping(bc, monkeypatch):
     """The coarsest level, which does not smooth, never evaluates its
     symbol's sup norm and holds no damping; a global level holds no
-    ``dinv`` and a diagonal one the factors 2 and 1."""
+    ``dinv`` and a diagonal one the factors 2 and 1.  A hierarchy with no
+    Richardson slot evaluates no sup norm and holds no damping at all."""
     from wlmg.symbols import TensorSymbol
 
     evaluated, sup_norm = [], TensorSymbol.sup_norm
@@ -296,6 +302,15 @@ def test_levels_hold_only_their_configured_damping(bc, monkeypatch):
             else:
                 assert (lev.omega_pre, lev.omega_post) == (2.0, 1.0)
                 assert lev.dinv.shape == (lev.n,)
+    # no Richardson slot: no level bounds its splitting or holds a damping
+    for pre, post in (("gauss-seidel", "cg"), ("gauss-seidel", "gauss-seidel")):
+        for scaling in ("global", "diagonal"):
+            evaluated.clear()
+            H = build_hierarchy(prob, SolverConfig(pre=pre, post=post,
+                                                   richardson_scaling=scaling))
+            assert H.n_levels >= 2 and evaluated == []
+            for lev in H.levels:
+                assert (lev.omega_pre, lev.omega_post, lev.dinv) == (None, None, None)
 
 
 def test_levels_built_for_another_configuration_are_refused():
@@ -422,7 +437,8 @@ BCS = [D, BoundaryCondition.PERIODIC, BoundaryCondition.REFLECTIVE]
 def test_level_products_by_diagonals_match_csr(bc, dim):
     """On every level the product with the diagonals is the CSR product bit
     for bit, and the Gauss-Seidel triangles are ``tril(A)`` and
-    ``triu(A, 1)``, stored entries and products alike."""
+    ``triu(A, 1)``, stored entries and products alike; a smoothing level
+    stores the latter as the step's upper view."""
     n = 63 if bc is D else 64
     prob = make_problem((n,) * dim, "a2" if dim == 1 else "a7", bc)
     H = build_hierarchy(prob, SolverConfig(method="mgm", pre="gauss-seidel"))
@@ -437,7 +453,11 @@ def test_level_products_by_diagonals_match_csr(bc, dim):
         if lev.gamma is not None:
             want = want + lev.gamma * x.sum() / lev.n
         assert same_bits(lev.matvec(x), want)
-        lower, upper = lev._triangles()
+        lower, upper = dia_triangles(lev)
+        if lev.projector is not None:       # the view the Gauss-Seidel step multiplies by
+            stored = lev._gs[2]
+            assert np.array_equal(stored.offsets, upper.offsets)
+            assert same_bits(stored.data, upper.data)
         for got, ref in ((lower, sp.tril(A, format="csr")),
                          (upper, sp.triu(A, k=1, format="csr"))):
             assert same_bits(got @ x, ref @ x)
@@ -616,9 +636,11 @@ def test_coarsest_or_coarsenable_grid_does_not_warn(bc, sizes):
     ("max_iter", 2.5, r"^max_iter must be an integer, got 2.5"),
     ("max_iter", np.float64(3.0), r"^max_iter must be an integer"),
     ("max_iter", True, r"^max_iter must be an integer, got True"),
+    ("max_iter", 0, r"^max_iter must be >= 1$"),
+    ("max_iter", np.int64(-1), r"^max_iter must be >= 1$"),
 ], ids=["b-short", "b-column", "b-complex", "x0-long", "x0-square", "x0-complex",
         "tol-zero", "tol-negative", "tol-nan", "tol-string", "max_iter-float",
-        "max_iter-numpy-float", "max_iter-bool"])
+        "max_iter-numpy-float", "max_iter-bool", "max_iter-zero", "max_iter-negative"])
 def test_solve_rejects_bad_arguments(argument, value, message, monkeypatch):
     prob, b = make_system((15, 15), "a2")
     H = build_hierarchy(prob, SolverConfig(method="mgm"))

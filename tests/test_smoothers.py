@@ -311,6 +311,31 @@ def test_cg_steps_examples():
     assert np.allclose(x1, want, atol=1e-13)
 
 
+def test_richardson_refuses_a_non_positive_omega():
+    """``omega <= 0`` is refused before any product with ``A``."""
+    def no_product(v):
+        raise AssertionError("no product may run")
+    for omega in (0.0, -0.5):
+        for x in (np.zeros(3), None):
+            with pytest.raises(ValueError, match="^omega must be positive$"):
+                richardson(no_product, x, np.ones(3), omega)
+
+
+def test_cg_steps_returns_the_iterate_on_a_zero_residual_or_a_breakdown():
+    """A zero residual, or a direction of zero or negative curvature, gives
+    the iterate back unchanged, as a new array."""
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal(4)
+    cases = ((np.eye(4), x.copy()),             # b = A x: r = 0
+             (np.zeros((4, 4)), x + 1.0),       # z.Az = 0
+             (-np.eye(4), x + 1.0))             # z.Az < 0
+    for A, b in cases:
+        for dinv in (None, np.full(4, 0.5)):
+            got = cg_steps(dense_mv(A), x, b, dinv=dinv)
+            assert got is not x and got.tobytes() == x.tobytes()
+    assert np.array_equal(cg_steps(dense_mv(-np.eye(4)), None, np.ones(4)), np.zeros(4))
+
+
 def test_cg_diagonal_preconditioned_step():
     rng = np.random.default_rng(8)
     M = rng.standard_normal((5, 5))

@@ -74,11 +74,11 @@ def test_matrix_free_matches_sparse(kind):
 def test_length_mismatch():
     for sizes in ((7,), (7, 15)):
         P = Projector(AlgebraKind.TAU, sizes)
-        with pytest.raises(ValueError, match="coarse vector"):
+        with pytest.raises(ValueError, match=f"expected a vector of length {P.n_coarse},"):
             P.prolong(np.ones(P.n_coarse + 1))
-        with pytest.raises(ValueError, match="fine vector"):
+        with pytest.raises(ValueError, match=f"expected a vector of length {P.n_fine},"):
             P.restrict(np.ones(P.n_fine - 1))
-        with pytest.raises(ValueError, match="fine vector"):
+        with pytest.raises(ValueError, match=f"expected a vector of length {P.n_fine},"):
             P.restrict(np.ones((P.n_fine, 1)))
 
 
@@ -163,6 +163,25 @@ def test_galerkin_sparse_a2():
     assert np.abs(got - want).max() <= 1e-11 * max(np.abs(want).max(), 1)
     lam = np.linalg.eigvalsh(got)
     assert lam.min() >= -1e-10
+
+
+@pytest.mark.parametrize("sizes, steps", [((16,), (3,)), ((8, 8), (3, 24))],
+                         ids=["1d", "2d"])
+def test_galerkin_sparse_dct3_with_gapped_bands(sizes, steps):
+    """A DCT-III correction whose diagonals skip offsets (only 0 and
+    ``+-step``) extends to the rows the taps read without the diagonals in
+    the gaps, and its coarse correction is the sparse product ``p^T R p``."""
+    rng = np.random.default_rng(7)
+    n = int(np.prod(sizes))
+    R = sp.diags_array(rng.uniform(1.0, 2.0, n))
+    for step in steps:
+        upper = sp.diags_array(rng.uniform(-1.0, 1.0, n - step), offsets=step, shape=(n, n))
+        R = R + upper + upper.T
+    R = sp.csr_array(R)
+    P = Projector(AlgebraKind.DCT3, sizes)
+    got = coarse_correction(R, P).toarray()
+    want = galerkin_csr(R, P).toarray()
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("bc", list(BoundaryCondition))

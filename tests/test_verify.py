@@ -110,15 +110,64 @@ def test_non_spd_rejected():
         tgm_contraction(bad, np.eye(4))
 
 
-def test_report_certifies_each_matrix_once(monkeypatch):
-    """``theory_report`` certifies ``A`` and ``B`` once each, not once per
-    constant: each certificate is a full dense eigendecomposition."""
-    certified = []
-    check = verify._check_spd
-    monkeypatch.setattr(verify, "_check_spd",
-                        lambda M, name: (certified.append(name), check(M, name)))
+@pytest.mark.parametrize("A, message", [
+    (np.ones((4, 3)), "^A must be square$"),
+    (np.zeros((1025, 1025)), "^A exceeds the dense oracle cap 1024$"),
+    (np.triu(np.ones((4, 4))), "^A must be symmetric$"),
+    (np.ones((4, 4)), "^A must be positive definite$"),
+], ids=["non-square", "over-cap", "non-symmetric", "singular"])
+def test_each_constant_refuses_a_matrix_it_cannot_certify(A, message):
+    """Each of the four constants refuses its ``A`` before any other work;
+    ``spectral_equivalence`` refuses its ``B`` alike."""
+    n = A.shape[1]
+    for call in (lambda: smoothing_constant(A, np.eye(n)),
+                 lambda: approximation_constant(A, np.eye(n)[:, :1]),
+                 lambda: spectral_equivalence(A, np.eye(n)),
+                 lambda: tgm_contraction(A, np.eye(n))):
+        with pytest.raises(ValueError, match=message):
+            call()
+    if A.shape[0] == n <= 1024:
+        with pytest.raises(ValueError, match=message.replace("A", "B", 1)):
+            spectral_equivalence(np.eye(n), A)
+
+
+def test_approximation_constant_refuses_a_rank_deficient_p():
+    p = np.ones((6, 2))
+    with pytest.raises(ValueError, match="^p must have full column rank$"):
+        approximation_constant(spd(6, 6), p)
+
+
+def test_dense_iteration_matrix_is_capped():
+    """Above N = 4096 the extraction refuses before it allocates."""
+    from wlmg.discretize import split
+    from wlmg.mgm import SolverConfig, build_hierarchy
+    grid = GridSpec((65, 65), D)
+    H = build_hierarchy(split(assemble(grid, "a1"), grid, "a1"), SolverConfig(method="tgm"))
+    assert H.levels[0].n == 4225
+    with pytest.raises(ValueError, match=r"^dense extraction capped at N <= 4096$"):
+        verify.dense_iteration_matrix(H)
+
+
+def test_report_decomposes_only_its_four_pencils(monkeypatch):
+    """``theory_report`` certifies ``A`` and ``B`` by Cholesky factors, so
+    its only eigendecompositions are those of its four pencils, each with
+    a second matrix: none is of ``A`` or ``B`` alone."""
+    calls = []
+
+    def recording(module, name):
+        f = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            pencil = module is verify.la and (len(args) > 1 or kwargs.get("b") is not None)
+            calls.append((name, pencil))
+            return f(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+
+    for module in (verify.la, verify.np.linalg):
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+            recording(module, name)
     theory_report("periodic", "a2", 16)
-    assert certified == ["A", "B"]
+    assert calls == [("eigvalsh", True)] * 4
 
 
 def test_theorem_chain_dirichlet():
