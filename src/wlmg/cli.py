@@ -330,11 +330,16 @@ def run_bench(args: argparse.Namespace) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+# the default sizes of ``wlmg verify``: odd for the tau cutting of
+# Dirichlet grids, even for the circulant and DCT-III cuttings
+VERIFY_SIZES = {"dirichlet": (7, 15, 31), "periodic": (8, 16, 32), "reflective": (8, 16, 32)}
+
+
 def run_verify(args: argparse.Namespace) -> int:
     rows = []
     ok = True
     for coeff in args.coeffs.split(","):
-        for n in args.sizes or (7, 15, 31):
+        for n in args.sizes or VERIFY_SIZES[args.bc]:
             rep = theory_report(args.bc, coeff, n)
             rows.append(rep)
             if not rep.chain_holds:
@@ -421,7 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--bc", choices=BOUNDARY_CONDITIONS, default="dirichlet")
     vf.add_argument("--coeffs", default="a1,a2,a3",
                     help="comma-separated presets")
-    vf.add_argument("--sizes", type=_int_list, default=(7, 15, 31))
+    vf.add_argument("--sizes", type=_int_list, default=(),
+                    help="grid sizes (default 7,15,31 for Dirichlet, "
+                         "8,16,32 for periodic and reflective)")
     vf.add_argument("--output", default=None)
     return parser
 

@@ -23,11 +23,12 @@ Every level product on the solve path is a product with the level operator
 stored by diagonals (``sp.dia_array``): the residual, the smoothers, and
 the two triangles of Gauss-Seidel, which are slices of those diagonals.
 The grid transfers multiply by ``p^T`` (CSR) and ``p`` (CSC) over one set
-of arrays.  Each product calls SciPy's compiled kernel directly through
-``structured.dia_matvec`` (``csr_matvec``, ``csc_matvec`` for the
-transfers), not ``@``, whose dispatch costs about 3 us per product: for
-the 11 products of a 63^2 ``richardson+cg`` cycle, a seventh of its
-0.23 ms.  The result is the same bit for bit, in a new array per product.
+of arrays.  Each product is a ``structured.BoundProduct``, built at set-up
+(``_Level._product``, the third slot of ``_Level._gs``, the projector's
+two), which calls SciPy's compiled kernel directly, not ``@``, whose
+dispatch costs about 3 us per product: for the 10 products of a 63^2
+``richardson+cg`` cycle, about a sixth of its 0.17 ms.  The result is the
+same bit for bit, in a new array per product.
 The coarsest level is one SuperLU factor; with a rank-one term it factors
 the bordered matrix ``[[A, u], [u^T, -1]]``, ``u = sqrt(gamma/N) e``,
 whose solve with ``[b; 0]`` solves ``(A + u u^T) x = b`` without forming
@@ -47,9 +48,15 @@ runs (``structured.TriangularFactor``).
 The cycle makes no level product whose result it already knows.  Coarse
 levels start from the zero iterate, passed as ``x=None``, so the first
 smoothing step takes ``b`` as its residual; the outer iteration hands its
-stop-test residual ``r = b - A x`` to the next cycle, whose Richardson or
-CG pre-smoother consumes it.  Both leave every result bit-identical to the
-cycle that recomputes them.  The nominal costs still count these products.
+stop-test residual to the next cycle, whose Richardson or CG pre-smoother
+consumes it.  Both leave every result bit-identical to the cycle that
+recomputes them.  A CG post-smoother updates the cycle's own correction in
+place, and on level 0 hands the stop test the residual its recurrence
+forms, ``r - alpha A z`` from the product ``A z`` it makes anyway, so the
+stop test makes no product of its own.  That residual is one step deep
+(``r`` is a fresh ``b - A x``), so it stays within rounding of
+``b - A x``, though not bit for bit.  The nominal costs still count every
+product.
 """
 
 from __future__ import annotations
@@ -65,8 +72,8 @@ import scipy.sparse.linalg as spla
 
 from .discretize import AssembledProblem
 from .smoothers import cg_steps, richardson, splitting_diagonal
-from .structured import (AlgebraKind, StructuredOperator, TriangularFactor,
-                         dia_from_bands, dia_matvec)
+from .structured import (AlgebraKind, BoundProduct, StructuredOperator, TriangularFactor,
+                         dia_from_bands)
 from .transfer import Projector, coarse_size, coarsen_structured, galerkin_sparse
 
 __all__ = ["SolverConfig", "SolveReport", "LevelHierarchy",
@@ -141,6 +148,7 @@ class _Level:
     diagonals (``dia_from_bands``): on a coarse level the structured part's
     bands plus those of ``correction``, the correction by diagonals, which
     only this reads; on the finest level those of the assembled ``A``.
+    ``_product``, its bound product, is what ``matvec`` multiplies by.
     ``rho = gamma / N`` is the weight of the rank-one term, None without
     one.  A level computes only what the steps of its two slots read.  One
     with a Richardson slot damps it from the splitting bound ``d``:
@@ -181,6 +189,7 @@ class _Level:
                 raise ValueError(f"the coarse level of sizes {self.sizes} overflows: "
                                  f"its matrix holds an inf or a NaN")
         self.operator = operator
+        self._product = BoundProduct(operator)
         self.nnz = int(np.count_nonzero(operator.data))     # the padding holds zeros
         if "cg" in slots and config.cg_preconditioner == "diagonal":
             diag = operator.diagonal()
@@ -199,7 +208,7 @@ class _Level:
 
     # -- operator ---------------------------------------------------------
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = dia_matvec(self.operator, x)
+        y = self._product(x)
         if self.gamma is not None:
             y += self.gamma * x.sum() / self.n
         return y
@@ -226,9 +235,10 @@ class _Level:
         columns in place and solves with them.
 
         The diagonals are sliced once, into the pivots (offset 0) and
-        ``triu(A, 1)``, a view of the offsets > 0: the tuple's third slot,
-        which the step multiplies by, ``_interleaved`` reads and the
-        nominal count counts.  The last slot is ``rho``.
+        ``triu(A, 1)``, a view of the offsets > 0, which ``_interleaved``
+        reads.  The tuple's third slot is its bound product, which the step
+        multiplies by and whose ``matrix`` the nominal count counts.  The
+        last slot is ``rho``.
         """
         if self._gs is None:
             A, n, rho = self.operator, self.n, self.rho
@@ -249,7 +259,7 @@ class _Level:
                 lower = _interleaved(upper, pivots, rho)
             # L, the triangle scaled to a unit diagonal, and U, its diagonal,
             # count nnz + rows entries, though the factor stores them in nnz
-            self._gs = ("triangular", TriangularFactor(lower), upper,
+            self._gs = ("triangular", TriangularFactor(lower), BoundProduct(upper),
                         lower.nnz + lower.shape[0], rho)
         return self._gs
 
@@ -273,7 +283,7 @@ class _Level:
         if x is None:       # the solve leaves b as it is
             rhs = b
         else:
-            rhs = dia_matvec(upper, x)
+            rhs = upper(x)
             np.subtract(b, rhs, out=rhs)
         if rho is None:
             return factor.solve(rhs)
@@ -411,31 +421,47 @@ class LevelHierarchy:
 
 
 def _smoothing(lev: _Level, pre: bool, matvec: int):
-    """The pre- (or post-) smoothing step of ``lev`` as ``step(x, b, r)``,
-    and its nominal cost given that of one level product, ``matvec``.
+    """The pre- (or post-) smoothing step of ``lev`` as
+    ``step(x, b, r, overwrite_x=False, residual=False)``, and its nominal
+    cost given that of one level product, ``matvec``.
 
     ``x=None`` is the zero iterate and ``r``, if not None, is ``b - A x``,
     which Richardson and CG consume instead of recomputing it; Gauss-Seidel
-    needs ``b - triu(A, 1) x`` and ignores it.  The cost still counts the
-    products these skip: it is a nominal figure per step.  The smoother is
-    that of ``lev.config``, the damping and diagonals the level's own; the
-    functions and ``lev.matvec`` are looked up by name on every call.
+    needs ``b - triu(A, 1) x`` and ignores it.  ``overwrite_x`` hands the
+    step ``x`` to update in place, which only CG, the one step that would
+    copy it, takes up.  With ``residual`` the step returns ``(x, r)``,
+    ``r`` the residual of the new iterate that CG's recurrence forms and
+    None after the other two.  With neither flag the step is pure.  The
+    cost still counts the products these skip: it is a nominal figure per
+    step.  The smoother is that of ``lev.config``, the damping and diagonals
+    the level's own; the functions and ``lev.matvec`` are looked up by name
+    on every call.
     """
     name, n = (lev.config.pre if pre else lev.config.post), lev.n
+    if name == "cg":
+        dinv = lev.jacobi_inv
+
+        def step(x, b, r, overwrite_x=False, residual=False):
+            return cg_steps(lev.matvec, x, b, dinv=dinv, r=r, overwrite_x=overwrite_x,
+                            residual=residual)
+        return step, 2 * matvec + (10 if dinv is None else 12) * n
     if name == "gauss-seidel":
         _, _, upper, factor_nnz, _ = lev._ensure_gs()
         # b - triu(A, 1) x and one solve; a rank-one level also subtracts
         # rho (sum x - cumsum x), four more passes over x and one over r
-        cost = (2 * int(np.count_nonzero(upper.data)) + 2 * factor_nnz
+        cost = (2 * int(np.count_nonzero(upper.matrix.data)) + 2 * factor_nnz
                 + (n if lev.gamma is None else 6 * n))
-        return (lambda x, b, r: lev.gauss_seidel_step(x, b)), cost
-    if name == "cg":
-        dinv = lev.jacobi_inv
-        cost = 2 * matvec + (10 if dinv is None else 12) * n
-        return (lambda x, b, r: cg_steps(lev.matvec, x, b, dinv=dinv, r=r)), cost
+
+        def step(x, b, r, overwrite_x=False, residual=False):
+            x = lev.gauss_seidel_step(x, b)
+            return (x, None) if residual else x
+        return step, cost
     omega, dinv = (lev.omega_pre if pre else lev.omega_post), lev.dinv
-    cost = matvec + (3 if dinv is None else 4) * n
-    return (lambda x, b, r: richardson(lev.matvec, x, b, omega, dinv=dinv, r=r)), cost
+
+    def step(x, b, r, overwrite_x=False, residual=False):
+        x = richardson(lev.matvec, x, b, omega, dinv=dinv, r=r)
+        return (x, None) if residual else x
+    return step, matvec + (3 if dinv is None else 4) * n
 
 
 def _size_chain(kind: AlgebraKind, sizes, method: str):
@@ -501,18 +527,23 @@ def build_hierarchy(problem: AssembledProblem, config: SolverConfig | None = Non
 
 
 def vcycle(H: LevelHierarchy, s: int, x: np.ndarray | None, b: np.ndarray,
-           r: np.ndarray | None = None) -> np.ndarray:
+           r: np.ndarray | None = None, *, residual: bool = False):
     """One cycle of the recursive scheme starting at level ``s``.
 
     ``x=None`` is the zero iterate, with which every coarse level starts.
     ``r``, if given, is ``b - A x`` (the outer iteration's stop-test
     residual); the pre-smoother consumes it.  Either saves the
     pre-smoother's product with ``A``, and the result is the same bit for
-    bit.  ``x`` and ``b`` are not modified.
+    bit.  The post-smoother updates the cycle's own correction in place.
+    ``x`` and ``b`` are not modified.  With ``residual`` the cycle returns
+    ``(x, r)``, ``r`` the residual of the new iterate as a CG post-smoother
+    forms it, ``r - alpha A z`` from its product ``A z``, and None after any
+    other smoother or a direct solve.
     """
     lev = H.levels[s]
     if s == H.depth:
-        return lev.direct_solve(b)
+        x = lev.direct_solve(b)
+        return (x, None) if residual else x
     pre, post = H.smoothers[s]
     x = pre(x, b, r)
     r = lev.matvec(x)
@@ -521,7 +552,7 @@ def vcycle(H: LevelHierarchy, s: int, x: np.ndarray | None, b: np.ndarray,
     y_coarse = vcycle(H, s + 1, None, r_coarse)
     e = lev.projector.prolong(y_coarse)
     e += x
-    return post(e, b, None)
+    return post(e, b, None, overwrite_x=True, residual=residual)
 
 
 def _real_vector(v, n: int, name: str) -> np.ndarray:
@@ -539,7 +570,10 @@ def solve(H: LevelHierarchy, b: np.ndarray, tol: float = 1e-7,
     """Outer iteration from ``x0`` (default zero) until the relative
     Euclidean residual drops below ``tol``; returns ``(x, SolveReport)``.
 
-    The residual of the stop test seeds the next cycle's pre-smoother.  A
+    The stop test reads the residual a CG post-smoother formed on level 0
+    (``r - alpha A z``, one step deep, so within rounding of ``b - A x``)
+    and otherwise computes ``b - A x``; either seeds the next cycle's
+    pre-smoother.  A
     non-finite relative residual ends the run at once, with
     ``converged=False`` and that residual last in the history; ``b = 0``
     returns ``x = 0`` with no cycle.  Raises ``ValueError`` before the first
@@ -577,9 +611,10 @@ def solve(H: LevelHierarchy, b: np.ndarray, tol: float = 1e-7,
     it = 0
     r = None
     for it in range(1, max_iter + 1):
-        x = vcycle(H, 0, x, b, r)
-        r = finest.matvec(x)
-        np.subtract(b, r, out=r)
+        x, r = vcycle(H, 0, x, b, r, residual=True)
+        if r is None:
+            r = finest.matvec(x)
+            np.subtract(b, r, out=r)
         relres = float(np.linalg.norm(r)) / bnorm
         residuals.append(relres)
         if relres < tol:

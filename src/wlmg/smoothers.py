@@ -29,15 +29,21 @@ of recomputing it.  The result equals the one from ``x = 0`` or from
 ``r = None`` bit for bit: ``b - A 0`` is ``b`` exactly, and a given ``r``
 is the same product the step would make.
 
-Apart from a given ``r``, smoothing calls are pure: they return a new
-iterate and never mutate ``x`` or ``b``, so repeated calls with identical
-inputs are bit-identical.  Inside a call, arrays the call allocated itself
-are updated in place, in the same order of operations as the textbook
-formulas.  ``matvec`` is any product with ``A`` that returns a new float
-array; the step owns it and forms ``b - A x`` in it.  On the solve path it
-is ``_Level.matvec``: SciPy's compiled DIA kernel on the level operator
-stored by diagonals, called without ``@`` (``structured.dia_matvec``),
-whose dispatch takes about 3 us of a 13 us level-0 product at 63^2.
+Apart from a given ``r``, and an ``x`` handed over with ``overwrite_x``,
+smoothing calls are pure: they return a new iterate and never mutate ``x``
+or ``b``, so repeated calls with identical inputs are bit-identical.
+Inside a call, arrays the call allocated itself are updated in place, in
+the same order of operations as the textbook formulas.  ``matvec`` is any
+product with ``A`` that returns a new float array; the step owns it and
+forms ``b - A x`` in it.  On the solve path it is ``_Level.matvec``:
+SciPy's compiled DIA kernel on the level operator stored by diagonals,
+called without ``@`` through a ``structured.BoundProduct``, whose
+dispatch would take about 3 us of a 12 us level-0 product at 63^2.
+
+The CG step can also return the residual of its new iterate,
+``r - alpha A z``, from the product ``A z`` it forms anyway: the V-cycle
+hands it to the outer iteration's stop test, which then makes no product
+of its own (``mgm.solve``).
 """
 
 from __future__ import annotations
@@ -90,28 +96,41 @@ def richardson(matvec, x: np.ndarray | None, b: np.ndarray, omega: float,
 
 
 def cg_steps(matvec, x: np.ndarray | None, b: np.ndarray,
-             dinv: np.ndarray | None = None, r: np.ndarray | None = None
-             ) -> np.ndarray:
-    """One conjugate-gradient step from ``x``: ``x + (r.z / z.Az) z`` with
-    ``r = b - A x`` and ``z = r``.
+             dinv: np.ndarray | None = None, r: np.ndarray | None = None, *,
+             overwrite_x: bool = False, residual: bool = False):
+    """One conjugate-gradient step from ``x``: ``x + alpha z`` with
+    ``r = b - A x``, ``z = r`` and ``alpha = r.z / z.Az``.
 
     ``dinv`` switches to the diagonally preconditioned step, ``z = D^{-1} r``,
     which keeps the step locally scaled for strongly varying coefficients.
-    Returns the iterate unchanged (a new array) on a zero residual or a
-    breakdown (non-positive curvature).  ``x=None`` is the zero iterate and
-    a given ``r = b - A x`` is consumed (see the module docstring); each
-    saves one of the two products with ``A``.
+    Returns the iterate unchanged on a zero residual or a breakdown
+    (non-positive curvature).  ``x=None`` is the zero iterate and a given
+    ``r = b - A x`` is consumed (see the module docstring); each saves one
+    of the two products with ``A``.  ``overwrite_x`` updates a given ``x``
+    in place instead of a copy.  ``residual`` returns ``(x, r)``, with the
+    residual of the new iterate read off the recurrence, ``r - alpha A z``,
+    formed in the array of the product ``A z``; it is within rounding of
+    ``b - A x``, because ``r`` itself is a fresh product.  On a zero
+    residual or a breakdown that residual is the step's own ``r``.
     """
     if r is None:
         r = b.copy() if x is None else _residual(matvec, x, b)
-    x = np.zeros(b.shape) if x is None else np.array(x, dtype=float)
+    if x is None:
+        x = np.zeros(b.shape)
+    elif not overwrite_x:
+        x = np.array(x, dtype=float)
     z = r if dinv is None else dinv * r
     rz = float(r @ z)
     if rz == 0.0:
-        return x
-    zAz = float(z @ matvec(z))
+        return (x, r) if residual else x
+    Az = matvec(z)
+    zAz = float(z @ Az)
     if zAz <= 0.0:
-        return x
-    z *= rz / zAz
+        return (x, r) if residual else x
+    alpha = rz / zAz
+    if residual:        # before z, which may be r, is scaled
+        Az *= alpha
+        np.subtract(r, Az, out=Az)
+    z *= alpha
     x += z
-    return x
+    return (x, Az) if residual else x

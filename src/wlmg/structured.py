@@ -23,16 +23,18 @@ route from bands to a square sparse matrix.  No COO triples are formed and
 no duplicates summed (the COO and Kronecker construction survives as the
 test oracle, and the two agree bit for bit on the nonzero entries).
 
-Every sparse product of the solve path goes through ``dia_matvec``,
-``csr_matvec`` or ``csc_matvec``, which call SciPy's compiled kernels
-directly; this module is the only one that touches ``_sparsetools``.  At
-63^2 SciPy's ``@`` spends about 3 us per product before its kernel runs, a
+Every sparse product of the solve path is a ``BoundProduct``, which calls
+SciPy's compiled kernel directly with the operands it bound at set-up;
+this module is the only one that touches ``_sparsetools``.  At 63^2
+SciPy's ``@`` spends about 3 us per product before its kernel runs, a
 fifth of a level-0 product and a third of a level-1 one (under cProfile a
 ``richardson+cg`` solve spent 0.52 s in ``__matmul__`` for 17121
-products, 0.18 s of it in the kernels).  Each function allocates a zeroed
-float64 output and the kernel accumulates into it, as ``@`` does, so the
-products equal ``@``'s bit for bit.  The kernels themselves read past a
-short vector without a word, so each function checks the length first.
+products, 0.18 s of it in the kernels), and reading the shape and arrays
+off the matrix on every call cost another 0.5 to 0.9 us of a 10 us
+level-0 kernel.  Each product allocates a zeroed float64 output and the
+kernel accumulates into it, as ``@`` does, so the products equal ``@``'s
+bit for bit.  The kernels themselves read past a short vector without a
+word, so each product checks the length first.
 
 ``TriangularFactor`` is forward substitution with a sparse lower triangle
 in its natural order, which is its own LU factor: unit lower triangular
@@ -59,8 +61,8 @@ from scipy.sparse.linalg._dsolve import _superlu
 
 from .symbols import CosineSymbol, TensorSymbol
 
-__all__ = ["AlgebraKind", "StructuredOperator", "TriangularFactor", "algebra_grid",
-           "csc_matvec", "csr_matvec", "dia_from_bands", "dia_matvec"]
+__all__ = ["AlgebraKind", "BoundProduct", "StructuredOperator", "TriangularFactor",
+           "algebra_grid", "dia_from_bands"]
 
 if not hasattr(_superlu, "gstrs"):
     raise ImportError("wlmg needs SciPy's SuperLU triangular solve "
@@ -129,34 +131,42 @@ def dia_from_bands(bands: dict, n: int) -> sp.dia_array:
     return sp.dia_array((data, offsets), shape=(n, n))
 
 
-def _output(A, x: np.ndarray) -> np.ndarray:
-    """The zeroed output of ``A @ x``; a ``ValueError`` if ``x`` is not a
-    vector of ``A``'s column count."""
-    if x.shape != (A.shape[1],):
-        raise ValueError(f"expected a vector of length {A.shape[1]}, got shape {x.shape}")
-    return np.zeros(A.shape[0])
+class BoundProduct:
+    """``A @ x`` for one float64 sparse matrix ``A``, stored by diagonals
+    (``sp.dia_array``), as CSR or as CSC, by SciPy's compiled kernel.
 
+    The kernel and its operands (``A``'s shape, arrays and, by diagonals,
+    its offset count and band length) are bound once, on construction, so
+    a product reads no attribute of ``A``.  ``matrix`` is ``A``.  A call
+    refuses with a ``ValueError`` an ``x`` that is not a vector of ``A``'s
+    column count (the kernels read past a short one without a word), and
+    returns a new zeroed float64 array the kernel accumulated into.
+    """
 
-def dia_matvec(A: sp.dia_array, x: np.ndarray) -> np.ndarray:
-    """``A @ x`` for a float64 ``sp.dia_array``, by SciPy's DIA kernel."""
-    y = _output(A, x)
-    _sparsetools.dia_matvec(*A.shape, len(A.offsets), A.data.shape[1], A.offsets, A.data,
-                            x, y)
-    return y
+    __slots__ = ("matrix", "_kernel", "_operands", "_shape", "_rows")
 
+    def __init__(self, A):
+        if A.dtype != np.float64:
+            raise TypeError(f"a bound product needs a float64 matrix, not {A.dtype}")
+        if A.format == "dia":
+            kernel = _sparsetools.dia_matvec
+            operands = (*A.shape, len(A.offsets), A.data.shape[1], A.offsets, A.data)
+        elif A.format in ("csr", "csc"):
+            kernel = _sparsetools.csr_matvec if A.format == "csr" else _sparsetools.csc_matvec
+            operands = (*A.shape, A.indptr, A.indices, A.data)
+        else:
+            raise TypeError(f"no bound product for the {A.format} format")
+        self.matrix = A
+        self._kernel, self._operands = kernel, operands
+        self._rows, self._shape = A.shape[0], (A.shape[1],)
 
-def csr_matvec(A: sp.csr_array, x: np.ndarray) -> np.ndarray:
-    """``A @ x`` for a float64 ``sp.csr_array``, by SciPy's CSR kernel."""
-    y = _output(A, x)
-    _sparsetools.csr_matvec(*A.shape, A.indptr, A.indices, A.data, x, y)
-    return y
-
-
-def csc_matvec(A: sp.csc_array, x: np.ndarray) -> np.ndarray:
-    """``A @ x`` for a float64 ``sp.csc_array``, by SciPy's CSC kernel."""
-    y = _output(A, x)
-    _sparsetools.csc_matvec(*A.shape, A.indptr, A.indices, A.data, x, y)
-    return y
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if x.shape != self._shape:
+            raise ValueError(f"expected a vector of length {self._shape[0]}, "
+                             f"got shape {x.shape}")
+        y = np.zeros(self._rows)
+        self._kernel(*self._operands, x, y)
+        return y
 
 
 class TriangularFactor:

@@ -14,9 +14,10 @@ built from them alone: ``Projector`` stores the CSR arrays of ``p^T``, one
 row per coarse unknown.  ``restrict`` multiplies by that CSR matrix and
 ``prolong`` by the CSC matrix over the same three arrays, which is ``p``
 (``p`` is rectangular, so it is not stored by diagonals like the square
-level operators of ``mgm``).  Both call SciPy's compiled kernels directly,
-``structured.csr_matvec`` and ``csc_matvec``: ``@`` spends about 3 us per
-transfer on dispatch, a third of a level-1 transfer at 63^2.
+level operators of ``mgm``).  Both are ``structured.BoundProduct``s, built
+with the projector, which call SciPy's compiled kernels directly: ``@``
+spends about 3 us per transfer on dispatch, a third of a level-1 transfer
+at 63^2.
 
 Galerkin coarsening never forms a sparse triple product.  The coarse symbol
 of the structured part is the algebra-specific fold of ``s^2 p(t)^2 g(t)``.
@@ -32,8 +33,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .structured import (AlgebraKind, StructuredOperator, csc_matvec, csr_matvec,
-                         integer_sizes)
+from .structured import AlgebraKind, BoundProduct, StructuredOperator, integer_sizes
 from .symbols import CosineSymbol, TensorSymbol, fold, fold_pairsum
 
 __all__ = ["Projector", "coarse_size", "galerkin_structured", "galerkin_sparse"]
@@ -80,9 +80,10 @@ def _columns(kind: AlgebraKind, n0: int, n1: int, index) -> tuple:
 
 class Projector:
     """Tensor-product projector between two grid levels: ``p`` and ``p^T``
-    over one set of arrays, built from ``TAPS``.  ``restrict`` and
-    ``prolong`` read their input as a float array; the kernels refuse one
-    that is not a vector of the right length with a ``ValueError``."""
+    over one set of arrays, built from ``TAPS``, and their bound products.
+    ``restrict`` and ``prolong`` read their input as a float array; the
+    products refuse one that is not a vector of the right length with a
+    ``ValueError``."""
 
     def __init__(self, kind: AlgebraKind, fine_sizes):
         self.kind = kind
@@ -94,14 +95,16 @@ class Projector:
         self._sparse = None         # p, CSC
         self._transpose = None      # p^T, CSR over the same arrays
         self.to_sparse()            # both are built here, never in a solve
+        self._prolong = BoundProduct(self._sparse)
+        self._restrict = BoundProduct(self._transpose)
 
     def prolong(self, y: np.ndarray) -> np.ndarray:
         """Coarse-to-fine map ``p y``."""
-        return csc_matvec(self._sparse, np.asarray(y, dtype=float))
+        return self._prolong(np.asarray(y, dtype=float))
 
     def restrict(self, r: np.ndarray) -> np.ndarray:
         """Fine-to-coarse map ``p^T r`` (exact adjoint of ``prolong``)."""
-        return csr_matvec(self._transpose, np.asarray(r, dtype=float))
+        return self._restrict(np.asarray(r, dtype=float))
 
     def to_sparse(self) -> sp.csc_array:
         """Sparse ``p``, CSC, built on construction and cached: the transfers

@@ -394,31 +394,60 @@ def infinity_norm(A: sp.csr_array) -> float:
     return float(abs(A).sum(axis=1).max())
 
 
-def vcycle_full(H, s, x, b):
+def cg_step_full(lev, x, b):
+    """One CG step of ``lev``'s post-smoothing slot from ``x`` by the
+    textbook formulas, every product made: the new iterate
+    ``x + alpha z`` and the recurrence residual ``r - alpha A z``, with
+    ``r = b - A x``, ``z = D^{-1} r`` (``z = r`` without a preconditioner)
+    and ``alpha = r.z / z.Az``; on a zero ``r.z`` or a non-positive
+    ``z.Az``, ``x`` and ``r``."""
+    r = b - lev.matvec(x)
+    z = r if lev.jacobi_inv is None else lev.jacobi_inv * r
+    rz = float(r @ z)
+    if rz == 0.0:
+        return x, r
+    Az = lev.matvec(z)
+    zAz = float(z @ Az)
+    if zAz <= 0.0:
+        return x, r
+    alpha = rz / zAz
+    return x + alpha * z, r - alpha * Az
+
+
+def vcycle_full(H, s, x, b, r=None):
     """The V-cycle that makes every product: each coarse level starts from
-    an explicit zero vector and each pre-smoother recomputes ``b - A x``."""
+    an explicit zero vector and each pre-smoother recomputes ``b - A x``,
+    unless given ``r``, the recurrence residual of the last cycle's CG
+    post-step.  Returns the iterate and, after a CG post-step
+    (``cg_step_full``), its recurrence residual, else None."""
     lev = H.levels[s]
     if s == H.depth:
-        return lev.direct_solve(b)
+        return lev.direct_solve(b), None
     pre, post = H.smoothers[s]
-    x = pre(x, b, None)
+    x = pre(x, b, r)
     r = b - lev.matvec(x)
-    y_coarse = vcycle_full(H, s + 1, np.zeros(H.levels[s + 1].n), lev.projector.restrict(r))
+    y_coarse, _ = vcycle_full(H, s + 1, np.zeros(H.levels[s + 1].n),
+                              lev.projector.restrict(r))
     e = lev.projector.prolong(y_coarse)
     e += x
-    return post(e, b, None)
+    if lev.config.post == "cg":
+        return cg_step_full(lev, e, b)
+    return post(e, b, None), None
 
 
 def solve_full(H, b, tol=1e-7, max_iter=None, x0=None):
-    """The outer iteration over ``vcycle_full``; the stop test's residual is
-    not reused.  Returns the iterate and the residual history."""
+    """The outer iteration over ``vcycle_full``.  The stop test reads the
+    CG post-step's recurrence residual, which also seeds the next cycle's
+    pre-smoother; after any other post-smoother it computes ``b - A x``,
+    which is not reused.  Returns the iterate and the residual history."""
     n = H.levels[0].n
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     bnorm = float(np.linalg.norm(b))
-    residuals = []
+    residuals, r = [], None
     for _ in range(n if max_iter is None else max_iter):
-        x = vcycle_full(H, 0, x, b)
-        residuals.append(float(np.linalg.norm(b - H.levels[0].matvec(x))) / bnorm)
+        x, r = vcycle_full(H, 0, x, b, r)
+        stop = b - H.levels[0].matvec(x) if r is None else r
+        residuals.append(float(np.linalg.norm(stop)) / bnorm)
         if residuals[-1] < tol:
             break
     return x, residuals

@@ -300,6 +300,29 @@ def test_verify_cli(tmp_path):
         assert alpha > 0 and beta >= alpha and measured <= bound + 1e-8
 
 
+@pytest.mark.parametrize("bc", ["dirichlet", "periodic", "reflective"])
+def test_verify_default_sizes_follow_the_boundary_condition(bc, tmp_path, capsys):
+    """``wlmg verify --bc <bc>`` with no ``--sizes`` runs 7,15,31 on
+    Dirichlet grids and 8,16,32 on periodic and reflective ones, exits 0,
+    and writes the rows recorded under tests/data, each value within
+    1e-12 relative (their printed digits round by at most 5e-13)."""
+    out = tmp_path / "theory.csv"
+    assert cli.main(["verify", "--bc", bc, "--output", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("theory suite: all chains hold\n")
+    assert set(cli.VERIFY_SIZES) == {"dirichlet", "periodic", "reflective"}
+    got = out.read_text().splitlines()
+    want = (Path(__file__).parent / "data" / f"verify_{bc}.csv").read_text().splitlines()
+    assert got[0] == want[0] and len(got) == len(want) == 10
+    sizes = set()
+    for line, ref in zip(got[1:], want[1:]):
+        row, ref = line.split(","), ref.split(",")
+        assert row[:3] == ref[:3]
+        sizes.add(int(row[2]))
+        for value, recorded in zip(map(float, row[3:]), map(float, ref[3:])):
+            assert abs(value - recorded) <= 1e-12 * abs(recorded)
+    assert tuple(sorted(sizes)) == cli.VERIFY_SIZES[bc]
+
+
 def test_pair_mapping_contract():
     rgs = PAIR_SMOOTHERS["richardson+gauss-seidel"]
     assert (rgs["pre"], rgs["post"]) == ("gauss-seidel", "richardson")

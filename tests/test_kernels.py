@@ -1,10 +1,10 @@
 """The solve path's sparse products call SciPy's compiled kernels directly.
 
-``structured.dia_matvec``, ``csr_matvec`` and ``csc_matvec`` pass SciPy's
-private ``_sparsetools`` kernels the arrays of a sparse matrix.  Here each
-is held to SciPy's own ``@`` bit for bit on every operator the solve path
-multiplies by, so a SciPy release that changes the private signature fails
-these tests instead of returning wrong numbers.  ``structured`` is the one
+A ``structured.BoundProduct`` passes SciPy's private ``_sparsetools``
+kernel the arrays of a sparse matrix (DIA, CSR or CSC), bound once.  Here
+each product the solve path stores is held to SciPy's own ``@`` bit for
+bit, so a SciPy release that changes the private signature fails these
+tests instead of returning wrong numbers.  ``structured`` is the one
 module that may name ``_sparsetools`` or ``_superlu``, and the raw kernels
 do not check lengths, so each product must refuse a vector of the wrong
 length.  ``structured.TriangularFactor`` solves with a Gauss-Seidel
@@ -26,7 +26,7 @@ import scipy.sparse.linalg as spla
 import wlmg
 from wlmg.discretize import BoundaryCondition, GridSpec, assemble, split
 from wlmg.mgm import SolverConfig, build_hierarchy
-from wlmg.structured import TriangularFactor, csc_matvec, csr_matvec, dia_matvec
+from wlmg.structured import BoundProduct, TriangularFactor
 
 from oracles import dia_triangles, forward_substitution, gs_triangle_product, jump_1000
 
@@ -53,50 +53,76 @@ def inputs(n, rng):
             rng.integers(-5, 6, n))
 
 
+def stored_products(lev) -> list:
+    """The bound products a level keeps, each with the matrix it multiplies
+    by, rebuilt from the level's own arrays: the level operator, and on a
+    smoothing level the Gauss-Seidel step's ``triu(A, 1)`` and the
+    projector's ``p^T`` (CSR) and ``p`` (CSC)."""
+    products = [(lev._product, lev.operator)]
+    if lev.projector is not None:
+        proj = lev.projector
+        products += [(lev._ensure_gs()[2], dia_triangles(lev)[1]),
+                     (proj._restrict, sp.csr_array(proj.to_sparse().T)),
+                     (proj._prolong, proj.to_sparse())]
+    return products
+
+
 @pytest.mark.parametrize("bc", BCS, ids=lambda bc: bc.value)
 @pytest.mark.parametrize("dim", [1, 2])
 def test_each_kernel_equals_scipy_matmul(bc, dim):
     """Every level operator, both Gauss-Seidel triangles, ``p`` and ``p^T``:
-    the direct kernel gives ``@``'s result bit for bit, float64 out."""
-    H = hierarchy(bc, dim)
+    a bound product gives ``@``'s result bit for bit, float64 out, on the
+    products the levels store and on ones bound here."""
+    H = hierarchy(bc, dim, pre="gauss-seidel")
     rng = np.random.default_rng(5)
     assert H.n_levels >= 2
     for lev in H.levels:
-        products = [(dia_matvec, lev.operator), *((dia_matvec, t) for t in dia_triangles(lev))]
-        if lev.projector is not None:
-            products += [(csr_matvec, lev.projector._transpose),
-                         (csc_matvec, lev.projector.to_sparse())]
-        for kernel, A in products:
+        products = stored_products(lev)
+        products += [(BoundProduct(t), t) for t in dia_triangles(lev)]
+        for product, A in products:
+            assert product.matrix.format == A.format
             for x in inputs(A.shape[1], rng):
                 want = A @ x
                 assert want.dtype == np.float64
-                assert same_bits(kernel(A, x), want)
+                assert same_bits(product(x), want)
 
 
 @pytest.mark.parametrize("bc", BCS, ids=lambda bc: bc.value)
 def test_a_vector_of_the_wrong_length_raises(bc):
-    """One entry short or one long is a ``ValueError``, not a read past the
-    end of the vector."""
-    H = hierarchy(bc, 2)
+    """One entry short or one long, or a column, is a ``ValueError`` naming
+    the expected length, not a read past the end of the vector; so are the
+    level product and the transfers built on them."""
+    H = hierarchy(bc, 2, pre="gauss-seidel")
     for lev in H.levels:
+        for product, A in stored_products(lev):
+            n = A.shape[1]
+            for x in (np.ones(n - 1), np.ones(n + 1), np.ones((n, 1))):
+                with pytest.raises(ValueError, match=f"expected a vector of length {n},"):
+                    product(x)
         for n in (lev.n - 1, lev.n + 1):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"expected a vector of length {lev.n},"):
                 lev.matvec(np.ones(n))
-            with pytest.raises(ValueError):
-                dia_matvec(lev.operator, np.ones(n))
         proj = lev.projector
         if proj is None:
             continue
         for n in (proj.n_fine - 1, proj.n_fine + 1):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"expected a vector of length {proj.n_fine},"):
                 proj.restrict(np.ones(n))
-            with pytest.raises(ValueError):
-                csr_matvec(proj._transpose, np.ones(n))
         for n in (proj.n_coarse - 1, proj.n_coarse + 1):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError,
+                               match=f"expected a vector of length {proj.n_coarse},"):
                 proj.prolong(np.ones(n))
-            with pytest.raises(ValueError):
-                csc_matvec(proj.to_sparse(), np.ones(n))
+
+
+def test_a_bound_product_takes_only_float64_dia_csr_or_csc():
+    A = sp.random_array((5, 4), density=0.5, format="csr", rng=1)
+    for fmt in ("dia", "csr", "csc"):
+        product = BoundProduct(A.asformat(fmt))
+        assert same_bits(product(np.arange(4.0)), A @ np.arange(4.0))
+    with pytest.raises(TypeError, match="coo"):
+        BoundProduct(A.tocoo())
+    with pytest.raises(TypeError, match="float64"):
+        BoundProduct(A.astype(np.float32))
 
 
 @pytest.mark.parametrize("bc", BCS, ids=lambda bc: bc.value)

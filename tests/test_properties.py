@@ -15,6 +15,10 @@
 * Smoothing steps never modify ``x`` or ``b``; ``x=None`` steps as from
   zero and a given residual ``r = b - A x`` steps as without it, bit for
   bit (the given ``r`` is consumed).
+* With a CG post-smoother ``solve`` stops on the CG step's recurrence
+  residual ``r - alpha A z``; it is within the benchmark checker's
+  rounding allowance of ``b - (A + rho e e^T) x`` recomputed, and on a
+  zero residual or a breakdown the step returns its own ``r``.
 * ``StructuredOperator.to_sparse`` builds band by band, in 1-D and 2-D;
   it equals the COO and Kronecker construction of
   ``oracles.sparse_matrix_coo`` and ``oracles.to_sparse_kron`` bit for bit,
@@ -49,6 +53,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import wlmg.mgm
 import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -57,7 +62,8 @@ from wlmg._tables import TABLES
 from wlmg.cli import BenchRow, bench_cell, bench_rows_csv
 from wlmg.discretize import (TWO_D_ONLY_PRESETS, BoundaryCondition, DiffusionCoefficient,
                              GridSpec, _read_bands, algebra_for_bc, assemble, split)
-from wlmg.mgm import SMOOTHERS, SolverConfig, build_hierarchy
+from wlmg.mgm import SMOOTHERS, SolverConfig, build_hierarchy, solve
+from wlmg.smoothers import cg_steps
 from wlmg.structured import AlgebraKind, StructuredOperator, dia_from_bands
 from wlmg.symbols import CosineSymbol, TensorSymbol
 from wlmg.transfer import Projector, coarsen_structured, galerkin_sparse
@@ -433,6 +439,106 @@ def test_smoothers_never_modify_their_inputs(bc, dim, smoother, zero_x, give_r,
     assert same_bits(got, step(x_full, b, None))
     assert same_bits(b, b_before) and same_bits(x_full, x_before)
     assert zero_x or same_bits(x, x_before)
+
+
+EPS = np.finfo(float).eps
+
+
+def residual_allowance(lev, b, x) -> float:
+    """The benchmark checker's rounding allowance for a residual of
+    ``A + rho e e^T`` at ``x``: ``2 (row_nnz + 3) eps || |b| + |A| |x|
+    + rho sum|x| ||``, ``row_nnz`` the most entries of a row of ``A``."""
+    A, rho = lev.combined, (lev.gamma or 0.0) / lev.n
+    row_nnz = int(np.diff(A.indptr).max())
+    scale = np.abs(b) + abs(A) @ np.abs(x) + rho * np.abs(x).sum()
+    return 2.0 * (row_nnz + 3) * EPS * float(np.linalg.norm(scale))
+
+
+def recomputed_residual(lev, b, x) -> np.ndarray:
+    """``b - (A + rho e e^T) x`` by SciPy's CSR product."""
+    rho = (lev.gamma or 0.0) / lev.n
+    return b - (lev.combined @ x + rho * x.sum())
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("preconditioner", ["none", "diagonal"])
+@settings(checked, max_examples=4)
+@given(pre=st.sampled_from(SMOOTHERS), start=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_stop_test_residual_is_the_recomputed_residual(bc, dim, preconditioner, pre, start,
+                                                       seed):
+    """With a CG post-smoother ``solve`` stops on the residual the level-0
+    CG step read off its recurrence, ``r - alpha A z``.  After every cycle
+    that residual is within the benchmark checker's rounding allowance of
+    ``b - (A + rho e e^T) x`` recomputed at the cycle's iterate (rank-one
+    levels on periodic and reflective grids), and the history holds its
+    norm over ``||b||`` bit for bit."""
+    H = smoothing_hierarchy(bc, dim, SolverConfig(pre=pre, post="cg",
+                                                  cg_preconditioner=preconditioner))
+    lev = H.levels[0]
+    assert (lev.gamma is None) == (bc is BoundaryCondition.DIRICHLET)
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal(lev.n)
+    x0 = rng.standard_normal(lev.n) if start else None
+    cycle, seen = wlmg.mgm.vcycle, []
+
+    def recording(H, s, x, b, r=None, **kwargs):
+        out = cycle(H, s, x, b, r, **kwargs)
+        if s == 0:
+            assert kwargs == {"residual": True} and out[1] is not None
+            seen.append((out[0].copy(), out[1].copy()))     # the next cycle consumes r
+        return out
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(wlmg.mgm, "vcycle", recording)
+        x, rep = solve(H, b, max_iter=8, x0=x0)
+    assert len(seen) == rep.iterations and same_bits(seen[-1][0], x)
+    bnorm = float(np.linalg.norm(b))
+    for (x_k, r_k), relres in zip(seen, rep.residuals):
+        assert float(np.linalg.norm(r_k)) / bnorm == relres
+        gap = float(np.linalg.norm(r_k - recomputed_residual(lev, b, x_k)))
+        assert gap <= residual_allowance(lev, b, x_k)
+
+
+@pytest.mark.parametrize("case", ["step", "zero-residual", "negative-curvature"])
+@settings(checked, max_examples=20)
+@given(n=st.integers(1, 12), diagonal=st.booleans(), start=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_cg_step_residual_is_its_recurrence(case, n, diagonal, start, seed):
+    """``cg_steps(..., residual=True)`` returns the iterate of the plain
+    step bit for bit, as does ``overwrite_x=True`` in the array it was
+    handed, and, after a step, ``r - alpha A z`` within the
+    checker's allowance of ``b - A x`` recomputed at the new iterate.  On a
+    zero residual (``r.z == 0``) and on non-positive curvature
+    (``z.Az <= 0``) it returns the iterate unchanged and the step's own
+    ``r``, ``b - A x`` as the step formed it."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    A = M @ M.T + n * np.eye(n)
+    if case == "negative-curvature":
+        A = -A
+    dinv = 1.0 / rng.uniform(0.5, 2.0, n) if diagonal else None
+    x = rng.integers(-4, 5, n).astype(float) if start else None
+    x_full = np.zeros(n) if x is None else x
+    if case == "zero-residual":
+        A = np.diag(rng.integers(1, 5, n).astype(float))    # b = A x exactly
+        b = A @ x_full
+    else:
+        b = rng.standard_normal(n)
+    matvec = lambda v: A @ v                                 # noqa: E731
+    got, r = cg_steps(matvec, x, b, dinv=dinv, residual=True)
+    assert same_bits(got, cg_steps(matvec, x, b, dinv=dinv))
+    if x is not None:       # the step handed x updates it in place, to the same bits
+        own = x.copy()
+        assert cg_steps(matvec, own, b, dinv=dinv, overwrite_x=True) is own
+        assert same_bits(own, got)
+    if case == "step":
+        A_abs = np.abs(A)
+        scale = np.linalg.norm(np.abs(b) + A_abs @ np.abs(got))
+        assert np.linalg.norm(r - (b - A @ got)) <= 2.0 * (n + 3) * EPS * scale
+    else:
+        assert same_bits(got, x_full)
+        assert same_bits(r, b - A @ x_full)
 
 
 def check_factored_matrices(grid: GridSpec, coeff, method: str):
