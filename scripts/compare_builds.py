@@ -5,8 +5,8 @@ process with that checkout's ``src`` on the import path, and compares:
 
 * level arrays by value (index arrays may change their integer type): the
   splitting's ``a_min`` and correction (as CSR, whether the checkout holds
-  it as CSR or by diagonals), and per level the CSR ``combined``
-  and ``structured.to_sparse()`` arrays, the diagonals, ``sup|symbol|``,
+  it as CSR or by diagonals), and per level the CSR arrays of ``combined``
+  and of the structured part's bands, the diagonals, ``sup|symbol|``,
   the projector (as CSR, whether the checkout stores it as CSR or CSC), and
   the nnz of the Gauss-Seidel and coarse factors;
 * each Gauss-Seidel and coarse factor by bytes, through its solve of a
@@ -126,17 +126,22 @@ def arrays(bc: str, shape: tuple, coeff: str):
         for s, lev in enumerate(H.levels):
             key = f"{tag}/{method}/L{s}"
             yield from csr(f"{key}/combined", lev.combined)
-            yield from csr(f"{key}/to_sparse", lev.structured.to_sparse())
+            yield from csr(f"{key}/structured",
+                           dia_from_bands(lev.structured.bands(), lev.n).tocsr())
             yield f"{key}/offsets", canonical(lev.operator.offsets, True)
             yield f"{key}/diagonals", canonical(lev.operator.data, True)
             yield f"{key}/sup_norm", canonical(lev.structured.symbol.sup_norm(), True)
             if lev.projector is None:
-                _, lu, nnz = lev._ensure_direct()
+                # the factor tuples are read by slot: their lengths differ
+                # between versions
+                direct = lev._ensure_direct()
+                lu, nnz = direct[1], direct[2]
                 yield f"{key}/direct_nnz", canonical(nnz, True)
                 yield f"{key}/direct_solve", lu.solve(fixed(lu.shape[0]))
             else:
                 yield from csr(f"{key}/projector", sp.csr_array(lev.projector.to_sparse()))
-                _, lu, _, nnz, _ = lev._ensure_gs()
+                gs = lev._ensure_gs()
+                lu, nnz = gs[1], gs[3]
                 yield f"{key}/gs_nnz", canonical(nnz, True)
                 yield f"{key}/gs_solve", lu.solve(fixed(lu.shape[0]))
         for k, kwargs in enumerate(SOLVERS):

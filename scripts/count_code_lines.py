@@ -3,7 +3,8 @@ not ``#`` comments and not docstrings (of a module, class or function).
 
     python3 scripts/count_code_lines.py [checkout]
 
-prints the total for ``checkout`` (default: this one).
+prints the total for ``checkout`` (default: this one) and, to stderr, each
+module's count.
 """
 
 from __future__ import annotations
@@ -28,8 +29,12 @@ def code_lines(source: str) -> int:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent
-    print(sum(code_lines(p.read_text(encoding="utf-8"))
-              for p in sorted(root.glob("src/wlmg/*.py"))))
+    total = 0
+    for path in sorted(root.glob("src/wlmg/*.py")):
+        count = code_lines(path.read_text(encoding="utf-8"))
+        print(f"{count:6d} {path.name}", file=sys.stderr)
+        total += count
+    print(total)
     return 0
 
 

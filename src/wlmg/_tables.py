@@ -5,16 +5,25 @@ coefficient presets of a Dirichlet problem, and stores baseline iteration
 counts per (pair, coefficient, size) cell.  ``DAGGER`` marks a cell where
 convergence needs more than N(n) iterations.
 
-Cell gates (used for the benchmark exit status):
+Gates (used for the benchmark exit status) come in two families.  Cell
+gates, one per (pair, coefficient) column, apply to each of its cells:
 
 * ``("tol", k)``        |ours - ref| <= k, dagger cells must match
 * ``("exact",)``        ours == ref
 * ``("le", bound)``     ours <= bound and converged
-* ``("dagger",)``       ours must not converge within N(n) iterations
-* ``("gt", bound)``     ours needs more than ``bound`` iterations
-* ``("info",)``         reported, never gated
+* ``("info",)``         reported, never gated (a cell that declares none)
+
+Column gates apply to a column's counts over the sizes run:
+
 * ``("spread", s)``     max - min over the column <= s
 * ``("growth", pct)``   per-size-doubling growth <= pct percent, min >= 60
+* ``("gt", bound)``     ours needs more than ``bound`` iterations at n >= 63
+* ``("dagger",)``       ours must not converge within N(n) iterations at n >= 63
+
+A cell whose reference is 1 is a direct solve (the grid is the coarsest
+level): ``cli.evaluate_gates`` gates it exactly, whatever its column
+declares, and leaves it out of the column gates.  A gate of the other
+family's kind, or of none, is refused there with a ``ValueError``.
 
 Realization.  Every table runs one smoother convention, named by its
 ``richardson_scaling``.  The Richardson damping is read off the splitting
@@ -64,7 +73,6 @@ class BenchTable:
     reference: dict                 # (pair, coeff, n) -> count | DAGGER
     cell_gates: dict                # (pair, coeff) -> gate tuple
     column_gates: dict = field(default_factory=dict)   # (pair, coeff) -> gate
-    row_gates: dict = field(default_factory=dict)      # n -> gate (all cells)
 
 
 def _ref(pairs_cols_rows):
@@ -111,7 +119,6 @@ TABLE_2 = BenchTable(
         RGS: {c: _col((1, 8, 9, 9, 9, 9), _T2_SIZES) for c in ("a1", "a2", "a3")},
     }),
     cell_gates={(p, c): ("tol", 2) for p in (RR, RGS) for c in ("a1", "a2", "a3")},
-    row_gates={15: ("exact",)},
 )
 
 _T3_SIZES = (31, 63, 127, 255, 511)
@@ -150,8 +157,7 @@ TABLE_4 = BenchTable(
               "a2": _col((14, 15, 15, 15), _T4_SIZES),
               "a3": _col((14, 14, 14, 14), _T4_SIZES)},
     }),
-    cell_gates={**{(RGS, c): ("tol", 3) for c in ("a1", "a2", "a3")},
-                **{(RR, c): ("info",) for c in ("a1", "a2", "a3")}},
+    cell_gates={(RGS, c): ("tol", 3) for c in ("a1", "a2", "a3")},
     column_gates={(RR, "a1"): ("spread", 2), (RR, "a2"): ("growth", 20.0)},
 )
 
@@ -170,10 +176,8 @@ TABLE_5 = BenchTable(
               "a2": _col((1, 14, 15, 15, 15), _T5_SIZES),
               "a3": _col((1, 14, 15, 15, 15), _T5_SIZES)},
     }),
-    cell_gates={**{(RGS, c): ("tol", 3) for c in ("a1", "a2", "a3")},
-                **{(RR, c): ("info",) for c in ("a1", "a2", "a3")}},
+    cell_gates={(RGS, c): ("tol", 3) for c in ("a1", "a2", "a3")},
     column_gates={(RR, "a1"): ("spread", 2), (RR, "a2"): ("growth", 20.0)},
-    row_gates={15: ("exact",)},
 )
 
 _T6_SIZES = (15, 31, 63, 127, 255)
@@ -202,10 +206,8 @@ TABLE_6 = BenchTable(
                "a8": _col((1, 10, 10, 10, 10), _T6_SIZES)},
     }),
     cell_gates={**{(RGS, c): ("le", 17) for c in _T6_COEFFS},
-                **{(GSCG, c): ("le", 14) for c in _T6_COEFFS},
-                **{(RCG, c): ("info",) for c in _T6_COEFFS}},
+                **{(GSCG, c): ("le", 14) for c in _T6_COEFFS}},
     column_gates={(RCG, "a7"): ("gt", 1000), (RCG, "a8"): ("dagger",)},
-    row_gates={15: ("exact",)},
 )
 
 TABLES = {t.table_id: t for t in

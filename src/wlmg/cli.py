@@ -175,8 +175,24 @@ def run_bench_table(table, sizes=None, seed: int = 0, progress=None) -> list:
     return rows
 
 
+CELL_GATES = ("tol", "exact", "le", "info")
+COLUMN_GATES = ("spread", "growth", "gt", "dagger")
+
+
 def evaluate_gates(table, rows) -> list:
-    """Apply cell/column/row gates; returns (ok, message) pairs."""
+    """Apply the cell and column gates; returns (ok, message) pairs.
+
+    A row whose reference is 1 is a direct solve: it is gated exactly,
+    whatever its column declares, and column gates leave it out.  A cell
+    gate that is not one of ``CELL_GATES``, or a column gate not one of
+    ``COLUMN_GATES``, raises a ``ValueError`` naming the table and the gate.
+    """
+    for family, gates, kinds in (("cell", table.cell_gates, CELL_GATES),
+                                 ("column", table.column_gates, COLUMN_GATES)):
+        for key, gate in gates.items():
+            if gate[0] not in kinds:
+                raise ValueError(f"table {table.table_id}: {family} gate {gate!r} of "
+                                 f"{key} is not one of {', '.join(kinds)}")
     by_cell = {(r.pair, r.coeff, r.n): r for r in rows}
     results = []
 
@@ -184,7 +200,8 @@ def evaluate_gates(table, rows) -> list:
         return f"table {table.table_id} [{pair} / {coeff} / n={n}]"
 
     for r in rows:
-        gate = table.row_gates.get(r.n) or table.cell_gates.get((r.pair, r.coeff), ("info",))
+        gate = (("exact",) if r.reference == 1
+                else table.cell_gates.get((r.pair, r.coeff), ("info",)))
         kind = gate[0]
         if kind == "info" or r.reference is None:
             continue

@@ -14,8 +14,9 @@ them.  Each level keeps the configuration it was built for, and
 ``LevelHierarchy`` resolves from it, once per level, which smoother each
 slot runs and the nominal operation count of each phase of a cycle
 (``costs``, ``cycle_cost``).  Hierarchies are immutable afterwards, apart
-from the CSR ``combined`` a level reads off its diagonals on first access,
-off the solve path.  A hierarchy keeps no reference to the caller's ``A``.
+from the CSR ``combined`` a level reads off its diagonals on first access
+for callers outside the library; no module of it reads one.  A hierarchy
+keeps no reference to the caller's ``A``.
 Every solve owns its iterate, residual history and work vectors, so
 concurrent solves against one hierarchy are safe.
 
@@ -33,9 +34,10 @@ The coarsest level is one SuperLU factor; with a rank-one term it factors
 the bordered matrix ``[[A, u], [u^T, -1]]``, ``u = sqrt(gamma/N) e``,
 whose solve with ``[b; 0]`` solves ``(A + u u^T) x = b`` without forming
 the dense term; set-up writes it into the CSC arrays of ``A``.
-SciPy's ``tocsr`` reads a level's CSR off its diagonals only where it is
-used: for that factor, the CSC of the symmetric ``A``, which does not keep
-it, and ``combined``.  The nominal counts count the diagonals' nonzeros.
+Outside its factorizations a level is read only as stored, by diagonals:
+SciPy's ``tocsr`` reads a CSR off them only for that factor (the CSC of
+the symmetric ``A``, not kept), for the Gauss-Seidel triangle, and for
+``combined``.  The nominal counts count the diagonals' nonzeros.
 
 Forward Gauss-Seidel solves with one stored sparse lower triangle per
 level on all three boundary conditions (``_Level._ensure_gs``), one
@@ -201,7 +203,8 @@ class _Level:
     @property
     def combined(self) -> sp.csr_array:
         """The level matrix without its rank-one term as CSR, read off the
-        diagonals and cached; neither set-up nor the solve path reads it."""
+        diagonals and cached, for callers outside the library: no module of
+        it reads this form."""
         if self._combined is None:
             self._combined = self.operator.tocsr()
         return self._combined
@@ -236,9 +239,10 @@ class _Level:
 
         The diagonals are sliced once, into the pivots (offset 0) and
         ``triu(A, 1)``, a view of the offsets > 0, which ``_interleaved``
-        reads.  The tuple's third slot is its bound product, which the step
-        multiplies by and whose ``matrix`` the nominal count counts.  The
-        last slot is ``rho``.
+        reads.  The tuple is ``(kind, factor, product, nnz)``: the product is
+        the bound ``triu(A, 1)``, which the step multiplies by and whose
+        ``matrix`` the nominal count counts, and ``nnz`` the factor's
+        entries as ``L`` and ``U``.  The rank-one weight is ``self.rho``.
         """
         if self._gs is None:
             A, n, rho = self.operator, self.n, self.rho
@@ -260,7 +264,7 @@ class _Level:
             # L, the triangle scaled to a unit diagonal, and U, its diagonal,
             # count nnz + rows entries, though the factor stores them in nnz
             self._gs = ("triangular", TriangularFactor(lower), BoundProduct(upper),
-                        lower.nnz + lower.shape[0], rho)
+                        lower.nnz + lower.shape[0])
         return self._gs
 
     def gauss_seidel_step(self, x, b):
@@ -279,16 +283,16 @@ class _Level:
         relative at most on the sweep tests' periodic and reflective grids,
         ``a8`` and a coefficient jump of 1000 included.
         """
-        _, factor, upper, _, rho = self._gs
+        _, factor, upper, _ = self._gs
         if x is None:       # the solve leaves b as it is
             rhs = b
         else:
             rhs = upper(x)
             np.subtract(b, rhs, out=rhs)
-        if rho is None:
+        if self.rho is None:
             return factor.solve(rhs)
         if x is not None:
-            rhs -= rho * (x.sum() - np.cumsum(x))
+            rhs -= self.rho * (x.sum() - np.cumsum(x))
         z = np.zeros(2 * self.n)
         z[::2] = rhs
         return factor.solve(z)[::2].copy()
@@ -446,7 +450,7 @@ def _smoothing(lev: _Level, pre: bool, matvec: int):
                             residual=residual)
         return step, 2 * matvec + (10 if dinv is None else 12) * n
     if name == "gauss-seidel":
-        _, _, upper, factor_nnz, _ = lev._ensure_gs()
+        _, _, upper, factor_nnz = lev._ensure_gs()
         # b - triu(A, 1) x and one solve; a rank-one level also subtracts
         # rho (sum x - cumsum x), four more passes over x and one over r
         cost = (2 * int(np.count_nonzero(upper.matrix.data)) + 2 * factor_nnz

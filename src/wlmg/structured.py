@@ -7,11 +7,11 @@ renders the singular circulant/DCT-III Laplacians positive definite.
 
 The symbol is kept for the Galerkin coarse symbols (folds of it), the
 smoother damping (``sup|symbol|``) and the entry formulas of ``bands``;
-the dense matrices of the algebras live in the tests, as oracles.  Every
-coarse level matrix on the solve path adds the Galerkin correction to
-``bands`` (``mgm`` stores the sum by diagonals for its products); the
-symbols arising here keep O(1) bandwidth at every grid level, so it has
-``O(N)`` entries.
+an operator's matrix is read only as those bands, and its dense and CSR
+forms live in the tests, as oracles.  Every coarse level matrix on the
+solve path adds the Galerkin correction to ``bands`` (``mgm`` stores the
+sum by diagonals for its products); the symbols arising here keep O(1)
+bandwidth at every grid level, so it has ``O(N)`` entries.
 
 Sparse matrices are built band by band: the entry formulas give each 1-D
 diagonal as one array, a 2-D term's diagonals are outer products of its
@@ -309,10 +309,6 @@ class StructuredOperator:
                 else:
                     bands[offset] = band
         return bands
-
-    def to_sparse(self) -> sp.csr_array:
-        """Sparse banded matrix of the symbol part, its nonzero entries."""
-        return dia_from_bands(self.bands(), self.n_total).tocsr()
 
     def __repr__(self):
         return (f"StructuredOperator({self.kind.value}, sizes={self.sizes}, "

@@ -19,8 +19,8 @@ import numpy as np
 __all__ = ["CosineSymbol", "TensorSymbol", "fold", "fold_pairsum"]
 
 # TensorSymbol.sup_norm bounds the 2-D angle grid in square blocks of this
-# side, and evaluates at most _SUP_CHUNK blocks at a time in three buffers
-# (96 KiB, under the 256 KiB of two 16-row strips of the 1025-point grid)
+# side, and evaluates at most _SUP_CHUNK blocks at a time (32 KiB of values
+# per array, under the 256 KiB of two 16-row strips of the 1025-point grid)
 _SUP_BLOCK = 16
 _SUP_CHUNK = 16
 # relative margin of a block bound over the rounding of the bound and of the
@@ -201,9 +201,6 @@ class TensorSymbol:
         for uk, vk in zip(umax[1:], vmax[1:]):
             bound += np.multiply.outer(uk, vk).ravel()
         bound *= 1.0 + _SUP_MARGIN
-        # ufuncs buffer broadcast operands, so factors are copied out in full
-        # before they are multiplied
-        block, left, right = np.empty((3, _SUP_CHUNK, _SUP_BLOCK, _SUP_BLOCK))
         # the block of the largest bound first (a NaN bound, whose block holds
         # a NaN, is the argmax), then every block whose bound exceeds the
         # largest value found so far
@@ -211,13 +208,9 @@ class TensorSymbol:
         while todo.size:
             todo = todo[:_SUP_CHUNK]
             r, c = todo // nb, todo % nb
-            out, a, b = block[:todo.size], left[:todo.size], right[:todo.size]
-            for k, (uk, vk) in enumerate(zip(u, v)):
-                np.copyto(a, uk[r, :, None])
-                np.copyto(b, vk[c, None, :])
-                np.multiply(a, b, out=a if k else out)
-                if k:
-                    out += a
+            out = u[0][r, :, None] * v[0][c, None, :]
+            for uk, vk in zip(u[1:], v[1:]):
+                out += uk[r, :, None] * vk[c, None, :]
             hi, lo = float(out.max()), float(out.min())
             if np.isnan(hi):
                 return hi    # as the max over the full grid would

@@ -14,7 +14,8 @@ square, within 1024 rows, symmetric and positive definite, certified by a
 Cholesky factor; its one eigendecomposition is that of its pencil.
 
 This is the library's one dense module: ``theory_report`` reads its dense
-matrices off the sparse forms the solver runs, and the cycle's off ``vcycle``.
+matrices off the sparse forms the solver runs, the level matrix as it is
+stored, by diagonals, and the cycle's off ``vcycle``.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def theory_report(bc, coeff, n: int) -> TheoryReport:
     H = build_hierarchy(problem, SolverConfig(method="tgm"))
 
     lev = H.levels[0]
-    A = _dense(lev.combined, lev.gamma, lev.n)
+    A = _dense(lev.operator, lev.gamma, lev.n)
     p = lev.projector.to_sparse().toarray()
     V_post = np.eye(len(A)) - lev.omega_post * A
     alpha = smoothing_constant(A, V_post)

@@ -8,7 +8,8 @@ import scipy.sparse as sp
 from wlmg.discretize import (BoundaryCondition, GridSpec, _edge_samples, _sample,
                              _stencil_bands, algebra_for_bc, coefficient_samples,
                              laplace_symbol, make_coefficient)
-from wlmg.structured import AlgebraKind, StructuredOperator, _check_band, algebra_grid
+from wlmg.structured import (AlgebraKind, StructuredOperator, _check_band, algebra_grid,
+                             dia_from_bands)
 from wlmg.transfer import P_SYMBOL, coarse_size
 
 
@@ -217,6 +218,13 @@ def sparse_matrix_coo(kind: AlgebraKind, f, n: int) -> sp.csr_array:
     A = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
     A.sort_indices()
     return A
+
+
+def to_sparse(op) -> sp.csr_array:
+    """A ``StructuredOperator``'s symbol part, rank-one term excluded, as the
+    CSR of its nonzero entries: its bands stored by ``dia_from_bands`` and
+    read by SciPy's ``tocsr``."""
+    return dia_from_bands(op.bands(), op.n_total).tocsr()
 
 
 def to_sparse_kron(op) -> sp.csr_array:

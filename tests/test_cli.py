@@ -1,3 +1,4 @@
+import re
 import warnings
 from pathlib import Path
 
@@ -207,14 +208,41 @@ def test_growth_gate_fails_on_one_step_above_its_limit():
 
 def test_column_gate_skips_a_column_of_direct_solves():
     """Rows whose reference is 1 are direct solves, left out of the column
-    gates: a column of only those gives no result, even one that would
-    fail, while the same counts against other references are gated."""
+    gates: a column of only those gives no column result, even one that
+    would fail, and each of its cells is gated exactly, whatever the
+    column's cell gate; the same counts against other references are
+    gated by the column."""
     cells = {("a", 15): 1, ("a", 31): 1}
     direct = gate_table(cells, column_gates={("p", "a"): ("spread", 2)})
-    assert gate_results(direct, {("a", 15): 1, ("a", 31): 50}) == []
+    messages = [msg for _, msg in evaluate_gates(direct, [
+        BenchRow(0, "p", "a", n, v, 1, 0, 0) for n, v in ((15, 1), (31, 50))])]
+    assert messages == ["table 0 [p / a / n=15] = 1, expected exactly 1",
+                        "table 0 [p / a / n=31] = 50, expected exactly 1"]
+    assert gate_results(direct, {("a", 15): 1, ("a", 31): 50}) == [True, False]
+    lenient = gate_table(cells, {("p", "a"): ("le", 100)}, {("p", "a"): ("spread", 2)})
+    assert gate_results(lenient, {("a", 15): 1, ("a", 31): 50}) == [True, False]
     gated = gate_table({c: 2 for c in cells}, column_gates={("p", "a"): ("spread", 2)})
     assert gate_results(gated, {("a", 15): 1, ("a", 31): 50}) == [False]
     assert gate_results(gated, {("a", 15): 1, ("a", 31): 3}) == [True]
+
+
+@pytest.mark.parametrize("family, gate", [
+    ("cell", ("dagger",)), ("cell", ("gt", 10)), ("cell", ("spread", 2)),
+    ("cell", ("growth", 20.0)), ("column", ("tol", 2)), ("column", ("exact",)),
+    ("column", ("between", 1, 3)),
+], ids=lambda v: v if isinstance(v, str) else "-".join(map(str, v)))
+def test_a_gate_of_the_wrong_family_is_refused(family, gate):
+    """A gate whose kind its family does not evaluate would never fail the
+    bench, so ``evaluate_gates`` refuses it, naming the table and the gate,
+    even where no row reaches it."""
+    gates = {("p", "a"): gate}
+    table = gate_table({("a", 31): 5, ("a", 63): 5},
+                       *((gates, None) if family == "cell" else (None, gates)))
+    named = re.escape(f"table 0: {family} gate {gate!r}")
+    with pytest.raises(ValueError, match=named):
+        gate_results(table, {("a", 31): 5, ("a", 63): 5})
+    with pytest.raises(ValueError, match=named):
+        evaluate_gates(table, [])
 
 
 def test_bench_gate_evaluation_logic():

@@ -11,7 +11,8 @@ from wlmg.discretize import (BoundaryCondition, DiffusionCoefficient, GridSpec,
 from wlmg.structured import AlgebraKind, StructuredOperator
 from wlmg.symbols import CosineSymbol, TensorSymbol
 
-from oracles import correction_csr, edge_groups, full_dense, infinity_norm, materialize_dense
+from oracles import (correction_csr, edge_groups, full_dense, infinity_norm, materialize_dense,
+                     to_sparse)
 
 BCS = list(BoundaryCondition)
 
@@ -91,8 +92,8 @@ def test_split_reconstruction_exact():
         grid = GridSpec(sizes, bc)
         A = assemble(grid, "a2")
         prob = split(A, grid, "a2")
-        base = StructuredOperator(algebra_for_bc(bc), sizes,
-                                  prob.structured.symbol).to_sparse()
+        base = to_sparse(StructuredOperator(algebra_for_bc(bc), sizes,
+                                            prob.structured.symbol))
         recon = prob.a_min * base.toarray() + correction_csr(prob).toarray()
         assert np.abs(recon - A.toarray()).max() <= 1e-13
 

@@ -19,8 +19,9 @@
   residual ``r - alpha A z``; it is within the benchmark checker's
   rounding allowance of ``b - (A + rho e e^T) x`` recomputed, and on a
   zero residual or a breakdown the step returns its own ``r``.
-* ``StructuredOperator.to_sparse`` builds band by band, in 1-D and 2-D;
-  it equals the COO and Kronecker construction of
+* ``StructuredOperator.bands``, stored by ``dia_from_bands`` and read as
+  CSR (``oracles.to_sparse``), builds band by band, in 1-D and 2-D; it
+  equals the COO and Kronecker construction of
   ``oracles.sparse_matrix_coo`` and ``oracles.to_sparse_kron`` bit for bit,
   once the explicit zeros those store are eliminated.
 * ``TensorSymbol.sup_norm`` skips blocks of the angle grid; it equals the
@@ -71,7 +72,7 @@ from wlmg.transfer import Projector, coarsen_structured, galerkin_sparse
 from oracles import (assemble_bands, assemble_coo, bands_of, bordered_bmat, correction_csr,
                      csr_from_bands, dense_operator, galerkin_csr, gs_triangle_product,
                      jump_1000, projector_kron, scaled_triangle, sparse_matrix_coo,
-                     to_sparse_kron)
+                     to_sparse, to_sparse_kron)
 
 checked = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -159,17 +160,17 @@ def structured_operators(draw):
 @settings(checked, max_examples=100)
 @given(structured_operators())
 def test_band_matrices_equal_kron_oracle(op):
-    """``to_sparse`` stores the nonzero entries of the oracles, which also
+    """The bands as CSR store the nonzero entries of the oracles, which also
     store the zero entries a single term makes."""
     want = to_sparse_kron(op)
     want.eliminate_zeros()
-    assert same_csr(op.to_sparse(), want)
+    assert same_csr(to_sparse(op), want)
     for term in op.symbol.terms:
         for g, n in zip(term, op.sizes):
             factor = StructuredOperator(op.kind, (n,), TensorSymbol.from_1d(g))
             want = sparse_matrix_coo(op.kind, g, n)
             want.eliminate_zeros()
-            assert same_csr(factor.to_sparse(), want)
+            assert same_csr(to_sparse(factor), want)
 
 
 @st.composite
@@ -292,8 +293,8 @@ def coarsenable_operators(draw):
 def test_symbol_fold_agrees_with_the_triple_product(op):
     proj = Projector(op.kind, op.sizes)
     p = proj.to_sparse()
-    want = (p.T @ (op.to_sparse() @ p)).toarray()
-    got = coarsen_structured(op, proj).to_sparse().toarray()
+    want = (p.T @ (to_sparse(op) @ p)).toarray()
+    got = to_sparse(coarsen_structured(op, proj)).toarray()
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 

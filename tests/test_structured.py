@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from wlmg.symbols import CosineSymbol, TensorSymbol
 from wlmg.structured import AlgebraKind, StructuredOperator, algebra_grid
 
-from oracles import dct3_basis, dense_matrix, materialize_dense
+from oracles import dct3_basis, dense_matrix, materialize_dense, to_sparse
 
 LAPLACE = CosineSymbol([2.0, -1.0])
 KINDS = [AlgebraKind.TAU, AlgebraKind.CIRCULANT, AlgebraKind.DCT3]
@@ -61,7 +61,7 @@ def test_apply_matches_dense(kind):
         coeffs = rng.standard_normal(int(rng.integers(1, 4)) + 1)
         coeffs[0] = abs(coeffs[0]) + 2 * np.abs(coeffs[1:]).sum()  # keep f >= 0
         op = make_op(kind, n, CosineSymbol(coeffs))
-        S = op.to_sparse()
+        S = to_sparse(op)
         M = materialize_dense(op)
         for _ in range(10):
             v = rng.standard_normal(n)
@@ -76,7 +76,7 @@ def test_sparse_matches_dense(kind):
     for n in (5, 8, 12, 16):
         sym = CosineSymbol(rng.standard_normal(3))
         op = make_op(kind, n, sym)
-        assert np.allclose(op.to_sparse().toarray(), materialize_dense(op), atol=1e-13)
+        assert np.allclose(to_sparse(op).toarray(), materialize_dense(op), atol=1e-13)
 
 
 def reference_sparse_matrix(kind, f, n):
@@ -118,7 +118,7 @@ def test_sparse_matrix_equals_row_loop(kind):
             gapped[[0, m]] = 1.0
             for coeffs in (rng.standard_normal(m + 1), gapped):
                 sym = CosineSymbol(coeffs)
-                got = make_op(kind, n, sym).to_sparse()
+                got = to_sparse(make_op(kind, n, sym))
                 want = reference_sparse_matrix(kind, sym, n)
                 want.eliminate_zeros()      # the row loop stores zero wrap entries
                 for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
@@ -142,12 +142,12 @@ def test_dense_matrix_matches_or_raises(kind):
             except ValueError as exc:
                 assert "too wide" in str(exc)
                 with pytest.raises(ValueError, match="too wide"):
-                    make_op(kind, n, sym).to_sparse()
+                    make_op(kind, n, sym).bands()
                 raised += 1
                 continue
             want = eig_reconstruction(kind, sym, n)
             assert np.abs(M - want).max() <= 1e-12
-            assert np.abs(make_op(kind, n, sym).to_sparse().toarray() - want).max() <= 1e-12
+            assert np.abs(to_sparse(make_op(kind, n, sym)).toarray() - want).max() <= 1e-12
         assert raised > 0
 
 
@@ -161,10 +161,10 @@ def test_sparse_matrix_wide_band(kind):
                  AlgebraKind.CIRCULANT: n - 1}[kind]
         for m in range(0, limit + 1):
             sym = CosineSymbol(rng.standard_normal(m + 1))
-            got = make_op(kind, n, sym).to_sparse().toarray()
+            got = to_sparse(make_op(kind, n, sym)).toarray()
             assert np.abs(got - eig_reconstruction(kind, sym, n)).max() <= 1e-12
         with pytest.raises(ValueError, match="too wide"):
-            make_op(kind, n, CosineSymbol(np.ones(limit + 2))).to_sparse()
+            make_op(kind, n, CosineSymbol(np.ones(limit + 2))).bands()
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -185,19 +185,19 @@ def test_apply_2d_matches_dense():
         op = StructuredOperator(kind, (6, 5), sym)
         M = materialize_dense(op)
         v = rng.standard_normal(30)
-        assert np.allclose(op.to_sparse() @ v, M @ v, atol=1e-12)
+        assert np.allclose(to_sparse(op) @ v, M @ v, atol=1e-12)
 
 
 def test_apply_examples():
     op = make_op(AlgebraKind.TAU, 3)
-    assert np.allclose(op.to_sparse() @ np.ones(3), [1.0, 0.0, 1.0])
+    assert np.allclose(to_sparse(op) @ np.ones(3), [1.0, 0.0, 1.0])
     op = make_op(AlgebraKind.CIRCULANT, 4)
-    assert np.allclose(op.to_sparse() @ np.ones(4), np.zeros(4), atol=1e-14)
+    assert np.allclose(to_sparse(op) @ np.ones(4), np.zeros(4), atol=1e-14)
     corrected = op.strang_correct()
     gamma = corrected.rank_one
     assert gamma == pytest.approx(2.0)  # f(2 pi / 4) = 2
-    # to_sparse excludes the rank-one term; the dense oracle carries it
-    assert np.array_equal(corrected.to_sparse().toarray(), op.to_sparse().toarray())
+    # the bands exclude the rank-one term; the dense oracle carries it
+    assert np.array_equal(to_sparse(corrected).toarray(), to_sparse(op).toarray())
     dense = materialize_dense(corrected)
     assert np.allclose(dense @ np.ones(4), gamma * np.ones(4))
 
