@@ -5,25 +5,26 @@ coefficient presets of a Dirichlet problem, and stores baseline iteration
 counts per (pair, coefficient, size) cell.  ``DAGGER`` marks a cell where
 convergence needs more than N(n) iterations.
 
-Gates (used for the benchmark exit status) come in two families.  Cell
-gates, one per (pair, coefficient) column, apply to each of its cells:
+Gates (used for the benchmark exit status) are one map, one gate per
+(pair, coefficient) column; the gate's kind says what it gates.  A cell
+kind gates each cell of its column:
 
 * ``("tol", k)``        |ours - ref| <= k, dagger cells must match
 * ``("exact",)``        ours == ref
 * ``("le", bound)``     ours <= bound and converged
-* ``("info",)``         reported, never gated (a cell that declares none)
 
-Column gates apply to a column's counts over the sizes run:
+A column kind gates the column's counts over the sizes run:
 
 * ``("spread", s)``     max - min over the column <= s
 * ``("growth", pct)``   per-size-doubling growth <= pct percent, min >= 60
 * ``("gt", bound)``     ours needs more than ``bound`` iterations at n >= 63
 * ``("dagger",)``       ours must not converge within N(n) iterations at n >= 63
 
-A cell whose reference is 1 is a direct solve (the grid is the coarsest
-level): ``cli.evaluate_gates`` gates it exactly, whatever its column
-declares, and leaves it out of the column gates.  A gate of the other
-family's kind, or of none, is refused there with a ``ValueError``.
+A column with no gate is reported, not gated.  A cell whose reference is 1
+is a direct solve (the grid is the coarsest level): ``cli.evaluate_gates``
+gates it exactly, whatever its column declares, and leaves it out of the
+column gates.  A gate of an unknown kind is refused there with a
+``ValueError``.
 
 Realization.  Every table runs one smoother convention, named by its
 ``richardson_scaling``.  The Richardson damping is read off the splitting
@@ -37,7 +38,7 @@ and ``c = 1`` after the coarse correction.  The two agree when ``R = 0``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 DAGGER = "dagger"
 
@@ -71,8 +72,7 @@ class BenchTable:
     coeffs: tuple
     richardson_scaling: str
     reference: dict                 # (pair, coeff, n) -> count | DAGGER
-    cell_gates: dict                # (pair, coeff) -> gate tuple
-    column_gates: dict = field(default_factory=dict)   # (pair, coeff) -> gate
+    gates: dict                     # (pair, coeff) -> gate tuple
 
 
 def _ref(pairs_cols_rows):
@@ -102,7 +102,7 @@ TABLE_1 = BenchTable(
              "a3": _col((5, 4, 4, 4, 3), _T1_SIZES)},
         RGS: {c: _col((8, 8, 8, 8, 8), _T1_SIZES) for c in ("a1", "a2", "a3")},
     }),
-    cell_gates={(p, c): ("tol", 2) for p in (RR, RGS) for c in ("a1", "a2", "a3")},
+    gates={(p, c): ("tol", 2) for p in (RR, RGS) for c in ("a1", "a2", "a3")},
 )
 
 _T2_SIZES = (15, 31, 63, 127, 255, 511)
@@ -118,7 +118,7 @@ TABLE_2 = BenchTable(
              "a3": _col((1, 5, 7, 8, 8, 8), _T2_SIZES)},
         RGS: {c: _col((1, 8, 9, 9, 9, 9), _T2_SIZES) for c in ("a1", "a2", "a3")},
     }),
-    cell_gates={(p, c): ("tol", 2) for p in (RR, RGS) for c in ("a1", "a2", "a3")},
+    gates={(p, c): ("tol", 2) for p in (RR, RGS) for c in ("a1", "a2", "a3")},
 )
 
 _T3_SIZES = (31, 63, 127, 255, 511)
@@ -139,7 +139,7 @@ TABLE_3 = BenchTable(
              "a2k:5": _col((2, 2, 2, 2, 2), _T3_SIZES)},
         RGS: {c: _col((8, 8, 8, 8, 8), _T3_SIZES) for c in _T3_COEFFS},
     }),
-    cell_gates={(p, c): ("tol", 2) for p in (RR, RGS) for c in _T3_COEFFS},
+    gates={(p, c): ("tol", 2) for p in (RR, RGS) for c in _T3_COEFFS},
 )
 
 _T4_SIZES = (31, 63, 127, 255)
@@ -157,8 +157,8 @@ TABLE_4 = BenchTable(
               "a2": _col((14, 15, 15, 15), _T4_SIZES),
               "a3": _col((14, 14, 14, 14), _T4_SIZES)},
     }),
-    cell_gates={(RGS, c): ("tol", 3) for c in ("a1", "a2", "a3")},
-    column_gates={(RR, "a1"): ("spread", 2), (RR, "a2"): ("growth", 20.0)},
+    gates={**{(RGS, c): ("tol", 3) for c in ("a1", "a2", "a3")},
+           (RR, "a1"): ("spread", 2), (RR, "a2"): ("growth", 20.0)},
 )
 
 _T5_SIZES = (15, 31, 63, 127, 255)
@@ -176,8 +176,8 @@ TABLE_5 = BenchTable(
               "a2": _col((1, 14, 15, 15, 15), _T5_SIZES),
               "a3": _col((1, 14, 15, 15, 15), _T5_SIZES)},
     }),
-    cell_gates={(RGS, c): ("tol", 3) for c in ("a1", "a2", "a3")},
-    column_gates={(RR, "a1"): ("spread", 2), (RR, "a2"): ("growth", 20.0)},
+    gates={**{(RGS, c): ("tol", 3) for c in ("a1", "a2", "a3")},
+           (RR, "a1"): ("spread", 2), (RR, "a2"): ("growth", 20.0)},
 )
 
 _T6_SIZES = (15, 31, 63, 127, 255)
@@ -205,9 +205,9 @@ TABLE_6 = BenchTable(
                "a7": _col((1, 10, 10, 10, 10), _T6_SIZES),
                "a8": _col((1, 10, 10, 10, 10), _T6_SIZES)},
     }),
-    cell_gates={**{(RGS, c): ("le", 17) for c in _T6_COEFFS},
-                **{(GSCG, c): ("le", 14) for c in _T6_COEFFS}},
-    column_gates={(RCG, "a7"): ("gt", 1000), (RCG, "a8"): ("dagger",)},
+    gates={**{(RGS, c): ("le", 17) for c in _T6_COEFFS},
+           **{(GSCG, c): ("le", 14) for c in _T6_COEFFS},
+           (RCG, "a7"): ("gt", 1000), (RCG, "a8"): ("dagger",)},
 )
 
 TABLES = {t.table_id: t for t in

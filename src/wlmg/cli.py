@@ -175,87 +175,68 @@ def run_bench_table(table, sizes=None, seed: int = 0, progress=None) -> list:
     return rows
 
 
-CELL_GATES = ("tol", "exact", "le", "info")
+CELL_GATES = ("tol", "exact", "le")
 COLUMN_GATES = ("spread", "growth", "gt", "dagger")
 
 
 def evaluate_gates(table, rows) -> list:
-    """Apply the cell and column gates; returns (ok, message) pairs.
+    """Apply the table's gates; returns (ok, message) pairs.
 
-    A row whose reference is 1 is a direct solve: it is gated exactly,
-    whatever its column declares, and column gates leave it out.  A cell
-    gate that is not one of ``CELL_GATES``, or a column gate not one of
-    ``COLUMN_GATES``, raises a ``ValueError`` naming the table and the gate.
+    A gate of a kind in ``CELL_GATES`` gates each cell of its column, one
+    in ``COLUMN_GATES`` the column; a column with no gate is not gated.  A
+    row whose reference is 1 is a direct solve: it is gated exactly,
+    whatever its column declares, and column gates leave it out.  A gate
+    of any other kind raises a ``ValueError`` naming the table and the gate.
     """
-    for family, gates, kinds in (("cell", table.cell_gates, CELL_GATES),
-                                 ("column", table.column_gates, COLUMN_GATES)):
-        for key, gate in gates.items():
-            if gate[0] not in kinds:
-                raise ValueError(f"table {table.table_id}: {family} gate {gate!r} of "
-                                 f"{key} is not one of {', '.join(kinds)}")
-    by_cell = {(r.pair, r.coeff, r.n): r for r in rows}
+    for key, gate in table.gates.items():
+        if gate[0] not in CELL_GATES + COLUMN_GATES:
+            raise ValueError(f"table {table.table_id}: gate {gate!r} of {key} is not "
+                             f"one of {', '.join(CELL_GATES + COLUMN_GATES)}")
     results = []
-
-    def cell_label(pair, coeff, n):
-        return f"table {table.table_id} [{pair} / {coeff} / n={n}]"
-
     for r in rows:
-        gate = (("exact",) if r.reference == 1
-                else table.cell_gates.get((r.pair, r.coeff), ("info",)))
-        kind = gate[0]
-        if kind == "info" or r.reference is None:
+        gate = ("exact",) if r.reference == 1 else table.gates.get((r.pair, r.coeff))
+        if gate is None or gate[0] not in CELL_GATES or r.reference is None:
             continue
-        if kind == "exact":
+        kind = gate[0]
+        cell = f"table {table.table_id} [{r.pair} / {r.coeff} / n={r.n}] = {r.result}, "
+        if kind == "le":
+            ok, detail = r.result != DAGGER and r.result <= gate[1], f"bound <= {gate[1]}"
+        elif kind == "exact" or DAGGER in (r.reference, r.result):
             ok = r.result == r.reference
-            results.append((ok, f"{cell_label(r.pair, r.coeff, r.n)} = {r.result}, "
-                                f"expected exactly {r.reference}"))
-        elif kind == "tol":
-            if r.reference == DAGGER or r.result == DAGGER:
-                ok = r.result == r.reference
-                results.append((ok, f"{cell_label(r.pair, r.coeff, r.n)} = {r.result}, "
-                                    f"expected {r.reference}"))
-            else:
-                ok = abs(r.result - r.reference) <= gate[1]
-                results.append((ok, f"{cell_label(r.pair, r.coeff, r.n)} = {r.result}, "
-                                    f"reference {r.reference} (tol {gate[1]})"))
-        elif kind == "le":
-            ok = r.result != DAGGER and r.result <= gate[1]
-            results.append((ok, f"{cell_label(r.pair, r.coeff, r.n)} = {r.result}, "
-                                f"bound <= {gate[1]}"))
+            detail = f"expected {'exactly ' if kind == 'exact' else ''}{r.reference}"
+        else:
+            ok = abs(r.result - r.reference) <= gate[1]
+            detail = f"reference {r.reference} (tol {gate[1]})"
+        results.append((ok, cell + detail))
 
-    sizes_run = sorted({r.n for r in rows})
-    for (pair, coeff), gate in table.column_gates.items():
-        col = [by_cell[(pair, coeff, n)] for n in sizes_run
-               if (pair, coeff, n) in by_cell]
-        col = [r for r in col if r.reference != 1]      # skip direct-solve rows
-        if not col:
+    columns = {}
+    for r in sorted(rows, key=lambda r: r.n):
+        if r.reference != 1:                            # skip direct-solve rows
+            columns.setdefault((r.pair, r.coeff), []).append(r)
+    for (pair, coeff), gate in table.gates.items():
+        kind, col = gate[0], columns.get((pair, coeff))
+        if kind not in COLUMN_GATES or not col:
             continue
-        kind = gate[0]
+        counts = [r.result for r in col if r.result != DAGGER]
+        late = [r for r in col if r.n >= 63]
         label = f"table {table.table_id} column [{pair} / {coeff}]"
         if kind == "spread":
-            vals = [r.result for r in col if r.result != DAGGER]
-            ok = bool(vals) and max(vals) - min(vals) <= gate[1]
-            results.append((ok, f"{label} spread {max(vals) - min(vals) if vals else 'n/a'}"
-                                f" <= {gate[1]}"))
+            spread = max(counts) - min(counts) if counts else "n/a"
+            results.append((bool(counts) and spread <= gate[1],
+                            f"{label} spread {spread} <= {gate[1]}"))
         elif kind == "growth":
-            vals = [(r.n, r.result) for r in col if r.result != DAGGER]
-            ok = bool(vals) and all(v >= 60 for _, v in vals)
-            detail = [v for _, v in vals]
-            for (n1, v1), (n2, v2) in zip(vals, vals[1:]):
-                if v2 > v1 * (1.0 + gate[1] / 100.0):
-                    ok = False
-            results.append((ok, f"{label} counts {detail}: >= 60 and growth <= {gate[1]}%"))
-        elif kind in ("gt", "dagger"):
-            checked = [r for r in col if r.n >= 63]
-            if not checked:             # the run has no size the gate applies to
-                continue
-            if kind == "gt":
-                ok = all((r.iterations_run if r.result == DAGGER else r.result) > gate[1]
-                         for r in checked)
-                results.append((ok, f"{label} needs > {gate[1]} iterations at n >= 63"))
-            else:
-                ok = all(r.result == DAGGER for r in checked)
-                results.append((ok, f"{label} must not converge within N(n) at n >= 63"))
+            ok = bool(counts) and min(counts) >= 60 and all(
+                v2 <= v1 * (1.0 + gate[1] / 100.0) for v1, v2 in zip(counts, counts[1:]))
+            results.append((ok, f"{label} counts {counts}: >= 60 and growth <= {gate[1]}%"))
+        elif not late:                  # the run has no size the gate applies to
+            continue
+        elif kind == "gt":
+            ok = all((r.iterations_run if r.result == DAGGER else r.result) > gate[1]
+                     for r in late)
+            results.append((ok, f"{label} needs > {gate[1]} iterations at n >= 63"))
+        else:
+            ok = all(r.result == DAGGER for r in late)
+            results.append((ok, f"{label} must not converge within N(n) at n >= 63"))
     return results
 
 

@@ -85,15 +85,6 @@ def algebra_grid(kind: AlgebraKind, n: int) -> np.ndarray:
     return np.pi * np.arange(n) / n
 
 
-def first_nonzero_angle(kind: AlgebraKind, n: int) -> float:
-    """Smallest positive frequency of the algebra's grid (Strang shift)."""
-    if kind is AlgebraKind.CIRCULANT:
-        return 2.0 * np.pi / n
-    if kind is AlgebraKind.DCT3:
-        return np.pi / n
-    raise ValueError("tau operators are nonsingular; no Strang frequency")
-
-
 # the entry formulas are exact while the band m is at most n + slack: m < n
 # (circulant), m <= n (DCT-III) and m <= n + 2 (tau); past that the band
 # folds over more than once
@@ -271,13 +262,14 @@ class StructuredOperator:
         return self.symbol.eval_grid(grids).ravel()
 
     def strang_correct(self) -> "StructuredOperator":
-        """Rank-one shift by the symbol value at the first nonzero frequency."""
+        """Rank-one shift by the symbol value at the first nonzero frequency,
+        the second angle of each dimension's algebra grid (its first is 0)."""
         if self.kind is AlgebraKind.TAU:
             raise ValueError("Strang correction applies to circulant/DCT-III only")
         zero = self.symbol.eval(*([0.0] * self.dim))
         if abs(zero) > 1e-12:
             raise ValueError("symbol does not vanish at the zero frequency")
-        freqs = [first_nonzero_angle(self.kind, n) for n in self.sizes]
+        freqs = [algebra_grid(self.kind, n)[1] for n in self.sizes]
         gamma = float(self.symbol.eval(*freqs))
         return StructuredOperator(self.kind, self.sizes, self.symbol, rank_one=gamma)
 

@@ -15,7 +15,8 @@ row per coarse unknown.  ``restrict`` multiplies by that CSR matrix and
 ``prolong`` by the CSC matrix over the same three arrays, which is ``p``
 (``p`` is rectangular, so it is not stored by diagonals like the square
 level operators of ``mgm``).  Both are ``structured.BoundProduct``s, built
-with the projector, which call SciPy's compiled kernels directly: ``@``
+with the projector and the only place it holds ``p`` and ``p^T``, which
+call SciPy's compiled kernels directly: ``@``
 spends about 3 us per transfer on dispatch, a third of a level-1 transfer
 at 63^2.
 
@@ -79,11 +80,11 @@ def _columns(kind: AlgebraKind, n0: int, n1: int, index) -> tuple:
 
 
 class Projector:
-    """Tensor-product projector between two grid levels: ``p`` and ``p^T``
-    over one set of arrays, built from ``TAPS``, and their bound products.
-    ``restrict`` and ``prolong`` read their input as a float array; the
-    products refuse one that is not a vector of the right length with a
-    ``ValueError``."""
+    """Tensor-product projector between two grid levels: the bound products
+    of ``p`` and ``p^T``, two matrices over one set of arrays built from
+    ``TAPS``.  ``restrict`` and ``prolong`` read their input as a float
+    array; the products refuse one that is not a vector of the right length
+    with a ``ValueError``."""
 
     def __init__(self, kind: AlgebraKind, fine_sizes):
         self.kind = kind
@@ -92,11 +93,8 @@ class Projector:
         self.scalar = (1.0 / np.sqrt(2.0)) if kind is AlgebraKind.TAU else 1.0
         self.n_fine = int(np.prod(self.fine_sizes))
         self.n_coarse = int(np.prod(self.coarse_sizes))
-        self._sparse = None         # p, CSC
-        self._transpose = None      # p^T, CSR over the same arrays
+        self._prolong = self._restrict = None
         self.to_sparse()            # both are built here, never in a solve
-        self._prolong = BoundProduct(self._sparse)
-        self._restrict = BoundProduct(self._transpose)
 
     def prolong(self, y: np.ndarray) -> np.ndarray:
         """Coarse-to-fine map ``p y``."""
@@ -107,14 +105,15 @@ class Projector:
         return self._restrict(np.asarray(r, dtype=float))
 
     def to_sparse(self) -> sp.csc_array:
-        """Sparse ``p``, CSC, built on construction and cached: the transfers
-        and the oracles.
+        """Sparse ``p``, CSC: the matrix of the bound product ``prolong``
+        runs.  The first call, on construction, builds both bound products,
+        ``p`` as CSC and ``p^T`` as CSR over the same three arrays.
 
-        Entry for entry it is ``s * M(2 + 2cos) * T``, the Kronecker product
-        of those in 2-D; each column's rows are sorted, and the index arrays
-        are int32 where they fit.
+        Entry for entry ``p`` is ``s * M(2 + 2cos) * T``, the Kronecker
+        product of those in 2-D; each column's rows are sorted, and the
+        index arrays are int32 where they fit.
         """
-        if self._sparse is None:
+        if self._prolong is None:
             width = len(TAPS[self.kind]) ** len(self.fine_sizes)
             index = np.int32 if self.n_coarse * width <= np.iinfo(np.int32).max else np.int64
             # only the DCT-III end columns drop an entry
@@ -139,9 +138,10 @@ class Projector:
                 indptr = np.zeros(self.n_coarse + 1, dtype=index)
                 np.cumsum(held.sum(axis=1), out=indptr[1:])
                 arrays = (values[held], rows[held], indptr)
-            self._transpose = sp.csr_array(arrays, shape=(self.n_coarse, self.n_fine))
-            self._sparse = sp.csc_array(arrays, shape=(self.n_fine, self.n_coarse))
-        return self._sparse
+            shape = (self.n_coarse, self.n_fine)        # of p^T
+            self._restrict = BoundProduct(sp.csr_array(arrays, shape=shape))
+            self._prolong = BoundProduct(sp.csc_array(arrays, shape=shape[::-1]))
+        return self._prolong.matrix
 
 
 def galerkin_structured(symbol: TensorSymbol, projector: Projector) -> TensorSymbol:

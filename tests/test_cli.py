@@ -160,13 +160,12 @@ def test_column_gates_skip_runs_without_their_sizes():
     }
 
 
-def gate_table(reference, cell_gates=None, column_gates=None):
+def gate_table(reference, gates=None):
     """A hand-made table of one pair over the cells of ``reference``,
     ``{(coeff, n): count}``."""
     return BenchTable(0, "gates", 1, "mgm", tuple(sorted({n for _, n in reference})),
                       ("p",), tuple(sorted({c for c, _ in reference})), "global",
-                      {("p", c, n): v for (c, n), v in reference.items()},
-                      cell_gates or {}, column_gates or {})
+                      {("p", c, n): v for (c, n), v in reference.items()}, gates or {})
 
 
 def gate_results(table, results) -> list:
@@ -201,7 +200,7 @@ def test_growth_gate_fails_on_one_step_above_its_limit():
     """A ``growth`` column passes counts of at least 60 that grow by at most
     the limit per step, and fails on a single step above it."""
     reference = {("a", n): 60 for n in (15, 31, 63, 127)}
-    table = gate_table(reference, column_gates={("p", "a"): ("growth", 20.0)})
+    table = gate_table(reference, {("p", "a"): ("growth", 20.0)})
     assert gate_results(table, dict(zip(reference, (60, 72, 86, 86)))) == [True]
     assert gate_results(table, dict(zip(reference, (60, 72, 87, 86)))) == [False]
 
@@ -213,36 +212,39 @@ def test_column_gate_skips_a_column_of_direct_solves():
     column's cell gate; the same counts against other references are
     gated by the column."""
     cells = {("a", 15): 1, ("a", 31): 1}
-    direct = gate_table(cells, column_gates={("p", "a"): ("spread", 2)})
+    direct = gate_table(cells, {("p", "a"): ("spread", 2)})
     messages = [msg for _, msg in evaluate_gates(direct, [
         BenchRow(0, "p", "a", n, v, 1, 0, 0) for n, v in ((15, 1), (31, 50))])]
     assert messages == ["table 0 [p / a / n=15] = 1, expected exactly 1",
                         "table 0 [p / a / n=31] = 50, expected exactly 1"]
     assert gate_results(direct, {("a", 15): 1, ("a", 31): 50}) == [True, False]
-    lenient = gate_table(cells, {("p", "a"): ("le", 100)}, {("p", "a"): ("spread", 2)})
+    lenient = gate_table(cells, {("p", "a"): ("le", 100)})
     assert gate_results(lenient, {("a", 15): 1, ("a", 31): 50}) == [True, False]
-    gated = gate_table({c: 2 for c in cells}, column_gates={("p", "a"): ("spread", 2)})
+    gated = gate_table({c: 2 for c in cells}, {("p", "a"): ("spread", 2)})
     assert gate_results(gated, {("a", 15): 1, ("a", 31): 50}) == [False]
     assert gate_results(gated, {("a", 15): 1, ("a", 31): 3}) == [True]
 
 
-@pytest.mark.parametrize("family, gate", [
-    ("cell", ("dagger",)), ("cell", ("gt", 10)), ("cell", ("spread", 2)),
-    ("cell", ("growth", 20.0)), ("column", ("tol", 2)), ("column", ("exact",)),
-    ("column", ("between", 1, 3)),
-], ids=lambda v: v if isinstance(v, str) else "-".join(map(str, v)))
-def test_a_gate_of_the_wrong_family_is_refused(family, gate):
-    """A gate whose kind its family does not evaluate would never fail the
-    bench, so ``evaluate_gates`` refuses it, naming the table and the gate,
-    even where no row reaches it."""
-    gates = {("p", "a"): gate}
-    table = gate_table({("a", 31): 5, ("a", 63): 5},
-                       *((gates, None) if family == "cell" else (None, gates)))
-    named = re.escape(f"table 0: {family} gate {gate!r}")
+@pytest.mark.parametrize("gate", [("between", 1, 3), ("info",), ("ge", 10)],
+                         ids=lambda gate: gate[0])
+def test_a_gate_of_an_unknown_kind_is_refused(gate):
+    """A gate whose kind is neither a cell nor a column kind would never
+    fail the bench, so ``evaluate_gates`` refuses it, naming the table and
+    the gate, even where no row reaches it."""
+    table = gate_table({("a", 31): 5, ("a", 63): 5}, {("p", "a"): gate})
+    named = re.escape(f"table 0: gate {gate!r}")
     with pytest.raises(ValueError, match=named):
         gate_results(table, {("a", 31): 5, ("a", 63): 5})
     with pytest.raises(ValueError, match=named):
         evaluate_gates(table, [])
+
+
+@pytest.mark.parametrize("tid", sorted(TABLES))
+def test_every_gate_names_a_column_of_its_table(tid):
+    """A gate keyed by a (pair, coeff) the table does not run is never
+    evaluated: each key names one of the table's columns."""
+    table = TABLES[tid]
+    assert set(table.gates) <= {(p, c) for p in table.pairs for c in table.coeffs}
 
 
 def test_bench_gate_evaluation_logic():

@@ -274,6 +274,19 @@ def test_projector_has_int32_indices_and_int64_products(kind, dim):
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_projector_holds_p_once_in_its_bound_products(kind, dim):
+    """``to_sparse`` returns the matrix ``prolong`` multiplies by, and
+    ``restrict``'s matrix, ``p^T`` as CSR, holds the same three arrays."""
+    proj = Projector(kind, (fine_size(kind, 6),) * dim)
+    p, pt = proj.to_sparse(), proj._restrict.matrix
+    assert p is proj._prolong.matrix and proj.to_sparse() is p
+    assert p.format == "csc" and pt.format == "csr" and pt.shape == p.shape[::-1]
+    for name in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(p, name), getattr(pt, name))
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
 @pytest.mark.parametrize("sizes, bad", [((63.9,), "63.9"), ((64, 32.0), "32.0"),
                                         ((True,), "True")])
 def test_projector_rejects_a_size_that_is_not_an_integer(kind, sizes, bad):
