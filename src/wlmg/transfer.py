@@ -21,7 +21,8 @@ spends about 3 us per transfer on dispatch, a third of a level-1 transfer
 at 63^2.
 
 Galerkin coarsening never forms a sparse triple product.  The coarse symbol
-of the structured part is the algebra-specific fold of ``s^2 p(t)^2 g(t)``.
+of the structured part is the algebra-specific fold of ``s^2 p(t)^2 g(t)``;
+both it and the coarse correction scale by ``S_SQUARED``, ``s^2`` exactly.
 The sparse correction is coarsened by diagonals, stencil by stencil (Dendy,
 *Black box multigrid*, J. Comput. Phys. 48, 1982; Trottenberg, Oosterlee &
 Schueller, *Multigrid*, 2001): ``galerkin_sparse`` takes and returns it as
@@ -47,6 +48,10 @@ P_SYMBOL = CosineSymbol([2.0, 1.0])
 # (DCT-III: the pairs 2J, 2J + 1 of M(2 + 2cos) T)
 TAPS = {AlgebraKind.TAU: (1.0, 2.0, 1.0), AlgebraKind.CIRCULANT: (1.0, 2.0, 1.0),
         AlgebraKind.DCT3: (1.0, 3.0, 3.0, 1.0)}
+
+# s^2 per dimension, read by both Galerkin products: exact, where
+# Projector.scalar ** 2 = (1/sqrt(2)) ** 2 rounds to 0.4999999999999999
+S_SQUARED = {AlgebraKind.TAU: 0.5, AlgebraKind.CIRCULANT: 1.0, AlgebraKind.DCT3: 1.0}
 
 
 def coarse_size(kind: AlgebraKind, n: int) -> int:
@@ -147,7 +152,7 @@ class Projector:
 def galerkin_structured(symbol: TensorSymbol, projector: Projector) -> TensorSymbol:
     """Coarse symbol of ``p^T M(symbol) p``, computed by per-dimension folds."""
     do_fold = fold_pairsum if projector.kind is AlgebraKind.DCT3 else fold
-    s2 = projector.scalar ** 2
+    s2 = S_SQUARED[projector.kind]
     p2 = P_SYMBOL * P_SYMBOL
     terms = [tuple(do_fold(p2 * g).scaled(s2) for g in term) for term in symbol.terms]
     return TensorSymbol(symbol.dim, terms)
@@ -355,9 +360,10 @@ def galerkin_sparse(R: dict, projector: Projector) -> dict:
         if not diagonals:
             return {}
         diagonals = _coarsen_axis(diagonals, kind, axis, n0, n1)
-    if kind is AlgebraKind.TAU:     # s^2 = 1/2 per dimension, applied exactly
+    s2 = S_SQUARED[kind] ** len(projector.fine_sizes)
+    if s2 != 1.0:
         for values in diagonals.values():
-            values *= 0.5 ** len(projector.fine_sizes)
+            values *= s2
     if cyclic:                      # G[J, J - K] = G[J - K, J]
         dims = tuple(range(len(projector.coarse_sizes)))
         for key, values in list(diagonals.items()):

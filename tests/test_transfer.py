@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from wlmg.discretize import BoundaryCondition, GridSpec, algebra_for_bc, assemble, split
 from wlmg.structured import AlgebraKind, StructuredOperator
-from wlmg.symbols import CosineSymbol, TensorSymbol
+from wlmg.symbols import CosineSymbol, TensorSymbol, fold
 from wlmg.transfer import (P_SYMBOL, TAPS, Projector, coarse_size, coarsen_structured,
                            galerkin_sparse, galerkin_structured, project_rank_one)
 
@@ -121,6 +121,21 @@ def test_galerkin_structured_zero():
     P = Projector(AlgebraKind.TAU, (15,))
     sym = galerkin_structured(TensorSymbol.from_1d(CosineSymbol([0.0])), P)
     assert sym.terms[0][0].coeffs.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_tau_coarse_factors_scale_by_exactly_one_half(dim):
+    """``s^2`` is 1/2 per dimension for the tau projector, as the coarse
+    correction takes it: each coarse factor is the fold of ``p^2 g``
+    halved, bit for bit, not scaled by ``(1/sqrt(2))**2``."""
+    g, h = CosineSymbol([4.0, -1.0, 0.3]), CosineSymbol([6.0, -1.5, -0.25, 0.1])
+    terms = [(g,), (h,)] if dim == 1 else [(g, h), (LAPLACE, g)]
+    symbol = TensorSymbol(dim, terms)
+    coarse = galerkin_structured(symbol, Projector(AlgebraKind.TAU, (15,) * dim))
+    for term, got in zip(symbol.terms, coarse.terms):
+        for factor, c in zip(term, got):
+            want = fold(P_SYMBOL * P_SYMBOL * factor).scaled(0.5)
+            assert c.coeffs.tobytes() == want.coeffs.tobytes()
 
 
 @pytest.mark.parametrize("kind", KINDS)
