@@ -12,7 +12,8 @@ environment record of the machine is stored beside them.
 
 ``--first-seed`` (default 1) starts the seed range, so a comparison can
 run on seeds that were not used while the change was written; the file
-records the range.
+records the range.  The workloads are those the change checkout's
+``BENCHMARK.json`` declares, unless ``--workloads`` names others.
 
 Each run is a separate process, so the set-up memory figure is always a
 first set-up.
@@ -27,9 +28,6 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-
-WORKLOADS = ("dirichlet-a7-511-gs", "dirichlet-a7-63-rcg", "reflective-a2-128-gs")
-
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -61,14 +59,20 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
+    parser.add_argument("--workloads", default=None,
+                        help="comma-separated names (default: the change's BENCHMARK.json)")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if args.workloads is None:
+        declared = json.loads((sides["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+        workloads = [w["name"] for w in declared["workloads"]]
+    else:
+        workloads = args.workloads.split(",")
     seeds = range(args.first_seed, args.first_seed + args.seeds)
     results = {}
-    for name in args.workloads.split(","):
+    for name in workloads:
         runs = {"parent": [], "change": []}
         for k, seed in enumerate(seeds):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")

@@ -4,11 +4,11 @@ Runs a fixed list of configurations in each checkout, each in its own
 process with that checkout's ``src`` on the import path, and compares:
 
 * level arrays by value (index arrays may change their integer type): the
-  splitting's ``a_min`` and correction (as CSR, whether the checkout holds
-  it as CSR or by diagonals), and per level the CSR arrays of ``combined``
-  and of the structured part's bands, the diagonals, ``sup|symbol|``,
-  the projector (as CSR, whether the checkout stores it as CSR or CSC), and
-  the nnz of the Gauss-Seidel and coarse factors;
+  splitting's ``a_min`` and correction (as CSR), and per level the CSR
+  arrays of ``combined`` and of the structured part's bands, the
+  diagonals, ``sup|symbol|``, the projector (as CSR, whether the checkout
+  stores it as CSR or CSC), and the nnz of the Gauss-Seidel and coarse
+  factors;
 * each Gauss-Seidel and coarse factor by bytes, through its solve of a
   fixed random vector, so a factor that moved shows even where its nnz
   did not;
@@ -116,9 +116,7 @@ def arrays(bc: str, shape: tuple, coeff: str):
     tag = f"{bc}/{'x'.join(map(str, shape))}/{coeff}"
     problem = split(assemble(grid, coeff), grid, coeff)
     yield f"{tag}/a_min", canonical(problem.a_min, True)
-    correction = problem.correction
-    if isinstance(correction, dict):        # {offset: band}
-        correction = dia_from_bands(correction, grid.n_total).tocsr()
+    correction = dia_from_bands(problem.correction, grid.n_total).tocsr()
     yield from csr(f"{tag}/correction", correction)
     b = build_rhs(grid, "random", seed=0)
     for method in ("mgm", "tgm"):

@@ -47,13 +47,20 @@ def _names(code: types.CodeType) -> set:
 
 
 def coefficient_from_spec(spec: str, dim: int):
-    """Preset name, ``a2k:<k>``, or a positive expression in x (and y)."""
+    """Preset name, ``a2k:<k>``, or a positive expression in x (and y).
+
+    An expression that does not parse, or whose evaluation raises an
+    ``ArithmeticError`` or a ``TypeError``, raises a ``ValueError`` naming it.
+    """
     try:
         return make_coefficient(spec, dim)
     except ValueError:
         if not any(ch in spec for ch in "+-*/( "):
             raise
-    code = compile(spec, "<coefficient>", "eval")
+    try:
+        code = compile(spec, "<coefficient>", "eval")
+    except SyntaxError as exc:
+        raise ValueError(f"coefficient expression {spec!r} does not parse: {exc.msg}") from exc
     names = _names(code)
     allowed = set(_EXPR_NAMES) | {"x", "y"}
     for name in sorted(names):
@@ -66,7 +73,10 @@ def coefficient_from_spec(spec: str, dim: int):
         scope = {"x": coords[0]}
         if dim == 2:
             scope["y"] = coords[1]
-        value = eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, **scope})
+        try:
+            value = eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, **scope})
+        except (ArithmeticError, TypeError) as exc:
+            raise ValueError(f"coefficient expression {spec!r} fails: {exc}") from exc
         return np.broadcast_to(value, np.shape(coords[0])).copy()
 
     return DiffusionCoefficient(func, name=spec)

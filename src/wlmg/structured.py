@@ -3,7 +3,9 @@
 Each algebra is the set of matrices diagonalized by a fixed trigonometric
 basis; an operator is stored as its generating symbol plus an optional
 rank-one correction ``gamma * e e^T / N`` (``e`` the all-ones vector) that
-renders the singular circulant/DCT-III Laplacians positive definite.
+renders the singular circulant/DCT-III Laplacians positive definite:
+``strang_correct`` takes ``gamma`` as the symbol's value at the first
+nonzero angle of each dimension's ``algebra_grid``.
 
 The symbol is kept for the Galerkin coarse symbols (folds of it), the
 smoother damping (``sup|symbol|``) and the entry formulas of ``bands``;

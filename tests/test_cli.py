@@ -88,6 +88,21 @@ def test_expression_coefficient():
     assert np.array_equal(coeff3(x, x), [1.0, 100.0])
 
 
+@pytest.mark.parametrize("expr, why", [
+    ("x+", "does not parse"), ("1/0*x+1", "fails: division by zero"),
+    ("2.0**2000*x+1", "fails: .*range"), ("x(1)+1", "fails: .*not callable"),
+])
+def test_malformed_expression_coefficient_usage_error(expr, why, capsys):
+    """An expression that does not parse, or whose evaluation raises, is a
+    usage error naming it (exit 2), not a traceback with the exit code of
+    a solve that did not converge."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--coeff", expr, "--n", "7"])
+    assert exc.value.code == 2
+    named = re.escape(f"coefficient expression {expr!r} ")
+    assert re.search(named + why, capsys.readouterr().err)
+
+
 def test_expression_coefficient_rejects_complex_values():
     coeff = coefficient_from_spec("exp(x)+1j", 1)
     with warnings.catch_warnings():
