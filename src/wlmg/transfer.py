@@ -16,9 +16,8 @@ row per coarse unknown.  ``restrict`` multiplies by that CSR matrix and
 (``p`` is rectangular, so it is not stored by diagonals like the square
 level operators of ``mgm``).  Both are ``structured.BoundProduct``s, built
 with the projector and the only place it holds ``p`` and ``p^T``, which
-call SciPy's compiled kernels directly: ``@``
-spends about 3 us per transfer on dispatch, a third of a level-1 transfer
-at 63^2.
+call SciPy's compiled kernels directly: ``@`` spends about 3 us per
+transfer on dispatch, a third of a level-1 transfer at 63^2.
 
 Galerkin coarsening never forms a sparse triple product.  The coarse symbol
 of the structured part is the algebra-specific fold of ``s^2 p(t)^2 g(t)``;

@@ -132,6 +132,7 @@ def test_tau_coarse_factors_scale_by_exactly_one_half(dim):
     terms = [(g,), (h,)] if dim == 1 else [(g, h), (LAPLACE, g)]
     symbol = TensorSymbol(dim, terms)
     coarse = galerkin_structured(symbol, Projector(AlgebraKind.TAU, (15,) * dim))
+    assert len(coarse.terms) == len(symbol.terms)
     for term, got in zip(symbol.terms, coarse.terms):
         for factor, c in zip(term, got):
             want = fold(P_SYMBOL * P_SYMBOL * factor).scaled(0.5)
