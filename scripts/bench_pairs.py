@@ -7,6 +7,12 @@ over the seeds, the per-seed values, the change's median over the parent's,
 and the share of seed pairs in which the change was better.  The
 environment record of the machine is stored beside them.
 
+Each metric also gets two checks (``pair_checks``): whether a claimed gain
+holds (the change better in at least 9 of 10 pairs, and its median better
+than the parent's by more than the parent's interquartile range), and
+whether the change's median is within the metric's ``bound`` in the change
+checkout's ``BENCHMARK.json`` (``null`` for a metric without one).
+
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --seeds 10 --first-seed 11 --seconds 20 --out BENCH_9.json
 
@@ -41,6 +47,28 @@ def summary(values: list) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
 
 
+def pair_checks(parent: list, change: list, better: str = "lower",
+                bound: float | None = None) -> dict:
+    """The two checks of one metric over alternating pairs of runs,
+    ``parent[i]`` against ``change[i]``.
+
+    ``claim_holds``: the change is better in at least nine tenths of the
+    pairs, and its median is better than the parent's by more than the
+    parent's interquartile range.  ``within_bound``: the change's median is
+    worse than the parent's by at most ``bound`` times the parent's median,
+    or ``None`` without a bound.
+    """
+    if better not in ("lower", "higher"):
+        raise ValueError(f"better must be 'lower' or 'higher', not {better!r}")
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change, strict=True))
+    before, after = summary(parent), summary(change)
+    gain = sign * (before["median"] - after["median"])
+    claim = 10 * wins >= 9 * len(parent) and gain > before["q3"] - before["q1"]
+    within = None if bound is None else -gain <= bound * abs(before["median"])
+    return {"claim_holds": claim, "within_bound": within}
+
+
 def environment(checkout: Path) -> dict:
     """The benchmark's environment record, with the BLAS thread count that
     ``run.py`` sets."""
@@ -65,8 +93,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    declared = json.loads((sides["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    declared_metrics = {m["name"]: m for m in declared["end_to_end"] + declared["per_layer"]}
     if args.workloads is None:
-        declared = json.loads((sides["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
         workloads = [w["name"] for w in declared["workloads"]]
     else:
         workloads = args.workloads.split(",")
@@ -84,6 +113,7 @@ def main(argv=None):
             values = {side: [r["metrics"][metric]["value"] for r in runs[side]]
                       for side in runs}
             better = sum(c < p for p, c in zip(values["parent"], values["change"]))
+            spec = declared_metrics.get(metric, {})
             metrics[metric] = {
                 "unit": entry["unit"],
                 "parent": summary(values["parent"]),
@@ -91,6 +121,8 @@ def main(argv=None):
                 "ratio_of_medians": (statistics.median(values["change"])
                                      / statistics.median(values["parent"])),
                 "pairs_change_lower": f"{better} of {len(values['parent'])}",
+                **pair_checks(values["parent"], values["change"],
+                              spec.get("better", "lower"), spec.get("bound")),
             }
         results[name] = {
             "failed": {side: sum(r["failed"] for r in runs[side]) for side in runs},

@@ -50,7 +50,8 @@ def coefficient_from_spec(spec: str, dim: int):
     """Preset name, ``a2k:<k>``, or a positive expression in x (and y).
 
     An expression that does not parse, or whose evaluation raises an
-    ``ArithmeticError`` or a ``TypeError``, raises a ``ValueError`` naming it.
+    ``ArithmeticError`` or a ``TypeError``, raises a ``ValueError`` naming it
+    (one that overflows says so).
     """
     try:
         return make_coefficient(spec, dim)
@@ -75,6 +76,8 @@ def coefficient_from_spec(spec: str, dim: int):
             scope["y"] = coords[1]
         try:
             value = eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, **scope})
+        except OverflowError:
+            raise ValueError(f"coefficient expression {spec!r} overflows a float") from None
         except (ArithmeticError, TypeError) as exc:
             raise ValueError(f"coefficient expression {spec!r} fails: {exc}") from exc
         return np.broadcast_to(value, np.shape(coords[0])).copy()

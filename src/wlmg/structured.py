@@ -271,6 +271,9 @@ class StructuredOperator:
         zero = self.symbol.eval(*([0.0] * self.dim))
         if abs(zero) > 1e-12:
             raise ValueError("symbol does not vanish at the zero frequency")
+        if min(self.sizes) < 2:
+            raise ValueError(f"Strang correction needs a nonzero frequency: sizes "
+                             f"{self.sizes} have a dimension of size 1")
         freqs = [algebra_grid(self.kind, n)[1] for n in self.sizes]
         gamma = float(self.symbol.eval(*freqs))
         return StructuredOperator(self.kind, self.sizes, self.symbol, rank_one=gamma)

@@ -24,8 +24,9 @@
   equals the COO and Kronecker construction of
   ``oracles.sparse_matrix_coo`` and ``oracles.to_sparse_kron`` bit for bit,
   once the explicit zeros those store are eliminated.
-* ``TensorSymbol.sup_norm`` skips blocks of the angle grid; it equals the
-  max over the full grid exactly.
+* ``TensorSymbol.sup_norm`` skips blocks of the angle grid, or, on symbols
+  with an axis affine in ``cos t``, reads most rows only at their ends; it
+  equals the max over the full grid exactly.
 * The Galerkin symbol fold agrees with the triple product ``p^T M p``, and
   every Galerkin coarse level is symmetric positive definite.
 * ``galerkin_sparse`` computes ``p^T R p`` diagonal by diagonal; it stores
@@ -187,12 +188,64 @@ def tensor_symbols(draw):
 @example(TensorSymbol(2, [(CosineSymbol([1.0, 0.5]), CosineSymbol([2.0])),
                           (CosineSymbol([0.0]), CosineSymbol([np.nan]))]), 100)
 @example(TensorSymbol(2, [(CosineSymbol([np.inf]), CosineSymbol([0.0]))]), 17)
+# inf everywhere: the padding of the last block holds no 0 to make inf * 0
+@example(TensorSymbol(2, [(CosineSymbol([np.inf]), CosineSymbol([1.0]))]), 17)
 # inf on the blocks with t2 < pi/2, NaN (inf - inf) past them
 @example(TensorSymbol(2, [(CosineSymbol([np.inf]), CosineSymbol([1.0])),
                           (CosineSymbol([np.inf]), CosineSymbol([0.0, 0.5]))]), 1025)
 def test_sup_norm_equals_the_full_grid_max(sym, npoints):
     t = np.linspace(0.0, np.pi, npoints)
     with np.errstate(invalid="ignore"):     # the inf * 0 and inf - inf examples
+        expected = np.max(np.abs(sym.eval_grid([t, t])))
+        assert np.array_equal(sym.sup_norm(npoints), expected, equal_nan=True)
+
+
+@st.composite
+def row_symbols(draw):
+    """1-4 terms whose second factors have at most two coefficients, their
+    slopes scaled so rows come near the flat test, some terms cancelling
+    another's slope; the factors swapped half the time."""
+    slope = 10.0 ** draw(st.integers(-16, 0))
+    terms = [(draw(cosine_symbols(4)), draw(cosine_symbols(1)))
+             for _ in range(draw(st.integers(1, 4)))]
+    terms = [(g1, CosineSymbol([g2.coeffs[0], slope * g2.coeffs[-1]]) if g2.degree else g2)
+             for g1, g2 in terms]
+    if draw(st.booleans()):     # cancels the first term's slope up to a scaled shift
+        g1, g2 = terms[0]
+        shift = draw(st.floats(-1.0, 1.0)) * slope
+        terms.append((g1.scaled(-1.0), CosineSymbol([draw(st.floats(-10.0, 10.0)),
+                                                     g2.coeffs[-1] + shift])))
+    if draw(st.booleans()):
+        terms = [(g2, g1) for g1, g2 in terms]
+    return TensorSymbol(2, terms)
+
+
+# 1 + cos t, 2 + 2 cos t (the projector's symbol) and 2 - 2 cos t
+HALF_P, P, LAPLACE = CosineSymbol([1.0, 0.5]), CosineSymbol([2.0, 1.0]), CosineSymbol([2.0, -1.0])
+
+
+@settings(checked, max_examples=120)
+@given(row_symbols(), st.sampled_from([1, 2, 17, 100, 1025]))
+# a(t1) b(t2) + b(t1) a(t2): the row at t1 = pi is zero, the one near
+# t1 = pi/2 of the second flat to rounding
+@example(TensorSymbol(2, [(HALF_P, P), (P, HALF_P)]), 1025)
+@example(TensorSymbol(2, [(CosineSymbol([1.0, 1.0]), CosineSymbol([1.0, -1.0])),
+                          (CosineSymbol([1.0, -1.0]), CosineSymbol([1.0, 1.0]))]), 1025)
+@example(TensorSymbol(2, [(LAPLACE, CosineSymbol([3.0]))]), 1025)    # every row flat
+@example(TensorSymbol(2, [(CosineSymbol([3.0]), LAPLACE)]), 2)
+@example(TensorSymbol(2, [(LAPLACE, HALF_P)]), 1)
+# factors that are not finite fall back to blocks
+@example(TensorSymbol(2, [(HALF_P, CosineSymbol([np.nan, 1.0]))]), 100)
+@example(TensorSymbol(2, [(CosineSymbol([np.inf]), HALF_P)]), 1025)
+@example(TensorSymbol(2, [(LAPLACE, CosineSymbol([1.0, np.inf]))]), 17)
+@example(TensorSymbol(2, [(CosineSymbol([np.inf]), CosineSymbol([1.0])),
+                          (CosineSymbol([np.inf]), CosineSymbol([0.0, 0.5]))]), 1025)
+def test_sup_norm_by_rows_equals_the_full_grid_max(sym, npoints):
+    """Symbols with an axis affine in ``cos t``: ``sup_norm`` reads each
+    row's ends and only near-flat rows whole; it equals the max over the
+    full grid exactly."""
+    t = np.linspace(0.0, np.pi, npoints)
+    with np.errstate(invalid="ignore", over="ignore"):
         expected = np.max(np.abs(sym.eval_grid([t, t])))
         assert np.array_equal(sym.sup_norm(npoints), expected, equal_nan=True)
 

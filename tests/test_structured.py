@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -216,6 +218,17 @@ def test_strang_errors():
         make_op(AlgebraKind.TAU, 8).strang_correct()
     with pytest.raises(ValueError):
         make_op(AlgebraKind.CIRCULANT, 8, CosineSymbol([1.0])).strang_correct()
+
+
+@pytest.mark.parametrize("kind, sizes", [(AlgebraKind.CIRCULANT, (1,)),
+                                         (AlgebraKind.CIRCULANT, (4, 1)),
+                                         (AlgebraKind.DCT3, (1, 4))])
+def test_strang_correct_rejects_a_dimension_of_size_one(kind, sizes):
+    """A dimension of size 1 has no nonzero frequency to shift by."""
+    sym = TensorSymbol.separable_sum([LAPLACE] * len(sizes))
+    op = StructuredOperator(kind, sizes, sym)
+    with pytest.raises(ValueError, match=re.escape(f"sizes {sizes} have a dimension of size 1")):
+        op.strang_correct()
 
 
 def test_strang_2d_uses_per_dimension_frequencies():

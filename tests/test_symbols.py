@@ -5,6 +5,7 @@ import pytest
 
 from wlmg.discretize import BoundaryCondition, GridSpec, assemble, split
 from wlmg.mgm import build_hierarchy
+from wlmg import symbols
 from wlmg.symbols import CosineSymbol, TensorSymbol, fold, fold_pairsum
 
 LAPLACE = CosineSymbol([2.0, -1.0])
@@ -126,6 +127,77 @@ def test_blocked_supnorm_equals_full_grid_on_every_level(bc, n):
             # 100 points leave a last block of 4
             assert sym.sup_norm(npoints=100) == float(
                 np.max(np.abs(sym.eval_grid([short, short]))))
+
+
+def record_sup_paths(monkeypatch):
+    """The path each later ``sup_norm`` call takes, in order."""
+    taken = []
+    for path in ("_sup_by_rows", "_sup_by_blocks"):
+        def recording(*args, _path=path, _run=getattr(symbols, path)):
+            taken.append(_path)
+            return _run(*args)
+        monkeypatch.setattr(symbols, path, recording)
+    return taken
+
+
+@pytest.mark.parametrize("bc,n,by_rows", [
+    ("dirichlet", 63, [True, True]), ("periodic", 64, [True, True]),
+    ("dirichlet", 511, [True] * 5), ("reflective", 128, [True, False, False])])
+def test_smoothing_levels_take_the_row_path_where_an_axis_is_affine(bc, n, by_rows, monkeypatch):
+    """Every smoothing level of Dirichlet and periodic 2-D hierarchies has a
+    symbol whose factors on one axis are affine in ``cos t`` and is bounded
+    by rows; reflective coarse levels, wider on both axes, by blocks."""
+    smoothing = level_symbols(bc, n, "a7")[:-1]
+    taken = record_sup_paths(monkeypatch)
+    for sym in smoothing:
+        sym.sup_norm()
+    assert taken == ["_sup_by_rows" if rows else "_sup_by_blocks" for rows in by_rows]
+
+
+@pytest.mark.parametrize("terms, path", [
+    ([(LAPLACE, SMOOTH)], "_sup_by_rows"),
+    ([(CosineSymbol([1.0, 2.0, 3.0]), SMOOTH)], "_sup_by_rows"),
+    ([(SMOOTH, CosineSymbol([1.0, 2.0, 3.0]))], "_sup_by_rows"),
+    ([(CosineSymbol([1.0, 2.0, 3.0]), CosineSymbol([1.0, 2.0, 3.0]))], "_sup_by_blocks"),
+    ([(LAPLACE, SMOOTH), (CosineSymbol([np.nan]), SMOOTH)], "_sup_by_blocks"),
+    ([(LAPLACE, CosineSymbol([np.inf, 1.0]))], "_sup_by_blocks"),
+    # 2 c_1 overflows: the factor's values are not finite
+    ([(LAPLACE, CosineSymbol([0.0, 1e308]))], "_sup_by_blocks"),
+])
+def test_sup_norm_path_is_chosen_from_the_input(terms, path, monkeypatch):
+    taken = record_sup_paths(monkeypatch)
+    sym = TensorSymbol(2, terms)
+    t = np.linspace(0.0, np.pi, 100)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = sym.sup_norm(100)
+        want = np.max(np.abs(sym.eval_grid([t, t])))
+    assert taken == [path]
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("npoints", [3, 17, 1025])
+@pytest.mark.parametrize("x, c0, slope", [
+    ([1.0], [1.0], [1.0]),
+    ([0.75, -3.0, 1e-3], [2.0, 0.5, -7.0], [1.0, -0.25, 3.0]),
+    ([1.0, 1.0], [1.0, -1.0], [1.0, -1.0 + 2.0 ** -20]),     # slopes that nearly cancel
+])
+def test_sup_norm_rows_either_side_of_the_flat_test(x, c0, slope, npoints):
+    """Rows of ``sum_k x_k (c_k0 + 2 s c_k1 cos t)`` whose slope ``s B`` sits
+    just below the flat test are evaluated whole, just above it only at
+    their ends; both ways the max is the full grid's, bit for bit."""
+    coeffs = lambda s: np.array([(a, s * b) for a, b in zip(c0, slope)])
+    rows = np.repeat(np.array(x)[:, None], npoints, axis=1)
+    whole = lambda s: symbols._whole_rows(rows, coeffs(s), npoints)
+    lo, hi = 0.0, 1.0
+    assert whole(lo).all() and not whole(hi).any()
+    while (mid := (lo + hi) / 2) not in (lo, hi):      # bisect to adjacent floats
+        lo, hi = (mid, hi) if whole(mid).all() else (lo, mid)
+    assert np.nextafter(lo, 2.0) == hi
+    t = np.linspace(0.0, np.pi, npoints)
+    for s in (lo, hi):
+        sym = TensorSymbol(2, [(CosineSymbol([xk]), CosineSymbol(ck))
+                               for xk, ck in zip(x, coeffs(s))])
+        assert sym.sup_norm(npoints) == np.max(np.abs(sym.eval_grid([t, t])))
 
 
 @pytest.mark.parametrize("bc,n", [("dirichlet", 63), ("periodic", 64), ("reflective", 64)])
