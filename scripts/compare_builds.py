@@ -54,6 +54,10 @@ import numpy as np
 
 PRESETS_1D = ("a1", "a2", "a3", "a2k:1", "a2k:3")
 PRESETS_2D = ("a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "a2k:1")
+# expression coefficients, each on the grids of its dimension: a3 on the
+# square written out, and a coefficient jump of 1e12 across x = 1/2
+EXPRESSIONS_1D = ("exp(x) + 1",)
+EXPRESSIONS_2D = ("exp(x + y) + 2.0", "where(x < 0.5, 1e-12, 1.0)")
 SIZES_1D = {"dirichlet": (15, 31, 63, 127, 255), "periodic": (16, 32, 64, 128, 256),
             "reflective": (16, 32, 64, 128, 256)}
 SIZES_2D = {"dirichlet": ((15, 15), (31, 31), (63, 63), (63, 31)),
@@ -75,12 +79,21 @@ MAX_ITER = 300
 def problems():
     for bc, sizes in SIZES_1D.items():
         for n in sizes:
-            for coeff in PRESETS_1D:
+            for coeff in PRESETS_1D + EXPRESSIONS_1D:
                 yield bc, (n,), coeff
     for bc, sizes in SIZES_2D.items():
         for shape in sizes:
-            for coeff in PRESETS_2D:
+            for coeff in PRESETS_2D + EXPRESSIONS_2D:
                 yield bc, shape, coeff
+
+
+def coefficient(spec: str, dim: int):
+    """``spec`` resolved as the checkout's command line resolves it: by
+    ``wlmg.cli.coefficient_from_spec`` where that exists, which takes
+    expressions, and by ``make_coefficient`` otherwise."""
+    from wlmg import cli
+    from wlmg.discretize import make_coefficient
+    return getattr(cli, "coefficient_from_spec", make_coefficient)(spec, dim)
 
 
 def canonical(a, by_value: bool) -> np.ndarray:
@@ -114,7 +127,8 @@ def arrays(bc: str, shape: tuple, coeff: str):
 
     grid = GridSpec(shape, BoundaryCondition(bc))
     tag = f"{bc}/{'x'.join(map(str, shape))}/{coeff}"
-    problem = split(assemble(grid, coeff), grid, coeff)
+    resolved = coefficient(coeff, grid.dim)
+    problem = split(assemble(grid, resolved), grid, resolved)
     yield f"{tag}/a_min", canonical(problem.a_min, True)
     correction = dia_from_bands(problem.correction, grid.n_total).tocsr()
     yield from csr(f"{tag}/correction", correction)

@@ -14,14 +14,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-import types
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from ._tables import DAGGER, PAIR_SMOOTHERS, TABLES
-from .discretize import (BoundaryCondition, DiffusionCoefficient, GridSpec, assemble,
+from .discretize import (_EXPR_NAMES, _PRESETS, BoundaryCondition, GridSpec, assemble,
                          build_rhs, make_coefficient, split)
 from .mgm import (CG_PRECONDITIONERS, METHODS, SCALINGS, SMOOTHERS, SolverConfig,
                   build_hierarchy, solve)
@@ -29,65 +26,9 @@ from .verify import theory_report
 
 BOUNDARY_CONDITIONS = tuple(bc.value for bc in BoundaryCondition)
 
-_EXPR_NAMES = {
-    "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
-    "sin": np.sin, "cos": np.cos, "tanh": np.tanh, "where": np.where,
-    "minimum": np.minimum, "maximum": np.maximum, "pi": np.pi, "e": np.e,
-}
-
-
-def _names(code: types.CodeType) -> set:
-    """The names ``code`` looks up, and those of every code object nested in
-    it (a lambda's, a comprehension's)."""
-    names = set(code.co_names)
-    for const in code.co_consts:
-        if isinstance(const, types.CodeType):
-            names |= _names(const)
-    return names
-
-
-def coefficient_from_spec(spec: str, dim: int):
-    """Preset name, ``a2k:<k>``, or a positive expression in x (and y).
-
-    An expression that does not parse, or whose evaluation raises an
-    ``ArithmeticError`` or a ``TypeError``, raises a ``ValueError`` naming it
-    (one that overflows says so).
-    """
-    try:
-        return make_coefficient(spec, dim)
-    except ValueError:
-        if not any(ch in spec for ch in "+-*/( "):
-            raise
-    try:
-        code = compile(spec, "<coefficient>", "eval")
-    except SyntaxError as exc:
-        raise ValueError(f"coefficient expression {spec!r} does not parse: {exc.msg}") from exc
-    names = _names(code)
-    allowed = set(_EXPR_NAMES) | {"x", "y"}
-    for name in sorted(names):
-        if name not in allowed:
-            raise ValueError(f"name {name!r} not allowed in coefficient expressions")
-    if "y" in names and dim != 2:
-        raise ValueError("expression uses y but the problem is one-dimensional")
-
-    def func(*coords):
-        scope = {"x": coords[0]}
-        if dim == 2:
-            scope["y"] = coords[1]
-        try:
-            value = eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, **scope})
-        except OverflowError:
-            raise ValueError(f"coefficient expression {spec!r} overflows a float") from None
-        except (ArithmeticError, TypeError) as exc:
-            raise ValueError(f"coefficient expression {spec!r} fails: {exc}") from exc
-        return np.broadcast_to(value, np.shape(coords[0])).copy()
-
-    return DiffusionCoefficient(func, name=spec)
-
-
 def _build_problem(bc: str, dim: int, coeff_spec: str, n: int):
     grid = GridSpec((n,) * dim, bc)
-    coeff = coefficient_from_spec(coeff_spec, dim)
+    coeff = make_coefficient(coeff_spec, dim)
     A = assemble(grid, coeff)
     return grid, split(A, grid, coeff)
 
@@ -346,10 +287,17 @@ def run_bench(args: argparse.Namespace) -> int:
 VERIFY_SIZES = {"dirichlet": (7, 15, 31), "periodic": (8, 16, 32), "reflective": (8, 16, 32)}
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field: quoted, its quotes doubled, if it holds a
+    comma or a quote."""
+    quoted = '"' + text.replace('"', '""') + '"'
+    return quoted if any(c in text for c in ',"') else text
+
+
 def run_verify(args: argparse.Namespace) -> int:
     rows = []
     ok = True
-    for coeff in args.coeffs.split(","):
+    for coeff in args.coeffs:
         for n in args.sizes or VERIFY_SIZES[args.bc]:
             rep = theory_report(args.bc, coeff, n)
             rows.append(rep)
@@ -361,7 +309,7 @@ def run_verify(args: argparse.Namespace) -> int:
     header = "bc,coeff,n,alpha_post,beta,bound,measured_contraction,theta1,theta2"
     lines = [header]
     for r in rows:
-        lines.append(f"{r.bc},{r.coeff},{r.n},{r.alpha_post:.12e},{r.beta:.12e},"
+        lines.append(f"{r.bc},{_csv_field(r.coeff)},{r.n},{r.alpha_post:.12e},{r.beta:.12e},"
                      f"{r.bound:.12e},{r.measured_contraction:.12e},"
                      f"{r.theta1:.12e},{r.theta2:.12e}")
     text = "\n".join(lines) + "\n"
@@ -382,6 +330,18 @@ def _int_list(text: str):
     return tuple(int(v) for v in text.split(",") if v)
 
 
+def _coefficient_list(text: str) -> list:
+    """``text`` split at the commas outside parentheses, so that
+    ``a1,where(x < 0.5, 1.0, 2.0)`` is two coefficients."""
+    items = []
+    for piece in text.split(","):
+        if items and items[-1].count("(") > items[-1].count(")"):
+            items[-1] += "," + piece        # the comma is inside an open parenthesis
+        else:
+            items.append(piece)
+    return items
+
+
 def _table_ids(text: str):
     """``all`` or comma-separated table ids, as a tuple of known ids."""
     if text == "all":
@@ -398,11 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="wlmg",
         description="Multigrid solvers and benchmarks for finite-difference "
                     "weighted Laplacians.",
-        epilog="Coefficient presets: a1 (1), a2 (e^x / e^{x+y}), a3 (e^x+1 / "
-               "e^{x+y}+2), a2k:<k> (e^x + 10^k), and on the square a4 "
-               "(e^{x+|y-1/2|^{3/2}}), a5 (e^{x+|y-1/2|}), a6/a7/a8 (1 where "
-               "x,y<1/2, else 10/100/1000).  Arbitrary positive expressions "
-               "in x (and y) are accepted too.")
+        epilog="A coefficient is a preset, a2k:<k> (a2 + 10^k) or a positive "
+               "expression in x (and y on the square) that may call or read "
+               f"{', '.join(_EXPR_NAMES)} but not index or slice x or y.  "
+               "Presets, on the interval | on the square: " + "; ".join(
+                   f"{name} = " + (f"{line} | {square}" if line else f"{square} (square only)")
+                   for name, (line, square) in _PRESETS.items()) + ".")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sv = sub.add_parser("solve", help="solve one problem and report iterations")
@@ -435,8 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     vf = sub.add_parser("verify", help="dense convergence-theory checks")
     vf.add_argument("--bc", choices=BOUNDARY_CONDITIONS, default="dirichlet")
-    vf.add_argument("--coeffs", default="a1,a2,a3",
-                    help="comma-separated presets")
+    vf.add_argument("--coeffs", type=_coefficient_list, default="a1,a2,a3",
+                    help="comma-separated coefficients, presets or expressions "
+                         "(a comma inside parentheses does not separate)")
     vf.add_argument("--sizes", type=_int_list, default=(),
                     help="grid sizes (default 7,15,31 for Dirichlet, "
                          "8,16,32 for periodic and reflective)")

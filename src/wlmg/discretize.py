@@ -18,7 +18,9 @@ operator is then ``a_min * (M + gamma e e^T / N) + R``, positive definite.
 
 from __future__ import annotations
 
+import ast
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,49 +111,95 @@ class DiffusionCoefficient:
         return np.asarray(c, dtype=float)
 
 
-def _piecewise(delta):
-    def f(x, y):
-        return np.where((x < 0.5) & (y < 0.5), 1.0, float(delta))
-    return f
+# the names an expression may look up besides x and y, each numpy's
+_EXPR_NAMES = {name: getattr(np, name) for name in (
+    "exp", "log", "sqrt", "abs", "sin", "cos", "tanh", "where", "minimum", "maximum", "pi", "e")}
 
-
+# the coefficients of the paper's tables: {name: (expression on the unit
+# interval, None for a preset of the unit square only; on the unit square)}
 _PRESETS = {
-    "a1": lambda d: (lambda *xs: np.ones_like(np.asarray(xs[0], dtype=float))),
-    "a2": lambda d: (lambda *xs: np.exp(sum(xs))),
-    "a3": lambda d: ((lambda x: np.exp(x) + 1.0) if d == 1
-                     else (lambda x, y: np.exp(x + y) + 2.0)),
-    "a4": lambda d: (lambda x, y: np.exp(x + np.abs(y - 0.5) ** 1.5)),
-    "a5": lambda d: (lambda x, y: np.exp(x + np.abs(y - 0.5))),
-    "a6": lambda d: _piecewise(10.0),
-    "a7": lambda d: _piecewise(100.0),
-    "a8": lambda d: _piecewise(1000.0),
+    "a1": ("1.0", "1.0"),
+    "a2": ("exp(x)", "exp(x + y)"),
+    "a3": ("exp(x) + 1.0", "exp(x + y) + 2.0"),
+    "a4": (None, "exp(x + abs(y - 0.5) ** 1.5)"),
+    "a5": (None, "exp(x + abs(y - 0.5))"),
+    "a6": (None, "where((x < 0.5) & (y < 0.5), 1.0, 10.0)"),
+    "a7": (None, "where((x < 0.5) & (y < 0.5), 1.0, 100.0)"),
+    "a8": (None, "where((x < 0.5) & (y < 0.5), 1.0, 1000.0)"),
 }
 
-TWO_D_ONLY_PRESETS = ("a4", "a5", "a6", "a7", "a8")
+TWO_D_ONLY_PRESETS = tuple(name for name, (line, _) in _PRESETS.items() if line is None)
+
+
+@functools.lru_cache(maxsize=64)     # more than the presets, in both dimensions
+def _compile(expr: str, dim: int):
+    """``expr`` compiled for a grid of ``dim`` dimensions; a preset once per
+    process."""
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"coefficient expression {expr!r} does not parse: {exc.msg}") from exc
+    nodes = list(ast.walk(tree))
+    # the names and attributes it reads, a lambda's or a comprehension's included
+    names = {node.id for node in nodes if isinstance(node, ast.Name)}
+    names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    unknown = sorted(names - set(_EXPR_NAMES) - {"x", "y"})
+    if unknown:
+        raise ValueError(f"name {unknown[0]!r} not allowed in coefficient expressions")
+    if "y" in names and dim != 2:
+        raise ValueError(f"coefficient expression {expr!r} uses y but the problem "
+                         "is one-dimensional")
+    if any(isinstance(node, ast.Subscript) for node in nodes):
+        raise ValueError(f"coefficient expression {expr!r} may not index or slice: x and "
+                         "y hold the sample points in an order of the library's choosing")
+    return compile(tree, "<coefficient>", "eval")
 
 
 def make_coefficient(spec, dim: int) -> DiffusionCoefficient:
-    """Resolve a preset name, ``a2k:<k>`` string, or callable into a coefficient."""
+    """Resolve a coefficient: a callable, or a string, which is a preset
+    name, ``a2k:<k>`` (``a2`` plus ``10^k``) or an expression in ``x``
+    (and ``y`` on the square).
+
+    A preset is its expression in ``_PRESETS`` and keeps its name.  An
+    expression may call and read the names of ``_EXPR_NAMES``; it may not
+    index or slice ``x`` or ``y``, whose layout is the sampler's.  A value
+    of the sample points' shape is returned as it is, any other one
+    broadcast to a new array.  An expression that does not parse, indexes,
+    looks up another name or uses ``y`` on the interval, or whose
+    evaluation raises an ``ArithmeticError`` or a ``TypeError``, raises a
+    ``ValueError`` naming it (one that overflows says so).
+    """
     if isinstance(spec, DiffusionCoefficient):
         return spec
     if callable(spec):
         return DiffusionCoefficient(spec)
-    name = str(spec).strip()
+    name = expr = str(spec).strip()
     if name.startswith("a2k"):
         try:
             k = int(name.split(":", 1)[1])
+            shift = 10.0 ** k
         except (IndexError, ValueError):
             raise ValueError(f"malformed preset {name!r}; use a2k:<k>") from None
-        try:
-            shift = 10.0 ** k
         except OverflowError:
             raise ValueError(f"preset {name!r}: the shift 10^{k} overflows a float") from None
-        return DiffusionCoefficient(lambda *xs: np.exp(sum(xs)) + shift, name=f"a2k:{k}")
-    if name in _PRESETS:
-        if name in TWO_D_ONLY_PRESETS and dim != 2:
+        name, expr = f"a2k:{k}", f"{_PRESETS['a2'][dim - 1]} + {shift!r}"
+    elif name in _PRESETS:
+        expr = _PRESETS[name][dim - 1]
+        if expr is None:
             raise ValueError(f"preset {name} is defined on the unit square only")
-        return DiffusionCoefficient(_PRESETS[name](dim), name=name)
-    raise ValueError(f"unknown coefficient preset {name!r}")
+    code = _compile(expr, dim)
+
+    def func(*coords):
+        try:
+            value = eval(code, {"__builtins__": {}, **_EXPR_NAMES}, dict(zip("xy", coords)))
+        except OverflowError:
+            raise ValueError(f"coefficient expression {expr!r} overflows a float") from None
+        except (ArithmeticError, TypeError) as exc:
+            raise ValueError(f"coefficient expression {expr!r} fails: {exc}") from exc
+        shape = np.shape(coords[0])
+        return value if np.shape(value) == shape else np.broadcast_to(value, shape).copy()
+
+    return DiffusionCoefficient(func, name=name)
 
 
 def _sample(coeff: DiffusionCoefficient, *coords) -> np.ndarray:

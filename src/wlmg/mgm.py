@@ -22,7 +22,10 @@ concurrent solves against one hierarchy are safe.
 
 Every level product on the solve path is a product with the level operator
 stored by diagonals (``sp.dia_array``): the residual, the smoothers, and
-the two triangles of Gauss-Seidel, which are slices of those diagonals.
+Gauss-Seidel's upper triangle ``triu(A, 1)``, a slice of those diagonals.
+Its lower triangle is not a slice: it is a CSC copy written off them (the
+interleaved 2N one on rank-one levels), scaled column by column, that
+``gstrs`` solves with (``structured.TriangularFactor``).
 The grid transfers multiply by ``p^T`` (CSR) and ``p`` (CSC) over one set
 of arrays.  Each product is a ``structured.BoundProduct``, built at set-up
 (``_Level._product``, the third slot of ``_Level._gs``, the projector's

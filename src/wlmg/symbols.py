@@ -76,11 +76,11 @@ class CosineSymbol:
         return CosineSymbol(alpha * self.coeffs)
 
     def __mul__(self, other):
-        if isinstance(other, CosineSymbol):
-            return self.product(other)
-        return self.scaled(float(other))
-
-    __rmul__ = __mul__
+        """The pointwise product with another symbol; a scalar multiple is
+        ``scaled``."""
+        if not isinstance(other, CosineSymbol):
+            return NotImplemented
+        return self.product(other)
 
     def __eq__(self, other):
         if not isinstance(other, CosineSymbol):

@@ -107,6 +107,35 @@ def dense_operator(lev) -> np.ndarray:
     return M
 
 
+def _piecewise(delta):
+    def f(x, y):
+        return np.where((x < 0.5) & (y < 0.5), 1.0, float(delta))
+    return f
+
+
+# the presets as callables, the reference for their expressions in
+# ``wlmg.discretize._PRESETS``: ``PRESET_FUNCTIONS[name](dim)``
+PRESET_FUNCTIONS = {
+    "a1": lambda d: (lambda *xs: np.ones_like(np.asarray(xs[0], dtype=float))),
+    "a2": lambda d: (lambda *xs: np.exp(sum(xs))),
+    "a3": lambda d: ((lambda x: np.exp(x) + 1.0) if d == 1
+                     else (lambda x, y: np.exp(x + y) + 2.0)),
+    "a4": lambda d: (lambda x, y: np.exp(x + np.abs(y - 0.5) ** 1.5)),
+    "a5": lambda d: (lambda x, y: np.exp(x + np.abs(y - 0.5))),
+    "a6": lambda d: _piecewise(10.0),
+    "a7": lambda d: _piecewise(100.0),
+    "a8": lambda d: _piecewise(1000.0),
+}
+
+
+def preset_function(name: str, dim: int):
+    """The reference callable of a preset or of ``a2k:<k>``."""
+    if name.startswith("a2k:"):
+        shift = 10.0 ** int(name.split(":", 1)[1])
+        return lambda *xs: np.exp(sum(xs)) + shift
+    return PRESET_FUNCTIONS[name](dim)
+
+
 def edge_groups(grid: GridSpec, coeff):
     """Conservative-stencil edges per sweep direction.
 

@@ -1,3 +1,4 @@
+import csv
 import re
 import warnings
 from pathlib import Path
@@ -7,8 +8,8 @@ import pytest
 
 from wlmg import cli
 from wlmg._tables import DAGGER, PAIR_SMOOTHERS, TABLES, BenchTable
-from wlmg.cli import (BenchRow, bench_cell, bench_rows_csv, coefficient_from_spec,
-                      evaluate_gates, run_bench_table)
+from wlmg.cli import BenchRow, bench_cell, bench_rows_csv, evaluate_gates, run_bench_table
+from wlmg.discretize import make_coefficient
 
 
 def test_solve_subcommand_converges(tmp_path, capsys):
@@ -70,22 +71,39 @@ def test_coefficient_whose_stencil_overflows_usage_error(capsys):
 
 
 def test_expression_coefficient():
-    coeff = coefficient_from_spec("exp(x)+1", 1)
+    coeff = make_coefficient("exp(x)+1", 1)
     assert coeff(np.array([0.0]))[0] == pytest.approx(2.0)
-    coeff2 = coefficient_from_spec("1 + x*y", 2)
+    coeff2 = make_coefficient("1 + x*y", 2)
     assert coeff2(np.array([0.5]), np.array([0.5]))[0] == pytest.approx(1.25)
     with pytest.raises(ValueError):
-        coefficient_from_spec("__import__('os')", 1)
+        make_coefficient("__import__('os')", 1)
     with pytest.raises(ValueError):
-        coefficient_from_spec("x + y", 1)
+        make_coefficient("x + y", 1)
     # names looked up inside a lambda or a comprehension are checked too
     for spec in ("(lambda y: y.shape[0])(x) + 1 + x", "[y.ndim for y in (x,)][0] + x"):
         with pytest.raises(ValueError, match="not allowed in coefficient expressions"):
-            coefficient_from_spec(spec, 1)
+            make_coefficient(spec, 1)
     x = np.array([0.25, 0.75])
-    assert np.array_equal(coefficient_from_spec("exp(x) + 1", 1)(x), np.exp(x) + 1)
-    coeff3 = coefficient_from_spec("where(x < 0.5, 1.0, 100.0) + 0*y", 2)
+    assert np.array_equal(make_coefficient("exp(x) + 1", 1)(x), np.exp(x) + 1)
+    coeff3 = make_coefficient("where(x < 0.5, 1.0, 100.0) + 0*y", 2)
     assert np.array_equal(coeff3(x, x), [1.0, 100.0])
+
+
+@pytest.mark.parametrize("coeff", ["2", "x", "1e3"])
+def test_solve_takes_a_number_or_a_bare_variable_as_coefficient(coeff, capsys):
+    """A string that is no preset is an expression, however short."""
+    assert cli.main(["solve", "--coeff", coeff, "--n", "7"]) == 0
+    assert "converged=True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("expr", ["x[::-1]+1", "1+x[0]", "where(x < 0.5, 1.0, x[1:])"])
+def test_expression_that_indexes_usage_error(expr, capsys):
+    """The order of the sample points is the library's: an expression that
+    indexes or slices them would compute another coefficient unseen."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--coeff", expr, "--n", "7"])
+    assert exc.value.code == 2
+    assert f"coefficient expression {expr!r} may not index or slice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("expr, why", [
@@ -115,7 +133,7 @@ def test_overflowing_expression_coefficient_usage_error(expr, capsys):
 
 
 def test_expression_coefficient_rejects_complex_values():
-    coeff = coefficient_from_spec("exp(x)+1j", 1)
+    coeff = make_coefficient("exp(x)+1j", 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error", np.exceptions.ComplexWarning)
         with pytest.raises(ValueError, match=r"^coefficient 'exp\(x\)\+1j' is complex"):
@@ -354,6 +372,18 @@ def test_verify_cli(tmp_path):
         parts = line.split(",")
         alpha, beta, bound, measured = map(float, parts[3:7])
         assert alpha > 0 and beta >= alpha and measured <= bound + 1e-8
+
+
+def test_verify_takes_expressions(tmp_path):
+    """``--coeffs`` takes what ``solve --coeff`` takes, split at the commas
+    outside parentheses; a coefficient holding a comma is one quoted field."""
+    out = tmp_path / "theory.csv"
+    rc = cli.main(["verify", "--coeffs", "a1,where(x < 0.5, 1.0, 2.0),exp(x)+1",
+                   "--sizes", "7", "--output", str(out)])
+    assert rc == 0
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert [row[1] for row in rows] == ["coeff", "a1", "where(x < 0.5, 1.0, 2.0)", "exp(x)+1"]
+    assert all(len(row) == 9 for row in rows)
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "periodic", "reflective"])

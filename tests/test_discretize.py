@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from wlmg.discretize import (BoundaryCondition, DiffusionCoefficient, GridSpec,
-                             algebra_for_bc, assemble, build_rhs, make_coefficient,
-                             split)
+from wlmg.discretize import (TWO_D_ONLY_PRESETS, BoundaryCondition, DiffusionCoefficient,
+                             GridSpec, _edge_samples, algebra_for_bc, assemble, build_rhs,
+                             make_coefficient, split)
 from wlmg.structured import AlgebraKind, StructuredOperator
 from wlmg.symbols import CosineSymbol, TensorSymbol
 
 from oracles import (correction_csr, edge_groups, full_dense, infinity_norm, materialize_dense,
-                     to_sparse)
+                     preset_function, to_sparse)
 
 BCS = list(BoundaryCondition)
 
@@ -254,6 +254,57 @@ def test_coefficient_errors():
         make_coefficient("a4", 1)           # square-only preset
     with pytest.raises(ValueError):
         make_coefficient("a2k:x", 1)
+
+
+PRESETS = ([f"a{i}" for i in range(1, 9)] + [f"a2k:{k}" for k in range(6)]
+           + ["a2k:308"])
+
+
+@pytest.mark.parametrize("bc", BCS, ids=lambda bc: bc.value)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_presets_equal_their_callables_bit_for_bit(bc, dim):
+    """Each preset, an expression now, samples every edge as the callable
+    it replaced did, bit for bit, and keeps its name."""
+    for n in (7, 16, 31):
+        grid = GridSpec((n,) * dim, bc)
+        for name in PRESETS:
+            if dim == 1 and name in TWO_D_ONLY_PRESETS:
+                continue
+            coeff = make_coefficient(name, dim)
+            assert coeff.name == name
+            want = _edge_samples(grid, DiffusionCoefficient(preset_function(name, dim)))
+            for got, ref in zip(_edge_samples(grid, coeff), want, strict=True):
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (name, n)
+    assert TWO_D_ONLY_PRESETS == ("a4", "a5", "a6", "a7", "a8")
+
+
+@pytest.mark.parametrize("spec, value", [("2", 2.0), ("x", None), ("1e3", 1000.0)])
+def test_a_string_that_is_no_preset_is_an_expression(spec, value):
+    x = np.array([0.25, 0.5, 0.75])
+    got = make_coefficient(spec, 1)(x)
+    assert got.dtype == float and np.array_equal(got, x if value is None else np.full(3, value))
+    assert make_coefficient(spec, 1).name == spec
+
+
+def test_expression_value_of_the_sample_shape_is_returned_as_it_is():
+    """A value of the points' shape is not copied; a scalar is broadcast
+    into a new array."""
+    x = np.array([0.25, 0.75])
+    assert make_coefficient("x", 1).func(x) is x
+    one = make_coefficient("a1", 1).func(x)
+    assert one.flags.writeable and np.array_equal(one, [1.0, 1.0])
+
+
+def test_bare_unknown_name_names_it():
+    with pytest.raises(ValueError, match="^name 'a9' not allowed in coefficient expressions"):
+        make_coefficient("a9", 2)
+
+
+def test_expression_may_not_index_or_slice():
+    for spec in ("x[::-1]+1", "1+x[0]", "exp(x + y[0])"):
+        with pytest.raises(ValueError, match=f"^coefficient expression {re.escape(repr(spec))} "
+                                             "may not index or slice"):
+            make_coefficient(spec, 2)
 
 
 def test_a2k_shift_that_overflows_names_the_preset():

@@ -40,6 +40,14 @@ def test_product_identity_and_zero():
     assert (zero * SMOOTH) == zero
 
 
+def test_a_scalar_multiple_is_scaled_not_a_product():
+    """``*`` multiplies two symbols; a scalar multiple is ``scaled``."""
+    assert LAPLACE.scaled(2.0) == CosineSymbol([4.0, -2.0])
+    for product in (lambda: LAPLACE * 2.0, lambda: 2.0 * LAPLACE):
+        with pytest.raises(TypeError):
+            product()
+
+
 def test_product_pointwise_random():
     rng = np.random.default_rng(11)
     for _ in range(10):
