@@ -21,6 +21,13 @@ run on seeds that were not used while the change was written; the file
 records the range.  The workloads are those the change checkout's
 ``BENCHMARK.json`` declares, unless ``--workloads`` names others.
 
+``--layers N`` (default 0) then runs each side N more times per workload
+with ``--trace 1``, alternating as the pairs do, on the first N seeds of
+the range, and stores each per-layer metric's median per side, and their
+ratio, under the workload's ``layers`` (``layer_summary``): which layer a
+gain came from.  With 0 no traced run is made and the file has no
+``layers``.
+
 Each run is a separate process, so the set-up memory figure is always a
 first set-up.
 """
@@ -35,9 +42,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(out.stdout.rstrip("\n").split("\n")[-1])
 
@@ -69,6 +76,21 @@ def pair_checks(parent: list, change: list, better: str = "lower",
     return {"claim_holds": claim, "within_bound": within}
 
 
+def layer_summary(runs: dict) -> dict:
+    """Per-layer metrics of traced runs, ``{"parent": [record, ...],
+    "change": [...]}`` as ``run.py --trace 1`` prints them: per metric its
+    unit, each side's median and the change's median over the parent's
+    (None where the parent's is 0)."""
+    out = {}
+    for metric, entry in runs["parent"][0]["metrics"].items():
+        medians = {side: statistics.median(r["metrics"][metric]["value"] for r in runs[side])
+                   for side in ("parent", "change")}
+        out[metric] = {"unit": entry["unit"], **medians,
+                       "ratio_of_medians": (medians["change"] / medians["parent"]
+                                            if medians["parent"] else None)}
+    return out
+
+
 def environment(checkout: Path) -> dict:
     """The benchmark's environment record, with the BLAS thread count that
     ``run.py`` sets."""
@@ -89,8 +111,12 @@ def main(argv=None):
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--workloads", default=None,
                         help="comma-separated names (default: the change's BENCHMARK.json)")
+    parser.add_argument("--layers", type=int, default=0,
+                        help="traced runs per side and workload after the pairs (default 0)")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    if not 0 <= args.layers <= args.seeds:
+        parser.error(f"--layers must be between 0 and --seeds ({args.seeds})")
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     declared = json.loads((sides["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -129,6 +155,14 @@ def main(argv=None):
             "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in runs},
             "metrics": metrics,
         }
+        if args.layers:
+            traced = {"parent": [], "change": []}
+            for k, seed in enumerate(seeds[:args.layers]):
+                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+                for side in order:
+                    traced[side].append(run_once(sides[side], name, seed, args.seconds, 1))
+                    print(f"{name} seed {seed} {side} traced done", file=sys.stderr)
+            results[name]["layers"] = layer_summary(traced)
     record = {
         "command": "perfbench/run.py --workload <w> --seed <s> --seconds "
                    f"{args.seconds:g} --trace 0",
@@ -136,6 +170,8 @@ def main(argv=None):
         "seed_range": [seeds[0], seeds[-1]],
         "order": "the first, third, ... seed runs the parent first, the others "
                  "the change first",
+        **({"layers": f"medians of {args.layers} runs per side with --trace 1, on seeds "
+                      f"{seeds[0]}-{seeds[args.layers - 1]}"} if args.layers else {}),
         "environment": environment(sides["change"]),
         "workloads": results,
     }

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .structured import AlgebraKind, StructuredOperator, dia_from_bands, integer_sizes
+from .structured import AlgebraKind, StructuredOperator, dia_from_csr, integer_sizes
 from .symbols import CosineSymbol, TensorSymbol
 
 __all__ = [
@@ -165,10 +165,16 @@ def make_coefficient(spec, dim: int) -> DiffusionCoefficient:
     index or slice ``x`` or ``y``, whose layout is the sampler's.  A value
     of the sample points' shape is returned as it is, any other one
     broadcast to a new array.  An expression that does not parse, indexes,
-    looks up another name or uses ``y`` on the interval, or whose
-    evaluation raises an ``ArithmeticError`` or a ``TypeError``, raises a
-    ``ValueError`` naming it (one that overflows says so).
+    looks up another name or uses ``y`` on the interval, whose evaluation
+    raises an ``ArithmeticError`` or a ``TypeError``, or whose value does
+    not broadcast to the sample points' shape, raises a ``ValueError``
+    naming it (one that overflows says so, one of the wrong shape names
+    both shapes).  A ``dim`` other than 1 or 2 raises a ``ValueError``
+    naming it.
     """
+    if dim not in (1, 2):
+        raise ValueError(f"coefficients are defined on the unit interval or square: "
+                         f"dim must be 1 or 2, not {dim!r}")
     if isinstance(spec, DiffusionCoefficient):
         return spec
     if callable(spec):
@@ -197,7 +203,14 @@ def make_coefficient(spec, dim: int) -> DiffusionCoefficient:
         except (ArithmeticError, TypeError) as exc:
             raise ValueError(f"coefficient expression {expr!r} fails: {exc}") from exc
         shape = np.shape(coords[0])
-        return value if np.shape(value) == shape else np.broadcast_to(value, shape).copy()
+        if np.shape(value) == shape:
+            return value
+        try:
+            return np.broadcast_to(value, shape).copy()
+        except ValueError:
+            raise ValueError(f"coefficient expression {expr!r} has a value of shape "
+                             f"{np.shape(value)}, which does not broadcast to the sample "
+                             f"points' shape {shape}") from None
 
     return DiffusionCoefficient(func, name=name)
 
@@ -243,18 +256,33 @@ def _edge_samples(grid: GridSpec, coeff: DiffusionCoefficient) -> list:
     return samples
 
 
-def _stencil_bands(grid: GridSpec, samples: list) -> dict:
-    """The conservative stencil by diagonals: ``{o: band}`` with ``band``
-    holding ``A[i, i + o]`` at each flat node ``i``, 0 off the stencil."""
+def _stencil_table(grid: GridSpec, samples: list) -> tuple:
+    """The conservative stencil stored by diagonals: ``(offsets, table)``,
+    offsets ascending, ``table[k, j] = A[j - offsets[k], j]`` (the layout of
+    ``sp.dia_array``), 0 off the stencil, a 0 perhaps signed.
+
+    Each band is written straight into its table row.  ``A`` is symmetric
+    bit for bit, its two mirror entries being one sample, so the row of
+    offset ``-o`` holds ``A[j + o, j] = A[j, j + o]``: the band of
+    ``A[i, i + o]`` at each node ``i``, which is written in grid order.
+    """
     dirichlet = grid.bc is BoundaryCondition.DIRICHLET
     periodic = grid.bc is BoundaryCondition.PERIODIC
-    diag = np.zeros(grid.sizes)
-    bands = {0: diag}
+    offsets = {0}
+    for r, n in enumerate(grid.sizes):
+        stride = math.prod(grid.sizes[r + 1:])
+        offsets |= {stride, -stride}
+        if periodic:    # the last node's right and the first node's left edge wrap
+            offsets |= {stride * (n - 1), -stride * (n - 1)}
+    offsets = sorted(offsets)
+    table = np.zeros((len(offsets), grid.n_total))
+    band_of = {-o: row.reshape(grid.sizes) for o, row in zip(offsets, table)}
+    diag = band_of[0]
     for r, c in enumerate(samples):
         n, stride = grid.sizes[r], math.prod(grid.sizes[r + 1:])
         # each node's edge to its right and from its left neighbour along r,
-        # 0 where it has none; R, L, D view the arrays with r as axis 0
-        right, left = np.zeros(grid.sizes), np.zeros(grid.sizes)
+        # 0 where it has none; R, L, D view the bands with r as axis 0
+        right, left = band_of[stride], band_of[-stride]
         R, L, D = (np.moveaxis(a, r, 0) for a in (right, left, diag))
         if dirichlet:
             R[:-1], L[1:] = c[1:-1], c[1:-1]
@@ -272,44 +300,36 @@ def _stencil_bands(grid: GridSpec, samples: list) -> dict:
             D[-1] += c[-1]
         for offset, band, end in ((stride, right, -1), (-stride, left, 0)):
             np.negative(band, out=band)
-            if periodic:    # the last node's right and the first node's left edge wrap
-                wrap = np.zeros(grid.sizes)
-                np.moveaxis(wrap, r, 0)[end] = np.moveaxis(band, r, 0)[end]
+            if periodic:    # the wrapping edge moves to the band at -offset (n - 1)
+                wrap = np.moveaxis(band_of[-offset * (n - 1)], r, 0)
+                wrap[end] = np.moveaxis(band, r, 0)[end]
                 np.moveaxis(band, r, 0)[end] = 0.0
-                bands[-offset * (n - 1)] = wrap
-            bands[offset] = band
-    return {o: band.ravel() for o, band in bands.items()}
+    return offsets, table
 
 
 def assemble(grid: GridSpec, coeff) -> sp.csr_array:
     """Assemble the h^2-scaled stiffness matrix of -div(a grad u).
 
-    The (2d+1)-point stencil is built band by band, and SciPy's ``tocsr``
-    reads the CSR arrays off the diagonals, dropping zeros.  Raises a
-    ``ValueError`` naming the coefficient if a sample is NaN, inf or not
-    positive, if a callable returns a shape other than its points', or if
-    a node's diagonal, the sum of its edges' samples, overflows.
+    The (2d+1)-point stencil is written band by band straight into the table
+    of its diagonals (``_stencil_table``), and SciPy's ``tocsr`` reads the
+    CSR arrays off it, dropping zeros.  Raises a ``ValueError`` naming the
+    coefficient if a sample is NaN, inf or not positive, if a callable
+    returns a shape other than its points', or if a node's diagonal, the
+    sum of its edges' samples, overflows.
     """
     coeff = make_coefficient(coeff, grid.dim)
     samples = _edge_samples(grid, coeff)
     if any(np.any(c <= 0.0) for c in samples):
         raise ValueError("diffusion coefficient must be positive at all sample points")
     with np.errstate(over="ignore"):    # the off-diagonals are the finite samples
-        bands = _stencil_bands(grid, samples)
-    if not np.isfinite(bands[0]).all():
+        offsets, table = _stencil_table(grid, samples)
+    del samples
+    if not np.isfinite(table[offsets.index(0)]).all():
         raise ValueError(f"coefficient {coeff.name!r} overflows a float in the stencil: "
                          "a node's diagonal, the sum of its edge samples, is inf")
-    # every sample is positive, so the nonzero entries are exactly the stencil's;
-    # the bands are freed before the conversion
-    A = dia_from_bands(bands, grid.n_total)
-    del bands
-    return A.tocsr()
-
-
-def coefficient_samples(grid: GridSpec, coeff) -> np.ndarray:
-    """All midpoint coefficient samples used by ``assemble``."""
-    coeff = make_coefficient(coeff, grid.dim)
-    return np.concatenate([c.ravel() for c in _edge_samples(grid, coeff)])
+    # every sample is positive, so the nonzero entries are exactly the stencil's
+    N = grid.n_total
+    return sp.dia_array((table, offsets), shape=(N, N)).tocsr()
 
 
 @dataclass
@@ -322,8 +342,10 @@ class AssembledProblem:
     definite.  ``correction`` is ``R`` by diagonals, ``{offset: band}``
     with ``band[i] = R[i, i + offset]``, offsets ascending, as on every
     coarse level.  ``operator`` is the assembled ``A`` as the
-    ``sp.dia_array`` the finest level multiplies by, stored by
-    ``dia_from_bands`` as every coarse level is; ``A`` itself is not kept.
+    ``sp.dia_array`` the finest level multiplies by, its diagonals read
+    straight into the table (``structured.dia_from_csr``) that every coarse
+    level's ``dia_from_bands`` writes in the same layout; ``A`` itself is
+    not kept.
     ``split`` builds every instance.
     """
 
@@ -338,18 +360,94 @@ def laplace_symbol(dim: int) -> TensorSymbol:
     return TensorSymbol.separable_sum([CosineSymbol([2.0, -1.0])] * dim)
 
 
-def _read_bands(A: sp.csr_array) -> dict:
-    """The diagonals of a square canonical CSR array that store an entry,
-    ``{offset: band}`` with ``band[i] = A[i, i + offset]``, 0 off the
-    matrix, offsets ascending.
+def split(A: sp.csr_array, grid: GridSpec, coeff) -> AssembledProblem:
+    """Split ``A = a_min * M(2-2cos per dim) + R`` with ``R`` sparse and PSD.
 
-    Raises ``ValueError`` naming the first stored entry, in row order, that
-    is NaN, infinite or has an imaginary part; a complex ``A`` is refused
-    whatever its entries.  The offsets are found in one pass over the column
-    indices, whose only nnz-sized temporary is of the index type, not intp.
+    ``A``'s diagonals are read once, straight into the table of the
+    ``sp.dia_array`` the problem keeps (``structured.dia_from_csr``), and the
+    symmetry check and ``R`` read views of that table.  ``R`` is formed band
+    by band, each band once: each of ``M``'s bands
+    (``StructuredOperator.bands``) becomes ``R``'s in place, ``A``'s band
+    minus ``a_min`` times ``M``'s, and a diagonal of ``A`` off ``M``'s is
+    copied.  ``a_min`` is the least coefficient sample.  The problem keeps
+    the table, not ``A``; a sparse ``A`` other than a canonical CSR array is
+    read through a canonical copy, and one of another real dtype through a
+    float64 copy.
+
+    Raises ``ValueError`` if ``A`` is not N-by-N for the grid, naming the
+    first stored entry, in row order, that is NaN, infinite or has an
+    imaginary part (a complex ``A`` is refused whatever its entries), if
+    ``A`` is not symmetric bit for bit (tested on its diagonals; ``mgm``
+    factors a level's CSR as its transpose, and the Galerkin coarsening
+    mirrors half the diagonals), and, naming the coefficient, unless ``R``
+    has no positive off-diagonal entry and no row sum below
+    ``-8 (2d + 1) u A_ii`` (``u = eps / 2``), which make the symmetric ``R``
+    PSD.  Both hold for ``assemble(grid, coeff)``: an off-diagonal
+    ``a_min - a_e`` rounds a difference <= 0, and a row sum, >= 0 exactly,
+    carries the rounding of ``A_ii``'s sum of 2d edges and, per entry, of
+    ``a_min M_ij``, the difference and the sum: less than the bound, as
+    ``sum_j |A_ij|`` and ``a_min sum_j |M_ij|`` are <= ``2 A_ii``.
     """
-    n, data = A.shape[0], A.data
-    bad = ~np.isfinite(data)
+    coeff = make_coefficient(coeff, grid.dim)
+    if not isinstance(A, sp.csr_array) or not A.has_canonical_format:
+        A = sp.csr_array(A, copy=True)
+        A.sum_duplicates()
+    N = grid.n_total
+    if A.shape != (N, N):
+        raise ValueError(f"A has shape {A.shape}; the grid {grid.sizes} needs ({N}, {N})")
+    _check_entries(A)
+    if A.dtype != np.float64:
+        A = A.astype(np.float64)
+    a_min = float(min(c.min() for c in _edge_samples(grid, coeff)))
+    kind = algebra_for_bc(grid.bc)
+    base = StructuredOperator(kind, grid.sizes, laplace_symbol(grid.dim))
+    operator = dia_from_csr(A)
+    table = dict(zip(operator.offsets.tolist(), operator.data))     # A[j - o, j] at j
+    for o in sorted({abs(o) for o in table} - {0}):     # A[i, i + o] == A[i + o, i]
+        upper = table[o][o:] if o in table else np.zeros(N - o)
+        lower = table[-o][:N - o] if -o in table else np.zeros(N - o)
+        if not np.array_equal(upper, lower):
+            i = int(np.flatnonzero(upper != lower)[0])
+            raise ValueError(f"A is not symmetric: A[{i}, {i + o}] = {float(A[i, i + o])!r} "
+                             f"but A[{i + o}, {i}] = {float(A[i + o, i])!r}")
+    R = base.bands()
+    for o, band in R.items():       # A's band, 0 off the matrix, minus a_min M's
+        band *= a_min
+        lo, hi = max(0, -o), N - max(0, o)
+        on = table[o][lo + o:hi + o] if o in table else 0.0
+        for a, part in ((0.0, band[:lo]), (on, band[lo:hi]), (0.0, band[hi:])):
+            np.subtract(a, part, out=part)
+    for o in table.keys() - R.keys():
+        lo, hi = max(0, -o), N - max(0, o)
+        R[o] = np.zeros(N)
+        R[o][lo:hi] = table[o][lo + o:hi + o]
+    # a diagonal with no nonzero entry is left out, as a CSR difference drops it
+    R = {o: R[o] for o in sorted(R) if R[o].any()}
+    positive = max((band.max() for o, band in R.items() if o != 0), default=0.0)
+    rows = np.zeros(N)
+    for band in R.values():
+        rows += band
+    # the least row sum allowed, -4 (2d + 1) eps |A_ii|, formed in place
+    floor = np.abs(table[0]) if 0 in table else np.zeros(N)
+    floor *= -4 * (2 * grid.dim + 1) * np.finfo(float).eps
+    low = np.flatnonzero(rows < floor)
+    if positive > 0.0 or low.size:
+        fault = (f"the positive off-diagonal entry {positive:.3g}" if positive > 0.0 else
+                 f"row {low[0]} summing to {rows[low[0]]:.3g}, below {floor[low[0]]:.3g}")
+        raise ValueError(f"A does not fit coefficient {coeff.name!r}: R = A - a_min M has "
+                         f"{fault}, so it is not positive semidefinite")
+    structured = base if kind is AlgebraKind.TAU else base.strang_correct()
+    return AssembledProblem(grid=grid, a_min=a_min, structured=structured,
+                            correction=R, operator=operator)
+
+
+def _check_entries(A: sp.csr_array):
+    """Raise a ``ValueError`` naming the first stored entry of ``A``, in row
+    order, that is NaN, infinite or has an imaginary part; a complex ``A``
+    is refused whatever its entries."""
+    data = A.data
+    bad = np.isfinite(data)
+    np.logical_not(bad, out=bad)
     if data.dtype.kind == "c":
         bad |= data.imag != 0.0
     if bad.any():
@@ -359,74 +457,6 @@ def _read_bands(A: sp.csr_array) -> dict:
                          f"{data[k].item()!r}")
     if data.dtype.kind == "c":
         raise ValueError(f"A must be real, not of dtype {data.dtype}")
-    del bad
-    offset = A.indices - np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
-    seen = np.zeros(2 * n - 1, dtype=bool)
-    seen[offset + (n - 1)] = True
-    del offset
-    bands = {}
-    for o in (np.flatnonzero(seen) - (n - 1)).tolist():
-        bands[o] = np.zeros(n)
-        bands[o][max(0, -o):n - max(0, o)] = A.diagonal(o)
-    return bands
-
-
-def split(A: sp.csr_array, grid: GridSpec, coeff) -> AssembledProblem:
-    """Split ``A = a_min * M(2-2cos per dim) + R`` with ``R`` sparse and PSD.
-
-    ``R`` is built band by band: ``A``'s diagonals, read once into bands,
-    minus ``a_min`` times ``M``'s.  The problem keeps ``A``'s bands stored
-    by ``dia_from_bands``, not ``A``; a sparse ``A`` other than a canonical
-    CSR array is read through a canonical copy.
-
-    Raises ``ValueError`` if ``A`` is not N-by-N for the grid, naming the
-    first stored entry that is NaN, infinite or complex, if ``A`` is not
-    symmetric bit for bit (tested on its diagonals; ``mgm`` factors a level's
-    CSR as its transpose, and the Galerkin coarsening mirrors half the
-    diagonals), and, naming the coefficient, unless ``R`` has no positive
-    off-diagonal entry and no row sum below ``-8 (2d + 1) u A_ii``
-    (``u = eps / 2``), which make the symmetric ``R`` PSD.  Both hold for
-    ``assemble(grid, coeff)``: an off-diagonal ``a_min - a_e`` rounds a
-    difference <= 0, and a row sum, >= 0 exactly, carries the rounding of
-    ``A_ii``'s sum of 2d edges and, per entry, of ``a_min M_ij``, the
-    difference and the sum: less than the bound, as ``sum_j |A_ij|`` and
-    ``a_min sum_j |M_ij|`` are <= ``2 A_ii``.
-    """
-    coeff = make_coefficient(coeff, grid.dim)
-    if not isinstance(A, sp.csr_array) or not A.has_canonical_format:
-        A = sp.csr_array(A, copy=True)
-        A.sum_duplicates()
-    N = grid.n_total
-    if A.shape != (N, N):
-        raise ValueError(f"A has shape {A.shape}; the grid {grid.sizes} needs ({N}, {N})")
-    a_min = float(coefficient_samples(grid, coeff).min())
-    kind = algebra_for_bc(grid.bc)
-    base = StructuredOperator(kind, grid.sizes, laplace_symbol(grid.dim))
-    bands = _read_bands(A)
-    zero = np.zeros(N)
-    for o in sorted({abs(o) for o in bands} - {0}):     # A[i, i + o] == A[i + o, i]
-        upper, lower = bands.get(o, zero)[:N - o], bands.get(-o, zero)[o:]
-        if not np.array_equal(upper, lower):
-            i = int(np.flatnonzero(upper != lower)[0])
-            raise ValueError(f"A is not symmetric: A[{i}, {i + o}] = {float(A[i, i + o])!r} "
-                             f"but A[{i + o}, {i}] = {float(A[i + o, i])!r}")
-    operator = dia_from_bands(bands, N)
-    for offset, band in base.bands().items():
-        bands[offset] = bands.get(offset, 0.0) - a_min * band
-    # a diagonal with no nonzero entry is left out, as a CSR difference drops it
-    R = {offset: bands[offset] for offset in sorted(bands) if bands[offset].any()}
-    positive = max((band.max() for offset, band in R.items() if offset != 0), default=0.0)
-    rows = sum(R.values(), np.zeros(N))
-    tol = 4 * (2 * grid.dim + 1) * np.finfo(float).eps * np.abs(operator.diagonal())
-    low = np.flatnonzero(rows < -tol)
-    if positive > 0.0 or low.size:
-        fault = (f"the positive off-diagonal entry {positive:.3g}" if positive > 0.0 else
-                 f"row {low[0]} summing to {rows[low[0]]:.3g}, below -{tol[low[0]]:.3g}")
-        raise ValueError(f"A does not fit coefficient {coeff.name!r}: R = A - a_min M has "
-                         f"{fault}, so it is not positive semidefinite")
-    structured = base if kind is AlgebraKind.TAU else base.strang_correct()
-    return AssembledProblem(grid=grid, a_min=a_min, structured=structured,
-                            correction=R, operator=operator)
 
 
 def build_rhs(grid: GridSpec, mode="ones", seed: int | None = None) -> np.ndarray:

@@ -7,10 +7,11 @@ dropped once the next level's exists), the damping of a Richardson slot
 and the diagonal of a preconditioned CG slot on the levels whose
 configuration has one, Gauss-Seidel triangles, and the coarsest direct
 solver.
-Every level matrix is born as diagonals, stored by ``dia_from_bands``: a
-coarse level adds the structured part's bands and the correction's band by
-band, and the finest level takes the assembled matrix's, as ``split`` read
-them.  Each level keeps the configuration it was built for, and
+Every level matrix is born as diagonals, each written once, straight into
+the table its ``sp.dia_array`` keeps: a coarse level writes the structured
+part's bands there and adds the correction's to them in place
+(``dia_from_bands``), and the finest level takes the table ``split`` read
+the assembled matrix into.  Each level keeps the configuration it was built for, and
 ``LevelHierarchy`` resolves from it, once per level, which smoother each
 slot runs and the nominal operation count of each phase of a cycle
 (``costs``, ``cycle_cost``).  Hierarchies are immutable afterwards, apart
@@ -150,9 +151,10 @@ class _Level:
     """Per-level data produced in the pre-computing phase for ``config``.
 
     ``operator`` is the level matrix without its rank-one term, stored by
-    diagonals (``dia_from_bands``): on a coarse level the structured part's
-    bands plus those of ``correction``, the correction by diagonals, which
-    only this reads; on the finest level those of the assembled ``A``.
+    diagonals: on a coarse level the structured part's bands, to which
+    ``dia_from_bands`` adds those of ``correction`` (the correction by
+    diagonals, which only this reads) in the table it keeps; on the finest
+    level the table of the assembled ``A`` that ``split`` read.
     ``_product``, its bound product, is what ``matvec`` multiplies by.
     ``rho = gamma / N`` is the weight of the rank-one term, None without
     one.  A level computes only what the steps of its two slots read.  One
@@ -186,10 +188,7 @@ class _Level:
             self.dinv = 1.0 / d if diagonal else None
             del d       # freed before the operator is formed
         if operator is None:        # the structured part's bands plus the correction's
-            bands = structured.bands()
-            for o, band in correction.items():
-                bands[o] = bands[o] + band if o in bands else band
-            operator = dia_from_bands(bands, self.n)
+            operator = dia_from_bands(structured.bands(), self.n, plus=correction)
             if not np.isfinite(operator.data).all():
                 raise ValueError(f"the coarse level of sizes {self.sizes} overflows: "
                                  f"its matrix holds an inf or a NaN")

@@ -56,11 +56,13 @@ __all__ = ["richardson", "cg_steps", "splitting_diagonal"]
 def splitting_diagonal(symbol_sup: float, R: dict, n: int) -> np.ndarray:
     """Row-wise splitting bound ``d_i = sup|symbol| + sum_j |R_ij|`` of the
     n-by-n correction ``R`` by diagonals, ``{offset: band}`` with
-    ``band[i] = R[i, i + offset]``; the rows are summed in column order."""
+    ``band[i] = R[i, i + offset]``; the rows are summed in column order,
+    and ``d`` is written over their sums."""
     rows, buf = np.zeros(n), np.empty(n)
     for offset in sorted(R):
         rows += np.abs(R[offset], out=buf)
-    d = symbol_sup + rows
+    del buf
+    d = np.add(symbol_sup, rows, out=rows)
     if np.any(d <= 0):
         raise ValueError("smoothing diagonal must be positive")
     return d

@@ -18,16 +18,21 @@ bandwidth at every grid level, so it has ``O(N)`` entries.
 Sparse matrices are built band by band: the entry formulas give each 1-D
 diagonal as one array, a 2-D term's diagonals are outer products of its
 factors' diagonals, and the terms are summed diagonal by diagonal into
-``{offset: band}``.  ``dia_from_bands`` stores those bands as the
-``sp.dia_array`` every level multiplies by, and SciPy's ``tocsr`` reads a
-CSR of its nonzero entries off it in one compiled pass: the library's one
-route from bands to a square sparse matrix.  No COO triples are formed and
-no duplicates summed (the COO and Kronecker construction survives as the
-test oracle, and the two agree bit for bit on the nonzero entries).
+``{offset: band}``.  ``dia_from_bands`` writes those bands, and adds a
+second set to them, straight into the table of the ``sp.dia_array`` every
+coarse level multiplies by; ``dia_from_csr`` reads a CSR matrix's
+diagonals straight into such a table (the finest level's, read off the
+assembled matrix), finding the diagonals that store an entry with
+``stored_offsets``.  SciPy's ``tocsr`` reads a CSR of the nonzero entries
+off a table in one compiled pass: the library's one route from diagonals to
+a CSR matrix.  No COO triples are formed and no duplicates summed (the COO
+and Kronecker construction survives as the test oracle, and the two agree
+bit for bit on the nonzero entries).
 
 Every sparse product of the solve path is a ``BoundProduct``, which calls
 SciPy's compiled kernel directly with the operands it bound at set-up;
-this module is the only one that touches ``_sparsetools``.  At 63^2
+this module is the only one that touches ``_sparsetools``, which
+``stored_offsets`` and ``dia_from_csr`` call at set-up too.  At 63^2
 SciPy's ``@`` spends about 3 us per product before its kernel runs, a
 fifth of a level-0 product and a third of a level-1 one (under cProfile a
 ``richardson+cg`` solve spent 0.52 s in ``__matmul__`` for 17121
@@ -64,7 +69,7 @@ from scipy.sparse.linalg._dsolve import _superlu
 from .symbols import CosineSymbol, TensorSymbol
 
 __all__ = ["AlgebraKind", "BoundProduct", "StructuredOperator", "TriangularFactor",
-           "algebra_grid", "dia_from_bands"]
+           "algebra_grid", "dia_from_bands", "dia_from_csr", "stored_offsets"]
 
 if not hasattr(_superlu, "gstrs"):
     raise ImportError("wlmg needs SciPy's SuperLU triangular solve "
@@ -112,16 +117,72 @@ def integer_sizes(sizes) -> tuple:
     return tuple(int(n) for n in sizes)
 
 
-def dia_from_bands(bands: dict, n: int) -> sp.dia_array:
+def dia_from_bands(bands: dict, n: int, plus: dict | None = None) -> sp.dia_array:
     """The n-by-n matrix of ``{offset: band}``, ``band[i] = A[i, i + offset]``,
-    stored by diagonals, offsets ascending; a diagonal with no nonzero entry
-    is left out.  Its ``tocsr`` is the CSR of the nonzero entries."""
-    offsets = [o for o in sorted(bands) if bands[o][max(0, -o):n - max(0, o)].any()]
+    plus, band by band, that of ``plus`` if given, stored by diagonals,
+    offsets ascending; a diagonal with no nonzero entry is left out.
+
+    Each band is written once, straight into the row of the table that
+    keeps it, and a band of ``plus`` is added to it there: no sum is formed
+    beside the table.  Its ``tocsr`` is the CSR of the nonzero entries."""
+    plus = {} if plus is None else plus
+    offsets = sorted(bands.keys() | plus.keys())
     data = np.zeros((len(offsets), n))
     for row, o in zip(data, offsets):
         lo, hi = max(0, -o), n - max(0, o)          # the rows whose column is on the matrix
-        row[lo + o:hi + o] = bands[o][lo:hi]
+        view = row[lo + o:hi + o]
+        if o in bands:
+            view[:] = bands[o][lo:hi]
+            if o in plus:
+                view += plus[o][lo:hi]
+        else:
+            view[:] = plus[o][lo:hi]
+    return _nonzero_diagonals(data, offsets, n)
+
+
+def _nonzero_diagonals(data: np.ndarray, offsets: list, n: int) -> sp.dia_array:
+    """The n-by-n ``sp.dia_array`` of the table ``data``, ``data[k, j] =
+    A[j - offsets[k], j]``, without its rows that hold no nonzero entry
+    (the table is copied only if one is left out)."""
+    keep = data.any(axis=1)
+    if not keep.all():
+        data, offsets = data[keep], [o for o, k in zip(offsets, keep.tolist()) if k]
     return sp.dia_array((data, offsets), shape=(n, n))
+
+
+def stored_offsets(A: sp.csr_array) -> np.ndarray:
+    """The offsets ``j - i`` of the diagonals of the square CSR array ``A``
+    that store an entry ``A[i, j]`` (an explicit zero included), ascending.
+
+    ``expandptr`` writes each entry's row into one nnz-long array of
+    numpy's index type, which becomes the entry's offset in place and is
+    counted by one ``np.bincount`` with no cast; the row pointers are cast
+    to that type, an N-long copy, so that ``expandptr`` writes it.
+    """
+    n = A.shape[0]
+    offset = np.empty(int(A.indptr[-1]), dtype=np.intp)
+    _sparsetools.expandptr(n, A.indptr.astype(np.intp, copy=False), offset)
+    np.subtract(A.indices, offset, out=offset)
+    offset += n - 1
+    counts = np.bincount(offset, minlength=2 * n - 1)
+    del offset
+    return np.flatnonzero(counts) - (n - 1)
+
+
+def dia_from_csr(A: sp.csr_array) -> sp.dia_array:
+    """The square float64 CSR array ``A`` stored by diagonals, offsets
+    ascending, as ``dia_from_bands`` stores its bands: every diagonal in
+    ``stored_offsets`` is read by SciPy's ``csr_diagonal`` straight into the
+    row of the table that keeps it (summing duplicates, as ``A.diagonal``
+    does), and a diagonal with no nonzero entry (stored zeros only) is then
+    left out."""
+    n = A.shape[0]
+    offsets = stored_offsets(A).tolist()
+    data = np.zeros((len(offsets), n))
+    for row, o in zip(data, offsets):
+        _sparsetools.csr_diagonal(o, n, n, A.indptr, A.indices, A.data,
+                                  row[max(0, o):n + min(0, o)])
+    return _nonzero_diagonals(data, offsets, n)
 
 
 class BoundProduct:

@@ -115,7 +115,10 @@ class Projector:
 
         Entry for entry ``p`` is ``s * M(2 + 2cos) * T``, the Kronecker
         product of those in 2-D; each column's rows are sorted, and the
-        index arrays are int32 where they fit.
+        index arrays are int32 where they fit.  The tables of rows and
+        values are written in their final layout, ``(n1, n2, w, w)`` in
+        2-D, by one ``np.add.outer`` and one ``np.multiply.outer`` per tap
+        pair, and their flat views are the CSR arrays: no table is copied.
         """
         if self._prolong is None:
             width = len(TAPS[self.kind]) ** len(self.fine_sizes)
@@ -127,16 +130,19 @@ class Projector:
                 r, taps, h = _columns(self.kind, n0, n1, index)
                 v, m = self.scalar * taps, len(rows) * n1
                 # the Kronecker product with the dimensions before, row by row
-                # of p^T: row (J', J) holds (i', i) for each pair, ascending
-                rows = (rows[:, None, :, None] * n0 + r[None, :, None, :]).reshape(m, -1)
-                values = (values[:, None, :, None] * v[None, :, None, :]).reshape(m, -1)
+                # of p^T: row (J', J) holds (i', i) for each tap pair (a, b),
+                # ascending, each pair's table written in that final layout
+                shape = (len(rows), n1, rows.shape[1], r.shape[1])
+                shifted, weights = rows * n0, values
+                rows, values = np.empty(shape, index), np.empty(shape)
+                for a, b in np.ndindex(shape[2:]):
+                    np.add.outer(shifted[:, a], r[:, b], out=rows[:, :, a, b])
+                    np.multiply.outer(weights[:, a], v[:, b], out=values[:, :, a, b])
+                rows, values = rows.reshape(m, -1), values.reshape(m, -1)
                 if held is not None:
                     held = (held[:, None, :, None] & h[None, :, None, :]).reshape(m, -1)
             if held is None:        # every row of p^T holds all its taps
-                # copies, so the broadcast tables are freed: holding the
-                # tables themselves raised the peak RSS of the 511^2 set-up
-                # from 110.5 to 112.8 MB
-                arrays = (values.flatten(), rows.flatten(),
+                arrays = (values.reshape(-1), rows.reshape(-1),
                           np.arange(self.n_coarse + 1, dtype=index) * width)
             else:
                 indptr = np.zeros(self.n_coarse + 1, dtype=index)

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from wlmg.discretize import (BoundaryCondition, GridSpec, _edge_samples, _sample,
-                             _stencil_bands, algebra_for_bc, coefficient_samples,
-                             laplace_symbol, make_coefficient)
+from wlmg.discretize import (AssembledProblem, BoundaryCondition, GridSpec, _edge_samples,
+                             _sample, _stencil_table, algebra_for_bc, laplace_symbol,
+                             make_coefficient)
 from wlmg.structured import (AlgebraKind, StructuredOperator, _check_band, algebra_grid,
                              dia_from_bands)
 from wlmg.transfer import P_SYMBOL, coarse_size
@@ -211,9 +211,23 @@ def assemble_coo(grid: GridSpec, coeff) -> sp.csr_array:
 def assemble_bands(grid: GridSpec, coeff) -> sp.csr_array:
     """Stiffness matrix as ``csr_from_bands`` reads it off the stencil's
     bands, one numpy gather per array: the nonzero entries, int32 indices
-    where they fit."""
+    where they fit.  Each band ``A[i, i + o]`` is read back off the row of
+    offset ``o`` of the table ``_stencil_table`` writes, where it stands at
+    column ``i + o``."""
     samples = _edge_samples(grid, make_coefficient(coeff, grid.dim))
-    return csr_from_bands(_stencil_bands(grid, samples), grid.n_total)
+    offsets, table = _stencil_table(grid, samples)
+    n, bands = grid.n_total, {}
+    for o, row in zip(offsets, table):
+        lo, hi = max(0, -o), n - max(0, o)
+        bands[o] = np.zeros(n)
+        bands[o][lo:hi] = row[lo + o:hi + o]
+    return csr_from_bands(bands, n)
+
+
+def coefficient_samples(grid: GridSpec, coeff) -> np.ndarray:
+    """All midpoint coefficient samples used by ``assemble``."""
+    coeff = make_coefficient(coeff, grid.dim)
+    return np.concatenate([c.ravel() for c in _edge_samples(grid, coeff)])
 
 
 def sparse_matrix_coo(kind: AlgebraKind, f, n: int) -> sp.csr_array:
@@ -339,6 +353,34 @@ def bands_of(A) -> dict:
         bands[o] = np.zeros(n)
         bands[o][max(0, -o):n - max(0, o)] = A.diagonal(o)
     return bands
+
+
+def split_reference(A, grid: GridSpec, coeff) -> AssembledProblem:
+    """``split`` as it was before it read ``A`` straight into its diagonal
+    table, the reference its arrays are held to: ``A``'s diagonals read
+    into bands (``bands_of``), checked for symmetry band by band and
+    stored by ``dia_from_bands``; ``R`` is those bands minus ``a_min``
+    times ``M``'s, each difference a new array, and ``a_min`` the least of
+    all samples, concatenated.  It makes none of ``split``'s input checks
+    but the symmetry one."""
+    coeff = make_coefficient(coeff, grid.dim)
+    A = sp.csr_array(A, copy=True)
+    A.sum_duplicates()
+    N = grid.n_total
+    a_min = float(coefficient_samples(grid, coeff).min())
+    kind = algebra_for_bc(grid.bc)
+    base = StructuredOperator(kind, grid.sizes, laplace_symbol(grid.dim))
+    bands = bands_of(A)
+    zero = np.zeros(N)
+    for o in sorted({abs(o) for o in bands} - {0}):
+        assert np.array_equal(bands.get(o, zero)[:N - o], bands.get(-o, zero)[o:])
+    operator = dia_from_bands(bands, N)
+    for offset, band in base.bands().items():
+        bands[offset] = bands.get(offset, 0.0) - a_min * band
+    R = {offset: bands[offset] for offset in sorted(bands) if bands[offset].any()}
+    structured = base if kind is AlgebraKind.TAU else base.strang_correct()
+    return AssembledProblem(grid=grid, a_min=a_min, structured=structured,
+                            correction=R, operator=operator)
 
 
 def galerkin_csr(R: sp.csr_array, projector) -> sp.csr_array:

@@ -11,15 +11,14 @@ import numpy as np
 
 from wlmg._tables import DAGGER, TABLES
 from wlmg.cli import bench_cell
-from wlmg.discretize import (BoundaryCondition, GridSpec, algebra_for_bc,
-                             assemble, coefficient_samples, split)
+from wlmg.discretize import BoundaryCondition, GridSpec, algebra_for_bc, assemble, split
 from wlmg.mgm import SolverConfig, build_hierarchy, solve
 from wlmg.structured import StructuredOperator
 from wlmg.transfer import Projector, coarsen_structured, galerkin_sparse
 from wlmg.verify import dense_iteration_matrix, theory_report
 
-from oracles import (correction_csr, csr_from_bands, dense_operator, full_dense,
-                     materialize_dense)
+from oracles import (coefficient_samples, correction_csr, csr_from_bands, dense_operator,
+                     full_dense, materialize_dense)
 
 RR = "richardson+richardson"
 RGS = "richardson+gauss-seidel"

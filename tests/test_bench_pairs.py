@@ -48,3 +48,30 @@ def test_pair_checks_for_a_metric_where_higher_is_better():
         bench_pairs.pair_checks(PARENT, PARENT, "faster")
     with pytest.raises(ValueError):         # pairs need equal counts
         bench_pairs.pair_checks(PARENT, PARENT[:9])
+
+
+def _traced(values: dict) -> dict:
+    """A fabricated record of ``run.py --trace 1``, metric -> value."""
+    return {"correct": True, "attempted": 2, "failed": 0,
+            "metrics": {name: {"value": v, "unit": "count" if name.endswith("nnz") else "s"}
+                        for name, v in values.items()}}
+
+
+def test_layer_summary_takes_each_sides_median_per_metric():
+    runs = {"parent": [_traced({"discretize.split_s": v, "discretize.nnz": 5})
+                       for v in (0.030, 0.034, 0.032)],
+            "change": [_traced({"discretize.split_s": v, "discretize.nnz": 5})
+                       for v in (0.027, 0.024, 0.030)]}
+    summary = bench_pairs.layer_summary(runs)
+    assert list(summary) == ["discretize.split_s", "discretize.nnz"]
+    split = summary["discretize.split_s"]
+    assert split["unit"] == "s"
+    assert (split["parent"], split["change"]) == (0.032, 0.027)
+    assert split["ratio_of_medians"] == pytest.approx(0.027 / 0.032)
+    assert summary["discretize.nnz"] == {"unit": "count", "parent": 5, "change": 5,
+                                         "ratio_of_medians": 1.0}
+
+
+def test_layer_summary_of_a_metric_that_reads_0_has_no_ratio():
+    runs = {side: [_traced({"mgm.coarse_factor_s": 0.0})] for side in ("parent", "change")}
+    assert bench_pairs.layer_summary(runs)["mgm.coarse_factor_s"]["ratio_of_medians"] is None

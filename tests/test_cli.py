@@ -106,6 +106,16 @@ def test_expression_that_indexes_usage_error(expr, capsys):
     assert f"coefficient expression {expr!r} may not index or slice" in capsys.readouterr().err
 
 
+def test_expression_of_the_wrong_shape_usage_error(capsys):
+    """A value that does not broadcast to the sample points is a usage error
+    naming the expression and both shapes, not numpy's bare broadcast error."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--coeff", "[1.0, 2.0]", "--n", "7"])
+    assert exc.value.code == 2
+    assert ("coefficient expression '[1.0, 2.0]' has a value of shape (2,), which does "
+            "not broadcast to the sample points' shape (8,)") in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("expr, why", [
     ("x+", "does not parse"), ("1/0*x+1", "fails: division by zero"),
     ("x(1)+1", "fails: .*not callable"),

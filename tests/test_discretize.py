@@ -12,7 +12,7 @@ from wlmg.structured import AlgebraKind, StructuredOperator
 from wlmg.symbols import CosineSymbol, TensorSymbol
 
 from oracles import (correction_csr, edge_groups, full_dense, infinity_norm, materialize_dense,
-                     preset_function, to_sparse)
+                     preset_function, split_reference, to_sparse)
 
 BCS = list(BoundaryCondition)
 
@@ -112,6 +112,58 @@ def test_split_reads_any_sparse_form_alike():
         assert list(got.correction) == list(prob.correction)
         assert all(np.array_equal(got.correction[o], band)
                    for o, band in prob.correction.items())
+
+
+def _explicit_zero_diagonal(A, o: int):
+    """``A`` with every entry of the diagonals ``o`` and ``-o`` stored as an
+    explicit 0 (``A`` stores none there)."""
+    n = A.shape[0]
+    i = np.arange(n - o)
+    coo = sp.coo_array(A)
+    A = sp.csr_array((np.concatenate([coo.data, np.zeros(2 * i.size)]),
+                      (np.concatenate([coo.row, i, i + o]),
+                       np.concatenate([coo.col, i + o, i]))), shape=A.shape)
+    assert A.has_canonical_format and A.nnz == coo.nnz + 2 * i.size
+    return A
+
+
+# the nine grids of ROADMAP item 2, where splits are compared bit for bit
+SPLIT_GRIDS = [((511, 511), "dirichlet", "a7"), ((512, 512), "periodic", "a7"),
+               ((128, 128), "reflective", "a2"), ((63, 63), "dirichlet", "a8"),
+               ((16,), "periodic", "a2"), ((31,), "reflective", "a3"), ((7,), "dirichlet", "a1"),
+               ((4, 4), "periodic", "a8"), ((4,), "reflective", "a2")]
+
+
+@pytest.mark.parametrize("sizes, bc, coeff, form", [
+    *((*case, "csr") for case in SPLIT_GRIDS),
+    ((15, 15), "dirichlet", "a7", "coo"), ((16,), "periodic", "a3", "coo"),
+    ((15, 15), "dirichlet", "a7", "explicit zero"), ((8, 8), "reflective", "a2", "explicit zero"),
+    ((7, 7), "periodic", "a1", "int64"),
+], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v))
+def test_split_equals_the_reference_split(sizes, bc, coeff, form):
+    """``split`` reads ``A`` straight into its diagonal table; its
+    ``operator`` (offsets and data), ``correction`` (keys and bytes) and
+    ``a_min`` equal those of the split that read ``A`` into bands first
+    (``oracles.split_reference``) bit for bit, on a COO input, an integer
+    one and a CSR that stores a diagonal of explicit zeros too."""
+    grid = GridSpec(sizes, bc)
+    A = assemble(grid, coeff)
+    if form == "coo":
+        A = sp.coo_array(A)
+    elif form == "int64":       # the unit coefficient's entries are integers
+        A = A.astype(np.int64)
+    elif form == "explicit zero":
+        A = _explicit_zero_diagonal(A, 2)
+    got, want = split(A, grid, coeff), split_reference(A, grid, coeff)
+    assert got.a_min.hex() == want.a_min.hex()
+    assert got.operator.offsets.dtype == want.operator.offsets.dtype
+    assert got.operator.offsets.tolist() == want.operator.offsets.tolist()
+    assert got.operator.data.tobytes() == want.operator.data.tobytes()
+    assert list(got.correction) == list(want.correction)
+    assert all(got.correction[o].tobytes() == band.tobytes()
+               for o, band in want.correction.items())
+    if form == "explicit zero":
+        assert 2 not in got.operator.offsets and 2 not in got.correction
 
 
 @pytest.mark.parametrize("shape", [(48, 48), (49, 48), (7, 7)])
@@ -254,6 +306,23 @@ def test_coefficient_errors():
         make_coefficient("a4", 1)           # square-only preset
     with pytest.raises(ValueError):
         make_coefficient("a2k:x", 1)
+
+
+@pytest.mark.parametrize("dim", [0, 3, -1])
+def test_make_coefficient_refuses_a_dimension_other_than_1_or_2(dim):
+    """A preset's form is picked by dimension: dim 0 would read the square's
+    expression, dim 3 none at all."""
+    for spec in ("a1", "a2", "x", lambda x: x):
+        with pytest.raises(ValueError, match=f"dim must be 1 or 2, not {dim}$"):
+            make_coefficient(spec, dim)
+
+
+def test_expression_value_that_does_not_broadcast_names_both_shapes():
+    x = np.linspace(0.1, 0.9, 8)
+    with pytest.raises(ValueError, match=re.escape(
+            "coefficient expression '[1.0, 2.0]' has a value of shape (2,), which does "
+            "not broadcast to the sample points' shape (8,)")):
+        make_coefficient("[1.0, 2.0]", 1)(x)
 
 
 PRESETS = ([f"a{i}" for i in range(1, 9)] + [f"a2k:{k}" for k in range(6)]

@@ -4,10 +4,12 @@
   of ``oracles.assemble_coo`` bit for bit, and the CSR that
   ``oracles.csr_from_bands`` gathers off the bands
   (``oracles.assemble_bands``), index types included.
-* ``split`` reads a CSR matrix's diagonals into bands, those of
-  ``oracles.bands_of`` bit for bit, an explicitly stored all-zero diagonal
-  included; products with their ``dia_from_bands`` equal the CSR products
-  bit for bit.
+* ``structured.stored_offsets`` finds every diagonal of a CSR matrix that
+  stores an entry, those of ``oracles.bands_of``, an explicitly stored
+  all-zero diagonal included; ``structured.dia_from_csr``, ``split``'s
+  reader, stores their nonzero ones as ``dia_from_bands`` stores
+  ``bands_of``'s, bit for bit, and its products equal the CSR products bit
+  for bit.
 * ``Projector`` builds ``p`` from its taps; it equals
   ``oracles.projector_kron``, the paper's ``s * M(2 + 2cos) * T`` with
   Kronecker products in 2-D, bit for bit, and so do both transfers.
@@ -63,10 +65,11 @@ from hypothesis import strategies as st
 from wlmg._tables import TABLES
 from wlmg.cli import BenchRow, bench_cell, bench_rows_csv
 from wlmg.discretize import (TWO_D_ONLY_PRESETS, BoundaryCondition, DiffusionCoefficient,
-                             GridSpec, _read_bands, algebra_for_bc, assemble, split)
+                             GridSpec, algebra_for_bc, assemble, split)
 from wlmg.mgm import SMOOTHERS, SolverConfig, build_hierarchy, solve
 from wlmg.smoothers import cg_steps
-from wlmg.structured import AlgebraKind, StructuredOperator, dia_from_bands
+from wlmg.structured import (AlgebraKind, StructuredOperator, dia_from_bands, dia_from_csr,
+                             stored_offsets)
 from wlmg.symbols import CosineSymbol, TensorSymbol
 from wlmg.transfer import Projector, coarsen_structured, galerkin_sparse
 
@@ -254,9 +257,10 @@ def test_sup_norm_by_rows_equals_the_full_grid_max(sym, npoints):
 @given(n=st.integers(1, 40), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
        explicit_zero=st.booleans())
 def test_products_by_diagonals_equal_csr_products(n, density, seed, explicit_zero):
-    """``split``'s reader gives the bands of every diagonal that stores an
-    entry, offsets ascending, a diagonal of stored zeros included; their
-    ``dia_from_bands`` leaves out the diagonals with no nonzero entry."""
+    """``split``'s reader finds every diagonal that stores an entry, offsets
+    ascending, a diagonal of stored zeros included, and reads them into the
+    table ``dia_from_bands`` writes off their bands, bit for bit, leaving
+    out the diagonals with no nonzero entry."""
     rng = np.random.default_rng(seed)
     dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
     A = sp.csr_array(dense)
@@ -270,13 +274,14 @@ def test_products_by_diagonals_equal_csr_products(n, density, seed, explicit_zer
                          shape=(n, n)).tocsr()
         assert A.has_canonical_format and A.nnz - np.count_nonzero(A.data) == i.size
     want = bands_of(A)
-    got = _read_bands(A)
-    assert list(got) == sorted(want) and all(same_bits(got[o], want[o]) for o in want)
+    offsets = stored_offsets(A)
+    assert offsets.tolist() == sorted(want)
     if explicit_zero:
-        assert o in got and not got[o].any()
-    D = dia_from_bands(got, n)
+        assert o in offsets and not want[o].any()
+    D = dia_from_csr(A)
     assert isinstance(D, sp.dia_array)
     assert D.offsets.tolist() == [o for o in sorted(want) if want[o].any()]
+    assert same_bits(D.data, dia_from_bands(want, n).data)
     for shift in (0.0, 1e3):
         x = rng.standard_normal(n) + shift
         assert same_bits(D @ x, A @ x)

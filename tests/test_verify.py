@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from wlmg import verify
-from wlmg.discretize import BoundaryCondition, GridSpec, assemble, coefficient_samples
+from wlmg.discretize import BoundaryCondition, GridSpec, assemble
 from wlmg.verify import (approximation_constant, smoothing_constant,
                          spectral_equivalence, tgm_contraction, theory_report)
 
-from oracles import dense_operator
+from oracles import coefficient_samples, dense_operator
 
 D = BoundaryCondition.DIRICHLET
 
