@@ -6,15 +6,14 @@ the middle frequencies these jumps create, while Gauss-Seidel and the
 diagonally preconditioned CG step stay robust -- compare the counts.
 """
 
-from wlmg import (BoundaryCondition, GridSpec, SolverConfig, assemble,
-                  build_hierarchy, build_rhs, solve, split)
+from wlmg import (BoundaryCondition, GridSpec, SolverConfig, build_hierarchy,
+                  build_problem, build_rhs, solve)
 
 n = 63
 grid = GridSpec((n, n), BoundaryCondition.DIRICHLET)
 
 for preset in ("a6", "a7", "a8"):           # delta = 10, 100, 1000
-    A = assemble(grid, preset)
-    problem = split(A, grid, preset)
+    problem = build_problem(grid, preset)
     b = build_rhs(grid, "random", seed=0)
 
     counts = {}

@@ -6,8 +6,8 @@ rank-one Strang correction and the solved operator is positive definite.
 The V-cycle behaves exactly as in the Dirichlet case.
 """
 
-from wlmg import (BoundaryCondition, GridSpec, SolverConfig, assemble,
-                  build_hierarchy, build_rhs, solve, split)
+from wlmg import (BoundaryCondition, GridSpec, SolverConfig, build_hierarchy,
+                  build_problem, build_rhs, solve)
 
 config = SolverConfig(method="mgm", pre="gauss-seidel", post="richardson",
                       richardson_scaling="diagonal")
@@ -18,7 +18,7 @@ for bc in (BoundaryCondition.PERIODIC, BoundaryCondition.REFLECTIVE):
         counts = []
         for n in (32, 64, 128, 256):
             grid = GridSpec((n,), bc)
-            problem = split(assemble(grid, coeff), grid, coeff)
+            problem = build_problem(grid, coeff)
             H = build_hierarchy(problem, config)
             b = build_rhs(grid, "random", seed=0)
             _, rep = solve(H, b)

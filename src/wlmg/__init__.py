@@ -9,7 +9,7 @@ projectors and smoothers are tuned to that splitting.
 from .symbols import CosineSymbol, TensorSymbol, fold, fold_pairsum
 from .structured import AlgebraKind, StructuredOperator
 from .discretize import (AssembledProblem, BoundaryCondition, DiffusionCoefficient,
-                         GridSpec, assemble, build_rhs, make_coefficient, split)
+                         GridSpec, assemble, build_problem, build_rhs, make_coefficient, split)
 from .transfer import Projector, galerkin_sparse, galerkin_structured
 from .smoothers import cg_steps, richardson
 from .mgm import (LevelHierarchy, SolveReport, SolverConfig, build_hierarchy,
@@ -21,7 +21,7 @@ __all__ = [
     "CosineSymbol", "TensorSymbol", "fold", "fold_pairsum",
     "AlgebraKind", "StructuredOperator",
     "AssembledProblem", "BoundaryCondition", "DiffusionCoefficient",
-    "GridSpec", "assemble", "build_rhs", "make_coefficient", "split",
+    "GridSpec", "assemble", "build_problem", "build_rhs", "make_coefficient", "split",
     "Projector", "galerkin_sparse", "galerkin_structured",
     "cg_steps", "richardson",
     "LevelHierarchy", "SolveReport", "SolverConfig",

@@ -18,19 +18,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ._tables import DAGGER, PAIR_SMOOTHERS, TABLES
-from .discretize import (_EXPR_NAMES, _PRESETS, BoundaryCondition, GridSpec, assemble,
-                         build_rhs, make_coefficient, split)
+from .discretize import (_EXPR_NAMES, _PRESETS, BoundaryCondition, GridSpec, build_problem,
+                         build_rhs)
 from .mgm import (CG_PRECONDITIONERS, METHODS, SCALINGS, SMOOTHERS, SolverConfig,
                   build_hierarchy, solve)
 from .verify import theory_report
 
 BOUNDARY_CONDITIONS = tuple(bc.value for bc in BoundaryCondition)
-
-def _build_problem(bc: str, dim: int, coeff_spec: str, n: int):
-    grid = GridSpec((n,) * dim, bc)
-    coeff = make_coefficient(coeff_spec, dim)
-    A = assemble(grid, coeff)
-    return grid, split(A, grid, coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -38,12 +32,12 @@ def _build_problem(bc: str, dim: int, coeff_spec: str, n: int):
 # ---------------------------------------------------------------------------
 
 def run_solve(args: argparse.Namespace) -> int:
-    grid, prob = _build_problem(args.bc, args.dim, args.coeff, args.n)
+    prob = build_problem(GridSpec((args.n,) * args.dim, args.bc), args.coeff)
     H = build_hierarchy(prob, SolverConfig(
         method=args.method, pre=args.pre, post=args.post,
         richardson_scaling=args.richardson_scaling,
         cg_preconditioner=args.cg_preconditioner))
-    b = build_rhs(grid, args.rhs, seed=args.seed)
+    b = build_rhs(prob.grid, args.rhs, seed=args.seed)
     x, rep = solve(H, b, tol=args.tol, max_iter=args.max_iter)
 
     print(f"bc={args.bc} dim={args.dim} coeff={args.coeff} method={args.method} "
@@ -86,13 +80,13 @@ def bench_cell(table, pair: str, coeff: str, n: int, seed: int = 0):
     """Run one benchmark cell, on the Dirichlet grid of every table; returns
     (iterations or DAGGER, SolveReport)."""
     smoothers = PAIR_SMOOTHERS[pair]
-    grid, prob = _build_problem("dirichlet", table.dim, coeff, n)
+    prob = build_problem(GridSpec((n,) * table.dim, "dirichlet"), coeff)
     H = build_hierarchy(prob, SolverConfig(
         method=table.method, richardson_scaling=table.richardson_scaling,
         **smoothers))
-    b = build_rhs(grid, "random", seed=seed)
+    b = build_rhs(prob.grid, "random", seed=seed)
     ref = table.reference.get((pair, coeff, n))
-    cap = grid.n_total
+    cap = prob.grid.n_total
     if isinstance(ref, int) and ref > cap:
         cap = 2 * ref
     x, rep = solve(H, b, tol=1e-7, max_iter=cap)

@@ -6,14 +6,16 @@ The ``h^2`` factor is absorbed into the matrix, so the constant-coefficient
 operator reduces exactly to the banded algebra matrix of ``2 - 2cos(t)``
 per dimension, and right-hand sides are scaled by ``h^2`` instead.
 
-``split`` decomposes the assembled matrix as
+``build_problem`` samples the coefficient once and splits its matrix as
 
     A(a) = a_min * M(2 - 2cos) + R,    R = A(a) - a_min * M(2 - 2cos),
 
 with ``a_min`` the minimum of the sampled coefficient values, which makes
-``R`` positive semidefinite (``split`` checks it).  For periodic/reflective
-boundaries the structured part gets a Strang rank-one correction; the solved
-operator is then ``a_min * (M + gamma e e^T / N) + R``, positive definite.
+``R`` positive semidefinite (it checks the signs that make it so).  For
+periodic/reflective boundaries the structured part gets a Strang rank-one
+correction; the solved operator is then ``a_min * (M + gamma e e^T / N) + R``,
+positive definite.  ``assemble`` gives ``A`` as CSR, and ``split`` splits
+and certifies an ``A`` a caller brings.
 """
 
 from __future__ import annotations
@@ -27,12 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .structured import AlgebraKind, StructuredOperator, dia_from_csr, integer_sizes
+from .structured import (AlgebraKind, StructuredOperator, _nonzero_diagonals, dia_from_csr,
+                         integer_sizes)
 from .symbols import CosineSymbol, TensorSymbol
 
 __all__ = [
     "BoundaryCondition", "GridSpec", "DiffusionCoefficient", "AssembledProblem",
-    "assemble", "split", "build_rhs", "make_coefficient", "algebra_for_bc",
+    "assemble", "split", "build_problem", "build_rhs", "make_coefficient", "algebra_for_bc",
 ]
 
 
@@ -259,7 +262,7 @@ def _edge_samples(grid: GridSpec, coeff: DiffusionCoefficient) -> list:
 def _stencil_table(grid: GridSpec, samples: list) -> tuple:
     """The conservative stencil stored by diagonals: ``(offsets, table)``,
     offsets ascending, ``table[k, j] = A[j - offsets[k], j]`` (the layout of
-    ``sp.dia_array``), 0 off the stencil, a 0 perhaps signed.
+    ``sp.dia_array``), +0.0 off the stencil (as ``dia_from_csr`` reads it).
 
     Each band is written straight into its table row.  ``A`` is symmetric
     bit for bit, its two mirror entries being one sample, so the row of
@@ -299,7 +302,7 @@ def _stencil_table(grid: GridSpec, samples: list) -> tuple:
             D[0] += c[0]
             D[-1] += c[-1]
         for offset, band, end in ((stride, right, -1), (-stride, left, 0)):
-            np.negative(band, out=band)
+            np.subtract(0.0, band, out=band)     # +0.0 where no edge, not -0.0
             if periodic:    # the wrapping edge moves to the band at -offset (n - 1)
                 wrap = np.moveaxis(band_of[-offset * (n - 1)], r, 0)
                 wrap[end] = np.moveaxis(band, r, 0)[end]
@@ -307,29 +310,45 @@ def _stencil_table(grid: GridSpec, samples: list) -> tuple:
     return offsets, table
 
 
+def _least_sample(coeff: DiffusionCoefficient, samples: list) -> float:
+    """``a_min``, the least of ``coeff``'s finite ``samples``; raises a
+    ``ValueError`` naming ``coeff`` if it is not a positive normal float
+    (``R``'s sign and the structured part's scale both rest on it)."""
+    if (a_min := float(min(c.min() for c in samples))) < np.finfo(float).tiny:
+        raise ValueError(f"coefficient {coeff.name!r} has the least sample {a_min!r}; it must "
+                         f"be positive and normal, at least {np.finfo(float).tiny:.17g}")
+    return a_min
+
+
+def _stencil(grid: GridSpec, coeff: DiffusionCoefficient) -> tuple:
+    """``(offsets, table, a_min)``: ``coeff`` sampled once, its stencil's
+    table (``_stencil_table``) and its least sample (``_least_sample``).
+    Raises a ``ValueError`` naming the coefficient if a node's diagonal, the
+    sum of its edges' samples, overflows."""
+    samples = _edge_samples(grid, coeff)
+    a_min = _least_sample(coeff, samples)
+    with np.errstate(over="ignore"):    # the off-diagonals are the finite samples
+        offsets, table = _stencil_table(grid, samples)
+    if not np.isfinite(table[offsets.index(0)]).all():
+        raise ValueError(f"coefficient {coeff.name!r} overflows a float in the stencil: "
+                         "a node's diagonal, the sum of its edge samples, is inf")
+    return offsets, table, a_min
+
+
 def assemble(grid: GridSpec, coeff) -> sp.csr_array:
     """Assemble the h^2-scaled stiffness matrix of -div(a grad u).
 
     The (2d+1)-point stencil is written band by band straight into the table
-    of its diagonals (``_stencil_table``), and SciPy's ``tocsr`` reads the
-    CSR arrays off it, dropping zeros.  Raises a ``ValueError`` naming the
-    coefficient if a sample is NaN, inf or not positive, if a callable
-    returns a shape other than its points', or if a node's diagonal, the
-    sum of its edges' samples, overflows.
+    of its diagonals (``_stencil``), and SciPy's ``tocsr`` reads the CSR
+    arrays off it, dropping zeros.  Raises a ``ValueError`` naming the
+    coefficient if a sample is NaN or inf, if the least one is not a
+    positive normal float, if a callable returns a shape other than its
+    points', or if a node's diagonal, the sum of its edges' samples,
+    overflows.
     """
-    coeff = make_coefficient(coeff, grid.dim)
-    samples = _edge_samples(grid, coeff)
-    if any(np.any(c <= 0.0) for c in samples):
-        raise ValueError("diffusion coefficient must be positive at all sample points")
-    with np.errstate(over="ignore"):    # the off-diagonals are the finite samples
-        offsets, table = _stencil_table(grid, samples)
-    del samples
-    if not np.isfinite(table[offsets.index(0)]).all():
-        raise ValueError(f"coefficient {coeff.name!r} overflows a float in the stencil: "
-                         "a node's diagonal, the sum of its edge samples, is inf")
+    offsets, table, _ = _stencil(grid, make_coefficient(coeff, grid.dim))
     # every sample is positive, so the nonzero entries are exactly the stencil's
-    N = grid.n_total
-    return sp.dia_array((table, offsets), shape=(N, N)).tocsr()
+    return sp.dia_array((table, offsets), shape=(grid.n_total,) * 2).tocsr()
 
 
 @dataclass
@@ -341,12 +360,12 @@ class AssembledProblem:
     Strang rank-one term, so the full operator is symmetric positive
     definite.  ``correction`` is ``R`` by diagonals, ``{offset: band}``
     with ``band[i] = R[i, i + offset]``, offsets ascending, as on every
-    coarse level.  ``operator`` is the assembled ``A`` as the
-    ``sp.dia_array`` the finest level multiplies by, its diagonals read
-    straight into the table (``structured.dia_from_csr``) that every coarse
-    level's ``dia_from_bands`` writes in the same layout; ``A`` itself is
-    not kept.
-    ``split`` builds every instance.
+    coarse level.  ``operator`` is ``A`` as the ``sp.dia_array`` the finest
+    level multiplies by, in the layout every coarse level's
+    ``dia_from_bands`` writes: the stencil's own table for
+    ``build_problem``, a caller's ``A`` read straight into it
+    (``structured.dia_from_csr``) for ``split``; ``A`` as CSR is not kept.
+    ``build_problem`` and ``split`` build every instance.
     """
 
     grid: GridSpec
@@ -360,18 +379,33 @@ def laplace_symbol(dim: int) -> TensorSymbol:
     return TensorSymbol.separable_sum([CosineSymbol([2.0, -1.0])] * dim)
 
 
+def build_problem(grid: GridSpec, coeff) -> AssembledProblem:
+    """The splitting of ``coeff``'s matrix on ``grid``, sampled once.
+
+    The stencil's own table (``_stencil``) is kept as ``operator``, its rows
+    of zeros left out (``structured._nonzero_diagonals``), and ``a_min`` is
+    its least sample; ``R`` is formed from that table as ``split`` forms it
+    (``_splitting``).  Its arrays equal ``split(assemble(grid, coeff), grid,
+    coeff)``'s bit for bit, and it raises the ``ValueError``s ``assemble``
+    raises.  ``A`` is symmetric bit for bit by construction (its two mirror
+    entries are one sample), so only ``R``'s sign checks are made.
+    """
+    coeff = make_coefficient(coeff, grid.dim)
+    offsets, table, a_min = _stencil(grid, coeff)
+    return _splitting(grid, coeff, a_min, _nonzero_diagonals(table, offsets, grid.n_total))
+
+
 def split(A: sp.csr_array, grid: GridSpec, coeff) -> AssembledProblem:
-    """Split ``A = a_min * M(2-2cos per dim) + R`` with ``R`` sparse and PSD.
+    """Split a caller's ``A = a_min * M(2-2cos per dim) + R`` with ``R``
+    sparse and PSD, certifying that ``A`` fits ``coeff``; ``build_problem``
+    builds the same problem from the coefficient alone.
 
     ``A``'s diagonals are read once, straight into the table of the
     ``sp.dia_array`` the problem keeps (``structured.dia_from_csr``), and the
-    symmetry check and ``R`` read views of that table.  ``R`` is formed band
-    by band, each band once: each of ``M``'s bands
-    (``StructuredOperator.bands``) becomes ``R``'s in place, ``A``'s band
-    minus ``a_min`` times ``M``'s, and a diagonal of ``A`` off ``M``'s is
-    copied.  ``a_min`` is the least coefficient sample.  The problem keeps
-    the table, not ``A``; a sparse ``A`` other than a canonical CSR array is
-    read through a canonical copy, and one of another real dtype through a
+    symmetry check and ``R`` (``_splitting``) read views of that table.
+    ``a_min`` is the least coefficient sample.  The problem keeps the table,
+    not ``A``; a sparse ``A`` other than a canonical CSR array is read
+    through a canonical copy, and one of another real dtype through a
     float64 copy.
 
     Raises ``ValueError`` if ``A`` is not N-by-N for the grid, naming the
@@ -379,14 +413,9 @@ def split(A: sp.csr_array, grid: GridSpec, coeff) -> AssembledProblem:
     imaginary part (a complex ``A`` is refused whatever its entries), if
     ``A`` is not symmetric bit for bit (tested on its diagonals; ``mgm``
     factors a level's CSR as its transpose, and the Galerkin coarsening
-    mirrors half the diagonals), and, naming the coefficient, unless ``R``
-    has no positive off-diagonal entry and no row sum below
-    ``-8 (2d + 1) u A_ii`` (``u = eps / 2``), which make the symmetric ``R``
-    PSD.  Both hold for ``assemble(grid, coeff)``: an off-diagonal
-    ``a_min - a_e`` rounds a difference <= 0, and a row sum, >= 0 exactly,
-    carries the rounding of ``A_ii``'s sum of 2d edges and, per entry, of
-    ``a_min M_ij``, the difference and the sum: less than the bound, as
-    ``sum_j |A_ij|`` and ``a_min sum_j |M_ij|`` are <= ``2 A_ii``.
+    mirrors half the diagonals), and, naming the coefficient, if its least
+    sample is not a positive normal float or if ``R`` fails ``_splitting``'s
+    checks.
     """
     coeff = make_coefficient(coeff, grid.dim)
     if not isinstance(A, sp.csr_array) or not A.has_canonical_format:
@@ -396,11 +425,8 @@ def split(A: sp.csr_array, grid: GridSpec, coeff) -> AssembledProblem:
     if A.shape != (N, N):
         raise ValueError(f"A has shape {A.shape}; the grid {grid.sizes} needs ({N}, {N})")
     _check_entries(A)
-    if A.dtype != np.float64:
-        A = A.astype(np.float64)
-    a_min = float(min(c.min() for c in _edge_samples(grid, coeff)))
-    kind = algebra_for_bc(grid.bc)
-    base = StructuredOperator(kind, grid.sizes, laplace_symbol(grid.dim))
+    A = A.astype(np.float64, copy=False)
+    a_min = _least_sample(coeff, _edge_samples(grid, coeff))
     operator = dia_from_csr(A)
     table = dict(zip(operator.offsets.tolist(), operator.data))     # A[j - o, j] at j
     for o in sorted({abs(o) for o in table} - {0}):     # A[i, i + o] == A[i + o, i]
@@ -410,6 +436,30 @@ def split(A: sp.csr_array, grid: GridSpec, coeff) -> AssembledProblem:
             i = int(np.flatnonzero(upper != lower)[0])
             raise ValueError(f"A is not symmetric: A[{i}, {i + o}] = {float(A[i, i + o])!r} "
                              f"but A[{i + o}, {i}] = {float(A[i + o, i])!r}")
+    return _splitting(grid, coeff, a_min, operator)
+
+
+def _splitting(grid: GridSpec, coeff, a_min: float, operator) -> AssembledProblem:
+    """The problem of the symmetric ``A`` stored by diagonals as
+    ``operator``, split at ``a_min``.
+
+    ``R`` is formed band by band, each band once: each of ``M``'s bands
+    (``StructuredOperator.bands``) becomes ``R``'s in place, ``A``'s band
+    minus ``a_min`` times ``M``'s, and a diagonal of ``A`` off ``M``'s is
+    copied; a diagonal of ``R`` with no nonzero entry is left out.  Raises
+    a ``ValueError`` naming the coefficient unless ``R`` has no positive
+    off-diagonal entry and no row sum below ``-8 (2d + 1) u A_ii``
+    (``u = eps / 2``), which make the symmetric ``R`` PSD.  Both hold for
+    the stencil of ``coeff``: an off-diagonal ``a_min - a_e`` rounds a
+    difference <= 0, and a row sum, >= 0 exactly, carries the rounding of
+    ``A_ii``'s sum of 2d edges and, per entry, of ``a_min M_ij``, the
+    difference and the sum: less than the bound, as ``sum_j |A_ij|`` and
+    ``a_min sum_j |M_ij|`` are <= ``2 A_ii``.
+    """
+    N = grid.n_total
+    kind = algebra_for_bc(grid.bc)
+    base = StructuredOperator(kind, grid.sizes, laplace_symbol(grid.dim))
+    table = dict(zip(operator.offsets.tolist(), operator.data))     # A[j - o, j] at j
     R = base.bands()
     for o, band in R.items():       # A's band, 0 off the matrix, minus a_min M's
         band *= a_min
@@ -437,8 +487,7 @@ def split(A: sp.csr_array, grid: GridSpec, coeff) -> AssembledProblem:
         raise ValueError(f"A does not fit coefficient {coeff.name!r}: R = A - a_min M has "
                          f"{fault}, so it is not positive semidefinite")
     structured = base if kind is AlgebraKind.TAU else base.strang_correct()
-    return AssembledProblem(grid=grid, a_min=a_min, structured=structured,
-                            correction=R, operator=operator)
+    return AssembledProblem(grid, a_min, structured, R, operator)
 
 
 def _check_entries(A: sp.csr_array):
@@ -461,14 +510,16 @@ def _check_entries(A: sp.csr_array):
 
 def build_rhs(grid: GridSpec, mode="ones", seed: int | None = None) -> np.ndarray:
     """Right-hand sides: ``ones`` (h^2-scaled) or ``random`` (standard
-    normal, drawn from ``seed``, which it requires)."""
+    normal, drawn from ``seed``, which it requires: no seed or a negative
+    integer raises a ``ValueError`` naming it)."""
     N = grid.n_total
     if mode == "ones":
         scale = math.prod(grid.spacing(r) ** 2 for r in range(grid.dim)) ** (1.0 / grid.dim)
         return scale * np.ones(N)
     if mode == "random":
-        if seed is None:
-            raise ValueError("random mode needs a seed; without one every call "
-                             "would draw a different vector")
+        # without a seed every call would draw a different vector; numpy's
+        # error for a negative one names neither it nor the seed
+        if seed is None or isinstance(seed, (int, np.integer)) and seed < 0:
+            raise ValueError(f"random mode needs a non-negative integer seed, not {seed}")
         return np.random.default_rng(seed).standard_normal(N)
     raise ValueError(f"unknown rhs mode {mode!r}")

@@ -10,8 +10,8 @@ solver.
 Every level matrix is born as diagonals, each written once, straight into
 the table its ``sp.dia_array`` keeps: a coarse level writes the structured
 part's bands there and adds the correction's to them in place
-(``dia_from_bands``), and the finest level takes the table ``split`` read
-the assembled matrix into.  Each level keeps the configuration it was built for, and
+(``dia_from_bands``), and the finest level takes the problem's
+``operator`` as it is.  Each level keeps the configuration it was built for, and
 ``LevelHierarchy`` resolves from it, once per level, which smoother each
 slot runs and the nominal operation count of each phase of a cycle
 (``costs``, ``cycle_cost``).  Hierarchies are immutable afterwards, apart
@@ -154,7 +154,7 @@ class _Level:
     diagonals: on a coarse level the structured part's bands, to which
     ``dia_from_bands`` adds those of ``correction`` (the correction by
     diagonals, which only this reads) in the table it keeps; on the finest
-    level the table of the assembled ``A`` that ``split`` read.
+    level the problem's ``operator``.
     ``_product``, its bound product, is what ``matvec`` multiplies by.
     ``rho = gamma / N`` is the weight of the rank-one term, None without
     one.  A level computes only what the steps of its two slots read.  One

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .discretize import GridSpec, assemble, make_coefficient, split
+from .discretize import GridSpec, build_problem, make_coefficient
 from .mgm import SolverConfig, build_hierarchy, vcycle
 from .structured import dia_from_bands
 
@@ -141,9 +141,8 @@ def theory_report(bc, coeff, n: int) -> TheoryReport:
     ``(A, B)`` the ``theta`` pencil, ``B`` the splitting's structured part.
     Each constant certifies its own input by a Cholesky factor, so the only
     eigendecompositions are those of the four pencils."""
-    grid = GridSpec((n,), bc)
     coeff = make_coefficient(coeff, 1)
-    problem = split(assemble(grid, coeff), grid, coeff)
+    problem = build_problem(GridSpec((n,), bc), coeff)
     H = build_hierarchy(problem, SolverConfig(method="tgm"))
 
     lev = H.levels[0]
@@ -158,5 +157,5 @@ def theory_report(bc, coeff, n: int) -> TheoryReport:
     S = problem.structured
     B = _dense(dia_from_bands(S.bands(), lev.n), S.rank_one, lev.n)
     theta1, theta2 = spectral_equivalence(A, B)
-    return TheoryReport(grid.bc.value, coeff.name, n, alpha, beta, bound,
+    return TheoryReport(problem.grid.bc.value, coeff.name, n, alpha, beta, bound,
                         contraction, theta1, theta2)

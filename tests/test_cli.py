@@ -116,6 +116,37 @@ def test_expression_of_the_wrong_shape_usage_error(capsys):
             "not broadcast to the sample points' shape (8,)") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, least", [
+    (["--coeff", "1e-310"], "1e-310"),
+    (["--coeff", "where(x<0.5,1e-310,1)", "--dim", "2", "--bc", "periodic"], "1e-310"),
+    (["--coeff=-1+0*x"], "-1.0"), (["--coeff", "0*x", "--bc", "reflective"], "0.0"),
+])
+def test_a_degenerate_coefficient_usage_error(argv, least, capsys):
+    """A least sample that is not a positive normal float is a usage error
+    naming the coefficient, not SuperLU's "exactly singular" traceback."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--n", "15", *argv])
+    assert exc.value.code == 2
+    assert f"has the least sample {least}; it must be positive and normal" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coeff", ["1e-300", "3e-308"])
+def test_a_tiny_normal_coefficient_solves(coeff):
+    assert cli.main(["solve", "--n", "15", "--coeff", coeff]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--n", "7", "--rhs", "random", "--seed", "-1"],
+    ["bench", "--table", "1", "--sizes", "31", "--seed", "-1"],
+], ids=["solve", "bench"])
+def test_a_negative_seed_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "random mode needs a non-negative integer seed, not -1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("expr, why", [
     ("x+", "does not parse"), ("1/0*x+1", "fails: division by zero"),
     ("x(1)+1", "fails: .*not callable"),

@@ -10,9 +10,15 @@ Nor does the library read a second form of a matrix it stores one way:
 no module of it, ``verify`` included, reads a level's CSR ``combined``
 (a level is read as stored, by diagonals) or gives ``StructuredOperator``
 a ``to_sparse`` (a structured part is its ``bands``).
+
+Nor does a module other than ``discretize`` build a problem in two calls,
+``split(assemble(grid, c), grid, c)``: ``build_problem`` samples the
+coefficient once and keeps the stencil's own diagonals.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -99,3 +105,67 @@ def test_the_check_sees_each_second_form():
 @pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
 def test_module_reads_each_matrix_in_its_one_form(path):
     assert second_forms(path.read_text(encoding="utf-8")) == []
+
+
+def two_step_calls(source: str) -> list:
+    """``(line, name)`` of each call of ``discretize``'s ``assemble`` or
+    ``split``: by the name an import from it binds (``split(A, grid, c)``,
+    an alias included) or on the module (``discretize.assemble(...)``, an
+    alias of it included).  ``text.split(",")`` is no such call, nor is the
+    import itself: the package re-exports both."""
+    tree = ast.parse(source)
+    functions, modules = {}, {"discretize"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for a in node.names:
+                if (node.module or "").endswith("discretize") and a.name in ("assemble", "split"):
+                    functions[a.asname or a.name] = a.name
+                elif a.name == "discretize":
+                    modules.add(a.asname or a.name)
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname for a in node.names
+                        if a.asname and a.name.endswith(".discretize")}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name) and f.id in functions:
+                found.append((node.lineno, functions[f.id]))
+            elif (isinstance(f, ast.Attribute) and f.attr in ("assemble", "split")
+                    and getattr(f.value, "id", None) in modules):
+                found.append((node.lineno, f.attr))
+    return sorted(found)
+
+
+def test_the_check_sees_each_two_step_call():
+    source = ("from .discretize import GridSpec, assemble, split\n"
+              "p = split(assemble(g, c), g, c)\n"
+              "A = discretize.assemble(g, c)\nq = discretize.split(A, g, c)\n"
+              "from wlmg.discretize import split as s\nfrom . import discretize as d\n"
+              "import wlmg.discretize as m\ns(A, g, c)\nd.assemble(g, c)\nm.split(A, g, c)\n")
+    assert two_step_calls(source) == [(2, "assemble"), (2, "split"), (3, "assemble"),
+                                      (4, "split"), (8, "split"), (9, "assemble"),
+                                      (10, "split")]
+    source = ("from .discretize import assemble, build_problem\n"
+              "ids = text.split(',')\nkey.rsplit('/', 1)\nb = build_problem(g, c)\n"
+              "from .other import split\nsplit(x)\n")
+    assert two_step_calls(source) == []
+
+
+@pytest.mark.parametrize("path", [p for p in LIBRARY if p.name != "discretize.py"],
+                         ids=lambda p: p.name)
+def test_module_builds_its_problem_in_one_call(path):
+    """Only ``discretize`` calls ``assemble`` and ``split``; every other
+    module builds its problem with ``build_problem``, which samples the
+    coefficient once."""
+    assert two_step_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_discretize_module_is_not_shadowed():
+    """``wlmg`` exports no name ``discretize``, so the module stays reachable
+    both ways (a function of that name would shadow it)."""
+    from wlmg import discretize
+    module = importlib.import_module("wlmg.discretize")
+    assert isinstance(module, types.ModuleType)
+    assert discretize is module and wlmg.discretize is module
+    assert module.build_problem is wlmg.build_problem

@@ -6,8 +6,8 @@ import pytest
 import scipy.sparse as sp
 
 from wlmg.discretize import (TWO_D_ONLY_PRESETS, BoundaryCondition, DiffusionCoefficient,
-                             GridSpec, _edge_samples, algebra_for_bc, assemble, build_rhs,
-                             make_coefficient, split)
+                             GridSpec, _edge_samples, algebra_for_bc, assemble, build_problem,
+                             build_rhs, make_coefficient, split)
 from wlmg.structured import AlgebraKind, StructuredOperator
 from wlmg.symbols import CosineSymbol, TensorSymbol
 
@@ -136,6 +136,7 @@ SPLIT_GRIDS = [((511, 511), "dirichlet", "a7"), ((512, 512), "periodic", "a7"),
 
 @pytest.mark.parametrize("sizes, bc, coeff, form", [
     *((*case, "csr") for case in SPLIT_GRIDS),
+    *((*case, "build_problem") for case in SPLIT_GRIDS),
     ((15, 15), "dirichlet", "a7", "coo"), ((16,), "periodic", "a3", "coo"),
     ((15, 15), "dirichlet", "a7", "explicit zero"), ((8, 8), "reflective", "a2", "explicit zero"),
     ((7, 7), "periodic", "a1", "int64"),
@@ -145,7 +146,9 @@ def test_split_equals_the_reference_split(sizes, bc, coeff, form):
     ``operator`` (offsets and data), ``correction`` (keys and bytes) and
     ``a_min`` equal those of the split that read ``A`` into bands first
     (``oracles.split_reference``) bit for bit, on a COO input, an integer
-    one and a CSR that stores a diagonal of explicit zeros too."""
+    one and a CSR that stores a diagonal of explicit zeros too.  So do those
+    of ``build_problem``, which keeps the stencil's own table and never
+    forms ``A`` as CSR."""
     grid = GridSpec(sizes, bc)
     A = assemble(grid, coeff)
     if form == "coo":
@@ -154,7 +157,8 @@ def test_split_equals_the_reference_split(sizes, bc, coeff, form):
         A = A.astype(np.int64)
     elif form == "explicit zero":
         A = _explicit_zero_diagonal(A, 2)
-    got, want = split(A, grid, coeff), split_reference(A, grid, coeff)
+    got = build_problem(grid, coeff) if form == "build_problem" else split(A, grid, coeff)
+    want = split_reference(A, grid, coeff)
     assert got.a_min.hex() == want.a_min.hex()
     assert got.operator.offsets.dtype == want.operator.offsets.dtype
     assert got.operator.offsets.tolist() == want.operator.offsets.tolist()
@@ -296,6 +300,16 @@ def test_random_rhs_needs_a_seed():
                               build_rhs(grid, "random", seed=1))
 
 
+@pytest.mark.parametrize("seed", [-1, np.int64(-3)], ids=["int", "numpy-int"])
+def test_random_rhs_names_a_negative_seed(seed):
+    """numpy's own error, "expected non-negative integer", names neither
+    the seed nor its value."""
+    grid = GridSpec((3,), BoundaryCondition.DIRICHLET)
+    with pytest.raises(ValueError, match=r"^random mode needs a non-negative integer seed, "
+                                         r"not -\d$"):
+        build_rhs(grid, "random", seed=seed)
+
+
 def test_coefficient_errors():
     grid = GridSpec((5,), BoundaryCondition.DIRICHLET)
     with pytest.raises(ValueError):
@@ -397,6 +411,58 @@ def test_assemble_names_a_coefficient_whose_stencil_overflows(grid, coeff, name)
         with pytest.raises(ValueError, match=f"^coefficient '{name}' overflows a float "
                                              "in the stencil"):
             assemble(grid, coeff)
+
+
+DEGENERATE = [((64,), "periodic", "0*x", "0.0"), ((32, 32), "reflective", "0*x", "0.0"),
+              ((15,), "dirichlet", "-1+0*x", "-1.0"), ((15,), "dirichlet", "1e-310", "1e-310"),
+              ((15, 15), "periodic", "where(x<0.5,1e-310,1)", "1e-310")]
+
+
+@pytest.mark.parametrize("entry", ["assemble", "split", "build_problem"])
+@pytest.mark.parametrize("sizes, bc, coeff, least", DEGENERATE,
+                         ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else None)
+def test_a_least_sample_that_is_not_a_positive_normal_float_is_refused(entry, sizes, bc,
+                                                                       coeff, least):
+    """A least sample <= 0 or subnormal is refused by each entry point,
+    naming the coefficient.  Before, ``split`` took ``"0*x"`` and the solve
+    diverged (residual 1e12 after 200 cycles), and ``"-1+0*x"`` or
+    ``"1e-310"`` ended in SuperLU's "exactly singular" error."""
+    grid = GridSpec(sizes, bc)
+    call = {"assemble": lambda: assemble(grid, coeff),
+            "split": lambda: split(assemble(grid, "a2"), grid, coeff),
+            "build_problem": lambda: build_problem(grid, coeff)}[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            call()
+    assert str(exc.value) == (f"coefficient {coeff!r} has the least sample {least}; it must "
+                              "be positive and normal, at least 2.2250738585072014e-308")
+
+
+@pytest.mark.parametrize("coeff, least", [("1e-300", 1e-300), ("3e-308", 3e-308),
+                                          ("where(x<0.5,3e-308,1)", 3e-308)])
+def test_a_tiny_normal_least_sample_is_taken(coeff, least):
+    grid = GridSpec((15,), "dirichlet")
+    assert build_problem(grid, coeff).a_min == split(assemble(grid, coeff), grid, coeff).a_min
+    assert build_problem(grid, coeff).a_min == least
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_build_problem_samples_a_callable_once(dim):
+    """A callable coefficient is called once per sweep direction by
+    ``build_problem``, and twice as often by ``split(assemble(...))``."""
+    calls = []
+
+    def func(*coords):
+        calls.append(coords[0].shape)
+        return np.exp(coords[0])
+
+    grid, coeff = GridSpec((7,) * dim, "periodic"), DiffusionCoefficient(func)
+    build_problem(grid, coeff)
+    assert len(calls) == dim
+    calls.clear()
+    split(assemble(grid, coeff), grid, coeff)
+    assert len(calls) == 2 * dim
 
 
 @pytest.mark.parametrize("sizes, func, match", [
