@@ -400,9 +400,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attached(argv: list) -> list:
+    """``argv`` with each value after ``--coeff`` or ``--coeffs`` that begins
+    with a single ``-`` attached by ``=``: argparse takes ``-x+2`` for an
+    option, ``--coeff=-x+2`` for a value."""
+    out = []
+    for token in argv:
+        if (out and out[-1] in ("--coeff", "--coeffs") and token.startswith("-")
+                and not token.startswith("--")):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attached(sys.argv[1:] if argv is None else list(argv)))
     run = {"solve": run_solve, "bench": run_bench, "verify": run_verify}[args.command]
     try:
         return run(args)

@@ -25,8 +25,10 @@ Every level product on the solve path is a product with the level operator
 stored by diagonals (``sp.dia_array``): the residual, the smoothers, and
 Gauss-Seidel's upper triangle ``triu(A, 1)``, a slice of those diagonals.
 Its lower triangle is not a slice: it is a CSC copy written off them (the
-interleaved 2N one on rank-one levels), scaled column by column, that
-``gstrs`` solves with (``structured.TriangularFactor``).
+interleaved 2N one on rank-one levels), scaled column by column in place by
+the pivots the level hands over, the diagonals' row of offset 0 (plus
+``rho`` on rank-one levels), that ``gstrs`` solves with
+(``structured.TriangularFactor``).
 The grid transfers multiply by ``p^T`` (CSR) and ``p`` (CSC) over one set
 of arrays.  Each product is a ``structured.BoundProduct``, built at set-up
 (``_Level._product``, the third slot of ``_Level._gs``, the projector's
@@ -241,10 +243,14 @@ class _Level:
 
         The diagonals are sliced once, into the pivots (offset 0) and
         ``triu(A, 1)``, a view of the offsets > 0, which ``_interleaved``
-        reads.  The tuple is ``(kind, factor, product, nnz)``: the product is
-        the bound ``triu(A, 1)``, which the step multiplies by and whose
-        ``matrix`` the nominal count counts, and ``nnz`` the factor's
-        entries as ``L`` and ``U``.  The rank-one weight is ``self.rho``.
+        reads.  The factor is handed the pivots, so it reads none back
+        through the triangle's ``indptr``: the row of offset 0, or on a
+        rank-one level that row plus ``rho`` interleaved with the 1s that
+        start the columns of ``s``.  The tuple is
+        ``(kind, factor, product, nnz)``: the product is the bound
+        ``triu(A, 1)``, which the step multiplies by and whose ``matrix``
+        the nominal count counts, and ``nnz`` the factor's entries as ``L``
+        and ``U``.  The rank-one weight is ``self.rho``.
         """
         if self._gs is None:
             A, n, rho = self.operator, self.n, self.rho
@@ -261,11 +267,12 @@ class _Level:
                     f"Gauss-Seidel pivot of row {zero[0]} is zero (diagonal of A + rho e e^T)")
             if rho is None:
                 lower = sp.dia_array((data, offsets), shape=A.shape).tocsr().T
-            else:
+            else:       # column 2j + 1 of the interleaved triangle starts with 1
                 lower = _interleaved(upper, pivots, rho)
+                pivots = np.stack([pivots, np.ones(n)], axis=1).reshape(-1)
             # L, the triangle scaled to a unit diagonal, and U, its diagonal,
             # count nnz + rows entries, though the factor stores them in nnz
-            self._gs = ("triangular", TriangularFactor(lower), BoundProduct(upper),
+            self._gs = ("triangular", TriangularFactor(lower, pivots), BoundProduct(upper),
                         lower.nnz + lower.shape[0])
         return self._gs
 

@@ -48,9 +48,10 @@ in its natural order, which is its own LU factor: unit lower triangular
 ``L`` the triangle with each column scaled by ``1 / pivot`` (the product
 SuperLU's ``dpivotL`` forms) and ``U`` its pivots, stored on the diagonal
 of ``L`` as SuperLU stores a supernode's.  It keeps the triangle's CSC
-arrays so scaled and solves by SuperLU's factor-free kernel ``gstrs``, the
-call ``spla.spsolve_triangular`` makes after its per-call checks and
-copies; no factorization runs and no second copy of the triangle is made.
+arrays so scaled, by the pivots its caller hands it where the caller has
+them, and solves by SuperLU's factor-free kernel ``gstrs``, the call
+``spla.spsolve_triangular`` makes after its per-call checks and copies; no
+factorization runs and no second copy of the triangle is made.
 This module is also the only one that touches SciPy's private
 ``_superlu``; a SciPy without ``gstrs`` fails at import.
 """
@@ -228,15 +229,21 @@ class TriangularFactor:
 
     ``lower`` is ``F`` as a square CSC array whose columns each start with
     their pivot (sorted rows; a ``ValueError`` otherwise), none of them zero
-    (a ``ZeroDivisionError``).  Its arrays become the factor's: the data is
-    scaled in place, each column by ``1 / pivot`` with the pivot put back
-    on the diagonal.  ``solve(b)`` is one call of ``gstrs``, the unit
-    forward sweep and then a division by the pivots, and returns a new
-    array; ``gstrs`` raises a ``ValueError`` for a vector of the wrong
-    length.
+    (a ``ZeroDivisionError``).  ``pivots``, if given, are those first
+    entries as the caller already holds them, and are not gathered back
+    through ``indptr``; they must equal them.  The check that each column
+    starts on its own row compares int32 rows with an int32 range; the rows
+    are gathered through an ``intp`` copy of the column starts, which the
+    pivots' scatter reuses (at 511^2 numpy gathers by the int32 starts in
+    0.70 ms, by the ``intp`` copy in 0.24 ms).  The arrays of ``lower``
+    become the factor's: the data is scaled in place, each column by
+    ``1 / pivot`` with the pivot put back on the diagonal.  ``solve(b)`` is
+    one call of ``gstrs``, the unit forward sweep and then a division by
+    the pivots, and returns a new array; ``gstrs`` raises a ``ValueError``
+    for a vector of the wrong length.
     """
 
-    def __init__(self, lower: sp.csc_array):
+    def __init__(self, lower: sp.csc_array, pivots: np.ndarray | None = None):
         n = lower.shape[0]
         if lower.shape != (n, n):
             raise ValueError(f"the triangle must be square, not {lower.shape}")
@@ -244,11 +251,12 @@ class TriangularFactor:
         self.indptr = lower.indptr.astype(np.intc, copy=False)
         self.indices = lower.indices.astype(np.intc, copy=False)
         self.data = lower.data.astype(np.float64, copy=False)
-        first = self.indptr[:-1]
+        first = self.indptr[:-1].astype(np.intp)
         if not (np.diff(self.indptr).all()
-                and np.array_equal(self.indices[first], np.arange(n))):
+                and np.array_equal(self.indices[first], np.arange(n, dtype=np.intc))):
             raise ValueError("each column of the triangle must start with its pivot")
-        pivots = self.data[first]
+        if pivots is None:
+            pivots = self.data[first]
         zero = np.flatnonzero(pivots == 0.0)
         if zero.size:
             raise ZeroDivisionError(f"the pivot of column {zero[0]} is zero")

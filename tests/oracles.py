@@ -10,7 +10,8 @@ from wlmg.discretize import (AssembledProblem, BoundaryCondition, GridSpec, _edg
                              make_coefficient)
 from wlmg.structured import (AlgebraKind, StructuredOperator, _check_band, algebra_grid,
                              dia_from_bands)
-from wlmg.transfer import P_SYMBOL, coarse_size
+from wlmg.transfer import (P_SYMBOL, S_SQUARED, TAPS, _cyclic, _extended, _flat_bands,
+                           _grid_diagonals, coarse_size)
 
 
 def csr_from_bands(bands: dict, n: int) -> sp.csr_array:
@@ -393,6 +394,85 @@ def galerkin_csr(R: sp.csr_array, projector) -> sp.csr_array:
     return G
 
 
+def coarsen_axis_by_taps(diagonals: dict, kind: AlgebraKind, axis: int, n0: int,
+                         n1: int) -> dict:
+    """``transfer._coarsen_axis`` with every inner sum formed for its own
+    ``(K, a)``: ``G_K[J] = sum_a w_a sum_b w_b R_{2K+b-a}[2J+a]`` on the rows
+    ``K`` reads, the inner sums over ``b`` and then the outer over ``a``
+    in tap order, each from its first term."""
+    w = TAPS[kind]
+    cyclic = kind is AlgebraKind.CIRCULANT
+    m = max(abs(key[axis]) for key in diagonals)
+    reach = (m + len(w) - 1) // 2
+    groups = {}
+    for key, values in diagonals.items():
+        rest = key[:axis] + key[axis + 1:]
+        groups.setdefault(rest, {})[key[axis]] = np.moveaxis(values, axis, 0)
+    out = {}
+    for rest, bands in groups.items():
+        ext = _extended(kind, bands, n0)
+        shape = (n1,) + next(iter(bands.values())).shape[1:]
+        offsets = range(0 if not any(rest[:axis]) else -reach, reach + 1)
+        if cyclic:
+            offsets = sorted({_cyclic(K, n1) for K in offsets})
+        for K in offsets:
+            lo, hi = (0, n1) if cyclic else (max(0, -K), n1 - max(0, K))
+            if lo >= hi:
+                continue
+            acc = None
+            for a, wa in enumerate(w):
+                inner = None
+                for b, wb in enumerate(w):
+                    d = 2 * K + b - a
+                    src = ext.get(_cyclic(d, n0) if cyclic else d)
+                    if src is None:
+                        continue
+                    term = src[a + 2 * lo:a + 2 * hi - 1:2]
+                    if inner is None:
+                        inner = term * wb
+                    elif wb == 1.0:
+                        inner += term
+                    else:
+                        inner += term * wb
+                if inner is None:
+                    continue
+                if wa != 1.0:
+                    inner *= wa
+                if acc is None:
+                    acc = inner
+                else:
+                    acc += inner
+            if acc is not None:
+                values = np.zeros(shape)
+                values[lo:hi] = acc
+                out[rest[:axis] + (K,) + rest[axis:]] = np.moveaxis(values, 0, axis)
+    return out
+
+
+def galerkin_by_taps(R: dict, projector) -> dict:
+    """``transfer.galerkin_sparse`` with ``coarsen_axis_by_taps`` for its
+    per-axis step: the scaling by ``s^2``, the circulant mirror and the flat
+    bands as there."""
+    kind = projector.kind
+    cyclic = kind is AlgebraKind.CIRCULANT
+    diagonals = _grid_diagonals(R, projector.fine_sizes, cyclic)
+    for axis, (n0, n1) in enumerate(zip(projector.fine_sizes, projector.coarse_sizes)):
+        if not diagonals:
+            return {}
+        diagonals = coarsen_axis_by_taps(diagonals, kind, axis, n0, n1)
+    s2 = S_SQUARED[kind] ** len(projector.fine_sizes)
+    if s2 != 1.0:
+        for values in diagonals.values():
+            values *= s2
+    if cyclic:
+        dims = tuple(range(len(projector.coarse_sizes)))
+        for key, values in list(diagonals.items()):
+            mirror = tuple(_cyclic(-k, n) for k, n in zip(key, projector.coarse_sizes))
+            if mirror not in diagonals:
+                diagonals[mirror] = np.roll(values, key, axis=dims)
+    return _flat_bands(diagonals, projector.coarse_sizes, cyclic)
+
+
 def dia_triangles(lev) -> tuple:
     """``tril(A)`` and ``triu(A, 1)`` of a level as views of its diagonals,
     split at the first offset above 0."""
@@ -434,6 +514,21 @@ def scaled_triangle(lower: sp.csc_array) -> sp.csc_array:
         F.data[lo:hi] *= 1.0 / pivots[j]
     F.data[first] = pivots
     return F
+
+
+def gather_and_scale(lower: sp.csc_array) -> tuple:
+    """The arrays ``(indptr, indices, data)`` of ``structured.TriangularFactor``
+    of ``lower`` as it was first built, with nothing handed to it: the
+    pivots gathered through ``indptr``, every entry multiplied by
+    ``1 / pivot`` of its column, as ``csr_scale_rows`` multiplies, and the
+    pivots scattered back."""
+    indptr, indices = lower.indptr.astype(np.intc), lower.indices.astype(np.intc)
+    first = indptr[:-1]
+    assert np.diff(indptr).all() and np.array_equal(indices[first], np.arange(lower.shape[0]))
+    pivots = lower.data[first]
+    data = lower.data * np.repeat(1.0 / pivots, np.diff(indptr))
+    data[first] = pivots
+    return indptr, indices, data
 
 
 def forward_substitution(lower: sp.csc_array, b) -> np.ndarray:

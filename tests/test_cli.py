@@ -131,6 +131,29 @@ def test_a_degenerate_coefficient_usage_error(argv, least, capsys):
         capsys.readouterr().err
 
 
+def test_a_coefficient_that_begins_with_a_minus_is_a_value(tmp_path, capsys):
+    """``--coeff -x+2`` and ``--coeffs -x+2`` hand the expression to
+    ``make_coefficient`` as ``--coeff=-x+2`` does, not to argparse as an
+    option; a negative one is then refused for its least sample."""
+    assert cli.main(["solve", "--coeff", "-x+2", "--n", "15"]) == 0
+    out = capsys.readouterr().out
+    assert "coeff=-x+2" in out and "converged=True" in out
+    assert cli.main(["solve", "--coeff=-x+2", "--n", "15"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == out.splitlines()[0]
+    assert cli.main(["verify", "--coeffs", "-x+2", "--sizes", "7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("dirichlet,-x+2,7,") and lines[-1].endswith("all chains hold")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--coeff", "-1+0*x", "--n", "15"])
+    assert exc.value.code == 2
+    assert ("coefficient '-1+0*x' has the least sample -1.0; it must be positive and normal"
+            in capsys.readouterr().err)
+    with pytest.raises(SystemExit) as exc:      # an option still needs its value
+        cli.main(["solve", "--n", "15", "--coeff", "--bc", "periodic"])
+    assert exc.value.code == 2
+    assert "argument --coeff: expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("coeff", ["1e-300", "3e-308"])
 def test_a_tiny_normal_coefficient_solves(coeff):
     assert cli.main(["solve", "--n", "15", "--coeff", coeff]) == 0

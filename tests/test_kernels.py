@@ -28,7 +28,8 @@ from wlmg.discretize import BoundaryCondition, GridSpec, assemble, split
 from wlmg.mgm import SolverConfig, build_hierarchy
 from wlmg.structured import BoundProduct, TriangularFactor
 
-from oracles import dia_triangles, forward_substitution, gs_triangle_product, jump_1000
+from oracles import (dia_triangles, forward_substitution, gather_and_scale, gs_triangle_product,
+                     jump_1000)
 
 BCS = list(BoundaryCondition)
 MODULES = sorted(Path(wlmg.__file__).parent.glob("*.py"))
@@ -162,6 +163,27 @@ def test_triangular_solve_is_forward_substitution(bc, sizes, coeff):
             assert same_bits(got, forward_substitution(F, b))
             want = lu.solve(b)
             assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("bc", BCS, ids=lambda bc: bc.value)
+@pytest.mark.parametrize("dim, coeff", [(1, "a1"), (1, jump_1000), (2, "a1"), (2, "a7"),
+                                        (2, "a8")],
+                         ids=["1d-a1", "1d-jump1000", "2d-a1", "2d-a7", "2d-a8"])
+def test_factor_with_handed_pivots_equals_gather_and_scale(bc, dim, coeff):
+    """The Gauss-Seidel factor of every smoothing level, built from the
+    pivots the level hands it (its diagonal, plus ``rho`` on a rank-one
+    level), stores the arrays of ``oracles.gather_and_scale`` of the
+    triangle, which reads the pivots back through ``indptr``, bit for bit."""
+    n = 63 if bc is BoundaryCondition.DIRICHLET else 64
+    grid = GridSpec((n,) * dim, bc)
+    H = build_hierarchy(split(assemble(grid, coeff), grid, coeff),
+                        SolverConfig(pre="gauss-seidel", post="richardson"))
+    assert H.n_levels >= 3
+    for lev in H.levels[:-1]:
+        factor = lev._ensure_gs()[1]
+        indptr, indices, data = gather_and_scale(gs_triangle_product(lev))
+        assert same_bits(factor.indptr, indptr) and same_bits(factor.indices, indices)
+        assert same_bits(factor.data, data)
 
 
 def test_triangular_factor_checks_its_triangle_and_vector():

@@ -9,7 +9,7 @@ from wlmg.transfer import (P_SYMBOL, TAPS, Projector, coarse_size, coarsen_struc
                            galerkin_sparse, galerkin_structured, project_rank_one)
 
 from oracles import (bands_of, correction_csr, csr_from_bands, cutting_matrix, full_dense,
-                     galerkin_csr, materialize_dense, projector_kron)
+                     galerkin_by_taps, galerkin_csr, materialize_dense, projector_kron)
 
 LAPLACE = CosineSymbol([2.0, -1.0])
 KINDS = [AlgebraKind.TAU, AlgebraKind.CIRCULANT, AlgebraKind.DCT3]
@@ -315,3 +315,63 @@ def test_projector_takes_numpy_integer_sizes():
     P = Projector(AlgebraKind.TAU, np.array([7, 15]))
     assert P.fine_sizes == (7, 15) and all(type(n) is int for n in P.fine_sizes)
     assert P.coarse_sizes == (3, 7)
+
+
+def checked_galerkin(R: dict, P: Projector) -> dict:
+    """``galerkin_sparse(R, P)``, asserted to hold the keys of
+    ``oracles.galerkin_by_taps`` in the same order and the same bytes."""
+    got, want = galerkin_sparse(R, P), galerkin_by_taps(R, P)
+    assert list(got) == list(want)
+    assert all(got[k].dtype == want[k].dtype and got[k].tobytes() == want[k].tobytes()
+               for k in want)
+    return got
+
+
+@pytest.mark.parametrize("bc, sizes", [
+    (BoundaryCondition.DIRICHLET, (7,)), (BoundaryCondition.DIRICHLET, (13,)),
+    (BoundaryCondition.DIRICHLET, (63,)), (BoundaryCondition.DIRICHLET, (13, 13)),
+    (BoundaryCondition.DIRICHLET, (31, 31)),
+    (BoundaryCondition.PERIODIC, (8,)), (BoundaryCondition.PERIODIC, (10,)),
+    (BoundaryCondition.PERIODIC, (64,)), (BoundaryCondition.PERIODIC, (12, 12)),
+    (BoundaryCondition.PERIODIC, (16, 16)), (BoundaryCondition.PERIODIC, (32, 32)),
+    (BoundaryCondition.REFLECTIVE, (4,)), (BoundaryCondition.REFLECTIVE, (8,)),
+    (BoundaryCondition.REFLECTIVE, (10,)), (BoundaryCondition.REFLECTIVE, (64,)),
+    (BoundaryCondition.REFLECTIVE, (10, 10)), (BoundaryCondition.REFLECTIVE, (16, 16)),
+    (BoundaryCondition.REFLECTIVE, (32, 32)),
+], ids=lambda v: v.value if isinstance(v, BoundaryCondition) else "x".join(map(str, v)))
+def test_galerkin_sparse_equals_the_per_tap_oracle(bc, sizes):
+    """``galerkin_sparse``, which forms the inner sums of the taps but the
+    last two once and reads the others off the previous coarse offset, gives
+    the keys, in order, and the bytes of ``oracles.galerkin_by_taps``, which
+    forms every inner sum for its own offset and tap, on every level of the
+    chain: odd and even coarse sizes, the wide coarse stencils, and the
+    small cyclic grids whose offset sets start on ``K`` without ``K - 1``."""
+    coeff = "a2" if len(sizes) == 1 else "a8"
+    grid = GridSpec(sizes, bc)
+    problem = split(assemble(grid, coeff), grid, coeff)
+    R, kind, levels = problem.correction, problem.structured.kind, 0
+    while R:
+        try:
+            P = Projector(kind, sizes)
+        except ValueError:          # the coarsest size of the chain
+            break
+        R, sizes, levels = checked_galerkin(R, P), P.coarse_sizes, levels + 1
+    assert levels >= 1
+
+
+@pytest.mark.parametrize("kind, sizes", [
+    (AlgebraKind.TAU, (7,)), (AlgebraKind.TAU, (9,)), (AlgebraKind.TAU, (5, 7)),
+    (AlgebraKind.CIRCULANT, (8,)), (AlgebraKind.CIRCULANT, (12,)),
+    (AlgebraKind.CIRCULANT, (6, 8)), (AlgebraKind.CIRCULANT, (12, 12)),
+    (AlgebraKind.DCT3, (4,)), (AlgebraKind.DCT3, (8,)), (AlgebraKind.DCT3, (12,)),
+    (AlgebraKind.DCT3, (4, 6)), (AlgebraKind.DCT3, (8, 8)),
+], ids=lambda v: v.value if isinstance(v, AlgebraKind) else "x".join(map(str, v)))
+def test_galerkin_sparse_of_a_dense_correction_equals_the_per_tap_oracle(kind, sizes):
+    """A dense symmetric correction reaches every offset, so on a small
+    cyclic grid the offsets of a diagonal group wrap into a set with gaps
+    (``0, ..., 4`` modulo 6 is ``-2, 0, ..., 3``): an offset after a gap forms
+    its inner sums itself.  Keys and bytes are the oracle's."""
+    n = int(np.prod(sizes))
+    M = np.random.default_rng(n).uniform(-1.0, 1.0, (n, n))
+    P = Projector(kind, sizes)
+    checked_galerkin(bands_of(sp.csr_array(M + M.T)), P)
